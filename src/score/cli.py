@@ -184,7 +184,7 @@ def _load_config(project: Project, args) -> tuple[GatewayConfig, RetrievalConfig
 
 
 def _gateway(project: Project, cfg: GatewayConfig) -> LlmGateway:
-    return LlmGateway(cfg, cache_dir=project.dir("cache"))
+    return LlmGateway(cfg, cache_dir=project.dir("cache"), prompts_root=project.dir("prompts"))
 
 
 def _parse_ablations(spec: str | None) -> Ablations:
@@ -252,20 +252,13 @@ def cmd_summarize(project: Project, args) -> int:
             skipped += 1
             continue
 
-        def summarize_one(episode):
-            return summarize_episode(
+        summaries = gateway.map(
+            lambda episode: summarize_episode(
                 episode, list(story.key_items), gateway,
                 story_id=story.story_id, prompts_root=project.dir("prompts"),
-            )
-
-        if gateway_cfg.backend == "remote" and gateway_cfg.max_parallel > 1:
-            # episodes are independent; the gateway's semaphore caps in-flight calls
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=gateway_cfg.max_parallel) as pool:
-                summaries = list(pool.map(summarize_one, story.episodes))
-        else:
-            summaries = [summarize_one(ep) for ep in story.episodes]
+            ),
+            story.episodes,
+        )
         write_if_changed(target, canonical_bytes(summaries_to_dict(story.story_id, summaries)))
         written += 1
     print(f"summarized {written} story(ies), {skipped} already present (use --force to redo)")
@@ -280,7 +273,7 @@ def cmd_track(project: Project, args) -> int:
     reported = {}
     total_errors = 0
     for story in stories:
-        timelines = story_timelines(story, gateway)
+        timelines = story_timelines(story, gateway, prompts_root=project.dir("prompts"))
         errors = detect_story_errors(timelines)
         reported[story.story_id] = errors
         total_errors += len(errors)

@@ -584,8 +584,9 @@ def run_pipeline(
     """Run extract -> track -> summarize -> index -> evaluate -> QA over a corpus.
 
     Deterministic under the mock backend or in replay mode: stories are
-    processed in story_id order and every stage is a pure function of its
-    inputs.
+    processed in story_id order, every stage is a pure function of its
+    inputs, and the per-episode and per-question stages run through
+    `gateway.map`, which keeps input order at any `max_parallel`.
     """
     ablations = config.ablations
     retrieval_cfg = config.retrieval
@@ -604,7 +605,7 @@ def run_pipeline(
             gold_by_story.setdefault(gq.story_id, []).append(gq)
 
     for story in sorted(stories, key=lambda s: s.story_id):
-        raw_timelines = story_timelines(story, gateway)
+        raw_timelines = story_timelines(story, gateway, prompts_root=prompts_root)
         errors = detect_story_errors(raw_timelines)
         states[story.story_id] = (raw_timelines, errors)
         if ablations.tracking:
@@ -613,12 +614,14 @@ def run_pipeline(
             timelines = raw_timelines
         effective_timelines[story.story_id] = timelines
 
-        summaries = [
-            summarize_episode(ep, list(story.key_items), gateway, story_id=story.story_id, prompts_root=prompts_root)
-            if ablations.summary
-            else _minimal_summary(ep, gateway, story_id=story.story_id)
-            for ep in story.episodes
-        ]
+        def summarize_one(ep):
+            if ablations.summary:
+                return summarize_episode(
+                    ep, list(story.key_items), gateway, story_id=story.story_id, prompts_root=prompts_root
+                )
+            return _minimal_summary(ep, gateway, story_id=story.story_id)
+
+        summaries = gateway.map(summarize_one, story.episodes)
         summaries_out[story.story_id] = summaries
 
         # retrieval documents: structured summaries, or raw episode text when
@@ -642,12 +645,14 @@ def run_pipeline(
                 text=doc_texts[ep.index],
             )
             texts_in_order.append(doc_texts[ep.index])
+        # the raw rows, not the index's normalized copies: each is also its
+        # episode's retrieval focus, and search normalizes the query itself
         vectors = gateway.embed(texts_in_order)
         for ep, vec in zip(story.episodes, vectors):
             rows.append((f"{story.story_id}#{ep.index}", "summary", story.story_id, ep.index, vec))
         index = build_index(gateway.config.embed_dim, rows)
 
-        for ep in story.episodes:
+        def evaluate_one(ep):
             if ablations.retrieval and len(story.episodes) > 1:
                 bundle = retrieve_related(
                     doc_texts[ep.index],
@@ -658,29 +663,32 @@ def run_pipeline(
                     gateway,
                     exclude_ref=(story.story_id, ep.index),
                     focus_label=f"{story.story_id}#{ep.index}",
+                    query_vector=vectors[ep.index],
                 )
             else:
                 bundle = ContextBundle(focus=f"{story.story_id}#{ep.index}", selected=())
-            evaluations.append(
-                evaluate_episode(
-                    ep,
-                    summaries[ep.index],
-                    timelines,
-                    errors,
-                    bundle,
-                    gateway,
-                    story_id=story.story_id,
-                    prompts_root=prompts_root,
-                )
+            return evaluate_episode(
+                ep,
+                summaries[ep.index],
+                timelines,
+                errors,
+                bundle,
+                gateway,
+                story_id=story.story_id,
+                prompts_root=prompts_root,
             )
 
-        for gq in gold_by_story.get(story.story_id, []):
+        evaluations.extend(gateway.map(evaluate_one, story.episodes))
+
+        def answer_one(gq):
             if ablations.retrieval:
                 bundle = retrieve_for_query(gq.question, index, records, retrieval_cfg, gateway)
             else:
                 bundle = ContextBundle(focus=f"query:{gq.question[:72]}", selected=())
             result = answer_query(gq.question, bundle, gateway, story_id=story.story_id, prompts_root=prompts_root)
-            qa_results.append(grade_answer(result, gq))
+            return grade_answer(result, gq)
+
+        qa_results.extend(gateway.map(answer_one, gold_by_story.get(story.story_id, [])))
 
     report = compute_metrics(
         evaluations,

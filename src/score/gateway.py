@@ -9,6 +9,11 @@ A content-addressed cache sits in front of both backends. In `record`
 mode every response is written through; in `replay` mode requests are
 served from the cache only and a miss is an error, which makes a replay
 run a pure function of (inputs, config, cache).
+
+`LlmGateway.map` runs independent per-episode work. It overlaps requests
+only where they can wait on the network (remote backend, cache `off` or
+`record`), at most `max_parallel` at a time, and always returns results in
+input order, so no result depends on `max_parallel`.
 """
 
 from __future__ import annotations
@@ -20,15 +25,17 @@ import os
 import re
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from . import lexicon
+from . import lexicon, prompts
 from .errors import (
     ContractError,
+    PersistenceError,
     SentimentError,
     TransportError,
     UncachedRequestError,
@@ -45,6 +52,9 @@ _CACHE_MODES = ("off", "record", "replay")
 
 _INITIAL_BACKOFF = 0.5
 _BACKOFF_FACTOR = 2.0
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -141,20 +151,42 @@ class LlmGateway:
         config: GatewayConfig,
         cache_dir: Path | str | None = None,
         transport: Callable[[str, dict, float, dict], dict] | None = None,
+        prompts_root: Path | str | None = None,
     ):
+        """`prompts_root` is a project's prompts/ directory; its templates
+        override the bundled ones for prompts the gateway itself builds."""
         if config.cache_mode != "off" and cache_dir is None:
             raise ContractError(f"cache_mode={config.cache_mode!r} requires a cache_dir")
         self.config = config
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        self.prompts_root = prompts_root
         self.stats = GatewayStats()
         self._transport = transport or default_transport
         self._sleep = time.sleep  # patched in tests to avoid real backoff waits
         self._semaphore = threading.BoundedSemaphore(config.max_parallel)
         self._lock = threading.Lock()
+        self._pending: dict[str, Future] = {}  # cache key -> result of the request in flight
 
     @property
     def is_mock(self) -> bool:
         return self.config.backend == "mock"
+
+    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+        """`[fn(item) for item in items]`, overlapping calls where requests wait on the network.
+
+        Only the remote backend with cache mode `off` or `record` sends
+        requests that wait on a transport; there, up to `max_parallel`
+        worker threads run `fn`. The mock backend and replay mode are pure
+        CPU and cache reads, which threads cannot speed up under the GIL,
+        so they run in the calling thread. Results are in input order
+        either way; the first exception in input order propagates.
+        """
+        items = list(items)
+        workers = min(self.config.max_parallel, len(items))
+        if self.is_mock or self.config.cache_mode == "replay" or workers < 2:
+            return [fn(item) for item in items]
+        with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="score-gateway") as pool:
+            return list(pool.map(fn, items))
 
     # -- public operations ---------------------------------------------------
 
@@ -226,9 +258,7 @@ class LlmGateway:
     def _sentiment_uncached(self, text: str) -> float:
         if self.is_mock:
             return lexicon.mock_sentiment_value(text)
-        from . import prompts
-
-        prompt = prompts.render(prompts.load("sentiment"), text=text)
+        prompt = prompts.render(prompts.load("sentiment", self.prompts_root), text=text)
         reply = self._complete_uncached(
             {
                 "model": self.config.model_name,
@@ -294,11 +324,45 @@ class LlmGateway:
         if mode == "off":
             return compute()
         key = request_digest(op, model, body)
-        path = self.cache_dir / key[:2] / f"{key}.json"
-        if path.exists():
+        # single flight: a request already in flight on another thread is
+        # joined, so one key is sent once and every caller gets the reply
+        # that is stored
+        with self._lock:
+            pending = self._pending.get(key)
+            owner = pending is None
+            if owner:
+                pending = self._pending[key] = Future()
+        if not owner:
+            response = pending.result()
             with self._lock:
                 self.stats.cache_hits += 1
-            return json.loads(path.read_text("utf-8"))["response"]
+            return response
+        try:
+            response = self._read_or_compute(op, model, body, key, compute)
+        except BaseException as e:
+            pending.set_exception(e)
+            raise
+        else:
+            pending.set_result(response)
+            return response
+        finally:
+            with self._lock:
+                del self._pending[key]
+
+    def _read_or_compute(self, op: str, model: str, body: dict, key: str, compute: Callable[[], Any]) -> Any:
+        mode = self.config.cache_mode
+        path = self.cache_dir / key[:2] / f"{key}.json"
+        if path.exists():
+            try:
+                response = json.loads(path.read_text("utf-8"))["response"]
+            except (ValueError, KeyError, TypeError) as e:
+                if mode != "record":
+                    raise PersistenceError(f"unreadable cache entry {path}: {e}") from e
+                logger.warning("unreadable cache entry %s (%s); requesting again", path, e)
+            else:
+                with self._lock:
+                    self.stats.cache_hits += 1
+                return response
         if mode == "replay":
             raise UncachedRequestError(f"uncached request: op={op} key={key}")
         with self._lock:

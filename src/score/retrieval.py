@@ -117,12 +117,14 @@ def retrieve_related(
     restrict_story: str | None = None,
     focus_label: str = "",
     apply_filter: bool | None = None,
+    query_vector=None,
 ) -> ContextBundle:
     """Build the context bundle for one focus text.
 
     exclude_ref drops the focus episode itself from candidacy (self-retrieval
     says nothing useful about an episode under evaluation); restrict_story
-    limits candidacy to one story.
+    limits candidacy to one story. query_vector is the focus text's
+    embedding when the caller already has it; otherwise it is embedded here.
     """
     if not index.frozen:
         raise ContractError("index must be frozen before retrieval")
@@ -132,7 +134,7 @@ def retrieve_related(
         raise ContractError("focus_text must be non-empty")
 
     filtering = config.sentiment_filter_enabled if apply_filter is None else apply_filter
-    query = gateway.embed([focus_text])[0]
+    query = gateway.embed([focus_text])[0] if query_vector is None else query_vector
 
     excluded = exclude_ref if config.exclude_self else None
     entry_filter = None

@@ -189,7 +189,9 @@ def correct_timeline(timeline: ItemTimeline, errors: list[ContinuityError]) -> I
 # ---------------------------------------------------------------------------
 
 
-def extract_item_statuses(episode: Episode, items: list[KeyItem], gateway) -> list[ItemObservation]:
+def extract_item_statuses(
+    episode: Episode, items: list[KeyItem], gateway, *, prompts_root=None
+) -> list[ItemObservation]:
     """One observation per key item mentioned in the episode.
 
     The mock backend runs the deterministic rule extractor; the remote
@@ -197,7 +199,7 @@ def extract_item_statuses(episode: Episode, items: list[KeyItem], gateway) -> li
     """
     if gateway.is_mock:
         return rule_extract(episode, items)
-    return _llm_extract(episode, items, gateway)
+    return _llm_extract(episode, items, gateway, prompts_root)
 
 
 def rule_extract(episode: Episode, items: list[KeyItem]) -> list[ItemObservation]:
@@ -236,11 +238,11 @@ def rule_extract(episode: Episode, items: list[KeyItem]) -> list[ItemObservation
     return observations
 
 
-def _llm_extract(episode: Episode, items: list[KeyItem], gateway) -> list[ItemObservation]:
+def _llm_extract(episode: Episode, items: list[KeyItem], gateway, prompts_root) -> list[ItemObservation]:
     from . import prompts
 
     prompt = prompts.render(
-        prompts.load("extract_states"),
+        prompts.load("extract_states", prompts_root),
         episode_text=episode.text,
         items_json=json.dumps(
             [{"item_id": k.item_id, "names": list(k.names)} for k in items], ensure_ascii=False
@@ -250,7 +252,7 @@ def _llm_extract(episode: Episode, items: list[KeyItem], gateway) -> list[ItemOb
     try:
         return _parse_extraction_reply(reply, episode, items)
     except (ValueError, ValidationError):
-        repair = prompts.render(prompts.load("repair"), raw_reply=reply, original_prompt=prompt)
+        repair = prompts.render(prompts.load("repair", prompts_root), raw_reply=reply, original_prompt=prompt)
         reply2 = gateway.complete(repair)
         try:
             return _parse_extraction_reply(reply2, episode, items)
@@ -299,11 +301,19 @@ def _parse_extraction_reply(reply: str, episode: Episode, items: list[KeyItem]) 
 # ---------------------------------------------------------------------------
 
 
-def story_timelines(story: Story, gateway) -> dict[str, ItemTimeline]:
-    """Extract every episode and fold the observations into per-item timelines."""
-    timelines = {k.item_id: ItemTimeline(item_id=k.item_id) for k in story.key_items}
-    for episode in story.episodes:
-        for obs in extract_item_statuses(episode, list(story.key_items), gateway):
+def story_timelines(story: Story, gateway, *, prompts_root=None) -> dict[str, ItemTimeline]:
+    """Extract every episode and fold the observations into per-item timelines.
+
+    Episodes are extracted through `gateway.map` and folded in episode order.
+    """
+    items = list(story.key_items)
+    timelines = {k.item_id: ItemTimeline(item_id=k.item_id) for k in items}
+    extracted = gateway.map(
+        lambda episode: extract_item_statuses(episode, items, gateway, prompts_root=prompts_root),
+        story.episodes,
+    )
+    for observations in extracted:
+        for obs in observations:
             timelines[obs.item_id] = record_observation(timelines[obs.item_id], obs)
     return {k: tl for k, tl in timelines.items() if tl.observations}
 

@@ -270,3 +270,29 @@ def test_outputs_conform_to_declared_schemas(project):
         for summary in payload["summaries"]:
             assert summary["synopsis"]
             assert 0.0 <= summary["sentiment"] <= 1.0
+
+
+def test_track_sends_the_project_extract_states_override(project, monkeypatch):
+    from score import gateway as gateway_module
+
+    sent = []
+
+    def transport(url, body, timeout, headers):
+        sent.append(body["messages"][0]["content"])
+        return {"choices": [{"message": {"content": "[]"}}]}
+
+    monkeypatch.setattr(gateway_module, "default_transport", transport)
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    (project / "prompts" / "extract_states.txt").write_text("PROJECT EXTRACT $items_json $episode_text", "utf-8")
+    assert run(project, "--backend", "remote", "--base-url", "http://fake.local/v1", "track") == 0
+    assert sent and all(prompt.startswith("PROJECT EXTRACT [") for prompt in sent)
+
+
+def test_unreadable_cache_entry_in_replay_exits_2(project, capsys):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    assert run(project, "--cache-mode", "record", "evaluate") == 0
+    entry = sorted((project / "cache").rglob("*.json"))[0]
+    entry.write_bytes(entry.read_bytes()[:10])
+    capsys.readouterr()
+    assert run(project, "--cache-mode", "replay", "evaluate") == 2
+    assert entry.name in capsys.readouterr().err

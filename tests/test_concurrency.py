@@ -1,0 +1,239 @@
+"""LlmGateway.map and the pipeline's overlapped model calls.
+
+Results must not depend on `max_parallel`; threads are used only where a
+request can wait on the network; every counter in GatewayStats survives
+heavy thread switching.
+"""
+
+import hashlib
+import json
+import re
+import sys
+import threading
+import time
+
+import pytest
+
+from score import gateway as gateway_module
+from score.evaluator import PipelineConfig, run_pipeline
+from score.fuzz import FuzzSpec, generate_corpus
+from score.gateway import GatewayConfig, LlmGateway, hashed_embedding
+from score.lexicon import mock_sentiment_value
+from score.retrieval import RetrievalConfig
+from score.story import Episode, KeyItem
+from score.tracker import rule_extract
+
+_SECTION_RE = {
+    "items_json": re.compile(r"Key items \(JSON\):\n(.*?)\n\nEpisode text:\n", re.DOTALL),
+    "extract_text": re.compile(r"Episode text:\n(.*?)\n\nFor every key item", re.DOTALL),
+    "summary_text": re.compile(r"Episode text:\n(.*?)\n\nReply with ONLY", re.DOTALL),
+    "sentiment_text": re.compile(r"Text:\n(.*?)\n\nReply with ONLY", re.DOTALL),
+    "context_ref": re.compile(r"^\[([^\]\n]+#\d+)\] \(similarity=", re.MULTILINE),
+}
+
+
+def _section(name, prompt):
+    return _SECTION_RE[name].search(prompt).group(1)
+
+
+class StoryModel:
+    """Deterministic remote model: each reply is a pure function of its request.
+
+    Extraction follows the rule extractor, so tracking stays exact; summary,
+    evaluation and answer replies are derived from the prompt's hash, so any
+    change in what the pipeline sends, or in which reply goes to which
+    caller, changes the results.
+    """
+
+    def __init__(self, latency_s=0.002, dim=256):
+        self.latency_s = latency_s
+        self.dim = dim
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, url, body, timeout, headers):
+        with self._lock:
+            self.calls += 1
+        time.sleep(self.latency_s)
+        if url.endswith("/embeddings"):
+            return {
+                "data": [
+                    {"index": i, "embedding": hashed_embedding(text, self.dim).tolist()}
+                    for i, text in enumerate(body["input"])
+                ]
+            }
+        prompt = body["messages"][0]["content"]
+        return {"choices": [{"message": {"content": self._reply(prompt)}}]}
+
+    def _reply(self, prompt):
+        h = int.from_bytes(hashlib.sha256(prompt.encode("utf-8")).digest()[:8], "little")
+        if prompt.startswith("You are tracking"):
+            items = [KeyItem(i["item_id"], tuple(i["names"])) for i in json.loads(_section("items_json", prompt))]
+            observations = rule_extract(Episode(index=0, text=_section("extract_text", prompt)), items)
+            return json.dumps(
+                [
+                    {"item_id": o.item_id, "state": o.state.value, "explained": o.explained, "evidence": list(o.evidence)}
+                    for o in observations
+                ]
+            )
+        if prompt.startswith("Summarize"):
+            text = _section("summary_text", prompt)
+            return json.dumps({"synopsis": f"{text[:40]} ({h % 97})", "plot_points": [text[-30:]]})
+        if prompt.startswith("Rate the emotional tone"):
+            return repr(mock_sentiment_value(_section("sentiment_text", prompt)))
+        if prompt.startswith("Evaluate"):
+            facets = ("character_consistency", "plot_progression", "emotional_authenticity", "key_item_continuity")
+            scores = {name: 1 + (h >> (8 * i)) % 5 for i, name in enumerate(facets)}
+            return json.dumps({"facet_scores": scores, "rationale": f"r{h % 1000}", "cited_error_indexes": [0]})
+        if prompt.startswith("Answer"):
+            refs = _SECTION_RE["context_ref"].findall(prompt)
+            return json.dumps({"answer": f"a{h % 1000}", "supporting_episode_ids": refs[h % 2 :][:2]})
+        raise AssertionError(f"unexpected prompt: {prompt[:80]!r}")
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    stories, truth = generate_corpus(FuzzSpec(seed=5, n_stories=4))
+    return stories, truth.to_gold()
+
+
+def _remote_run(corpus, max_parallel, *, cache_mode="off", cache_dir=None):
+    stories, gold = corpus
+    config = GatewayConfig(
+        backend="remote", base_url="http://fake.local/v1", model_name="m",
+        max_parallel=max_parallel, cache_mode=cache_mode,
+    )
+    gateway = LlmGateway(config, cache_dir=cache_dir, transport=StoryModel())
+    result = run_pipeline(stories, gateway, PipelineConfig(gateway=config, retrieval=RetrievalConfig()), gold)
+    return result, gateway
+
+
+def test_remote_pipeline_results_do_not_depend_on_max_parallel(corpus):
+    serial, serial_gw = _remote_run(corpus, 1)
+    parallel, parallel_gw = _remote_run(corpus, 8)
+    assert parallel.evaluations == serial.evaluations
+    assert parallel.qa_results == serial.qa_results
+    # the config digest records max_parallel itself; every metric must be equal
+    metrics = lambda result: {k: v for k, v in result.report.to_dict().items() if k != "config_digest"}
+    assert metrics(parallel) == metrics(serial)
+    assert parallel.states == serial.states
+    assert parallel.summaries == serial.summaries
+    assert serial_gw.stats.max_in_flight == 1
+    assert 2 <= parallel_gw.stats.max_in_flight <= 8
+    assert parallel_gw.stats.transport_calls == serial_gw.stats.transport_calls
+
+
+def test_record_mode_sends_the_same_requests_at_any_max_parallel(corpus, tmp_path):
+    serial, serial_gw = _remote_run(corpus, 1, cache_mode="record", cache_dir=tmp_path / "a")
+    parallel, parallel_gw = _remote_run(corpus, 8, cache_mode="record", cache_dir=tmp_path / "b")
+    assert parallel_gw.stats.transport_calls == serial_gw.stats.transport_calls
+    assert parallel_gw.stats.cache_misses == serial_gw.stats.cache_misses
+    assert parallel_gw.stats.cache_hits == serial_gw.stats.cache_hits
+    assert parallel.evaluations == serial.evaluations
+    assert parallel.qa_results == serial.qa_results
+    recorded = lambda root: {p.name: p.read_bytes() for p in root.rglob("*.json")}
+    assert recorded(tmp_path / "a") == recorded(tmp_path / "b")
+
+
+def _threads_used(gateway, n=6):
+    seen = []
+
+    def fn(i):
+        seen.append(threading.get_ident())
+        time.sleep(0.005 * (n - i))  # later items finish first
+        return i * i
+
+    assert gateway.map(fn, range(n)) == [i * i for i in range(n)]
+    return set(seen)
+
+
+def test_map_runs_on_the_calling_thread_for_mock_and_replay(tmp_path):
+    main = threading.get_ident()
+    mock = LlmGateway(GatewayConfig(backend="mock", max_parallel=8, cache_mode="record"), cache_dir=tmp_path)
+    assert _threads_used(mock) == {main}
+    replay = LlmGateway(
+        GatewayConfig(backend="remote", base_url="http://fake.local/v1", max_parallel=8, cache_mode="replay"),
+        cache_dir=tmp_path,
+    )
+    assert _threads_used(replay) == {main}
+
+
+def test_map_uses_worker_threads_where_requests_wait_on_the_network(tmp_path):
+    main = threading.get_ident()
+    for mode in ("off", "record"):
+        gw = LlmGateway(
+            GatewayConfig(backend="remote", base_url="http://fake.local/v1", max_parallel=3, cache_mode=mode),
+            cache_dir=tmp_path,
+        )
+        used = _threads_used(gw)
+        assert main not in used and 1 <= len(used) <= 3
+    single = LlmGateway(GatewayConfig(backend="remote", base_url="http://fake.local/v1", max_parallel=1))
+    assert _threads_used(single) == {main}
+
+
+def test_map_raises_the_first_failure_in_input_order():
+    gw = LlmGateway(GatewayConfig(backend="remote", base_url="http://fake.local/v1", max_parallel=4))
+
+    def fn(i):
+        time.sleep(0.01 if i == 1 else 0.0)
+        if i in (1, 3):
+            raise ValueError(f"item {i}")
+        return i
+
+    with pytest.raises(ValueError, match="item 1"):
+        gw.map(fn, range(6))
+
+
+def test_mock_run_embeds_each_document_and_question_once(monkeypatch, mock_gateway):
+    stories, truth = generate_corpus(FuzzSpec(seed=7, n_stories=100))
+    texts = []
+
+    def counting(text, dim):
+        texts.append(text)
+        return hashed_embedding(text, dim)
+
+    monkeypatch.setattr(gateway_module, "hashed_embedding", counting)
+    config = PipelineConfig(gateway=mock_gateway.config, retrieval=RetrievalConfig())
+    result = run_pipeline(stories, mock_gateway, config, truth.to_gold())
+    episodes = sum(len(s.episodes) for s in stories)
+    assert len(result.evaluations) == episodes
+    assert len(texts) == episodes + len(truth.qa)
+
+
+def test_stats_survive_heavy_thread_switching(tmp_path):
+    """More workers than cores, a switch every microsecond: no counter update is lost."""
+    distinct, repeats, workers = 150, 4, 16
+    transport_calls = []
+    lock = threading.Lock()
+
+    def transport(url, body, timeout, headers):
+        with lock:
+            transport_calls.append(body["messages"][0]["content"])
+        return {"choices": [{"message": {"content": "re:" + body["messages"][0]["content"]}}]}
+
+    gw = LlmGateway(
+        GatewayConfig(
+            backend="remote", base_url="http://fake.local/v1", max_parallel=workers, cache_mode="record"
+        ),
+        cache_dir=tmp_path,
+        transport=transport,
+    )
+    prompts = [f"p{i % distinct}" for i in range(distinct * repeats)]
+    out = {}
+    runner = threading.Thread(target=lambda: out.update(replies=gw.map(gw.complete, prompts)))
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not runner.is_alive()
+    assert out["replies"] == ["re:" + p for p in prompts]
+    assert len(transport_calls) == distinct  # each key sent once
+    stats = gw.stats
+    assert stats.transport_calls == distinct
+    assert stats.cache_misses == distinct
+    assert stats.cache_hits + stats.cache_misses == len(prompts)
+    assert stats.in_flight == 0
+    assert 1 <= stats.max_in_flight <= workers

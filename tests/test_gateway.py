@@ -329,3 +329,69 @@ def test_extract_json_value_rejects_proseless_garbage():
         extract_json_value("no json here at all")
     with pytest.raises(ValueError):
         extract_json_value("{broken: json")
+
+
+def test_record_mode_sends_a_request_in_flight_once(tmp_path):
+    """Two threads send one prompt at once: one transport call, and both get the stored reply."""
+    calls = []
+    lock = threading.Lock()
+
+    def transport(url, body, timeout, headers):
+        with lock:
+            calls.append(body)
+            n = len(calls)
+        time.sleep(0.2)
+        return chat_reply(f"reply {n}")  # a non-deterministic model
+
+    gw = LlmGateway(remote_config(cache_mode="record", max_parallel=4), cache_dir=tmp_path, transport=transport)
+    start = threading.Barrier(2, timeout=10)
+    replies = []
+
+    def send():
+        start.wait()
+        replies.append(gw.complete("same prompt"))
+
+    threads = [threading.Thread(target=send) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1
+    (stored,) = tmp_path.rglob("*.json")
+    assert replies == ["reply 1", "reply 1"] == [json.loads(stored.read_text())["response"]] * 2
+    assert gw.stats.cache_misses == 1 and gw.stats.cache_hits == 1
+
+
+def _truncate_the_one_entry(cache_dir):
+    (entry,) = cache_dir.rglob("*.json")
+    entry.write_bytes(entry.read_bytes()[:20])
+    return entry
+
+
+def test_unreadable_cache_entry_in_replay_is_persistence_error(tmp_path):
+    from score.errors import PersistenceError
+
+    LlmGateway(remote_config(cache_mode="record"), cache_dir=tmp_path, transport=FakeTransport([chat_reply("a")])).complete("p")
+    entry = _truncate_the_one_entry(tmp_path)
+    replayer = LlmGateway(remote_config(cache_mode="replay"), cache_dir=tmp_path, transport=FakeTransport([chat_reply("b")]))
+    with pytest.raises(PersistenceError, match=entry.name):
+        replayer.complete("p")
+
+
+def test_unreadable_cache_entry_in_record_is_a_miss_and_rewritten(tmp_path):
+    LlmGateway(remote_config(cache_mode="record"), cache_dir=tmp_path, transport=FakeTransport([chat_reply("a")])).complete("p")
+    entry = _truncate_the_one_entry(tmp_path)
+    transport = FakeTransport([chat_reply("b")])
+    recorder = LlmGateway(remote_config(cache_mode="record"), cache_dir=tmp_path, transport=transport)
+    assert recorder.complete("p") == "b"
+    assert transport.calls == 1
+    assert json.loads(entry.read_text())["response"] == "b"
+
+
+def test_sentiment_prompt_comes_from_the_project_override(tmp_path):
+    (tmp_path / "sentiment.txt").write_text("PROJECT TONE PROMPT: $text", "utf-8")
+    transport = FakeTransport([chat_reply("0.4")])
+    gw = LlmGateway(remote_config(), transport=transport, prompts_root=tmp_path)
+    assert gw.score_sentiment("a calm sea").value == 0.4
+    assert transport.bodies[0][1]["messages"][0]["content"] == "PROJECT TONE PROMPT: a calm sea"

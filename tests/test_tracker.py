@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from score.errors import ContractError, ValidationError
-from score.story import Episode, ItemState, KeyItem
+from score.story import Episode, ItemState, KeyItem, Story
 from score.tracker import (
     ContinuityError,
     ItemObservation,
@@ -19,6 +19,7 @@ from score.tracker import (
     rule_extract,
     states_from_dict,
     states_to_dict,
+    story_timelines,
 )
 
 A, L, D = ItemState.ACTIVE, ItemState.LOST, ItemState.DESTROYED
@@ -354,6 +355,31 @@ def test_llm_extraction_rejects_out_of_bounds_evidence():
     episode = Episode(index=0, text="Short text.")
     with pytest.raises(ExtractionError, match="evidence"):
         extract_item_statuses(episode, [KeyItem("sword", ("sword",))], gw)
+
+
+def test_llm_extraction_and_repair_use_project_prompt_overrides(tmp_path):
+    (tmp_path / "extract_states.txt").write_text("PROJECT EXTRACT $items_json | $episode_text", "utf-8")
+    (tmp_path / "repair.txt").write_text("PROJECT REPAIR $raw_reply", "utf-8")
+    good = '[{"item_id": "sword", "state": "lost", "explained": false, "evidence": null}]'
+    seen = []
+
+    def transport(url, body, timeout, headers):
+        seen.append(body["messages"][0]["content"])
+        return {"choices": [{"message": {"content": "not json" if len(seen) == 1 else good}}]}
+
+    from score.gateway import GatewayConfig, LlmGateway
+
+    gw = LlmGateway(GatewayConfig(backend="remote", base_url="http://fake.local", model_name="m"), transport=transport)
+    story = Story(
+        story_id="s", title="t", genre="other",
+        key_items=(KeyItem("sword", ("sword",)),),
+        episodes=(Episode(index=0, text="The sword was lost."),),
+    )
+    timelines = story_timelines(story, gw, prompts_root=tmp_path)
+    assert timelines["sword"].observations[0].state is L
+    assert seen[0].startswith("PROJECT EXTRACT [")
+    assert seen[0].endswith("| The sword was lost.")
+    assert seen[1] == "PROJECT REPAIR not json"
 
 
 # ---------------------------------------------------------------------------
