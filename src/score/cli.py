@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import os
+import socket
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -92,14 +93,19 @@ class Project:
 
     @contextlib.contextmanager
     def lock(self):
-        """One command at a time per project root."""
+        """One command at a time per project root.
+
+        The lock file holds the owner's PID and host name. A lock whose PID
+        no longer runs on this host is reported as stale, never removed
+        here: only the user can tell that no other command still uses it.
+        """
         path = self.root / ".score.lock"
         try:
             fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise ValidationError("project", f"locked by another process ({path})") from None
+            raise ValidationError("project", _lock_problem(path)) from None
         try:
-            os.write(fd, str(os.getpid()).encode())
+            os.write(fd, f"{os.getpid()} {socket.gethostname()}".encode())
             os.close(fd)
             yield
         finally:
@@ -140,6 +146,35 @@ class Project:
         for story in sorted(stories, key=lambda s: s.story_id):
             h.update(serialize_story(story))
         return h.hexdigest()[:16]
+
+
+def _lock_problem(path: Path) -> str:
+    """Say who holds the lock at `path`, and whether that holder is gone."""
+    try:
+        pid_text, _, host = path.read_text("utf-8").partition(" ")
+        pid = int(pid_text)
+    except (OSError, ValueError):  # unreadable, or its owner has not written it yet
+        return f"locked by another process ({path})"
+    host = host.strip()
+    if host in ("", socket.gethostname()) and not _pid_running(pid):
+        return (
+            f"stale lock: {path} says PID {pid} locked the project, but no process {pid} "
+            "runs on this host; delete the file if no other command uses this project"
+        )
+    where = f" on {host}" if host else ""
+    return f"locked by another process (PID {pid}{where}, {path})"
+
+
+def _pid_running(pid: int) -> bool:
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)  # signal 0 checks that the process exists and sends nothing
+    except (ProcessLookupError, OverflowError):  # no such process, or larger than any PID
+        return False
+    except OSError:  # PermissionError: it runs under another user
+        return True
+    return True
 
 
 def _load_config(project: Project, args) -> tuple[GatewayConfig, RetrievalConfig, str]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 from . import lexicon, prompts
 from .errors import ContractError, EvaluationError, ValidationError
-from .gateway import GatewayConfig, extract_json_value
+from .gateway import GatewayConfig, extract_json_value, reply_field, reply_number
 from .index import build_index
 from .jsonio import canonical_dumps
 from .retrieval import (
@@ -236,21 +236,21 @@ def _parse_evaluation_reply(reply, episode_errors):
     for name in FACETS:
         if name not in scores_raw:
             raise ValueError(f"missing facet {name}")
-        value = float(scores_raw[name])
+        value = reply_number(scores_raw[name], f"facet {name}")
         if not (1.0 <= value <= 5.0):
             logger.warning("facet %s=%s out of range; clamped", name, value)
             value = min(5.0, max(1.0, value))
         facets[name] = value
 
     cited = []
-    for idx in raw.get("cited_error_indexes", []):
+    for idx in reply_field(raw, "cited_error_indexes", list):
         if isinstance(idx, int) and 0 <= idx < len(episode_errors):
             cited.append(episode_errors[idx])
         else:
             logger.warning("reply cites nonexistent error index %r; dropped", idx)
 
     states = {}
-    for item_id, value in (raw.get("item_states") or {}).items():
+    for item_id, value in reply_field(raw, "item_states", dict).items():
         try:
             states[str(item_id)] = ItemState(value)
         except ValueError:
@@ -349,7 +349,7 @@ def _parse_answer_reply(reply, bundle):
         raise ValueError("expected an object with an 'answer' string")
     valid_refs = set(bundle.episode_refs())
     refs = []
-    for ref in raw.get("supporting_episode_ids", []):
+    for ref in reply_field(raw, "supporting_episode_ids", list):
         story_id, _, idx = str(ref).rpartition("#")
         try:
             parsed = (story_id, int(idx))
@@ -410,17 +410,18 @@ def compute_metrics(
         | {q.story_id for q in qa_results if q.story_id}
         | set(timelines_by_story)
     )
+    # one grouping pass each, keeping input order within a story
+    evals_by_story = _group_by(evaluations, lambda e: e.story_id)
+    qa_by_story = _group_by(qa_results, lambda q: q.story_id)
+    gold_by_story = _group_by(gold.item_assertions if gold else (), lambda g: g[0])
     per_story: dict[str, dict[str, float | None]] = {}
     for story_id in story_ids:
-        story_evals = [e for e in evaluations if e.story_id == story_id]
-        story_qa = [q for q in qa_results if q.story_id == story_id]
-        gold_assertions = (
-            [g for g in gold.item_assertions if g[0] == story_id] if gold else []
-        )
+        story_evals = evals_by_story.get(story_id, [])
+        story_qa = qa_by_story.get(story_id, [])
         per_story[story_id] = {
             "consistency": _consistency(story_evals, story_qa, reference),
             "coherence": _coherence(story_evals),
-            "item_status": _item_status(gold_assertions, timelines_by_story),
+            "item_status": _item_status(gold_by_story.get(story_id, []), timelines_by_story),
             "complex_qa": _complex_qa(story_qa),
         }
 
@@ -432,6 +433,13 @@ def compute_metrics(
         per_story=per_story,
         config_digest=config_digest,
     )
+
+
+def _group_by(items, key) -> dict:
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups
 
 
 def _coherence(evaluations: list[EpisodeEvaluation]) -> float | None:

@@ -441,3 +441,33 @@ def extract_json_value(reply: str):
     except json.JSONDecodeError as e:
         raise ValueError(f"invalid JSON in reply: {e}") from e
     return value
+
+
+_JSON_NAMES = {list: "array", dict: "object"}
+
+
+def reply_field(raw: dict, key: str, kind: type, *, entries: type | None = None):
+    """`raw[key]` of a parsed reply, checked to be a `kind` (list or dict).
+
+    Absent or null gives an empty `kind`. Any other shape, or a list entry
+    that is not an `entries`, is a ValueError, so a wrong-shaped reply takes
+    the same repair path as unparseable text instead of escaping as a
+    TypeError or AttributeError.
+    """
+    value = raw.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise ValueError(f"{key!r} must be a JSON {_JSON_NAMES[kind]}, got {value!r:.80}")
+    if entries is not None and not all(isinstance(entry, entries) for entry in value):
+        raise ValueError(f"every {key!r} entry must be a JSON {_JSON_NAMES[entries]}")
+    return value
+
+
+def reply_number(value, what: str, kind: type = float):
+    """A reply value as a `kind` (float or int); null, arrays, objects,
+    non-numeric text and out-of-range numbers are a ValueError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be a number, got {value!r:.80}") from None

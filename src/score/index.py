@@ -1,10 +1,13 @@
 """Exact flat vector store with cosine top-N search.
 
-Corpora here are thousands of units, so a full scan is both fast enough
-and exactly testable against a brute-force oracle; there is deliberately
-no approximate structure. Vectors are unit-normalized at insertion, which
-turns search into a dot product, and ties break on entry_id so results
-are reproducible.
+Corpora here are thousands of units, so exact search is fast enough and
+exactly testable against a brute-force oracle; there is deliberately no
+approximate structure. Vectors are unit-normalized at insertion, which
+turns search into a dot product. Search screens, then exactly rescores:
+one matrix-vector product screens the candidate rows, and only the rows
+within a rounding margin of the n-th best screened score are rescored
+with the per-row dot product the oracle uses. Ties break on entry_id, so
+results are reproducible and bit-for-bit equal to a full scan.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +26,25 @@ from .jsonio import canonical_bytes, write_if_changed
 _MAGIC = b"SCIX"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIQI")  # magic, version, dim, count, payload crc32
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2  # u = 2**-53
+
+
+def _screen_margin(dim: int) -> float:
+    """How far below the n-th best screened score a true top-n row can screen.
+
+    A floating-point dot product of two d-vectors, in any summation order
+    (BLAS blocking and FMA included), is within gamma_d * |x| * |y| of the
+    true value, gamma_d = d*u / (1 - d*u) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 3.1). For unit vectors the screened
+    score (matrix product) and the exact score (per-row np.dot) of a row are
+    each within gamma_d of the true score, so within 2*gamma_d of each other.
+    A row that screens more than 4*gamma_d below the n-th best screened
+    score therefore scores exactly below each of the n rows that screened at
+    or above it, and cannot be in the exact top n. Normalized vectors can
+    exceed norm 1 by a few ulps, so the margin is doubled to 8*gamma_d.
+    """
+    gamma = dim * _UNIT_ROUNDOFF / (1.0 - dim * _UNIT_ROUNDOFF)
+    return 8.0 * gamma
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,8 +58,9 @@ class IndexEntry:
     embedding: np.ndarray
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(NamedTuple):
+    # a named tuple, not a frozen dataclass: a search builds up to n of these,
+    # and a frozen dataclass's __init__ costs about as much as a row's dot product
     entry_id: str
     score: float
 
@@ -74,6 +97,8 @@ class FlatIndex:
         self._entries: list[IndexEntry] = []
         self._by_id: dict[str, int] = {}
         self._matrix: np.ndarray | None = None
+        self._story_rows: dict[str, list[int]] = {}  # built with the matrix
+        self._margin = _screen_margin(dim)
         self._frozen = False
 
     @property
@@ -126,6 +151,9 @@ class FlatIndex:
 
     def _materialize(self) -> np.ndarray:
         if self._matrix is None:
+            self._story_rows = {}
+            for row, entry in enumerate(self._entries):
+                self._story_rows.setdefault(entry.story_id, []).append(row)
             self._matrix = np.vstack([e.embedding for e in self._entries]) if self._entries else np.zeros((0, self._dim))
         return self._matrix
 
@@ -137,10 +165,16 @@ class FlatIndex:
         query,
         n: int,
         filter: Callable[[IndexEntry], bool] | None = None,
+        *,
+        story: str | None = None,
+        exclude: tuple[str, int] | None = None,
     ) -> list[SearchHit]:
         """Top-n entries by cosine, ties broken by entry_id ascending.
 
-        Returns min(n, matching entries) hits; an empty index is an error.
+        Candidates are the entries of `story` (every entry when None), minus
+        those of the episode `exclude` = (story_id, episode_index), minus
+        those `filter` rejects. Returns min(n, candidates) hits; an empty
+        index is an error.
         """
         if not self._entries:
             raise ContractError("index empty")
@@ -151,17 +185,36 @@ class FlatIndex:
         if norm == 0.0:
             raise ContractError("zero query vector")
         unit = vec / norm
-        # per-row dot, not a matrix product: BLAS kernels differ from np.dot
-        # in the last ulp, which would break exact oracle equality on ties
-        scores = [float(np.dot(entry.embedding, unit)) for entry in self._entries]
-        candidates = [
-            i for i, entry in enumerate(self._entries) if filter is None or filter(entry)
-        ]
-        candidates.sort(key=lambda i: (-scores[i], self._entries[i].entry_id))
-        return [
-            SearchHit(entry_id=self._entries[i].entry_id, score=float(scores[i]))
-            for i in candidates[:n]
-        ]
+        matrix = self._materialize()
+        entries = self._entries
+
+        dropped = []  # a list even when empty: numpy reads `a[()]` as the whole array
+        if exclude is not None:
+            story_id, episode_index = exclude
+            dropped = [i for i in self._story_rows.get(story_id, []) if entries[i].episode_index == episode_index]
+        rows: Sequence[int] | None
+        if story is None and filter is None and len(entries) - len(dropped) > n:
+            # every row: screen the stored matrix in place and mask the excluded episode
+            rows = None
+            screened = matrix @ unit
+            screened[dropped] = -np.inf
+        else:
+            rows = range(len(entries)) if story is None else self._story_rows.get(story, [])
+            if dropped or filter is not None:
+                rows = [i for i in rows if i not in dropped and (filter is None or filter(entries[i]))]
+            screened = matrix[rows] @ unit if len(rows) > n else None
+        if screened is not None:
+            kth = len(screened) - n
+            floor = np.partition(screened, kth)[kth] - self._margin
+            kept = np.flatnonzero(screened >= floor).tolist()
+            rows = kept if rows is None else [rows[i] for i in kept]
+
+        # exact scores by per-row dot, not the matrix product: BLAS kernels
+        # differ from np.dot in the last ulp, which would break exact oracle
+        # equality on ties; the screen only decides which rows get here
+        scored = [(float(np.dot(entries[i].embedding, unit)), entries[i].entry_id) for i in rows]
+        scored.sort(key=lambda t: (-t[0], t[1]))
+        return [SearchHit(entry_id, score) for score, entry_id in scored[:n]]
 
     # -- persistence --------------------------------------------------------
 
@@ -204,7 +257,7 @@ class FlatIndex:
             raise PersistenceError(f"{vec_path}: bad magic {magic!r}")
         if version != _VERSION:
             raise PersistenceError(f"{vec_path}: unsupported format version {version}")
-        payload = raw[_HEADER.size :]
+        payload = memoryview(raw)[_HEADER.size :]  # a view: the file is read into memory once
         expected = count * dim * 8
         if len(payload) != expected:
             raise PersistenceError(f"{vec_path}: truncated payload ({len(payload)} of {expected} bytes)")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import ContractError, ValidationError
 from .gateway import SentimentScore
-from .index import FlatIndex, IndexEntry
+from .index import FlatIndex
 
 logger = logging.getLogger(__name__)
 
@@ -136,20 +136,14 @@ def retrieve_related(
     filtering = config.sentiment_filter_enabled if apply_filter is None else apply_filter
     query = gateway.embed([focus_text])[0] if query_vector is None else query_vector
 
+    # exclusion is by episode ref, not entry id, so every chunk of the focus episode goes
     excluded = exclude_ref if config.exclude_self else None
-    entry_filter = None
-    if excluded is not None or restrict_story is not None:
-
-        def entry_filter(entry: IndexEntry) -> bool:
-            if restrict_story is not None and entry.story_id != restrict_story:
-                return False
-            return (entry.story_id, entry.episode_index) != excluded
 
     # widen the pool until enough survivors exist or everything was scanned,
     # keeping the result identical to filter-all-then-top-N
     pool = max(config.pool, config.top_n)
     while True:
-        hits = index.search_top_n(query, n=pool, filter=entry_filter)
+        hits = index.search_top_n(query, n=pool, story=restrict_story, exclude=excluded)
         if filtering:
             survivors = [
                 h for h in hits

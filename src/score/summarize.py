@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import lexicon, prompts
 from .errors import SummaryError, ValidationError
-from .gateway import SentimentScore, extract_json_value
+from .gateway import SentimentScore, extract_json_value, reply_field
 from .story import CharacterAction, Episode, ItemInteraction, ItemState, KeyItem
 
 logger = logging.getLogger(__name__)
@@ -186,18 +186,19 @@ def _parse_summary_reply(reply, episode, items, gateway, story_id) -> EpisodeSum
 
     known = {k.item_id for k in items}
     interactions = []
-    for entry in raw.get("interactions", []):
+    for entry in reply_field(raw, "interactions", list, entries=dict):
         item_id = entry.get("item_id")
-        if item_id not in known:
+        if not isinstance(item_id, str) or item_id not in known:
             logger.warning("summary names undeclared item %r; dropped", item_id)
             continue
         implied = entry.get("implied_state")
+        actor = entry.get("actor")
         interactions.append(
             ItemInteraction(
                 item_id=item_id,
                 episode_index=episode.index,
                 description=_one_line(str(entry.get("description", ""))) or "(unspecified)",
-                actor=entry.get("actor") or None,
+                actor=str(actor) if actor else None,
                 implied_state=ItemState(implied) if implied else None,
             )
         )
@@ -207,17 +208,17 @@ def _parse_summary_reply(reply, episode, items, gateway, story_id) -> EpisodeSum
             episode_index=episode.index,
             description=_one_line(str(entry.get("description", ""))) or "(unspecified)",
         )
-        for entry in raw.get("actions", [])
+        for entry in reply_field(raw, "actions", list, entries=dict)
     ]
     return EpisodeSummary(
         story_id=story_id,
         episode_index=episode.index,
         synopsis=_one_line(synopsis),
-        plot_points=tuple(str(p) for p in raw.get("plot_points", [])),
+        plot_points=tuple(str(p) for p in reply_field(raw, "plot_points", list)),
         actions=tuple(actions),
         interactions=tuple(interactions),
-        relationships=tuple(str(r) for r in raw.get("relationships", [])),
-        emotional_changes=tuple(str(c) for c in raw.get("emotional_changes", [])),
+        relationships=tuple(str(r) for r in reply_field(raw, "relationships", list)),
+        emotional_changes=tuple(str(c) for c in reply_field(raw, "emotional_changes", list)),
         sentiment=gateway.score_sentiment(episode.text),
     )
 

@@ -261,7 +261,7 @@ def _llm_extract(episode: Episode, items: list[KeyItem], gateway, prompts_root) 
 
 
 def _parse_extraction_reply(reply: str, episode: Episode, items: list[KeyItem]) -> list[ItemObservation]:
-    from .gateway import extract_json_value
+    from .gateway import extract_json_value, reply_number
 
     raw = extract_json_value(reply)
     if not isinstance(raw, list):
@@ -272,14 +272,16 @@ def _parse_extraction_reply(reply: str, episode: Episode, items: list[KeyItem]) 
         if not isinstance(entry, dict):
             raise ValueError("array entries must be objects")
         item_id = entry.get("item_id")
-        if item_id not in known:
+        if not isinstance(item_id, str) or item_id not in known:
             logger.warning("extractor reply names undeclared item %r; dropped", item_id)
             continue
         state = ItemState(entry.get("state"))
         evidence = entry.get("evidence")
         span = None
         if evidence is not None:
-            start, end = int(evidence[0]), int(evidence[1])
+            if not isinstance(evidence, list) or len(evidence) < 2:
+                raise ValueError(f"evidence must be a [start, end) array, got {evidence!r}")
+            start, end = (reply_number(bound, "evidence bound", int) for bound in evidence[:2])
             if not (0 <= start < end <= len(episode.text)):
                 raise ValueError(f"evidence span [{start}, {end}) outside episode text")
             span = (start, end)

@@ -296,3 +296,38 @@ def test_unreadable_cache_entry_in_replay_exits_2(project, capsys):
     capsys.readouterr()
     assert run(project, "--cache-mode", "replay", "evaluate") == 2
     assert entry.name in capsys.readouterr().err
+
+
+def test_lock_left_by_a_dead_process_is_reported_stale(project, capsys):
+    import socket
+    import subprocess
+    import sys
+
+    run(project, "fuzz", "--seed", "1", "--stories", "1")
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # its PID now names no running process
+    lock = project / ".score.lock"
+    lock.write_text(f"{child.pid} {socket.gethostname()}")
+    assert run(project, "track") == 2
+    err = capsys.readouterr().err
+    assert "stale lock" in err and str(child.pid) in err and str(lock) in err
+    assert lock.exists()  # reported, not removed
+
+
+def test_lock_of_a_running_process_is_not_called_stale(project, capsys):
+    run(project, "fuzz", "--seed", "1", "--stories", "1")
+    lock = project / ".score.lock"
+    lock.write_text(str(os.getppid()))  # this test's parent process is running
+    assert run(project, "track") == 2
+    err = capsys.readouterr().err
+    assert "locked by another process" in err and "stale" not in err
+    lock.unlink()
+
+
+def test_lock_file_names_this_process(project):
+    import socket
+
+    from score.cli import Project
+
+    with Project(project).lock():
+        assert (project / ".score.lock").read_text() == f"{os.getpid()} {socket.gethostname()}"

@@ -429,3 +429,39 @@ def test_remote_answer_drops_hallucinated_refs(mock_gateway):
     bundle = bundle_with(["a.", "b."])
     result = answer_query("what broke?", bundle, gw)
     assert result.supporting_episodes == (("s", 1),)
+
+
+@pytest.mark.parametrize(
+    "facet, extra",
+    [
+        ("null", ""),
+        ("[4]", ""),
+        ('{"v": 4}', ""),
+        pytest.param("1" + "0" * 400, "", id="int-too-large-for-float"),
+        ("4", ', "cited_error_indexes": 0'),
+        ("4", ', "item_states": ["sword"]'),
+    ],
+)
+def test_remote_evaluation_wrong_shape_ends_in_evaluation_error(mock_gateway, facet, extra):
+    # a null facet used to escape the repair path as a TypeError
+    from score.errors import EvaluationError
+
+    bad = (
+        '{"facet_scores": {"character_consistency": ' + facet + ', "plot_progression": 4, '
+        '"emotional_authenticity": 3, "key_item_continuity": 5}' + extra + "}"
+    )
+    gw = _remote([bad, bad])
+    episode = Episode(index=0, text="Mira carried the sword.")
+    summary = rule_summarize(episode, [KeyItem("sword", ("sword",))], mock_gateway, story_id="s")
+    with pytest.raises(EvaluationError):
+        evaluate_episode(episode, summary, {}, [], ContextBundle(focus="f", selected=()), gw, story_id="s")
+    assert gw._transport.replies == []  # the repair prompt was sent
+
+
+def test_remote_answer_wrong_shape_refs_end_in_evaluation_error():
+    from score.errors import EvaluationError
+
+    bad = '{"answer": "Episode 1: it broke.", "supporting_episode_ids": 1}'
+    gw = _remote([bad, bad])
+    with pytest.raises(EvaluationError, match="supporting_episode_ids"):
+        answer_query("what broke?", bundle_with(["a.", "b."]), gw)

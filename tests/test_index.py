@@ -127,6 +127,118 @@ def test_top_k_is_prefix_of_top_k_plus_one():
         assert top_k1[:k] == top_k
 
 
+def full_scan(index: FlatIndex, query, n, *, story=None, exclude=None, filter=None):
+    """The oracle with every candidate rule: [(entry_id, score.hex())] of the top n."""
+    q = np.asarray(query, dtype=np.float64)
+    unit = q / np.linalg.norm(q)
+    scored = [
+        (float(np.dot(e.embedding, unit)), e.entry_id)
+        for e in index.entries
+        if (story is None or e.story_id == story)
+        and (e.story_id, e.episode_index) != exclude
+        and (filter is None or filter(e))
+    ]
+    scored.sort(key=lambda t: (-t[0], t[1]))
+    return [(entry_id, score.hex()) for score, entry_id in scored[:n]]
+
+
+def _nudged(vec, rng, ulps):
+    """`vec` with a few coordinates moved by `ulps` units in the last place."""
+    out = vec.copy()
+    for k in rng.choice(len(vec), size=min(2, len(vec)), replace=False):
+        for _ in range(ulps):
+            out[k] = np.nextafter(out[k], np.inf if rng.random() < 0.5 else -np.inf)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 24),
+    n_rows=st.integers(1, 70),
+    n_planted=st.integers(0, 12),
+    values=st.sampled_from(["normal", "small-int"]),
+    n=st.integers(1, 90),
+    path=st.sampled_from(["all", "story", "exclude", "story+exclude", "filter", "filter+exclude"]),
+    query_kind=st.sampled_from(["random", "row", "near-row"]),
+)
+def test_search_equals_full_scan_oracle(seed, dim, n_rows, n_planted, values, n, path, query_kind):
+    rng = np.random.default_rng(seed)
+    if values == "normal":
+        rows = list(rng.normal(size=(n_rows, dim)))
+    else:  # few distinct directions: many exact ties
+        rows = list(rng.integers(-2, 3, size=(n_rows, dim)).astype(np.float64))
+    for row in rows:
+        if not row.any():
+            row[0] = 1.0  # the index rejects zero vectors
+    # planted exact duplicates and near-ties a few ulps apart
+    for _ in range(n_planted):
+        source = rows[rng.integers(len(rows))]
+        rows.append(source.copy() if rng.random() < 0.5 else _nudged(source, rng, int(rng.integers(1, 4))))
+    ids = rng.permutation(len(rows))  # entry-id order differs from row order
+    index = FlatIndex(dim)
+    for i, row in enumerate(rows):
+        index.add(f"e{ids[i]:03d}", row, story_id=f"s{rng.integers(3)}", episode_index=int(rng.integers(3)))
+    index.freeze()
+
+    if query_kind == "random":
+        query = rng.normal(size=dim)
+    else:
+        source = rows[rng.integers(len(rows))]
+        query = source if query_kind == "row" else _nudged(source, rng, 2)
+    if not query.any():
+        query[0] = 1.0
+    kwargs = {}
+    if "story" in path:
+        kwargs["story"] = f"s{rng.integers(3)}"
+    if "exclude" in path:
+        kwargs["exclude"] = (f"s{rng.integers(3)}", int(rng.integers(3)))
+    if "filter" in path:
+        kept = set(rng.choice(len(rows), size=len(rows) // 2, replace=False).tolist())
+        kwargs["filter"] = lambda e: int(e.entry_id[1:]) in kept
+
+    got = [(h.entry_id, h.score.hex()) for h in index.search_top_n(query, n=n, **kwargs)]
+    assert got == full_scan(index, query, n, **kwargs)
+
+
+def test_screen_keeps_exact_order_among_near_ties():
+    # 300 rows one or two ulps apart in one coordinate, and n in the middle of them
+    rng = np.random.default_rng(7)
+    base = rng.normal(size=64)
+    index = FlatIndex(64)
+    for i in range(300):
+        index.add(f"r{i:03d}", _nudged(base, rng, int(rng.integers(0, 3))), story_id="s", episode_index=i)
+    index.freeze()
+    for n in (1, 7, 150, 299, 300, 301):
+        got = [(h.entry_id, h.score.hex()) for h in index.search_top_n(base, n=n)]
+        assert got == full_scan(index, base, n)
+
+
+def test_story_and_exclude_arguments_match_the_filter_callable():
+    index = FlatIndex(4)
+    rng = np.random.default_rng(3)
+    for i in range(40):
+        index.add(f"x{i:02d}", rng.normal(size=4), story_id=f"s{i % 4}", episode_index=i % 3)
+    index.freeze()
+    query = rng.normal(size=4)
+    for n in (1, 5, 40):
+        by_args = index.search_top_n(query, n=n, story="s1", exclude=("s1", 2))
+        by_filter = index.search_top_n(
+            query, n=n, filter=lambda e: e.story_id == "s1" and (e.story_id, e.episode_index) != ("s1", 2)
+        )
+        assert by_args == by_filter
+        assert by_args and all(index.get(h.entry_id).story_id == "s1" for h in by_args)
+    assert index.search_top_n(query, n=5, story="nobody") == []
+
+
+def test_unfrozen_index_search_sees_later_additions():
+    index = FlatIndex(2)
+    index.add("a", [1.0, 0.0], story_id="s")
+    assert [h.entry_id for h in index.search_top_n([1.0, 0.0], n=5, story="s")] == ["a"]
+    index.add("b", [1.0, 0.1], story_id="s")
+    assert [h.entry_id for h in index.search_top_n([1.0, 0.0], n=5, story="s")] == ["a", "b"]
+
+
 def test_filter_predicate_restricts_candidates():
     index = FlatIndex(2)
     index.add("keep", [1.0, 0.0], story_id="a")

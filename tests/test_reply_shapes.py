@@ -1,0 +1,97 @@
+"""Any JSON a model sends back parses or raises the error that starts the repair path.
+
+The three reply parsers must turn every wrong shape into ValueError or
+ValidationError; anything else would escape the repair and the CLI's
+exit-code mapping as a traceback.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from score.errors import ValidationError
+from score.evaluator import FACETS, _parse_evaluation_reply
+from score.gateway import GatewayConfig, LlmGateway
+from score.story import Episode, KeyItem
+from score.summarize import _parse_summary_reply
+from score.tracker import _parse_extraction_reply
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+EPISODE = Episode(index=0, text="Mira carried the sword. The sword was lost.")
+ITEMS = [KeyItem("sword", ("sword",))]
+
+
+def _parses_or_asks_for_repair(parse, reply):
+    try:
+        parse(json.dumps(reply))
+    except (ValueError, ValidationError):
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(["item_id", "state", "explained", "evidence"]), value=json_values)
+def test_extraction_reply_of_any_shape(field, value):
+    entry = {"item_id": "sword", "state": "lost", "explained": False, "evidence": [0, 4]}
+    entry[field] = value
+    _parses_or_asks_for_repair(lambda r: _parse_extraction_reply(r, EPISODE, ITEMS), [entry])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from(
+        ["synopsis", "plot_points", "actions", "interactions", "relationships", "emotional_changes",
+         "interactions.item_id", "interactions.actor", "interactions.description",
+         "interactions.implied_state", "actions.character", "actions.description"]
+    ),
+    value=json_values,
+)
+def test_summary_reply_of_any_shape(field, value):
+    reply = {
+        "synopsis": "A fine day.",
+        "plot_points": ["The sword was lost."],
+        "actions": [{"character": "Mira", "description": "Mira searched."}],
+        "interactions": [{"item_id": "sword", "actor": "Mira", "description": "Lost.", "implied_state": "lost"}],
+        "relationships": [],
+        "emotional_changes": [],
+    }
+    outer, _, inner = field.partition(".")
+    if inner:
+        reply[outer][0][inner] = value
+    else:
+        reply[outer] = value
+    gateway = LlmGateway(GatewayConfig(backend="mock"))
+    _parses_or_asks_for_repair(lambda r: _parse_summary_reply(r, EPISODE, ITEMS, gateway, "s"), reply)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from(["facet_scores", *FACETS, "rationale", "cited_error_indexes", "item_states"]),
+    value=json_values,
+)
+def test_evaluation_reply_of_any_shape(field, value):
+    reply = {
+        "facet_scores": {name: 4 for name in FACETS},
+        "rationale": "solid",
+        "cited_error_indexes": [],
+        "item_states": {"sword": "lost"},
+    }
+    if field in FACETS:
+        reply["facet_scores"][field] = value
+    else:
+        reply[field] = value
+    _parses_or_asks_for_repair(lambda r: _parse_evaluation_reply(r, []), reply)
+
+
+@pytest.mark.parametrize("reply", [[], {}, None, 5, "text"])
+def test_top_level_wrong_shapes_ask_for_repair(reply):
+    gateway = LlmGateway(GatewayConfig(backend="mock"))
+    _parses_or_asks_for_repair(lambda r: _parse_extraction_reply(r, EPISODE, ITEMS), reply)
+    _parses_or_asks_for_repair(lambda r: _parse_summary_reply(r, EPISODE, ITEMS, gateway, "s"), reply)
+    _parses_or_asks_for_repair(lambda r: _parse_evaluation_reply(r, []), reply)

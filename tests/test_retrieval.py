@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,3 +252,38 @@ def test_widening_recovers_survivors_beyond_initial_pool(mock_gateway):
     assert [f"{e.story_id}#{e.episode_index}" for e in bundle.selected] == expected
     assert not bundle.sentiment_filter_bypassed
     assert all(e.sentiment == 0.4 for e in bundle.selected)
+
+
+@pytest.mark.parametrize("restrict_story", [None, "s1"])
+def test_chunk_exclusion_drops_every_chunk_of_the_focus_episode(mock_gateway, restrict_story):
+    # chunk entries are "story#episode#cK"; exclusion is by episode ref, so all
+    # chunks of the focus episode go, although their entry ids all differ
+    rng = random.Random(31)
+    index = FlatIndex(mock_gateway.config.embed_dim)
+    records = {}
+    focus_chunks = []
+    for story in ("s0", "s1", "s2"):
+        for ep in range(8):
+            for k in range(3):
+                text = " ".join(rng.choices(WORDS, k=8))
+                entry_id = f"{story}#{ep}#c{k}"
+                (vec,) = mock_gateway.embed([text])
+                index.add(entry_id, vec, kind="chunk", story_id=story, episode_index=ep)
+                records[entry_id] = SummaryRecord(entry_id, story, ep, 0.5, text)
+                if (story, ep) == ("s1", 4):
+                    focus_chunks.append(text)
+    index.freeze()
+    assert len(index) > big_budget().pool  # the corpus-wide search screens
+    focus = " ".join(focus_chunks)
+    config = big_budget(top_n=10, sentiment_tolerance=1.0)
+    bundle = retrieve_related(
+        focus, SentimentScore(0.5), index, records, config, mock_gateway,
+        exclude_ref=("s1", 4), restrict_story=restrict_story,
+    )
+    assert len(bundle.selected) == 10
+    assert ("s1", 4) not in bundle.episode_refs()
+    kept = retrieve_related(
+        focus, SentimentScore(0.5), index, records, replace(config, exclude_self=False), mock_gateway,
+        exclude_ref=("s1", 4), restrict_story=restrict_story,
+    )
+    assert kept.episode_refs()[:3] == [("s1", 4)] * 3  # the focus chunks rank first

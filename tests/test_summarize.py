@@ -231,3 +231,32 @@ def test_llm_summarize_fails_after_repair_with_raw_reply():
     with pytest.raises(SummaryError) as err:
         summarize_episode(episode, [], gw, story_id="s")
     assert err.value.raw_reply == "garbage two"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("interactions", '["a"]'),
+        ("interactions", "5"),
+        ("actions", '["Mira fought."]'),
+        ("plot_points", '"The sword broke."'),
+        ("relationships", '{"a": "b"}'),
+        ("emotional_changes", "3"),
+    ],
+)
+def test_llm_summarize_wrong_shape_ends_in_summary_error(field, value):
+    # "interactions": ["a"] used to escape the repair path as an AttributeError
+    bad = '{"synopsis": "A fine day.", "' + field + '": ' + value + "}"
+    transport = ScriptedTransport([bad, bad])
+    gw = _remote(transport)
+    episode = Episode(index=0, text="Mira fought.")
+    with pytest.raises(SummaryError, match=field):
+        summarize_episode(episode, [KeyItem("sword", ("sword",))], gw, story_id="s")
+    assert transport.calls == 2  # the repair prompt was sent
+
+
+def test_llm_summarize_null_lists_read_as_empty():
+    reply = '{"synopsis": "A fine day.", "interactions": null, "actions": null, "plot_points": null}'
+    gw = _remote(ScriptedTransport([reply, "0.5"]))
+    summary = summarize_episode(Episode(index=0, text="Mira fought."), [], gw, story_id="s")
+    assert summary.interactions == () and summary.actions == () and summary.plot_points == ()

@@ -397,3 +397,23 @@ def test_states_file_round_trip():
         (o.episode_index, o.state, o.explained) for o in timelines["sword"].observations
     ] == [(o.episode_index, o.state, o.explained) for o in tl.observations]
     assert loaded_errors == errors
+
+
+@pytest.mark.parametrize("evidence", ["5", "[3]", '"0-10"', '{"start": 0}', "[null, 4]", "[0, 1e400]"])
+def test_llm_extraction_wrong_shape_evidence_ends_in_extraction_error(evidence):
+    # "evidence": 5 used to escape the repair path as a TypeError
+    from score.errors import ExtractionError
+
+    bad = '[{"item_id": "sword", "state": "lost", "explained": false, "evidence": ' + evidence + "}]"
+    gw = _remote([bad, bad])
+    episode = Episode(index=0, text="The sword was lost.")
+    with pytest.raises(ExtractionError, match="evidence"):
+        extract_item_statuses(episode, [KeyItem("sword", ("sword",))], gw)
+    assert gw._transport.calls == 2  # the repair prompt was sent
+
+
+def test_llm_extraction_unhashable_item_id_is_dropped():
+    reply = '[{"item_id": ["sword"], "state": "lost", "explained": false, "evidence": null}]'
+    gw = _remote([reply])
+    episode = Episode(index=0, text="The sword was lost.")
+    assert extract_item_statuses(episode, [KeyItem("sword", ("sword",))], gw) == []
