@@ -2,8 +2,9 @@
 
 A project root holds config.json plus stories/, summaries/, states/,
 index/, cache/, reports/, and prompts/. Commands create what is missing,
-never write outside the root, and exit with: 0 success, 1 usage error,
-2 validation error, 3 gateway/transport error, 4 replay cache miss.
+never write outside the root, and exit with: 0 success (also when the
+reader of stdout closes the pipe early), 1 usage error, 2 validation error,
+3 gateway/transport error, 4 replay cache miss.
 """
 
 from __future__ import annotations
@@ -280,13 +281,12 @@ def cmd_summarize(project: Project, args) -> int:
     gateway_cfg, _, _ = _load_config(project, args)
     gateway = _gateway(project, gateway_cfg)
     stories = project.load_stories()
-    written = skipped = 0
-    for story in stories:
-        target = project.dir("summaries") / f"{story.story_id}.json"
-        if target.exists() and not args.force:
-            skipped += 1
-            continue
+    todo = [
+        story for story in stories
+        if args.force or not (project.dir("summaries") / f"{story.story_id}.json").exists()
+    ]
 
+    def summarize_story(story):
         summaries = gateway.map(
             lambda episode: summarize_episode(
                 episode, list(story.key_items), gateway,
@@ -294,9 +294,13 @@ def cmd_summarize(project: Project, args) -> int:
             ),
             story.episodes,
         )
-        write_if_changed(target, canonical_bytes(summaries_to_dict(story.story_id, summaries)))
-        written += 1
-    print(f"summarized {written} story(ies), {skipped} already present (use --force to redo)")
+        write_if_changed(
+            project.dir("summaries") / f"{story.story_id}.json",
+            canonical_bytes(summaries_to_dict(story.story_id, summaries)),
+        )
+
+    gateway.map(summarize_story, todo)
+    print(f"summarized {len(todo)} story(ies), {len(stories) - len(todo)} already present (use --force to redo)")
     return 0
 
 
@@ -305,17 +309,18 @@ def cmd_track(project: Project, args) -> int:
     gateway_cfg, _, _ = _load_config(project, args)
     gateway = _gateway(project, gateway_cfg)
     stories = project.load_stories()
-    reported = {}
-    total_errors = 0
-    for story in stories:
+
+    def track_story(story):
         timelines = story_timelines(story, gateway, prompts_root=project.dir("prompts"))
         errors = detect_story_errors(timelines)
-        reported[story.story_id] = errors
-        total_errors += len(errors)
         write_if_changed(
             project.dir("states") / f"{story.story_id}.json",
             canonical_bytes(states_to_dict(story.story_id, timelines, errors)),
         )
+        return errors
+
+    reported = {story.story_id: errors for story, errors in zip(stories, gateway.map(track_story, stories))}
+    total_errors = sum(len(errors) for errors in reported.values())
     print(f"tracked {len(stories)} story(ies), {total_errors} continuity error(s) detected")
     truth, _ = project.load_gold()
     if truth is not None:
@@ -665,7 +670,14 @@ def main(argv: list[str] | None = None) -> int:
     project.root.mkdir(parents=True, exist_ok=True)  # the lock file lives here
     try:
         with project.lock():
-            return args.func(project, args)
+            code = args.func(project, args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away after the command's work was done;
+        # stdout now goes nowhere, so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

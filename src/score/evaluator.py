@@ -208,7 +208,7 @@ def _mock_facet_scores(summary: EpisodeSummary, episode_errors: list[ContinuityE
 
 def _llm_evaluate(episode, episode_errors, context, gateway, prompts_root):
     prompt = prompts.render(
-        prompts.load("evaluate", prompts_root),
+        gateway.template("evaluate", prompts_root),
         episode_text=episode.text,
         context=context.render() or "(no context retrieved)",
         errors_json=json.dumps([error_to_dict(e) for e in episode_errors], ensure_ascii=False),
@@ -217,7 +217,7 @@ def _llm_evaluate(episode, episode_errors, context, gateway, prompts_root):
     try:
         return _parse_evaluation_reply(reply, episode_errors)
     except (ValueError, ValidationError):
-        repair = prompts.render(prompts.load("repair", prompts_root), raw_reply=reply, original_prompt=prompt)
+        repair = prompts.render(gateway.template("repair", prompts_root), raw_reply=reply, original_prompt=prompt)
         reply2 = gateway.complete(repair)
         try:
             return _parse_evaluation_reply(reply2, episode_errors)
@@ -330,12 +330,12 @@ def _strip_bullet(sentence: str) -> str:
 
 
 def _llm_answer(question, bundle, gateway, prompts_root):
-    prompt = prompts.render(prompts.load("answer", prompts_root), question=question, context=bundle.render())
+    prompt = prompts.render(gateway.template("answer", prompts_root), question=question, context=bundle.render())
     reply = gateway.complete(prompt)
     try:
         return _parse_answer_reply(reply, bundle)
     except (ValueError, ValidationError):
-        repair = prompts.render(prompts.load("repair", prompts_root), raw_reply=reply, original_prompt=prompt)
+        repair = prompts.render(gateway.template("repair", prompts_root), raw_reply=reply, original_prompt=prompt)
         reply2 = gateway.complete(repair)
         try:
             return _parse_answer_reply(reply2, bundle)
@@ -591,36 +591,31 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run extract -> track -> summarize -> index -> evaluate -> QA over a corpus.
 
-    Deterministic under the mock backend or in replay mode: stories are
-    processed in story_id order, every stage is a pure function of its
-    inputs, and the per-episode and per-question stages run through
-    `gateway.map`, which keeps input order at any `max_parallel`.
+    Deterministic under the mock backend or in replay mode: every stage is a
+    pure function of its inputs, and the stories, and within each story the
+    per-episode and per-question stages, run through `gateway.map`, which
+    keeps input order at any `max_parallel`. Results are folded in story_id
+    order. On the remote path up to `max_parallel` stories are in progress
+    at once, so the request slots stay full across each story's stage
+    barriers.
     """
     ablations = config.ablations
     retrieval_cfg = config.retrieval
     if not ablations.sentiment:
         retrieval_cfg = replace(retrieval_cfg, sentiment_filter_enabled=False)
 
-    evaluations: list[EpisodeEvaluation] = []
-    qa_results: list[QAResult] = []
-    states: dict[str, tuple[dict[str, ItemTimeline], list[ContinuityError]]] = {}
-    summaries_out: dict[str, list[EpisodeSummary]] = {}
-    effective_timelines: dict[str, dict[str, ItemTimeline]] = {}
-
     gold_by_story: dict[str, list[GoldQA]] = {}
     if gold:
         for gq in gold.qa:
             gold_by_story.setdefault(gq.story_id, []).append(gq)
 
-    for story in sorted(stories, key=lambda s: s.story_id):
+    def run_story(story):
         raw_timelines = story_timelines(story, gateway, prompts_root=prompts_root)
         errors = detect_story_errors(raw_timelines)
-        states[story.story_id] = (raw_timelines, errors)
         if ablations.tracking:
             timelines = correct_story_timelines(raw_timelines, errors)
         else:
             timelines = raw_timelines
-        effective_timelines[story.story_id] = timelines
 
         def summarize_one(ep):
             if ablations.summary:
@@ -630,7 +625,6 @@ def run_pipeline(
             return _minimal_summary(ep, gateway, story_id=story.story_id)
 
         summaries = gateway.map(summarize_one, story.episodes)
-        summaries_out[story.story_id] = summaries
 
         # retrieval documents: structured summaries, or raw episode text when
         # summarization is ablated
@@ -686,7 +680,7 @@ def run_pipeline(
                 prompts_root=prompts_root,
             )
 
-        evaluations.extend(gateway.map(evaluate_one, story.episodes))
+        story_evaluations = gateway.map(evaluate_one, story.episodes)
 
         def answer_one(gq):
             if ablations.retrieval:
@@ -696,7 +690,23 @@ def run_pipeline(
             result = answer_query(gq.question, bundle, gateway, story_id=story.story_id, prompts_root=prompts_root)
             return grade_answer(result, gq)
 
-        qa_results.extend(gateway.map(answer_one, gold_by_story.get(story.story_id, [])))
+        story_qa = gateway.map(answer_one, gold_by_story.get(story.story_id, []))
+        return raw_timelines, errors, timelines, summaries, story_evaluations, story_qa
+
+    evaluations: list[EpisodeEvaluation] = []
+    qa_results: list[QAResult] = []
+    states: dict[str, tuple[dict[str, ItemTimeline], list[ContinuityError]]] = {}
+    summaries_out: dict[str, list[EpisodeSummary]] = {}
+    effective_timelines: dict[str, dict[str, ItemTimeline]] = {}
+    ordered = sorted(stories, key=lambda s: s.story_id)
+    for story, (raw_timelines, errors, timelines, summaries, story_evaluations, story_qa) in zip(
+        ordered, gateway.map(run_story, ordered)
+    ):
+        states[story.story_id] = (raw_timelines, errors)
+        effective_timelines[story.story_id] = timelines
+        summaries_out[story.story_id] = summaries
+        evaluations.extend(story_evaluations)
+        qa_results.extend(story_qa)
 
     report = compute_metrics(
         evaluations,

@@ -10,10 +10,12 @@ mode every response is written through; in `replay` mode requests are
 served from the cache only and a miss is an error, which makes a replay
 run a pure function of (inputs, config, cache).
 
-`LlmGateway.map` runs independent per-episode work. It overlaps requests
-only where they can wait on the network (remote backend, cache `off` or
-`record`), at most `max_parallel` at a time, and always returns results in
-input order, so no result depends on `max_parallel`.
+`LlmGateway.map` runs independent per-story, per-episode and per-question
+work. It overlaps requests only where they can wait on the network (remote
+backend, cache `off` or `record`), on one pool of `max_parallel` worker
+threads per gateway, and always returns results in input order, so no
+result depends on `max_parallel`. Maps nest: a worker that maps runs the
+items no other worker has started itself, so it never waits on queued work.
 """
 
 from __future__ import annotations
@@ -55,6 +57,14 @@ _BACKOFF_FACTOR = 2.0
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+# the pool token of the gateway whose worker this thread is; a token, not the
+# gateway, so an idle worker keeps no gateway alive
+_worker = threading.local()
+
+
+def _mark_worker(token: object) -> None:
+    _worker.pool = token
 
 
 @dataclass(frozen=True)
@@ -166,6 +176,9 @@ class LlmGateway:
         self._semaphore = threading.BoundedSemaphore(config.max_parallel)
         self._lock = threading.Lock()
         self._pending: dict[str, Future] = {}  # cache key -> result of the request in flight
+        self._pool: ThreadPoolExecutor | None = None  # created by the first threaded map
+        self._pool_token = object()
+        self._templates: dict[tuple[str, Path | str | None], str] = {}
 
     @property
     def is_mock(self) -> bool:
@@ -175,18 +188,58 @@ class LlmGateway:
         """`[fn(item) for item in items]`, overlapping calls where requests wait on the network.
 
         Only the remote backend with cache mode `off` or `record` sends
-        requests that wait on a transport; there, up to `max_parallel`
-        worker threads run `fn`. The mock backend and replay mode are pure
-        CPU and cache reads, which threads cannot speed up under the GIL,
-        so they run in the calling thread. Results are in input order
-        either way; the first exception in input order propagates.
+        requests that wait on a transport; there, `fn` runs on the gateway's
+        one pool of `max_parallel` worker threads. The mock backend and
+        replay mode are pure CPU and cache reads, which threads cannot speed
+        up under the GIL, so they run in the calling thread.
+
+        `fn` may itself call `map`. A caller that is one of the pool's
+        workers runs every item no worker has started yet itself and waits
+        only on items already running, so nested maps cannot deadlock and
+        the gateway never has more than `max_parallel` worker threads.
+        Results are in input order either way; the first exception in input
+        order propagates, and no item of this map starts after it returns.
         """
         items = list(items)
-        workers = min(self.config.max_parallel, len(items))
-        if self.is_mock or self.config.cache_mode == "replay" or workers < 2:
+        if self.is_mock or self.config.cache_mode == "replay" or self.config.max_parallel < 2 or len(items) < 2:
             return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="score-gateway") as pool:
-            return list(pool.map(fn, items))
+        pool = self._worker_pool()
+        futures = [pool.submit(fn, item) for item in items]
+        try:
+            if getattr(_worker, "pool", None) is self._pool_token:
+                for i, item in enumerate(items):
+                    if futures[i].cancel():
+                        futures[i] = stolen = Future()
+                        try:
+                            stolen.set_result(fn(item))
+                        except Exception as e:
+                            stolen.set_exception(e)
+                            break
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
+
+    def _worker_pool(self) -> ThreadPoolExecutor:
+        with self._lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.config.max_parallel,
+                    thread_name_prefix="score-gateway",
+                    initializer=_mark_worker,
+                    initargs=(self._pool_token,),
+                )
+            return self._pool
+
+    def template(self, name: str, root: Path | str | None = None) -> str:
+        """Prompt template `name`, preferring `root/<name>.txt`; each is read
+        once per gateway, so a new gateway sees an edited `prompts/`."""
+        key = (name, root)
+        with self._lock:
+            text = self._templates.get(key)
+            if text is None:
+                text = self._templates[key] = prompts.load(name, root)
+        return text
 
     # -- public operations ---------------------------------------------------
 
@@ -258,7 +311,7 @@ class LlmGateway:
     def _sentiment_uncached(self, text: str) -> float:
         if self.is_mock:
             return lexicon.mock_sentiment_value(text)
-        prompt = prompts.render(prompts.load("sentiment", self.prompts_root), text=text)
+        prompt = prompts.render(self.template("sentiment", self.prompts_root), text=text)
         reply = self._complete_uncached(
             {
                 "model": self.config.model_name,

@@ -158,7 +158,7 @@ def _names_in_sentence(words: list[str]) -> int:
 
 def _llm_summarize(episode, items, gateway, *, story_id, prompts_root=None) -> EpisodeSummary:
     prompt = prompts.render(
-        prompts.load("summarize", prompts_root),
+        gateway.template("summarize", prompts_root),
         episode_text=episode.text,
         items_json=json.dumps(
             [{"item_id": k.item_id, "names": list(k.names)} for k in items], ensure_ascii=False
@@ -168,7 +168,7 @@ def _llm_summarize(episode, items, gateway, *, story_id, prompts_root=None) -> E
     try:
         return _parse_summary_reply(reply, episode, items, gateway, story_id)
     except (ValueError, ValidationError):
-        repair = prompts.render(prompts.load("repair", prompts_root), raw_reply=reply, original_prompt=prompt)
+        repair = prompts.render(gateway.template("repair", prompts_root), raw_reply=reply, original_prompt=prompt)
         reply2 = gateway.complete(repair)
         try:
             return _parse_summary_reply(reply2, episode, items, gateway, story_id)

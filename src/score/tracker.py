@@ -242,7 +242,7 @@ def _llm_extract(episode: Episode, items: list[KeyItem], gateway, prompts_root) 
     from . import prompts
 
     prompt = prompts.render(
-        prompts.load("extract_states", prompts_root),
+        gateway.template("extract_states", prompts_root),
         episode_text=episode.text,
         items_json=json.dumps(
             [{"item_id": k.item_id, "names": list(k.names)} for k in items], ensure_ascii=False
@@ -252,7 +252,7 @@ def _llm_extract(episode: Episode, items: list[KeyItem], gateway, prompts_root) 
     try:
         return _parse_extraction_reply(reply, episode, items)
     except (ValueError, ValidationError):
-        repair = prompts.render(prompts.load("repair", prompts_root), raw_reply=reply, original_prompt=prompt)
+        repair = prompts.render(gateway.template("repair", prompts_root), raw_reply=reply, original_prompt=prompt)
         reply2 = gateway.complete(repair)
         try:
             return _parse_extraction_reply(reply2, episode, items)

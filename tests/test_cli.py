@@ -331,3 +331,63 @@ def test_lock_file_names_this_process(project):
 
     with Project(project).lock():
         assert (project / ".score.lock").read_text() == f"{os.getpid()} {socket.gethostname()}"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_stdout_closed_by_its_reader_exits_0_without_a_traceback(project, unbuffered):
+    """`score evaluate | head -1`: the reader is gone before the summary lines are flushed."""
+    import subprocess
+    import sys
+
+    import score
+
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(score.__file__)), PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "score.cli", "--project", str(project), "evaluate"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    stderr = child.stderr.decode()
+    assert child.returncode == 0, stderr
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+    assert list((project / "reports").glob("*.json"))
+
+
+def _remote_stage_run(project, monkeypatch, max_parallel, capsys):
+    from score import gateway as gateway_module
+    from test_concurrency import StoryModel
+
+    monkeypatch.setattr(gateway_module, "default_transport", StoryModel(latency_s=0.001))
+    config = json.loads((project / "config.json").read_text("utf-8"))
+    config["gateway"]["max_parallel"] = max_parallel
+    (project / "config.json").write_text(json.dumps(config), "utf-8")
+    remote = ("--backend", "remote", "--base-url", "http://fake.local/v1")
+    for name in ("summaries", "states"):
+        for path in (project / name).glob("*.json"):
+            path.unlink()
+    first_story = sorted((project / "stories").glob("*.json"))[0].name
+    (project / "summaries" / first_story).write_bytes(b"{}")  # present: summarize skips it
+    capsys.readouterr()
+    assert run(project, *remote, "track") == 0
+    assert run(project, *remote, "summarize") == 0
+    out = capsys.readouterr().out
+    files = {
+        path.relative_to(project): path.read_bytes()
+        for name in ("summaries", "states")
+        for path in (project / name).glob("*.json")
+    }
+    return out, files
+
+
+def test_remote_track_and_summarize_write_the_same_bytes_at_any_max_parallel(project, monkeypatch, capsys):
+    run(project, "fuzz", "--seed", "5", "--stories", "4")
+    serial = _remote_stage_run(project, monkeypatch, 1, capsys)
+    parallel = _remote_stage_run(project, monkeypatch, 4, capsys)
+    assert parallel == serial
+    assert "summarized 3 story(ies), 1 already present" in serial[0]
+    assert len(serial[1]) == 8

@@ -20,7 +20,7 @@ from score.fuzz import FuzzSpec, generate_corpus
 from score.gateway import GatewayConfig, LlmGateway, hashed_embedding
 from score.lexicon import mock_sentiment_value
 from score.retrieval import RetrievalConfig
-from score.story import Episode, KeyItem
+from score.story import Episode, KeyItem, Story
 from score.tracker import rule_extract
 
 _SECTION_RE = {
@@ -237,3 +237,138 @@ def test_stats_survive_heavy_thread_switching(tmp_path):
     assert stats.cache_hits + stats.cache_misses == len(prompts)
     assert stats.in_flight == 0
     assert 1 <= stats.max_in_flight <= workers
+
+
+# ---------------------------------------------------------------------------
+# one pool per gateway, nested maps, overlapping stories
+# ---------------------------------------------------------------------------
+
+
+def _remote_gateway(max_parallel, transport=None):
+    config = GatewayConfig(backend="remote", base_url="http://fake.local/v1", model_name="m", max_parallel=max_parallel)
+    return LlmGateway(config, transport=transport)
+
+
+def _gateway_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("score-gateway")}
+
+
+def test_nested_map_with_more_outer_items_than_workers_finishes_in_order():
+    gw = _remote_gateway(2)
+    out = {}
+
+    def outer(i):
+        return gw.map(lambda j: (time.sleep(0.002), i * 10 + j)[1], range(5))
+
+    runner = threading.Thread(target=lambda: out.update(result=gw.map(outer, range(7))))
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive(), "nested maps deadlocked"
+    assert out["result"] == [[i * 10 + j for j in range(5)] for i in range(7)]
+
+
+def test_remote_pipeline_never_has_more_worker_threads_than_max_parallel(corpus):
+    stories, gold = corpus
+    before = _gateway_threads()
+    model = StoryModel(latency_s=0.001)
+    seen = []
+
+    def transport(url, body, timeout, headers):
+        seen.append(len(_gateway_threads() - before))
+        return model(url, body, timeout, headers)
+
+    gw = _remote_gateway(3, transport)
+    run_pipeline(stories, gw, PipelineConfig(gateway=gw.config, retrieval=RetrievalConfig()), gold)
+    assert seen and max(seen) <= 3
+    assert 2 <= gw.stats.max_in_flight <= 3
+
+
+def test_single_episode_stories_overlap():
+    """Each story's stage maps have one item, so only overlapping stories fill the slots."""
+    stories = [
+        Story(story_id=f"s{k}", title="t", genre="other", key_items=(KeyItem("sword", ("sword",)),),
+              episodes=(Episode(index=0, text=f"Mira lifted the sword at dawn number {k}."),))
+        for k in range(6)
+    ]
+    gw = _remote_gateway(4, StoryModel(latency_s=0.02))
+    result = run_pipeline(stories, gw, PipelineConfig(gateway=gw.config, retrieval=RetrievalConfig()))
+    assert [e.story_id for e in result.evaluations] == [f"s{k}" for k in range(6)]
+    assert gw.stats.max_in_flight >= 2
+
+
+def test_inner_map_failure_is_the_first_in_input_order_and_nothing_starts_after_it():
+    gw = _remote_gateway(2)
+    lock = threading.Lock()
+    returned = set()
+    late = []
+
+    def inner(outer_id, j):
+        with lock:
+            if outer_id in returned:
+                late.append((outer_id, j))
+        if j == 5:
+            raise ValueError("item 5")
+        time.sleep(0.005)
+        if j == 2:
+            raise ValueError("item 2")
+        return j
+
+    def outer(outer_id):
+        try:
+            gw.map(lambda j: inner(outer_id, j), range(8))
+        except ValueError as e:
+            message = str(e)
+        else:
+            message = "no failure"
+        with lock:
+            returned.add(outer_id)
+        return message
+
+    out = {}
+    runner = threading.Thread(target=lambda: out.update(result=gw.map(outer, range(3))))
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive()
+    time.sleep(0.05)  # time for a queued item that was wrongly left running to start
+    assert out["result"] == ["item 2"] * 3
+    assert late == []
+
+
+def test_collected_gateways_leave_no_worker_threads():
+    import gc
+
+    started = set()
+
+    def fn(i):
+        started.add(threading.current_thread())
+        time.sleep(0.001)
+        return i
+
+    for _ in range(20):
+        gw = _remote_gateway(3)
+        assert gw.map(fn, range(6)) == list(range(6))
+        del gw
+    gc.collect()
+    assert started
+    deadline = time.monotonic() + 10
+    for thread in started:
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    assert not [t for t in started if t.is_alive()]
+
+
+def test_remote_pipeline_reads_each_prompt_template_once(corpus, monkeypatch):
+    from score import prompts
+
+    loads = []
+    original = prompts.load
+
+    def counting(name, root=None):
+        loads.append(name)
+        return original(name, root)
+
+    monkeypatch.setattr(prompts, "load", counting)
+    stories, gold = corpus
+    gw = _remote_gateway(4, StoryModel())
+    run_pipeline(stories, gw, PipelineConfig(gateway=gw.config, retrieval=RetrievalConfig()), gold)
+    assert sorted(loads) == sorted(set(loads))
+    assert set(loads) >= {"extract_states", "summarize", "sentiment", "evaluate", "answer"}
