@@ -17,11 +17,10 @@ import logging
 import os
 import socket
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import prompts as prompt_templates
-from .chunking import segment
 from .errors import (
     ContractError,
     GatewayReplyError,
@@ -37,14 +36,16 @@ from .fuzz import FuzzSpec, generate_corpus, score_detection, truth_from_dict, t
 from .gateway import GatewayConfig, LlmGateway
 from .index import FlatIndex
 from .jsonio import canonical_bytes, canonical_dumps, write_if_changed
-from .retrieval import RetrievalConfig, records_from_dict, retrieve_for_query
-from .story import Story, parse_story, serialize_story
-from .summarize import (
-    build_retrieval_document,
-    summaries_from_dict,
-    summaries_to_dict,
-    summarize_episode,
+from .retrieval import (
+    RetrievalConfig,
+    build_retrieval_index,
+    records_from_dict,
+    records_to_dict,
+    retrieval_units,
+    retrieve_for_query,
 )
+from .story import Story, parse_story, serialize_story
+from .summarize import summaries_from_dict, summaries_to_dict, summarize_story
 from .tracker import detect_story_errors, states_to_dict, story_timelines
 from .evaluator import answer_query
 
@@ -82,8 +83,8 @@ class Project:
             self.dir(name).mkdir(exist_ok=True)
         if not self.config_path.exists():
             default = {
-                "gateway": GatewayConfig().to_dict(),
-                "retrieval": RetrievalConfig().to_dict(),
+                "gateway": asdict(GatewayConfig()),
+                "retrieval": asdict(RetrievalConfig()),
                 "granularity": "summary",
             }
             write_if_changed(self.config_path, canonical_bytes(default))
@@ -286,20 +287,14 @@ def cmd_summarize(project: Project, args) -> int:
         if args.force or not (project.dir("summaries") / f"{story.story_id}.json").exists()
     ]
 
-    def summarize_story(story):
-        summaries = gateway.map(
-            lambda episode: summarize_episode(
-                episode, list(story.key_items), gateway,
-                story_id=story.story_id, prompts_root=project.dir("prompts"),
-            ),
-            story.episodes,
-        )
+    def write_summaries(story):
+        summaries = summarize_story(story, gateway, prompts_root=project.dir("prompts"))
         write_if_changed(
             project.dir("summaries") / f"{story.story_id}.json",
             canonical_bytes(summaries_to_dict(story.story_id, summaries)),
         )
 
-    gateway.map(summarize_story, todo)
+    gateway.map(write_summaries, todo)
     print(f"summarized {len(todo)} story(ies), {len(stories) - len(todo)} already present (use --force to redo)")
     return 0
 
@@ -342,54 +337,16 @@ def cmd_index(project: Project, args) -> int:
     if missing:
         raise ValidationError("summaries", f"not built for: {', '.join(missing)} (run `score summarize`)")
 
-    index = FlatIndex(gateway_cfg.embed_dim)
-    records = {}
-    texts: list[str] = []
-    rows: list[tuple[str, str, str, int]] = []
-    for story in stories:
-        sentiments = {s.episode_index: s.sentiment.value for s in summaries[story.story_id]}
-        if granularity == "summary":
-            for summary in summaries[story.story_id]:
-                doc = build_retrieval_document(summary)
-                rows.append((doc.doc_id, "summary", story.story_id, doc.episode_index))
-                texts.append(doc.text)
-                records[doc.doc_id] = {
-                    "story_id": story.story_id,
-                    "episode_index": doc.episode_index,
-                    "sentiment": sentiments[doc.episode_index],
-                    "text": doc.text,
-                }
-        elif granularity == "chunk":
-            for ep in story.episodes:
-                for chunk in segment(ep, story_id=story.story_id):
-                    rows.append((chunk.chunk_id, "chunk", story.story_id, ep.index))
-                    texts.append(chunk.text)
-                    records[chunk.chunk_id] = {
-                        "story_id": story.story_id,
-                        "episode_index": ep.index,
-                        "sentiment": sentiments[ep.index],
-                        "text": chunk.text,
-                    }
-        else:
-            raise UsageError(f"unknown granularity {granularity!r}")
+    if granularity not in ("summary", "chunk"):
+        raise UsageError(f"unknown granularity {granularity!r}")
 
-    for (entry_id, kind, story_id, episode_index), vector in zip(rows, gateway.embed(texts)):
-        index.add(entry_id, vector, kind=kind, story_id=story_id, episode_index=episode_index)
-    index.freeze()
+    units = [unit for story in stories for unit in retrieval_units(story, summaries[story.story_id], granularity)]
+    index, records, _ = build_retrieval_index(units, gateway)
     base = project.dir("index") / granularity
     index.save(base)
-    write_if_changed(base.with_suffix(".records.json"), canonical_bytes(records))
+    write_if_changed(base.with_suffix(".records.json"), canonical_bytes(records_to_dict(records)))
     print(f"indexed {len(index)} {granularity} unit(s) -> {base}.vec")
     return 0
-
-
-def _pipeline_config(gateway_cfg, retrieval_cfg, ablations, granularity) -> PipelineConfig:
-    return PipelineConfig(
-        gateway=gateway_cfg,
-        retrieval=retrieval_cfg,
-        ablations=ablations,
-        granularity=granularity,
-    )
 
 
 def _report_payload(config: PipelineConfig, result) -> dict:
@@ -428,7 +385,7 @@ def _report_payload(config: PipelineConfig, result) -> dict:
 
 def cmd_evaluate(project: Project, args) -> int:
     project.ensure()
-    gateway_cfg, retrieval_cfg, granularity = _load_config(project, args)
+    gateway_cfg, retrieval_cfg, _ = _load_config(project, args)
     gateway = _gateway(project, gateway_cfg)
     ablations = _parse_ablations(args.ablate)
     stories = project.load_stories()
@@ -444,7 +401,7 @@ def cmd_evaluate(project: Project, args) -> int:
         if not stories:
             raise ValidationError("episode", f"story {story_id!r} not in corpus")
 
-    config = _pipeline_config(gateway_cfg, retrieval_cfg, ablations, granularity)
+    config = PipelineConfig(gateway_cfg, retrieval_cfg, ablations)
     result = run_pipeline(stories, gateway, config, gold, prompts_root=project.dir("prompts"))
     if episode_filter:
         result.evaluations = [
@@ -506,21 +463,19 @@ def cmd_ask(project: Project, args) -> int:
 
 def cmd_compare(project: Project, args) -> int:
     project.ensure()
-    gateway_cfg, retrieval_cfg, granularity = _load_config(project, args)
+    gateway_cfg, retrieval_cfg, _ = _load_config(project, args)
     gateway = _gateway(project, gateway_cfg)
     stories = project.load_stories()
     _, gold = project.load_gold()
 
-    config_a = _pipeline_config(gateway_cfg, retrieval_cfg, Ablations(), granularity)
+    config_a = PipelineConfig(gateway_cfg, retrieval_cfg)
     if args.baseline:
         ablations_b = Ablations.baseline()
     else:
         ablations_b = _parse_ablations(args.ablate)
-    config_b = _pipeline_config(gateway_cfg, retrieval_cfg, ablations_b, granularity)
+    config_b = PipelineConfig(gateway_cfg, retrieval_cfg, ablations_b)
 
-    comparison = run_comparison(
-        stories, gold, gateway, gateway, config_a, config_b, prompts_root=project.dir("prompts")
-    )
+    comparison = run_comparison(stories, gold, gateway, config_a, config_b, prompts_root=project.dir("prompts"))
     run_id = hashlib.sha256(
         (config_a.digest() + config_b.digest() + project.corpus_digest(stories)).encode()
     ).hexdigest()[:12]

@@ -39,7 +39,14 @@ class PersistenceError(ScoreError):
 
 
 class TransportError(ScoreError):
-    """Remote backend unreachable or persistently failing."""
+    """Remote backend unreachable or persistently failing.
+
+    `status` is the HTTP status of the reply, when there was one.
+    """
+
+    def __init__(self, message: str, status: int | None = None):
+        super().__init__(message)
+        self.status = status
 
 
 class UncachedRequestError(ScoreError):

@@ -15,22 +15,22 @@ import hashlib
 import json
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from . import lexicon, prompts
 from .errors import ContractError, EvaluationError, ValidationError
-from .gateway import GatewayConfig, extract_json_value, reply_field, reply_number
-from .index import build_index
+from .gateway import SENDING_ONLY_FIELDS, GatewayConfig, extract_json_value, reply_field, reply_number
 from .jsonio import canonical_dumps
 from .retrieval import (
     ContextBundle,
     RetrievalConfig,
-    SummaryRecord,
+    build_retrieval_index,
+    retrieval_units,
     retrieve_for_query,
     retrieve_related,
 )
 from .story import Episode, ItemState, Story
-from .summarize import EpisodeSummary, build_retrieval_document, summarize_episode
+from .summarize import EpisodeSummary, summarize_story
 from .tracker import (
     ContinuityError,
     ItemTimeline,
@@ -213,16 +213,9 @@ def _llm_evaluate(episode, episode_errors, context, gateway, prompts_root):
         context=context.render() or "(no context retrieved)",
         errors_json=json.dumps([error_to_dict(e) for e in episode_errors], ensure_ascii=False),
     )
-    reply = gateway.complete(prompt)
-    try:
-        return _parse_evaluation_reply(reply, episode_errors)
-    except (ValueError, ValidationError):
-        repair = prompts.render(gateway.template("repair", prompts_root), raw_reply=reply, original_prompt=prompt)
-        reply2 = gateway.complete(repair)
-        try:
-            return _parse_evaluation_reply(reply2, episode_errors)
-        except (ValueError, ValidationError) as e:
-            raise EvaluationError(f"unusable evaluation reply: {e}", raw_reply=reply2) from e
+    return gateway.complete_parsed(
+        prompt, lambda reply: _parse_evaluation_reply(reply, episode_errors), EvaluationError, "evaluation", prompts_root
+    )
 
 
 def _parse_evaluation_reply(reply, episode_errors):
@@ -331,16 +324,9 @@ def _strip_bullet(sentence: str) -> str:
 
 def _llm_answer(question, bundle, gateway, prompts_root):
     prompt = prompts.render(gateway.template("answer", prompts_root), question=question, context=bundle.render())
-    reply = gateway.complete(prompt)
-    try:
-        return _parse_answer_reply(reply, bundle)
-    except (ValueError, ValidationError):
-        repair = prompts.render(gateway.template("repair", prompts_root), raw_reply=reply, original_prompt=prompt)
-        reply2 = gateway.complete(repair)
-        try:
-            return _parse_answer_reply(reply2, bundle)
-        except (ValueError, ValidationError) as e:
-            raise EvaluationError(f"unusable answer reply: {e}", raw_reply=reply2) from e
+    return gateway.complete_parsed(
+        prompt, lambda reply: _parse_answer_reply(reply, bundle), EvaluationError, "answer", prompts_root
+    )
 
 
 def _parse_answer_reply(reply, bundle):
@@ -539,14 +525,6 @@ class Ablations:
     def disabled(self) -> list[str]:
         return [name for name in ("tracking", "summary", "retrieval", "sentiment") if not getattr(self, name)]
 
-    def to_dict(self) -> dict:
-        return {
-            "tracking": self.tracking,
-            "summary": self.summary,
-            "retrieval": self.retrieval,
-            "sentiment": self.sentiment,
-        }
-
     @classmethod
     def baseline(cls) -> "Ablations":
         """The plain-model protocol: no tracking, no summaries, no retrieval."""
@@ -558,15 +536,14 @@ class PipelineConfig:
     gateway: GatewayConfig
     retrieval: RetrievalConfig
     ablations: Ablations = Ablations()
-    granularity: str = "summary"
 
     def to_dict(self) -> dict:
-        return {
-            "gateway": self.gateway.to_dict(),
-            "retrieval": self.retrieval.to_dict(),
-            "ablations": self.ablations.to_dict(),
-            "granularity": self.granularity,
-        }
+        """Every field that can change a request or a result; the gateway's
+        sending-only fields are left out, so they change no run id."""
+        raw = asdict(self)
+        for name in SENDING_ONLY_FIELDS:
+            del raw["gateway"][name]
+        return raw
 
     def digest(self) -> str:
         return hashlib.sha256(canonical_dumps(self.to_dict()).encode("utf-8")).hexdigest()[:16]
@@ -617,58 +594,33 @@ def run_pipeline(
         else:
             timelines = raw_timelines
 
-        def summarize_one(ep):
-            if ablations.summary:
-                return summarize_episode(
-                    ep, list(story.key_items), gateway, story_id=story.story_id, prompts_root=prompts_root
-                )
-            return _minimal_summary(ep, gateway, story_id=story.story_id)
-
-        summaries = gateway.map(summarize_one, story.episodes)
-
-        # retrieval documents: structured summaries, or raw episode text when
-        # summarization is ablated
         if ablations.summary:
-            docs = [build_retrieval_document(s) for s in summaries]
-            doc_texts = {d.episode_index: d.text for d in docs}
+            summaries = summarize_story(story, gateway, prompts_root=prompts_root)
         else:
-            doc_texts = {ep.index: ep.text for ep in story.episodes}
+            summaries = gateway.map(lambda ep: _minimal_summary(ep, gateway, story_id=story.story_id), story.episodes)
 
-        records = {}
-        rows = []
-        texts_in_order = []
-        for ep in story.episodes:
-            entry_id = f"{story.story_id}#{ep.index}"
-            records[entry_id] = SummaryRecord(
-                entry_id=entry_id,
-                story_id=story.story_id,
-                episode_index=ep.index,
-                sentiment=summaries[ep.index].sentiment.value,
-                text=doc_texts[ep.index],
-            )
-            texts_in_order.append(doc_texts[ep.index])
-        # the raw rows, not the index's normalized copies: each is also its
-        # episode's retrieval focus, and search normalizes the query itself
-        vectors = gateway.embed(texts_in_order)
-        for ep, vec in zip(story.episodes, vectors):
-            rows.append((f"{story.story_id}#{ep.index}", "summary", story.story_id, ep.index, vec))
-        index = build_index(gateway.config.embed_dim, rows)
+        # one unit per episode, in episode order: its summary's document, or
+        # its raw text when summarization is ablated; each unit's vector is
+        # also its episode's retrieval focus
+        units = retrieval_units(story, summaries, "summary" if ablations.summary else "episode")
+        index, records, vectors = build_retrieval_index(units, gateway)
 
         def evaluate_one(ep):
+            focus = units[ep.index][1]
             if ablations.retrieval and len(story.episodes) > 1:
                 bundle = retrieve_related(
-                    doc_texts[ep.index],
+                    focus.text,
                     summaries[ep.index].sentiment,
                     index,
                     records,
                     retrieval_cfg,
                     gateway,
                     exclude_ref=(story.story_id, ep.index),
-                    focus_label=f"{story.story_id}#{ep.index}",
+                    focus_label=focus.entry_id,
                     query_vector=vectors[ep.index],
                 )
             else:
-                bundle = ContextBundle(focus=f"{story.story_id}#{ep.index}", selected=())
+                bundle = ContextBundle(focus=focus.entry_id, selected=())
             return evaluate_episode(
                 ep,
                 summaries[ep.index],
@@ -760,8 +712,7 @@ class ComparisonReport:
 def run_comparison(
     stories: list[Story],
     gold: GoldData | None,
-    gateway_a,
-    gateway_b,
+    gateway,
     config_a: PipelineConfig,
     config_b: PipelineConfig,
     *,
@@ -771,8 +722,8 @@ def run_comparison(
     collision = config_a.digest() == config_b.digest()
     if collision:
         logger.warning("both comparison configs have digest %s; comparing a config to itself", config_a.digest())
-    result_a = run_pipeline(stories, gateway_a, config_a, gold, prompts_root=prompts_root)
-    result_b = run_pipeline(stories, gateway_b, config_b, gold, prompts_root=prompts_root)
+    result_a = run_pipeline(stories, gateway, config_a, gold, prompts_root=prompts_root)
+    result_b = run_pipeline(stories, gateway, config_b, gold, prompts_root=prompts_root)
     return ComparisonReport(
         config_a=config_a,
         config_b=config_b,

@@ -37,6 +37,7 @@ import numpy as np
 from . import lexicon, prompts
 from .errors import (
     ContractError,
+    GatewayReplyError,
     PersistenceError,
     SentimentError,
     TransportError,
@@ -65,6 +66,11 @@ _worker = threading.local()
 
 def _mark_worker(token: object) -> None:
     _worker.pool = token
+
+
+# GatewayConfig fields that decide how requests are sent, never what is sent
+# or what comes back, so no result depends on them
+SENDING_ONLY_FIELDS = ("max_parallel", "timeout", "max_retries", "cache_mode")
 
 
 @dataclass(frozen=True)
@@ -100,20 +106,6 @@ class GatewayConfig:
     def effective_embed_model(self) -> str:
         return self.embed_model_name or self.model_name
 
-    def to_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "base_url": self.base_url,
-            "model_name": self.model_name,
-            "embed_model_name": self.embed_model_name,
-            "embed_dim": self.embed_dim,
-            "max_parallel": self.max_parallel,
-            "timeout": self.timeout,
-            "max_retries": self.max_retries,
-            "cache_mode": self.cache_mode,
-            "embed_batch_limit": self.embed_batch_limit,
-        }
-
 
 @dataclass(frozen=True)
 class SentimentScore:
@@ -146,7 +138,9 @@ def default_transport(url: str, body: dict, timeout: float, headers: dict) -> di
     except requests.RequestException as e:
         raise TransportError(f"POST {url} failed: {e}") from e
     if response.status_code != 200:
-        raise TransportError(f"POST {url} returned HTTP {response.status_code}: {response.text[:200]}")
+        raise TransportError(
+            f"POST {url} returned HTTP {response.status_code}: {response.text[:200]}", status=response.status_code
+        )
     try:
         return response.json()
     except ValueError as e:
@@ -364,11 +358,40 @@ class LlmGateway:
                         with self._lock:
                             self.stats.in_flight -= 1
             except TransportError as e:
+                if e.status is not None and 400 <= e.status < 500 and e.status != 429:
+                    raise  # a client error other than "too many requests": a retry is refused the same way
                 last_error = e
                 logger.warning("transport attempt %d/%d failed: %s", attempt + 1, self.config.max_retries + 1, e)
         raise TransportError(
             f"{endpoint} failed after {self.config.max_retries + 1} attempts: {last_error}"
         ) from last_error
+
+    # -- structured replies ----------------------------------------------------
+
+    def complete_parsed(
+        self,
+        prompt: str,
+        parse: Callable[[str], R],
+        error: type[GatewayReplyError],
+        what: str,
+        prompts_root: Path | str | None = None,
+    ) -> R:
+        """`parse(complete(prompt))`, with one repair reprompt.
+
+        A reply `parse` rejects with ValueError or ValidationError goes back
+        to the model once, inside the `repair` template. A second unusable
+        reply raises `error("unusable <what> reply: ...")` carrying it.
+        """
+        reply = self.complete(prompt)
+        try:
+            return parse(reply)
+        except (ValueError, ValidationError):
+            repair = prompts.render(self.template("repair", prompts_root), raw_reply=reply, original_prompt=prompt)
+            reply = self.complete(repair)
+            try:
+                return parse(reply)
+            except (ValueError, ValidationError) as e:
+                raise error(f"unusable {what} reply: {e}", raw_reply=reply) from e
 
     # -- cache -----------------------------------------------------------------
 

@@ -49,10 +49,11 @@ def _screen_margin(dim: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class IndexEntry:
-    """A stored unit; `embedding` is kept unit-normalized."""
+    """A stored unit; `embedding` is kept unit-normalized. Once the index is
+    frozen it is a read-only view of the unit's row of the index matrix."""
 
     entry_id: str
-    kind: str  # "chunk" | "summary"
+    kind: str  # "summary" | "episode" | "chunk"
     story_id: str
     episode_index: int
     embedding: np.ndarray
@@ -145,8 +146,15 @@ class FlatIndex:
         self._matrix = None
 
     def freeze(self) -> "FlatIndex":
-        self._frozen = True
-        self._materialize()
+        """Stop additions; from here on each vector is stored once, in the matrix."""
+        if not self._frozen:
+            matrix = self._materialize()
+            matrix.flags.writeable = False
+            self._entries = [
+                IndexEntry(e.entry_id, e.kind, e.story_id, e.episode_index, row)
+                for e, row in zip(self._entries, matrix)
+            ]
+            self._frozen = True
         return self
 
     def _materialize(self) -> np.ndarray:
@@ -277,7 +285,7 @@ class FlatIndex:
                     kind=entry["kind"],
                     story_id=entry["story_id"],
                     episode_index=entry["episode_index"],
-                    embedding=np.array(row, dtype=np.float64),
+                    embedding=row,  # a view: freeze copies each row once, into its matrix
                 )
             )
         if len(index._entries) != count:

@@ -15,9 +15,12 @@ import hashlib
 import logging
 from dataclasses import dataclass
 
+from .chunking import segment
 from .errors import ContractError, ValidationError
 from .gateway import SentimentScore
-from .index import FlatIndex
+from .index import FlatIndex, build_index
+from .story import Story
+from .summarize import EpisodeSummary, build_retrieval_document
 
 logger = logging.getLogger(__name__)
 
@@ -45,17 +48,6 @@ class RetrievalConfig:
     @property
     def pool(self) -> int:
         return self.candidate_pool or 4 * self.top_n
-
-    def to_dict(self) -> dict:
-        return {
-            "top_n": self.top_n,
-            "sentiment_tolerance": self.sentiment_tolerance,
-            "candidate_pool": self.candidate_pool,
-            "exclude_self": self.exclude_self,
-            "context_char_budget": self.context_char_budget,
-            "sentiment_filter_enabled": self.sentiment_filter_enabled,
-            "filter_queries": self.filter_queries,
-        }
 
 
 @dataclass(frozen=True)
@@ -103,6 +95,49 @@ class ContextBundle:
 
     def __len__(self) -> int:
         return len(self.selected)
+
+
+def retrieval_units(
+    story: Story, summaries: list[EpisodeSummary], granularity: str
+) -> list[tuple[str, SummaryRecord]]:
+    """(kind, record) for each retrieval unit of one story, in story order.
+
+    A unit is a summary's retrieval document ("summary"), an episode's raw
+    text ("episode", when summarization is ablated) or a chunk of an episode
+    ("chunk"). Each carries its episode's summary sentiment.
+    """
+    sentiments = {s.episode_index: s.sentiment.value for s in summaries}
+    if granularity == "summary":
+        units = [(d.doc_id, d.episode_index, d.text) for d in map(build_retrieval_document, summaries)]
+    elif granularity == "episode":
+        units = [(f"{story.story_id}#{ep.index}", ep.index, ep.text) for ep in story.episodes]
+    elif granularity == "chunk":
+        units = [
+            (chunk.chunk_id, ep.index, chunk.text)
+            for ep in story.episodes
+            for chunk in segment(ep, story_id=story.story_id)
+        ]
+    else:
+        raise ContractError(f"unknown granularity {granularity!r}")
+    return [
+        (granularity, SummaryRecord(entry_id, story.story_id, episode_index, sentiments[episode_index], text))
+        for entry_id, episode_index, text in units
+    ]
+
+
+def build_retrieval_index(units: list[tuple[str, SummaryRecord]], gateway):
+    """Embed every unit in one `gateway.embed` call and freeze them into an index.
+
+    Returns (index, records by entry id, raw vectors in unit order). The raw
+    rows, not the index's normalized copies, serve as query vectors: search
+    normalizes a query itself.
+    """
+    vectors = gateway.embed([record.text for _, record in units])
+    index = build_index(
+        gateway.config.embed_dim,
+        [(r.entry_id, kind, r.story_id, r.episode_index, vec) for (kind, r), vec in zip(units, vectors)],
+    )
+    return index, {record.entry_id: record for _, record in units}, vectors
 
 
 def retrieve_related(

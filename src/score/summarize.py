@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import lexicon, prompts
 from .errors import SummaryError, ValidationError
 from .gateway import SentimentScore, extract_json_value, reply_field
-from .story import CharacterAction, Episode, ItemInteraction, ItemState, KeyItem
+from .story import CharacterAction, Episode, ItemInteraction, ItemState, KeyItem, Story
 
 logger = logging.getLogger(__name__)
 
@@ -69,6 +69,15 @@ def summarize_episode(
     if gateway.is_mock:
         return rule_summarize(episode, items, gateway, story_id=story_id)
     return _llm_summarize(episode, items, gateway, story_id=story_id, prompts_root=prompts_root)
+
+
+def summarize_story(story: Story, gateway, *, prompts_root=None) -> list[EpisodeSummary]:
+    """Every episode's summary, in episode order; episodes run through `gateway.map`."""
+    items = list(story.key_items)
+    return gateway.map(
+        lambda episode: summarize_episode(episode, items, gateway, story_id=story.story_id, prompts_root=prompts_root),
+        story.episodes,
+    )
 
 
 def rule_summarize(episode: Episode, items: list[KeyItem], gateway, *, story_id: str) -> EpisodeSummary:
@@ -164,16 +173,10 @@ def _llm_summarize(episode, items, gateway, *, story_id, prompts_root=None) -> E
             [{"item_id": k.item_id, "names": list(k.names)} for k in items], ensure_ascii=False
         ),
     )
-    reply = gateway.complete(prompt)
-    try:
-        return _parse_summary_reply(reply, episode, items, gateway, story_id)
-    except (ValueError, ValidationError):
-        repair = prompts.render(gateway.template("repair", prompts_root), raw_reply=reply, original_prompt=prompt)
-        reply2 = gateway.complete(repair)
-        try:
-            return _parse_summary_reply(reply2, episode, items, gateway, story_id)
-        except (ValueError, ValidationError) as e:
-            raise SummaryError(f"unusable summary reply: {e}", raw_reply=reply2) from e
+    return gateway.complete_parsed(
+        prompt, lambda reply: _parse_summary_reply(reply, episode, items, gateway, story_id),
+        SummaryError, "summary", prompts_root,
+    )
 
 
 def _parse_summary_reply(reply, episode, items, gateway, story_id) -> EpisodeSummary:

@@ -248,16 +248,9 @@ def _llm_extract(episode: Episode, items: list[KeyItem], gateway, prompts_root) 
             [{"item_id": k.item_id, "names": list(k.names)} for k in items], ensure_ascii=False
         ),
     )
-    reply = gateway.complete(prompt)
-    try:
-        return _parse_extraction_reply(reply, episode, items)
-    except (ValueError, ValidationError):
-        repair = prompts.render(gateway.template("repair", prompts_root), raw_reply=reply, original_prompt=prompt)
-        reply2 = gateway.complete(repair)
-        try:
-            return _parse_extraction_reply(reply2, episode, items)
-        except (ValueError, ValidationError) as e:
-            raise ExtractionError(f"unusable extraction reply: {e}", raw_reply=reply2) from e
+    return gateway.complete_parsed(
+        prompt, lambda reply: _parse_extraction_reply(reply, episode, items), ExtractionError, "extraction", prompts_root
+    )
 
 
 def _parse_extraction_reply(reply: str, episode: Episode, items: list[KeyItem]) -> list[ItemObservation]:

@@ -219,17 +219,63 @@ def test_compare_in_replay_mode_is_byte_stable(project):
     run(project, "fuzz", "--seed", "5", "--stories", "3")
     assert run(project, "--cache-mode", "record", "compare", "--baseline") == 0
     assert run(project, "--cache-mode", "replay", "compare", "--baseline") == 0
-    replay_reports = {
-        p: p.read_bytes()
-        for p in (project / "reports").glob("*.compare.json")
-        if json.loads(p.read_text())["config_a"]["gateway"]["cache_mode"] == "replay"
-    }
-    assert replay_reports
+    # the recording and the replay write one report: cache_mode is not part of the run id
+    replay_reports = {p: p.read_bytes() for p in (project / "reports").glob("*.compare.json")}
+    assert len(replay_reports) == 1
     for path in replay_reports:
         path.unlink()
     assert run(project, "--cache-mode", "replay", "compare", "--baseline") == 0
     for path, content in replay_reports.items():
         assert path.read_bytes() == content
+
+
+def test_run_id_does_not_depend_on_how_requests_are_sent(project):
+    run(project, "fuzz", "--seed", "3", "--stories", "3")
+    assert run(project, "--cache-mode", "record", "evaluate") == 0
+    (report,) = (project / "reports").glob("*.json")
+    written = report.read_bytes()
+    assert run(project, "--cache-mode", "replay", "evaluate") == 0
+    for max_parallel in (1, 4):
+        config = json.loads((project / "config.json").read_text("utf-8"))
+        config["gateway"]["max_parallel"] = max_parallel
+        (project / "config.json").write_text(json.dumps(config), "utf-8")
+        assert run(project, "evaluate") == 0
+    assert list((project / "reports").glob("*.json")) == [report]
+    assert report.read_bytes() == written
+
+
+def test_client_error_ends_evaluate_with_exit_3_after_one_request(project, monkeypatch, capsys):
+    import requests
+
+    sent = []
+
+    class Reply:
+        status_code = 401
+        text = "invalid api key"
+
+    def post(url, **kwargs):
+        sent.append(url)
+        return Reply()
+
+    monkeypatch.setattr(requests, "post", post)
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    config = json.loads((project / "config.json").read_text("utf-8"))
+    config["gateway"]["max_parallel"] = 1
+    (project / "config.json").write_text(json.dumps(config), "utf-8")
+    capsys.readouterr()
+    assert run(project, "--backend", "remote", "--base-url", "http://fake.local/v1", "evaluate") == 3
+    assert "HTTP 401" in capsys.readouterr().err
+    assert len(sent) == 1
+
+
+def test_unknown_granularity_in_config_is_usage_error_for_index(project, capsys):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    run(project, "summarize")
+    config = json.loads((project / "config.json").read_text("utf-8"))
+    config["granularity"] = "paragraph"
+    (project / "config.json").write_text(json.dumps(config), "utf-8")
+    assert run(project, "index") == 1
+    assert "unknown granularity 'paragraph'" in capsys.readouterr().err
 
 
 def test_chunk_granularity_index_and_ask(project, capsys):

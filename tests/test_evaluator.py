@@ -329,9 +329,7 @@ def test_sentiment_ablation_disables_the_filter(fuzz_setup, mock_gateway):
 def test_same_config_comparison_has_zero_deltas(fuzz_setup, mock_gateway):
     stories, truth = fuzz_setup
     config = pipeline_config()
-    comparison = run_comparison(
-        stories[:3], truth.to_gold(), mock_gateway, mock_gateway, config, config
-    )
+    comparison = run_comparison(stories[:3], truth.to_gold(), mock_gateway, config, config)
     assert comparison.digest_collision
     assert all(d == 0.0 for d in comparison.deltas().values() if d is not None)
 

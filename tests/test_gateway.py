@@ -223,6 +223,29 @@ def test_retries_exhausted_raises_transport_error():
     assert transport.calls == 3
 
 
+def test_client_error_is_sent_once_without_backoff():
+    transport = FakeTransport([TransportError("HTTP 401: unauthorized", status=401), chat_reply("never")])
+    gw = LlmGateway(remote_config(max_retries=3), transport=transport)
+    delays = []
+    gw._sleep = delays.append
+    with pytest.raises(TransportError, match="401"):
+        gw.complete("x")
+    assert transport.calls == 1
+    assert delays == []
+
+
+@pytest.mark.parametrize("status", [429, 500, 503])
+def test_server_errors_and_throttling_are_retried(status):
+    transport = FakeTransport([TransportError("unavailable", status=status)])
+    gw = LlmGateway(remote_config(max_retries=2), transport=transport)
+    delays = []
+    gw._sleep = delays.append
+    with pytest.raises(TransportError, match="after 3 attempts"):
+        gw.complete("x")
+    assert transport.calls == 3
+    assert delays == [0.5, 1.0]
+
+
 def test_parallelism_bound_is_respected():
     class SlowTransport:
         def __init__(self):

@@ -1,14 +1,17 @@
 """Byte-identity of results across changes that must not alter them.
 
 The hashes were taken from the code before exact search was screened with a
-matrix product. A change that moves any report byte, search score bit or
-ranking fails here; one that means to change results updates the hash and
-says why.
+matrix product, and the `score index` files from the code before `index` and
+`evaluate` shared one retrieval-index stage. The report hash was retaken once
+when the run id stopped covering the gateway's sending-only fields and the
+dead `granularity` field: its config block changed, and nothing else did. A
+change that moves any report byte, search score bit or ranking fails here;
+one that means to change results updates the hash and says why.
 """
 
 import hashlib
 
-from score import fuzz, retrieval, summarize
+from score import cli, fuzz, retrieval, summarize
 from score.cli import _report_payload
 from score.evaluator import PipelineConfig, run_pipeline
 from score.gateway import GatewayConfig, LlmGateway
@@ -16,8 +19,16 @@ from score.index import build_index
 from score.jsonio import canonical_bytes
 from score.retrieval import RetrievalConfig
 
-PIPELINE_REPORT_SHA256 = "84676524880cf3a60f777bc15083912dd49e197768ee4e76f9ba962dfe19525d"
+PIPELINE_REPORT_SHA256 = "6572f10ac135a2eac27297ab8de76d666ca89325919d1981f2a37fbaf8561007"
 CORPUS_SEARCH_SHA256 = "91ad6ed0d1a1de0c2c6a2154107dea0cd2d6e76be331f3a577c9bd964c67ad4e"
+INDEX_FILES_SHA256 = {
+    "summary.vec": "2b1a9dd361e4c34bb1824a66920f0a04d28d742b0a54f615d342ee87e4ea888a",
+    "summary.meta.json": "7fd73328472592bdc4f903a3b90fbd7f938c1029dd75c80a760b7c17bb7042e4",
+    "summary.records.json": "6d9f181aebcc190f4a57e4524f4361c2196b7be51e5e78ed91318d2c4014e405",
+    "chunk.vec": "df895701e04a8df5b85c35bab6af0e8916bebeb0c0cfb7846097aa53f22c5c80",
+    "chunk.meta.json": "2b5ecb391609a302f3980075f2c6235d77387cc644649c1516cb524dab188d7e",
+    "chunk.records.json": "7715b5529801e5794ad14d3d9d9b7e14eeec3d5531bc26ecc46c21867c115a2a",
+}
 
 
 def test_run_pipeline_report_bytes():
@@ -72,3 +83,17 @@ def test_corpus_wide_search_and_retrieval_bits():
         h.update(_bundle_bytes(bundle))
     assert len(index) == 361
     assert hashlib.sha256(h.digest()).hexdigest() == CORPUS_SEARCH_SHA256
+
+
+def test_index_command_files(tmp_path):
+    root = tmp_path / "proj"
+    commands = (
+        ["fuzz", "--seed", "7", "--stories", "6"],
+        ["summarize"],
+        ["index", "--granularity", "summary"],
+        ["index", "--granularity", "chunk"],
+    )
+    for argv in commands:
+        assert cli.main(["--project", str(root), *argv]) == 0
+    written = {name: hashlib.sha256((root / "index" / name).read_bytes()).hexdigest() for name in INDEX_FILES_SHA256}
+    assert written == INDEX_FILES_SHA256

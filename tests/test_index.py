@@ -326,6 +326,24 @@ def test_save_load_round_trip(tmp_path):
         assert np.array_equal(a.embedding, b.embedding)
 
 
+def _stores_each_vector_once(index: FlatIndex) -> bool:
+    matrix = index._matrix
+    return not matrix.flags.writeable and all(
+        np.shares_memory(entry.embedding, matrix) and not entry.embedding.flags.writeable
+        for entry in index.entries
+    )
+
+
+def test_frozen_and_loaded_indexes_store_each_vector_once(tmp_path):
+    index = filled_index(n=30, dim=8, seed=5)
+    assert _stores_each_vector_once(index)
+    index.save(tmp_path / "idx")
+    loaded = FlatIndex.load(tmp_path / "idx")
+    assert _stores_each_vector_once(loaded)
+    with pytest.raises(ValueError):
+        loaded.entries[0].embedding[0] = 1.0
+
+
 def test_load_empty_file_is_format_error(tmp_path):
     (tmp_path / "idx.vec").write_bytes(b"")
     (tmp_path / "idx.meta.json").write_text("{}")
