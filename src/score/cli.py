@@ -17,6 +17,7 @@ import logging
 import os
 import socket
 import sys
+import typing
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -179,6 +180,29 @@ def _pid_running(pid: int) -> bool:
     return True
 
 
+_JSON_TYPES = {str: "a string", int: "an integer", float: "a number", bool: "true or false", dict: "an object"}
+
+
+def _config_value(where: str, value, expected: type):
+    """`value` if JSON gave it the `expected` type; an integer also serves
+    as a number, but true and false serve as nothing but themselves."""
+    ok = isinstance(value, expected) or (expected is float and isinstance(value, int))
+    if not ok or (isinstance(value, bool) and expected is not bool):
+        raise ValidationError("config.json", f"{where} must be {_JSON_TYPES[expected]}, got {json.dumps(value):.40}")
+    return value
+
+
+def _config_section(raw: dict, section: str, cls):
+    """`cls` built from `raw[section]`, every field checked against its declared type."""
+    values = _config_value(section, raw.get(section, {}), dict)
+    types = typing.get_type_hints(cls)
+    for name, value in values.items():
+        if name not in types:
+            raise ValidationError("config.json", f"unknown config field {section}.{name}")
+        _config_value(f"{section}.{name}", value, types[name])
+    return cls(**values)
+
+
 def _load_config(project: Project, args) -> tuple[GatewayConfig, RetrievalConfig, str]:
     raw = {}
     if project.config_path.exists():
@@ -186,12 +210,11 @@ def _load_config(project: Project, args) -> tuple[GatewayConfig, RetrievalConfig
             raw = json.loads(project.config_path.read_text("utf-8"))
         except json.JSONDecodeError as e:
             raise ValidationError("config.json", f"malformed JSON: {e}") from e
-    try:
-        gateway_cfg = GatewayConfig(**raw.get("gateway", {}))
-        retrieval_cfg = RetrievalConfig(**raw.get("retrieval", {}))
-    except TypeError as e:
-        raise ValidationError("config.json", f"unknown config field: {e}") from e
-    granularity = raw.get("granularity", "summary")
+    if not isinstance(raw, dict):
+        raise ValidationError("config.json", f"must hold a JSON object, got {json.dumps(raw):.40}")
+    gateway_cfg = _config_section(raw, "gateway", GatewayConfig)
+    retrieval_cfg = _config_section(raw, "retrieval", RetrievalConfig)
+    granularity = _config_value("granularity", raw.get("granularity", "summary"), str)
 
     # explicit flags override file values
     overrides = {}

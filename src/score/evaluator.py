@@ -634,15 +634,24 @@ def run_pipeline(
 
         story_evaluations = gateway.map(evaluate_one, story.episodes)
 
-        def answer_one(gq):
+        questions = gold_by_story.get(story.story_id, [])
+        # the story's questions are embedded in one batch of their own, so
+        # the story's document batch, and with it its index, does not depend
+        # on its questions
+        question_vectors = gateway.embed([gq.question for gq in questions]) if ablations.retrieval else []
+
+        def answer_one(i):
+            gq = questions[i]
             if ablations.retrieval:
-                bundle = retrieve_for_query(gq.question, index, records, retrieval_cfg, gateway)
+                bundle = retrieve_for_query(
+                    gq.question, index, records, retrieval_cfg, gateway, query_vector=question_vectors[i]
+                )
             else:
                 bundle = ContextBundle(focus=f"query:{gq.question[:72]}", selected=())
             result = answer_query(gq.question, bundle, gateway, story_id=story.story_id, prompts_root=prompts_root)
             return grade_answer(result, gq)
 
-        story_qa = gateway.map(answer_one, gold_by_story.get(story.story_id, []))
+        story_qa = gateway.map(answer_one, range(len(questions)))
         return raw_timelines, errors, timelines, summaries, story_evaluations, story_qa
 
     evaluations: list[EpisodeEvaluation] = []

@@ -20,6 +20,7 @@ items no other worker has started itself, so it never waits on queued work.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -292,9 +293,11 @@ class LlmGateway:
             raise TransportError("chat reply content is not a string")
         return content
 
-    def _embed_uncached(self, body: dict) -> list[list[float]]:
+    def _embed_uncached(self, body: dict) -> list:
+        """One vector per input text: arrays from the mock backend, JSON
+        lists from a remote one."""
         if self.is_mock:
-            return [hashed_embedding(text, self.config.embed_dim).tolist() for text in body["input"]]
+            return [hashed_embedding(text, self.config.embed_dim) for text in body["input"]]
         reply = self._post("/embeddings", body)
         try:
             data = sorted(reply["data"], key=lambda d: d["index"])
@@ -444,9 +447,16 @@ class LlmGateway:
         with self._lock:
             self.stats.cache_misses += 1
         response = compute()
-        record = {"op": op, "model": model, "request": body, "response": response}
+        record = {"op": op, "model": model, "request": body, "response": _json_ready(response)}
         atomic_write(path, (canonical_dumps(record, indent=2) + "\n").encode("utf-8"))
         return response
+
+
+def _json_ready(response: Any) -> Any:
+    """`response` as JSON values: the mock backend's embedding rows are arrays."""
+    if isinstance(response, list):
+        return [row.tolist() if isinstance(row, np.ndarray) else row for row in response]
+    return response
 
 
 def request_digest(op: str, model: str, body: dict) -> str:
@@ -460,25 +470,38 @@ def request_digest(op: str, model: str, body: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+# Features whose (bucket, sign) the mock embedding keeps: a fuzz corpus of 1,000
+# stories has ~1,700 distinct unigrams and bigrams, and at this bound a corpus
+# of free text holds the memo at a few MB.
+_FEATURE_MEMO_SIZE = 1 << 14
+
+
+@functools.lru_cache(maxsize=_FEATURE_MEMO_SIZE)
+def _feature_slot(feature: str, dim: int) -> int:
+    """2 * bucket + sign bit of one hashed feature, so blake2b runs once per
+    distinct feature."""
+    digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=9).digest()
+    return 2 * (int.from_bytes(digest[:8], "little") % dim) + (digest[8] & 1)
+
+
 def hashed_embedding(text: str, dim: int) -> np.ndarray:
     """Deterministic bag-of-words embedding, unit-normalized.
 
     Case-folded word unigrams and bigrams are hashed into `dim` buckets
     with a hash-derived sign, which preserves lexical similarity well
-    enough for retrieval tests without any model.
+    enough for retrieval tests without any model. Each bucket is a sum of
+    ±1.0 terms, an integer that float64 holds exactly in any order.
     """
     toks = lexicon.tokens(text)
-    features = list(toks) + [f"{a} {b}" for a, b in zip(toks, toks[1:])]
-    vec = np.zeros(dim, dtype=np.float64)
-    for feature in features:
-        digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=9).digest()
-        bucket = int.from_bytes(digest[:8], "little") % dim
-        sign = 1.0 if digest[8] & 1 else -1.0
-        vec[bucket] += sign
+    features = toks + [f"{a} {b}" for a, b in zip(toks, toks[1:])]
+    slots = np.array([_feature_slot(feature, dim) for feature in features], dtype=np.int64)
+    vec = np.bincount(slots >> 1, weights=(slots & 1) * 2.0 - 1.0, minlength=dim)
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
-        # unreachable for any text with a word token; still, stay total
+        # only a text without word tokens: k tokens give 2k - 1 features, an
+        # odd count of ±1 terms, which cannot all cancel
         fallback = int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "little")
+        vec = np.zeros(dim, dtype=np.float64)
         vec[fallback % dim] = 1.0
         return vec
     return vec / norm

@@ -24,10 +24,26 @@ EXPLANATION_WORDS = frozenset({"repaired", "restored", "recovered", "rebuilt"})
 SENTENCE_ENDERS = ".!?\n"
 
 _WORD_RE = re.compile(r"[\w']+")
+_ENDER_RUN_RE = re.compile(f"[{re.escape(SENTENCE_ENDERS)}]+")
+
+# Memo bounds. The rule extractor reads every episode of a story before the
+# rule summarizer reads them again, and a story has up to 12 episodes in the
+# fuzz corpora, so 32 analyses span that gap; more only cost memory. An alias
+# tuple is compiled once per item.
+_SENTENCE_MEMO_SIZE = 32
+_ALIAS_MEMO_SIZE = 256
 
 
 def tokens(text: str) -> list[str]:
-    """Case-folded word tokens."""
+    """Case-folded word tokens.
+
+    ASCII text is lowered before one `findall`, which gives the same tokens.
+    Other text folds token by token, because case folding can move a word
+    boundary (U+0130 folds to "i" plus a combining dot, which is no word
+    character).
+    """
+    if text.isascii():
+        return _WORD_RE.findall(text.lower())
     return [t.casefold() for t in _WORD_RE.findall(text)]
 
 
@@ -48,31 +64,36 @@ def has_explanation(toks: list[str]) -> bool:
 def sentence_spans(text: str) -> list[tuple[int, int]]:
     """Character spans of sentences, split after runs of . ! ? or newline.
 
-    Spans are trimmed of surrounding whitespace and always index into the
-    original text, so they double as evidence spans.
+    Spans are trimmed of surrounding whitespace (as `str.isspace` defines
+    it) and always index into the original text, so they double as
+    evidence spans.
     """
-    spans: list[tuple[int, int]] = []
-    start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] in SENTENCE_ENDERS:
-            while i + 1 < n and text[i + 1] in SENTENCE_ENDERS:
-                i += 1
-            spans.append((start, i + 1))
-            start = i + 1
-        i += 1
-    if start < n:
-        spans.append((start, n))
+    bounds = [m.end() for m in _ENDER_RUN_RE.finditer(text)]
+    if not bounds or bounds[-1] < len(text):
+        bounds.append(len(text))
     trimmed = []
-    for s, e in spans:
-        while s < e and text[s].isspace():
-            s += 1
-        while e > s and text[e - 1].isspace():
-            e -= 1
+    start = 0
+    for end in bounds:
+        # str.strip() drops exactly the characters str.isspace() accepts
+        piece = text[start:end]
+        body = piece.lstrip()
+        s = start + len(piece) - len(body)
+        e = s + len(body.rstrip())
         if s < e:
             trimmed.append((s, e))
+        start = end
     return trimmed
+
+
+@functools.lru_cache(maxsize=_SENTENCE_MEMO_SIZE)
+def sentence_tokens(text: str) -> tuple[tuple[int, int, tuple[str, ...]], ...]:
+    """(start, end, tokens) of each sentence of `text`, as `sentence_spans`
+    and `tokens` give them.
+
+    The rule extractor and the rule summarizer both read an episode's
+    sentences; the memo lets the second read reuse the first's work.
+    """
+    return tuple((s, e, tuple(tokens(text[s:e]))) for s, e in sentence_spans(text))
 
 
 def sentences(text: str) -> list[str]:
@@ -81,6 +102,11 @@ def sentences(text: str) -> list[str]:
 
 def alias_pattern(names: tuple[str, ...] | list[str]) -> re.Pattern:
     """Whole-word, case-insensitive matcher for any of an item's aliases."""
+    return _alias_pattern(tuple(names))
+
+
+@functools.lru_cache(maxsize=_ALIAS_MEMO_SIZE)
+def _alias_pattern(names: tuple[str, ...]) -> re.Pattern:
     alts = "|".join(re.escape(n) for n in sorted(names, key=len, reverse=True))
     return re.compile(rf"\b(?:{alts})\b", re.IGNORECASE)
 

@@ -142,7 +142,7 @@ def build_retrieval_index(units: list[tuple[str, SummaryRecord]], gateway):
 
 def retrieve_related(
     focus_text: str,
-    focus_sentiment: SentimentScore,
+    focus_sentiment: SentimentScore | None,
     index: FlatIndex,
     records: dict[str, SummaryRecord],
     config: RetrievalConfig,
@@ -160,6 +160,7 @@ def retrieve_related(
     says nothing useful about an episode under evaluation); restrict_story
     limits candidacy to one story. query_vector is the focus text's
     embedding when the caller already has it; otherwise it is embedded here.
+    focus_sentiment may be None only when the sentiment filter is off.
     """
     if not index.frozen:
         raise ContractError("index must be frozen before retrieval")
@@ -169,6 +170,8 @@ def retrieve_related(
         raise ContractError("focus_text must be non-empty")
 
     filtering = config.sentiment_filter_enabled if apply_filter is None else apply_filter
+    if filtering and focus_sentiment is None:
+        raise ContractError("the sentiment filter needs a focus sentiment")
     query = gateway.embed([focus_text])[0] if query_vector is None else query_vector
 
     # exclusion is by episode ref, not entry id, so every chunk of the focus episode goes
@@ -235,12 +238,17 @@ def retrieve_for_query(
     gateway,
     *,
     restrict_story: str | None = None,
+    query_vector=None,
 ) -> ContextBundle:
-    """Retrieval for question answering; the question's own tone is the focus sentiment."""
+    """Retrieval for question answering; the question's own tone is the focus sentiment.
+
+    The tone is scored only when the sentiment filter applies to questions.
+    query_vector is the question's embedding when the caller already has it.
+    """
     if not question or not question.strip():
         raise ContractError("question must be non-empty")
-    sentiment = gateway.score_sentiment(question)
     apply_filter = config.sentiment_filter_enabled and config.filter_queries
+    sentiment = gateway.score_sentiment(question) if apply_filter else None
     return retrieve_related(
         question,
         sentiment,
@@ -251,6 +259,7 @@ def retrieve_for_query(
         restrict_story=restrict_story,
         focus_label=f"query:{question[:72]}",
         apply_filter=apply_filter,
+        query_vector=query_vector,
     )
 
 

@@ -31,6 +31,9 @@ _NOT_NAMES = frozenset(
 
 _NO_VALUE = "-"
 
+# a sentence holding one of these words is a plot point and implies its items' state
+_STATE_WORDS = lexicon.DESTROYED_WORDS | lexicon.LOST_WORDS | lexicon.EXPLANATION_WORDS
+
 
 @dataclass(frozen=True)
 class EpisodeSummary:
@@ -81,15 +84,14 @@ def summarize_story(story: Story, gateway, *, prompts_root=None) -> list[Episode
 
 
 def rule_summarize(episode: Episode, items: list[KeyItem], gateway, *, story_id: str) -> EpisodeSummary:
-    spans = lexicon.sentence_spans(episode.text)
-    sents = [episode.text[s:e] for s, e in spans]
+    analysed = lexicon.sentence_tokens(episode.text)
+    sents = [episode.text[s:e] for s, e, _ in analysed]
     positive, negative = lexicon.sentiment_lexicon()
-    state_words = lexicon.DESTROYED_WORDS | lexicon.LOST_WORDS | lexicon.EXPLANATION_WORDS
+    tone_words = positive | negative
 
     synopsis = " ".join(sents[:2]) if sents else episode.text.strip()
 
     actions: list[CharacterAction] = []
-    actor_by_sentence: dict[int, str] = {}
     plot_points: list[str] = []
     interactions: list[ItemInteraction] = []
     relationships: list[str] = []
@@ -97,20 +99,19 @@ def rule_summarize(episode: Episode, items: list[KeyItem], gateway, *, story_id:
 
     patterns = [(item, lexicon.alias_pattern(item.names)) for item in items]
 
-    for i, sentence in enumerate(sents):
+    for sentence, (_, _, toks) in zip(sents, analysed):
         words = sentence.split()
         name = _leading_name(words)
         if name is not None:
             actions.append(
                 CharacterAction(character=name, episode_index=episode.index, description=sentence)
             )
-            actor_by_sentence[i] = name
 
-        toks = lexicon.tokens(sentence)
         tokset = set(toks)
-        if tokset & state_words:
+        implied = lexicon.state_for_tokens(toks) if tokset & _STATE_WORDS else None
+        if implied is not None:
             plot_points.append(sentence)
-        if tokset & (positive | negative):
+        if tokset & tone_words:
             emotional_changes.append(sentence)
         if _names_in_sentence(words) >= 2:
             relationships.append(sentence)
@@ -118,14 +119,13 @@ def rule_summarize(episode: Episode, items: list[KeyItem], gateway, *, story_id:
         for item, pattern in patterns:
             if not pattern.search(sentence):
                 continue
-            state = lexicon.state_for_tokens(toks)
             interactions.append(
                 ItemInteraction(
                     item_id=item.item_id,
                     episode_index=episode.index,
                     description=sentence,
-                    actor=actor_by_sentence.get(i),
-                    implied_state=state if (tokset & state_words) else None,
+                    actor=name,
+                    implied_state=implied,
                 )
             )
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import json
 import logging
 from dataclasses import dataclass, replace
@@ -86,12 +87,16 @@ class ItemTimeline:
 
     def resolved_state_at(self, episode_index: int) -> ItemState | None:
         """Effective state at an episode on the corrected view, carrying forward."""
-        state = None
-        for obs in self.episode_resolution(include_suppressed=False):
-            if obs.episode_index > episode_index:
-                break
-            state = obs.state
-        return state
+        episodes, states = self._standing
+        pos = bisect.bisect_right(episodes, episode_index)
+        return states[pos - 1] if pos else None
+
+    @functools.cached_property
+    def _standing(self) -> tuple[list[int], list[ItemState]]:
+        """Episodes of the corrected view's standing observations, ascending,
+        and their states; resolved once per timeline, which is immutable."""
+        standing = self.episode_resolution(include_suppressed=False)
+        return [obs.episode_index for obs in standing], [obs.state for obs in standing]
 
 
 @dataclass(frozen=True)
@@ -209,8 +214,7 @@ def rule_extract(episode: Episode, items: list[KeyItem]) -> list[ItemObservation
     end state is what carries forward) and any mentioning sentence with an
     explanation word marks the whole episode's observation explained.
     """
-    spans = lexicon.sentence_spans(episode.text)
-    sentence_tokens = [lexicon.tokens(episode.text[s:e]) for s, e in spans]
+    analysed = lexicon.sentence_tokens(episode.text)
 
     observations: list[ItemObservation] = []
     for item in items:
@@ -218,7 +222,7 @@ def rule_extract(episode: Episode, items: list[KeyItem]) -> list[ItemObservation
         state: ItemState | None = None
         evidence: tuple[int, int] | None = None
         explained = False
-        for (s, e), toks in zip(spans, sentence_tokens):
+        for s, e, toks in analysed:
             if not pattern.search(episode.text, s, e):
                 continue
             state = lexicon.state_for_tokens(toks)

@@ -111,6 +111,42 @@ def test_broken_config_file_exits_2(project, capsys):
     assert "config.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, named, expected",
+    [
+        ("[1, 2]", "config.json", "must hold a JSON object"),
+        ('{"gateway": []}', "gateway", "must be an object"),
+        ('{"gateway": {"max_parallel": "4"}}', "gateway.max_parallel", "must be an integer"),
+        ('{"retrieval": {"top_n": "5"}}', "retrieval.top_n", "must be an integer"),
+        ('{"retrieval": {"top_n": true}}', "retrieval.top_n", "must be an integer"),
+        ('{"retrieval": {"sentiment_tolerance": false}}', "retrieval.sentiment_tolerance", "must be a number"),
+        ('{"retrieval": {"filter_queries": 1}}', "retrieval.filter_queries", "must be true or false"),
+        ('{"granularity": 5}', "granularity", "must be a string"),
+    ],
+    ids=[
+        "top-level-list", "section-list", "max_parallel-string", "top_n-string", "top_n-bool",
+        "tolerance-bool", "filter_queries-integer", "granularity-integer",
+    ],
+)
+def test_config_of_the_wrong_shape_or_type_exits_2_naming_the_field(project, capsys, config, named, expected):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    capsys.readouterr()
+    (project / "config.json").write_text(config)
+    assert run(project, "track") == 2
+    err = capsys.readouterr().err
+    assert f"{named} {expected}" in err or f"{named}: {expected}" in err
+    assert "Traceback" not in err
+
+
+def test_config_accepts_an_integer_where_a_number_is_expected(project, capsys):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    config = json.loads((project / "config.json").read_text("utf-8"))
+    config["gateway"]["timeout"] = 10
+    config["retrieval"]["sentiment_tolerance"] = 1
+    (project / "config.json").write_text(json.dumps(config), "utf-8")
+    assert run(project, "track") == 0
+
+
 def test_ingest_validates_and_copies(project, tmp_path, capsys):
     doc = {
         "story_id": "mine",

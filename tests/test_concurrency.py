@@ -199,6 +199,54 @@ def test_mock_run_embeds_each_document_and_question_once(monkeypatch, mock_gatew
     assert len(texts) == episodes + len(truth.qa)
 
 
+class RequestLog(StoryModel):
+    """StoryModel that keeps each embedding batch and each text whose tone it was asked for."""
+
+    def __init__(self):
+        super().__init__(latency_s=0.0)
+        self.embed_batches = []
+        self.toned = []
+
+    def __call__(self, url, body, timeout, headers):
+        with self._lock:
+            if url.endswith("/embeddings"):
+                self.embed_batches.append(list(body["input"]))
+            elif body["messages"][0]["content"].startswith("Rate the emotional tone"):
+                self.toned.append(_section("sentiment_text", body["messages"][0]["content"]))
+        return super().__call__(url, body, timeout, headers)
+
+
+def _logged_run(corpus, retrieval_config):
+    stories, gold = corpus
+    config = GatewayConfig(backend="remote", base_url="http://fake.local/v1", model_name="m", max_parallel=4)
+    model = RequestLog()
+    gateway = LlmGateway(config, transport=model)
+    run_pipeline(stories, gateway, PipelineConfig(gateway=config, retrieval=retrieval_config), gold)
+    return model
+
+
+def test_a_storys_questions_are_embedded_in_one_request(corpus):
+    stories, gold = corpus
+    model = _logged_run(corpus, RetrievalConfig())
+    questions = {gq.question for gq in gold.qa}
+    question_batches = [batch for batch in model.embed_batches if set(batch) <= questions]
+    asked = {}
+    for gq in gold.qa:
+        asked.setdefault(gq.story_id, []).append(gq.question)
+    assert max(len(qs) for qs in asked.values()) >= 2  # the corpus has a story with several questions
+    assert sorted(question_batches) == sorted(asked.values())
+    assert len(model.embed_batches) == len(stories) + len(asked)
+    assert questions <= set(model.toned)  # the query filter reads each question's tone
+
+
+def test_a_questions_tone_is_scored_only_when_the_query_filter_reads_it(corpus):
+    stories, gold = corpus
+    model = _logged_run(corpus, RetrievalConfig(filter_queries=False))
+    questions = {gq.question for gq in gold.qa}
+    assert not questions & set(model.toned)
+    assert set(model.toned) == {ep.text for story in stories for ep in story.episodes}
+
+
 def test_stats_survive_heavy_thread_switching(tmp_path):
     """More workers than cores, a switch every microsecond: no counter update is lost."""
     distinct, repeats, workers = 150, 4, 16
