@@ -36,11 +36,11 @@ from .evaluator import Ablations, PipelineConfig, run_comparison, run_pipeline
 from .fuzz import FuzzSpec, generate_corpus, score_detection, truth_from_dict, truth_to_dict
 from .gateway import GatewayConfig, LlmGateway
 from .index import FlatIndex
-from .jsonio import canonical_bytes, canonical_dumps, write_if_changed
+from .jsonio import JSON_TYPES, canonical_bytes, canonical_dumps, has_json_type, load_json_object, write_if_changed
 from .retrieval import (
     RetrievalConfig,
     build_retrieval_index,
-    records_from_dict,
+    load_records,
     records_to_dict,
     retrieval_units,
     retrieve_for_query,
@@ -131,12 +131,25 @@ class Project:
             raise ValidationError("stories", "no stories ingested (run `score ingest` or `score fuzz` first)")
         return stories
 
-    def load_summaries(self) -> dict[str, list]:
-        out = {}
-        for path in sorted(self.dir("summaries").glob("*.json")):
-            story_id, summaries = summaries_from_dict(json.loads(path.read_text("utf-8")))
-            out[story_id] = summaries
-        return out
+    def summaries_path(self, story_id: str) -> Path:
+        return self.dir("summaries") / f"{story_id}.json"
+
+    def load_summaries(self, story: Story) -> list | None:
+        """The story's saved summaries, or None when it has none. A file that
+        does not load, or does not hold one summary per episode of the story,
+        raises PersistenceError naming it; `summarize` rewrites such a file."""
+        path = self.summaries_path(story.story_id)
+        if not path.exists():
+            return None
+        try:
+            story_id, summaries = summaries_from_dict(load_json_object(path))
+        except (KeyError, TypeError, ValueError, AttributeError, ValidationError) as e:
+            raise PersistenceError(f"{path}: not a summaries file ({type(e).__name__}: {e})") from None
+        if story_id != story.story_id or [s.episode_index for s in summaries] != [ep.index for ep in story.episodes]:
+            raise PersistenceError(
+                f"{path}: does not hold one summary per episode of story {story.story_id!r} (run `score summarize`)"
+            )
+        return summaries
 
     def load_gold(self):
         if not self.ground_truth_path.exists():
@@ -180,15 +193,10 @@ def _pid_running(pid: int) -> bool:
     return True
 
 
-_JSON_TYPES = {str: "a string", int: "an integer", float: "a number", bool: "true or false", dict: "an object"}
-
-
 def _config_value(where: str, value, expected: type):
-    """`value` if JSON gave it the `expected` type; an integer also serves
-    as a number, but true and false serve as nothing but themselves."""
-    ok = isinstance(value, expected) or (expected is float and isinstance(value, int))
-    if not ok or (isinstance(value, bool) and expected is not bool):
-        raise ValidationError("config.json", f"{where} must be {_JSON_TYPES[expected]}, got {json.dumps(value):.40}")
+    """`value` if JSON gave it the `expected` type (see `has_json_type`)."""
+    if not has_json_type(value, expected):
+        raise ValidationError("config.json", f"{where} must be {JSON_TYPES[expected]}, got {json.dumps(value):.40}")
     return value
 
 
@@ -305,15 +313,20 @@ def cmd_summarize(project: Project, args) -> int:
     gateway_cfg, _, _ = _load_config(project, args)
     gateway = _gateway(project, gateway_cfg)
     stories = project.load_stories()
-    todo = [
-        story for story in stories
-        if args.force or not (project.dir("summaries") / f"{story.story_id}.json").exists()
-    ]
+
+    def needs_summaries(story) -> bool:
+        try:
+            return args.force or project.load_summaries(story) is None
+        except PersistenceError as e:
+            logger.warning("%s; summarizing the story again", e)
+            return True
+
+    todo = [story for story in stories if needs_summaries(story)]
 
     def write_summaries(story):
         summaries = summarize_story(story, gateway, prompts_root=project.dir("prompts"))
         write_if_changed(
-            project.dir("summaries") / f"{story.story_id}.json",
+            project.summaries_path(story.story_id),
             canonical_bytes(summaries_to_dict(story.story_id, summaries)),
         )
 
@@ -355,8 +368,8 @@ def cmd_index(project: Project, args) -> int:
     gateway_cfg, _, granularity = _load_config(project, args)
     gateway = _gateway(project, gateway_cfg)
     stories = project.load_stories()
-    summaries = project.load_summaries()
-    missing = [s.story_id for s in stories if s.story_id not in summaries]
+    summaries = {story.story_id: project.load_summaries(story) for story in stories}
+    missing = [story_id for story_id, built in summaries.items() if built is None]
     if missing:
         raise ValidationError("summaries", f"not built for: {', '.join(missing)} (run `score summarize`)")
 
@@ -462,7 +475,7 @@ def cmd_ask(project: Project, args) -> int:
     if not base.with_suffix(".vec").exists():
         raise ValidationError("index", "index not built (run `score index` first)")
     index = FlatIndex.load(base)
-    records = records_from_dict(json.loads(base.with_suffix(".records.json").read_text("utf-8")))
+    records = load_records(base.with_suffix(".records.json"))
 
     if args.story and not any(r.story_id == args.story for r in records.values()):
         raise ValidationError("story", f"story {args.story!r} not in index")

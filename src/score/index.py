@@ -4,10 +4,14 @@ Corpora here are thousands of units, so exact search is fast enough and
 exactly testable against a brute-force oracle; there is deliberately no
 approximate structure. Vectors are unit-normalized at insertion, which
 turns search into a dot product. Search screens, then exactly rescores:
-one matrix-vector product screens the candidate rows, and only the rows
-within a rounding margin of the n-th best screened score are rescored
-with the per-row dot product the oracle uses. Ties break on entry_id, so
-results are reproducible and bit-for-bit equal to a full scan.
+one float32 matrix-vector product over a float32 copy of the matrix
+screens the candidate rows (it reads half the bytes of a float64 one), and
+only the rows within a rounding margin of the n-th best screened score are
+rescored with the float64 per-row dot product the oracle uses. The margin
+bounds float32 input rounding, float32 accumulation, underflow and the
+float64 score's own error (`_screen_margin`), so no row of the exact top n
+is screened out. Ties break on entry_id, so results are reproducible and
+bit-for-bit equal to a full scan.
 """
 
 from __future__ import annotations
@@ -21,30 +25,58 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ContractError, PersistenceError
-from .jsonio import canonical_bytes, write_if_changed
+from .jsonio import canonical_bytes, load_json_object, require_fields, write_if_changed
 
 _MAGIC = b"SCIX"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIQI")  # magic, version, dim, count, payload crc32
-_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2  # u = 2**-53
+_ENTRY_FIELDS = {"entry_id": str, "kind": str, "story_id": str, "episode_index": int}
+_U32 = 2.0**-24  # unit roundoff of float32
+_U64 = 2.0**-53  # unit roundoff of float64
+_TINY32 = 2.0**-126  # smallest normal float32
+
+
+def _gamma(dim: int, u: float) -> float:
+    return dim * u / (1.0 - dim * u)
 
 
 def _screen_margin(dim: int) -> float:
     """How far below the n-th best screened score a true top-n row can screen.
 
-    A floating-point dot product of two d-vectors, in any summation order
-    (BLAS blocking and FMA included), is within gamma_d * |x| * |y| of the
-    true value, gamma_d = d*u / (1 - d*u) (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., sec. 3.1). For unit vectors the screened
-    score (matrix product) and the exact score (per-row np.dot) of a row are
-    each within gamma_d of the true score, so within 2*gamma_d of each other.
-    A row that screens more than 4*gamma_d below the n-th best screened
-    score therefore scores exactly below each of the n rows that screened at
-    or above it, and cannot be in the exact top n. Normalized vectors can
-    exceed norm 1 by a few ulps, so the margin is doubled to 8*gamma_d.
+    The screen is fl32(x32 . q32), where x32 and q32 are the float32
+    roundings of a stored unit row x and the unit query q; the exact score
+    is the float64 np.dot(x, q). For unit vectors each is close to the real
+    x . q (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sec. 3.1: a d-term dot product in any summation order, BLAS blocking
+    and FMA included, is within gamma_d * sum|x_i y_i| of the real value,
+    gamma_d = d*u / (1 - d*u)):
+
+    - rounding x and q to float32 moves each product x_i q_i by at most
+      (2u + u^2) |x_i q_i|, u = 2**-24;
+    - the float32 sum of the rounded products is within
+      gamma_d(2**-24) * (1 + u)^2 * sum|x_i q_i| of their real sum;
+    - Higham's bound assumes no underflow. A component, product or partial
+      sum below 2**-126 that is rounded to a subnormal or flushed to zero
+      errs by less than 2**-126, and a term has at most two such steps
+      (its product, or the input that zeroed it, and its addition):
+      2 * d * 2**-126 in all. It also covers float64 underflow;
+    - the exact float64 score is within gamma_d(2**-53) of the real value.
+
+    Since sum|x_i q_i| <= |x| |q| = 1, the screened and exact scores of a
+    row differ by at most B, the sum of the four terms. A row that screens
+    more than 2B below the n-th best screened score therefore scores
+    exactly below each of the n rows that screened at or above it, and
+    cannot be in the exact top n. Normalized vectors can exceed norm 1 by a
+    few ulps, and the floor is one rounded float64 subtraction, so the
+    margin is doubled again to 4B: about 6e-5 at d = 256.
     """
-    gamma = dim * _UNIT_ROUNDOFF / (1.0 - dim * _UNIT_ROUNDOFF)
-    return 8.0 * gamma
+    if dim * _U32 >= 0.5:  # gamma_d is not small here: screen nothing out
+        return float("inf")
+    inputs = 2 * _U32 + _U32 * _U32
+    accumulation = (1 + _U32) ** 2 * _gamma(dim, _U32)
+    underflow = 2 * dim * _TINY32
+    exact = _gamma(dim, _U64)
+    return 4.0 * (inputs + accumulation + underflow + exact)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +130,8 @@ class FlatIndex:
         self._entries: list[IndexEntry] = []
         self._by_id: dict[str, int] = {}
         self._matrix: np.ndarray | None = None
-        self._story_rows: dict[str, list[int]] = {}  # built with the matrix
+        self._screen: np.ndarray | None = None  # float32 copy of the matrix
+        self._story_rows: dict[str, list[int]] = {}  # built with the screen
         self._margin = _screen_margin(dim)
         self._frozen = False
 
@@ -143,12 +176,13 @@ class FlatIndex:
         )
         self._by_id[entry_id] = len(self._entries)
         self._entries.append(entry)
-        self._matrix = None
+        self._matrix = self._screen = None
 
     def freeze(self) -> "FlatIndex":
-        """Stop additions; from here on each vector is stored once, in the matrix."""
+        """Stop additions; from here on each vector is stored once, in the matrix,
+        next to the read-only float32 copy that search screens with."""
         if not self._frozen:
-            matrix = self._materialize()
+            matrix, _ = self._materialize()
             matrix.flags.writeable = False
             self._entries = [
                 IndexEntry(e.entry_id, e.kind, e.story_id, e.episode_index, row)
@@ -157,13 +191,17 @@ class FlatIndex:
             self._frozen = True
         return self
 
-    def _materialize(self) -> np.ndarray:
+    def _materialize(self) -> tuple[np.ndarray, np.ndarray]:
+        """The matrix of unit rows in entry order, and its float32 copy."""
         if self._matrix is None:
+            self._matrix = np.vstack([e.embedding for e in self._entries]) if self._entries else np.zeros((0, self._dim))
+        if self._screen is None:
             self._story_rows = {}
             for row, entry in enumerate(self._entries):
                 self._story_rows.setdefault(entry.story_id, []).append(row)
-            self._matrix = np.vstack([e.embedding for e in self._entries]) if self._entries else np.zeros((0, self._dim))
-        return self._matrix
+            self._screen = self._matrix.astype(np.float32)
+            self._screen.flags.writeable = False
+        return self._matrix, self._screen
 
     def get(self, entry_id: str) -> IndexEntry:
         return self._entries[self._by_id[entry_id]]
@@ -193,7 +231,7 @@ class FlatIndex:
         if norm == 0.0:
             raise ContractError("zero query vector")
         unit = vec / norm
-        matrix = self._materialize()
+        _, screen = self._materialize()
         entries = self._entries
 
         dropped = []  # a list even when empty: numpy reads `a[()]` as the whole array
@@ -202,18 +240,20 @@ class FlatIndex:
             dropped = [i for i in self._story_rows.get(story_id, []) if entries[i].episode_index == episode_index]
         rows: Sequence[int] | None
         if story is None and filter is None and len(entries) - len(dropped) > n:
-            # every row: screen the stored matrix in place and mask the excluded episode
+            # every row: screen the stored copy in place and mask the excluded episode
             rows = None
-            screened = matrix @ unit
+            screened = screen @ unit.astype(np.float32)
             screened[dropped] = -np.inf
         else:
             rows = range(len(entries)) if story is None else self._story_rows.get(story, [])
             if dropped or filter is not None:
                 rows = [i for i in rows if i not in dropped and (filter is None or filter(entries[i]))]
-            screened = matrix[rows] @ unit if len(rows) > n else None
+            screened = screen[rows] @ unit.astype(np.float32) if len(rows) > n else None
         if screened is not None:
             kth = len(screened) - n
-            floor = np.partition(screened, kth)[kth] - self._margin
+            # the floor and the comparison stay float64 (NEP 50 would round
+            # a Python float to float32 here, possibly up, past a kept row)
+            floor = np.float64(np.partition(screened, kth)[kth]) - self._margin
             kept = np.flatnonzero(screened >= floor).tolist()
             rows = kept if rows is None else [rows[i] for i in kept]
 
@@ -229,7 +269,7 @@ class FlatIndex:
     def save(self, base: Path | str) -> None:
         """Write `<base>.vec` (binary vectors) and `<base>.meta.json`."""
         base = Path(base)
-        matrix = self._materialize()
+        matrix, _ = self._materialize()
         payload = np.ascontiguousarray(matrix, dtype="<f8").tobytes()
         header = _HEADER.pack(_MAGIC, _VERSION, self._dim, len(self._entries), zlib.crc32(payload))
         write_if_changed(base.with_suffix(".vec"), header + payload)
@@ -252,8 +292,6 @@ class FlatIndex:
     @classmethod
     def load(cls, base: Path | str) -> "FlatIndex":
         """Load a saved index; the result is frozen."""
-        import json
-
         base = Path(base)
         vec_path = base.with_suffix(".vec")
         meta_path = base.with_suffix(".meta.json")
@@ -273,11 +311,17 @@ class FlatIndex:
             raise PersistenceError(f"{vec_path}: checksum mismatch")
         matrix = np.frombuffer(payload, dtype="<f8").reshape(count, dim)
 
-        meta = json.loads(meta_path.read_text("utf-8"))
+        meta = load_json_object(meta_path)
         if meta.get("count") != count or meta.get("dim") != dim:
             raise PersistenceError(f"{meta_path}: metadata does not match vector file")
+        entries = meta.get("entries")
+        if not isinstance(entries, list) or len(entries) != count:
+            raise PersistenceError(f"{meta_path}: entries must be a list of {count} objects")
         index = cls(dim)
-        for row, entry in zip(matrix, meta["entries"]):
+        for i, (row, entry) in enumerate(zip(matrix, entries)):
+            require_fields(meta_path, f"entries[{i}]", entry, _ENTRY_FIELDS)
+            if entry["entry_id"] in index._by_id:
+                raise PersistenceError(f"{meta_path}: duplicate entry_id {entry['entry_id']!r}")
             index._by_id[entry["entry_id"]] = len(index._entries)
             index._entries.append(
                 IndexEntry(
@@ -285,11 +329,10 @@ class FlatIndex:
                     kind=entry["kind"],
                     story_id=entry["story_id"],
                     episode_index=entry["episode_index"],
-                    embedding=row,  # a view: freeze copies each row once, into its matrix
+                    embedding=row,
                 )
             )
-        if len(index._entries) != count:
-            raise PersistenceError(f"{meta_path}: entry list shorter than count")
+        index._matrix = matrix  # a read-only view of the file's bytes: the vectors are not copied
         return index.freeze()
 
 

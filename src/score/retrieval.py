@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from pathlib import Path
 
 from .chunking import segment
 from .errors import ContractError, ValidationError
 from .gateway import SentimentScore
 from .index import FlatIndex, build_index
+from .jsonio import load_json_object, require_fields
 from .story import Story
 from .summarize import EpisodeSummary, build_retrieval_document
 
@@ -68,12 +70,17 @@ class ContextEntry:
     score: float
     sentiment: float
     text: str
+    # formatted once, at construction: the budget check, the prompt and the digest all read it
+    block: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "block", f"{self.header()}\n{self.text}\n")
 
     def header(self) -> str:
         return f"[{self.story_id}#{self.episode_index}] (similarity={self.score:.4f}, sentiment={self.sentiment:.3f})"
 
     def render(self) -> str:
-        return f"{self.header()}\n{self.text}\n"
+        return self.block
 
 
 @dataclass(frozen=True)
@@ -84,7 +91,7 @@ class ContextBundle:
     sentiment_filter_bypassed: bool = False
 
     def render(self) -> str:
-        return "\n".join(entry.render() for entry in self.selected)
+        return "\n".join(entry.block for entry in self.selected)
 
     def digest(self) -> str:
         payload = self.focus + "\x00" + self.render()
@@ -215,7 +222,7 @@ def retrieve_related(
             sentiment=record.sentiment,
             text=record.text,
         )
-        cost = len(entry.render()) + (1 if entries else 0)  # rendered block + joiner
+        cost = len(entry.block) + (1 if entries else 0)  # rendered block + joiner
         if used + cost > config.context_char_budget:
             truncated = True
             break
@@ -280,6 +287,18 @@ def records_to_dict(records: dict[str, SummaryRecord]) -> dict:
         }
         for entry_id, r in records.items()
     }
+
+
+_RECORD_FIELDS = {"story_id": str, "episode_index": int, "sentiment": float, "text": str}
+
+
+def load_records(path: Path | str) -> dict[str, SummaryRecord]:
+    """The records saved at `path` by `records_to_dict`; a file that does not
+    hold them raises PersistenceError naming it."""
+    raw = load_json_object(path)
+    for entry_id, value in raw.items():
+        require_fields(path, f"record {entry_id!r}", value, _RECORD_FIELDS)
+    return records_from_dict(raw)
 
 
 def records_from_dict(raw: dict) -> dict[str, SummaryRecord]:

@@ -4,7 +4,10 @@ import os
 import pytest
 
 from score.cli import main
+from score.gateway import GatewayConfig, LlmGateway
+from score.jsonio import canonical_bytes
 from score.story import parse_story
+from score.summarize import summaries_to_dict, summarize_story
 
 
 @pytest.fixture
@@ -205,6 +208,102 @@ def test_summarize_skips_existing_without_force(project, capsys):
     assert "3 already present" in capsys.readouterr().out
     run(project, "summarize", "--force")
     assert "summarized 3" in capsys.readouterr().out
+
+
+def _truncated(raw: bytes) -> bytes:
+    return raw[: len(raw) // 2]
+
+
+def _json_edit(change):
+    def mutate(raw: bytes) -> bytes:
+        value = json.loads(raw)
+        change(value)
+        return json.dumps(value).encode()
+
+    return mutate
+
+
+def _first_record(records: dict) -> dict:
+    return records[sorted(records)[0]]
+
+
+def _repeat_first_entry_id(meta: dict) -> None:
+    meta["entries"][1]["entry_id"] = meta["entries"][0]["entry_id"]
+
+
+@pytest.mark.parametrize(
+    "name, mutate",
+    [
+        ("summary.meta.json", _truncated),
+        ("summary.meta.json", lambda raw: b"[]"),
+        ("summary.meta.json", _json_edit(lambda meta: meta.pop("entries"))),
+        ("summary.meta.json", _json_edit(lambda meta: meta["entries"][0].pop("kind"))),
+        ("summary.meta.json", _json_edit(lambda meta: meta.update(entries=["e"] * len(meta["entries"])))),
+        ("summary.meta.json", _json_edit(_repeat_first_entry_id)),
+        ("summary.records.json", _truncated),
+        ("summary.records.json", lambda raw: b"[]"),
+        ("summary.records.json", _json_edit(lambda records: _first_record(records).pop("text"))),
+        ("summary.records.json", _json_edit(lambda records: records.update({sorted(records)[0]: ["x"]}))),
+    ],
+    ids=[
+        "meta-truncated",
+        "meta-not-an-object",
+        "meta-without-entries",
+        "meta-entry-without-kind",
+        "meta-entries-not-objects",
+        "meta-duplicate-entry-id",
+        "records-truncated",
+        "records-not-an-object",
+        "record-without-text",
+        "record-not-an-object",
+    ],
+)
+def test_corrupt_index_file_exits_2_naming_it(project, capsys, name, mutate):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    run(project, "summarize")
+    run(project, "index")
+    path = project / "index" / name
+    path.write_bytes(mutate(path.read_bytes()))
+    capsys.readouterr()
+    assert run(project, "ask", "where is the sword?") == 2
+    assert name in capsys.readouterr().err
+
+
+def _drop_last_summary(raw: bytes) -> bytes:
+    value = json.loads(raw)
+    value["summaries"].pop()
+    return json.dumps(value).encode()
+
+
+_BAD_SUMMARIES = pytest.mark.parametrize(
+    "mutate", [_truncated, lambda raw: b"{}", _drop_last_summary], ids=["truncated", "empty-object", "one-short"]
+)
+
+
+@_BAD_SUMMARIES
+def test_corrupt_summaries_file_exits_2_naming_it(project, capsys, mutate):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    run(project, "summarize")
+    path = sorted((project / "summaries").glob("*.json"))[0]
+    path.write_bytes(mutate(path.read_bytes()))
+    capsys.readouterr()
+    for granularity in ("summary", "chunk"):
+        assert run(project, "index", "--granularity", granularity) == 2
+        assert path.name in capsys.readouterr().err
+
+
+@_BAD_SUMMARIES
+def test_summarize_rewrites_a_corrupt_summaries_file(project, capsys, mutate):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    run(project, "summarize")
+    path = sorted((project / "summaries").glob("*.json"))[0]
+    good = path.read_bytes()
+    path.write_bytes(mutate(good))
+    capsys.readouterr()
+    assert run(project, "summarize") == 0
+    assert "summarized 1 story(ies), 1 already present" in capsys.readouterr().out
+    assert path.read_bytes() == good
+    assert run(project, "index") == 0
 
 
 def test_lock_file_blocks_concurrent_runs(project, capsys):
@@ -452,8 +551,10 @@ def _remote_stage_run(project, monkeypatch, max_parallel, capsys):
     for name in ("summaries", "states"):
         for path in (project / name).glob("*.json"):
             path.unlink()
-    first_story = sorted((project / "stories").glob("*.json"))[0].name
-    (project / "summaries" / first_story).write_bytes(b"{}")  # present: summarize skips it
+    first_story = sorted((project / "stories").glob("*.json"))[0]
+    story = parse_story(first_story.read_bytes())
+    present = summaries_to_dict(story.story_id, summarize_story(story, LlmGateway(GatewayConfig())))
+    (project / "summaries" / first_story.name).write_bytes(canonical_bytes(present))  # valid: summarize skips it
     capsys.readouterr()
     assert run(project, *remote, "track") == 0
     assert run(project, *remote, "summarize") == 0

@@ -151,30 +151,56 @@ def _nudged(vec, rng, ulps):
     return out
 
 
+def _nudged32(vec, rng, ulps):
+    """`vec` with a few coordinates moved by `ulps` float32 ulps, less a float64
+    fraction of one, so that neighbours may round to one float32 value or to two."""
+    out = vec.copy()
+    for k in rng.choice(len(vec), size=min(3, len(vec)), replace=False):
+        step = float(np.spacing(np.float32(out[k])))
+        out[k] += (ulps - rng.random()) * step * (1 if rng.random() < 0.5 else -1)
+    return out
+
+
+def _with_subnormals(vec, rng):
+    """`vec` with some coordinates scaled into the float32 subnormal range (below 2**-126)."""
+    out = vec.copy()
+    tiny = rng.random(len(vec)) < 0.5
+    out[tiny] *= 2.0 ** -int(rng.integers(127, 150))
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    dim=st.integers(2, 24),
+    dim=st.one_of(st.integers(1, 24), st.integers(25, 1024)),
     n_rows=st.integers(1, 70),
-    n_planted=st.integers(0, 12),
-    values=st.sampled_from(["normal", "small-int"]),
-    n=st.integers(1, 90),
+    n_planted=st.integers(0, 40),
+    values=st.sampled_from(["normal", "small-int", "subnormal"]),
+    n=st.one_of(st.integers(1, 8), st.integers(1, 90)),
     path=st.sampled_from(["all", "story", "exclude", "story+exclude", "filter", "filter+exclude"]),
-    query_kind=st.sampled_from(["random", "row", "near-row"]),
+    query_kind=st.sampled_from(["random", "row", "near-row", "near-row-f32"]),
 )
 def test_search_equals_full_scan_oracle(seed, dim, n_rows, n_planted, values, n, path, query_kind):
     rng = np.random.default_rng(seed)
     if values == "normal":
         rows = list(rng.normal(size=(n_rows, dim)))
-    else:  # few distinct directions: many exact ties
+    elif values == "small-int":  # few distinct directions: many exact ties
         rows = list(rng.integers(-2, 3, size=(n_rows, dim)).astype(np.float64))
+    else:  # float32-subnormal components next to normal ones
+        rows = [_with_subnormals(row, rng) for row in rng.normal(size=(n_rows, dim))]
     for row in rows:
         if not row.any():
             row[0] = 1.0  # the index rejects zero vectors
-    # planted exact duplicates and near-ties a few ulps apart
+    # planted exact duplicates, near-ties a few float64 ulps apart, and
+    # near-ties 1-3 float32 ulps apart, whose screened scores may collapse
+    # to one float32 value or swap order
     for _ in range(n_planted):
         source = rows[rng.integers(len(rows))]
-        rows.append(source.copy() if rng.random() < 0.5 else _nudged(source, rng, int(rng.integers(1, 4))))
+        kind, ulps = rng.integers(3), int(rng.integers(1, 4))
+        if kind == 0:
+            rows.append(source.copy())
+        else:
+            rows.append((_nudged if kind == 1 else _nudged32)(source, rng, ulps))
     ids = rng.permutation(len(rows))  # entry-id order differs from row order
     index = FlatIndex(dim)
     for i, row in enumerate(rows):
@@ -185,7 +211,12 @@ def test_search_equals_full_scan_oracle(seed, dim, n_rows, n_planted, values, n,
         query = rng.normal(size=dim)
     else:
         source = rows[rng.integers(len(rows))]
-        query = source if query_kind == "row" else _nudged(source, rng, 2)
+        if query_kind == "row":
+            query = source
+        elif query_kind == "near-row":
+            query = _nudged(source, rng, 2)
+        else:
+            query = _nudged32(source, rng, 1)
     if not query.any():
         query[0] = 1.0
     kwargs = {}
@@ -212,6 +243,32 @@ def test_screen_keeps_exact_order_among_near_ties():
     for n in (1, 7, 150, 299, 300, 301):
         got = [(h.entry_id, h.score.hex()) for h in index.search_top_n(base, n=n)]
         assert got == full_scan(index, base, n)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 256, 1024])
+def test_float32_screen_keeps_exact_order_among_float32_near_ties(dim):
+    # rows 0-3 float32 ulps from one base row: their screened scores collapse
+    # to a few float32 values, often in another order than their exact scores;
+    # stories of 60 rows, so story-restricted searches screen too
+    rng = np.random.default_rng(dim)
+    base = rng.normal(size=dim)
+    index = FlatIndex(dim)
+    for i in range(240):
+        row = base.copy() if i % 8 == 0 else _nudged32(base, rng, int(rng.integers(1, 4)))
+        index.add(f"r{i:03d}", row, story_id=f"s{i % 4}", episode_index=i // 4)
+    index.freeze()
+    for query in (base, _nudged32(base, rng, 1), rng.normal(size=dim)):
+        for n in (1, 5, 20, 59, 120):
+            for kwargs in ({}, {"story": "s2"}, {"exclude": ("s1", 3)}, {"story": "s0", "exclude": ("s0", 0)}):
+                got = [(h.entry_id, h.score.hex()) for h in index.search_top_n(query, n=n, **kwargs)]
+                assert got == full_scan(index, query, n, **kwargs), (n, kwargs)
+
+
+def test_loaded_index_reads_its_vectors_in_place(tmp_path):
+    filled_index(n=30, dim=8, seed=5).save(tmp_path / "idx")
+    loaded = FlatIndex.load(tmp_path / "idx")
+    assert not loaded._matrix.flags.owndata  # a view of the file's bytes, not a copy of them
+    assert loaded._screen.dtype == np.float32 and not loaded._screen.flags.writeable
 
 
 def test_story_and_exclude_arguments_match_the_filter_callable():
