@@ -36,7 +36,15 @@ from .evaluator import Ablations, PipelineConfig, run_comparison, run_pipeline
 from .fuzz import FuzzSpec, generate_corpus, score_detection, truth_from_dict, truth_to_dict
 from .gateway import GatewayConfig, LlmGateway
 from .index import FlatIndex
-from .jsonio import JSON_TYPES, canonical_bytes, canonical_dumps, has_json_type, load_json_object, write_if_changed
+from .jsonio import (
+    JSON_TYPES,
+    canonical_bytes,
+    canonical_dumps,
+    has_json_type,
+    load_json_object,
+    require_fields,
+    write_if_changed,
+)
 from .retrieval import (
     RetrievalConfig,
     build_retrieval_index,
@@ -119,8 +127,7 @@ class Project:
         stories_dir = self.dir("stories")
         manifest = stories_dir / "corpus.json"
         if manifest.exists():
-            names = json.loads(manifest.read_text("utf-8"))["files"]
-            paths = [stories_dir / name for name in names]
+            paths = _listed_story_files(manifest)
         else:
             paths = [p for p in sorted(stories_dir.glob("*.json")) if p.name != "corpus.json"]
         stories = [parse_story(path.read_bytes()) for path in paths]
@@ -152,9 +159,18 @@ class Project:
         return summaries
 
     def load_gold(self):
-        if not self.ground_truth_path.exists():
+        """The ground truth and its gold data, or (None, None) when there is
+        none. A file that does not load, or is not of the shape `fuzz`
+        writes, raises PersistenceError naming it."""
+        path = self.ground_truth_path
+        if not path.exists():
             return None, None
-        truth = truth_from_dict(json.loads(self.ground_truth_path.read_text("utf-8")))
+        raw = load_json_object(path)
+        require_fields(path, "ground truth", raw, {"stories": list, "qa": list})
+        try:
+            truth = truth_from_dict(raw)
+        except (KeyError, TypeError, ValueError, AttributeError, ValidationError) as e:
+            raise PersistenceError(f"{path}: not a ground-truth file ({type(e).__name__}: {e})") from None
         return truth, truth.to_gold()
 
     def corpus_digest(self, stories: list[Story]) -> str:
@@ -162,6 +178,20 @@ class Project:
         for story in sorted(stories, key=lambda s: s.story_id):
             h.update(serialize_story(story))
         return h.hexdigest()[:16]
+
+
+def _listed_story_files(manifest: Path) -> list[Path]:
+    """The story files `stories/corpus.json` lists, in its order. A manifest
+    that does not load, has no `files` list or names a file that is not
+    there raises PersistenceError naming it."""
+    raw = load_json_object(manifest)
+    require_fields(manifest, "manifest", raw, {"files": list})
+    paths = []
+    for i, name in enumerate(raw["files"]):
+        if not isinstance(name, str) or not (manifest.parent / name).is_file():
+            raise PersistenceError(f"{manifest}: files[{i}] names no story file, got {canonical_dumps(name):.60}")
+        paths.append(manifest.parent / name)
+    return paths
 
 
 def _lock_problem(path: Path) -> str:
@@ -311,7 +341,6 @@ def cmd_fuzz(project: Project, args) -> int:
 def cmd_summarize(project: Project, args) -> int:
     project.ensure()
     gateway_cfg, _, _ = _load_config(project, args)
-    gateway = _gateway(project, gateway_cfg)
     stories = project.load_stories()
 
     def needs_summaries(story) -> bool:
@@ -322,15 +351,15 @@ def cmd_summarize(project: Project, args) -> int:
             return True
 
     todo = [story for story in stories if needs_summaries(story)]
+    with _gateway(project, gateway_cfg) as gateway:
+        def write_summaries(story):
+            summaries = summarize_story(story, gateway, prompts_root=project.dir("prompts"))
+            write_if_changed(
+                project.summaries_path(story.story_id),
+                canonical_bytes(summaries_to_dict(story.story_id, summaries)),
+            )
 
-    def write_summaries(story):
-        summaries = summarize_story(story, gateway, prompts_root=project.dir("prompts"))
-        write_if_changed(
-            project.summaries_path(story.story_id),
-            canonical_bytes(summaries_to_dict(story.story_id, summaries)),
-        )
-
-    gateway.map(write_summaries, todo)
+        gateway.map(write_summaries, todo)
     print(f"summarized {len(todo)} story(ies), {len(stories) - len(todo)} already present (use --force to redo)")
     return 0
 
@@ -338,19 +367,18 @@ def cmd_summarize(project: Project, args) -> int:
 def cmd_track(project: Project, args) -> int:
     project.ensure()
     gateway_cfg, _, _ = _load_config(project, args)
-    gateway = _gateway(project, gateway_cfg)
     stories = project.load_stories()
+    with _gateway(project, gateway_cfg) as gateway:
+        def track_story(story):
+            timelines = story_timelines(story, gateway, prompts_root=project.dir("prompts"))
+            errors = detect_story_errors(timelines)
+            write_if_changed(
+                project.dir("states") / f"{story.story_id}.json",
+                canonical_bytes(states_to_dict(story.story_id, timelines, errors)),
+            )
+            return errors
 
-    def track_story(story):
-        timelines = story_timelines(story, gateway, prompts_root=project.dir("prompts"))
-        errors = detect_story_errors(timelines)
-        write_if_changed(
-            project.dir("states") / f"{story.story_id}.json",
-            canonical_bytes(states_to_dict(story.story_id, timelines, errors)),
-        )
-        return errors
-
-    reported = {story.story_id: errors for story, errors in zip(stories, gateway.map(track_story, stories))}
+        reported = {story.story_id: errors for story, errors in zip(stories, gateway.map(track_story, stories))}
     total_errors = sum(len(errors) for errors in reported.values())
     print(f"tracked {len(stories)} story(ies), {total_errors} continuity error(s) detected")
     truth, _ = project.load_gold()
@@ -366,7 +394,6 @@ def cmd_track(project: Project, args) -> int:
 def cmd_index(project: Project, args) -> int:
     project.ensure()
     gateway_cfg, _, granularity = _load_config(project, args)
-    gateway = _gateway(project, gateway_cfg)
     stories = project.load_stories()
     summaries = {story.story_id: project.load_summaries(story) for story in stories}
     missing = [story_id for story_id, built in summaries.items() if built is None]
@@ -377,7 +404,8 @@ def cmd_index(project: Project, args) -> int:
         raise UsageError(f"unknown granularity {granularity!r}")
 
     units = [unit for story in stories for unit in retrieval_units(story, summaries[story.story_id], granularity)]
-    index, records, _ = build_retrieval_index(units, gateway)
+    with _gateway(project, gateway_cfg) as gateway:
+        index, records, _ = build_retrieval_index(units, gateway)
     base = project.dir("index") / granularity
     index.save(base)
     write_if_changed(base.with_suffix(".records.json"), canonical_bytes(records_to_dict(records)))
@@ -422,7 +450,6 @@ def _report_payload(config: PipelineConfig, result) -> dict:
 def cmd_evaluate(project: Project, args) -> int:
     project.ensure()
     gateway_cfg, retrieval_cfg, _ = _load_config(project, args)
-    gateway = _gateway(project, gateway_cfg)
     ablations = _parse_ablations(args.ablate)
     stories = project.load_stories()
     _, gold = project.load_gold()
@@ -438,7 +465,8 @@ def cmd_evaluate(project: Project, args) -> int:
             raise ValidationError("episode", f"story {story_id!r} not in corpus")
 
     config = PipelineConfig(gateway_cfg, retrieval_cfg, ablations)
-    result = run_pipeline(stories, gateway, config, gold, prompts_root=project.dir("prompts"))
+    with _gateway(project, gateway_cfg) as gateway:
+        result = run_pipeline(stories, gateway, config, gold, prompts_root=project.dir("prompts"))
     if episode_filter:
         result.evaluations = [
             e for e in result.evaluations
@@ -470,7 +498,6 @@ def cmd_evaluate(project: Project, args) -> int:
 def cmd_ask(project: Project, args) -> int:
     project.ensure()
     gateway_cfg, retrieval_cfg, granularity = _load_config(project, args)
-    gateway = _gateway(project, gateway_cfg)
     base = project.dir("index") / granularity
     if not base.with_suffix(".vec").exists():
         raise ValidationError("index", "index not built (run `score index` first)")
@@ -479,10 +506,9 @@ def cmd_ask(project: Project, args) -> int:
 
     if args.story and not any(r.story_id == args.story for r in records.values()):
         raise ValidationError("story", f"story {args.story!r} not in index")
-    bundle = retrieve_for_query(
-        args.question, index, records, retrieval_cfg, gateway, restrict_story=args.story
-    )
-    result = answer_query(args.question, bundle, gateway, prompts_root=project.dir("prompts"))
+    with _gateway(project, gateway_cfg) as gateway:
+        bundle = retrieve_for_query(args.question, index, records, retrieval_cfg, gateway, restrict_story=args.story)
+        result = answer_query(args.question, bundle, gateway, prompts_root=project.dir("prompts"))
     print(
         canonical_dumps(
             {
@@ -500,7 +526,6 @@ def cmd_ask(project: Project, args) -> int:
 def cmd_compare(project: Project, args) -> int:
     project.ensure()
     gateway_cfg, retrieval_cfg, _ = _load_config(project, args)
-    gateway = _gateway(project, gateway_cfg)
     stories = project.load_stories()
     _, gold = project.load_gold()
 
@@ -511,7 +536,8 @@ def cmd_compare(project: Project, args) -> int:
         ablations_b = _parse_ablations(args.ablate)
     config_b = PipelineConfig(gateway_cfg, retrieval_cfg, ablations_b)
 
-    comparison = run_comparison(stories, gold, gateway, config_a, config_b, prompts_root=project.dir("prompts"))
+    with _gateway(project, gateway_cfg) as gateway:
+        comparison = run_comparison(stories, gold, gateway, config_a, config_b, prompts_root=project.dir("prompts"))
     run_id = hashlib.sha256(
         (config_a.digest() + config_b.digest() + project.corpus_digest(stories)).encode()
     ).hexdigest()[:12]

@@ -41,12 +41,14 @@ class PersistenceError(ScoreError):
 class TransportError(ScoreError):
     """Remote backend unreachable or persistently failing.
 
-    `status` is the HTTP status of the reply, when there was one.
+    `status` is the HTTP status of the reply, when there was one, and
+    `retry_after` the seconds its `Retry-After` header asked to wait.
     """
 
-    def __init__(self, message: str, status: int | None = None):
+    def __init__(self, message: str, status: int | None = None, retry_after: float | None = None):
         super().__init__(message)
         self.status = status
+        self.retry_after = retry_after
 
 
 class UncachedRequestError(ScoreError):

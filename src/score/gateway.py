@@ -5,10 +5,17 @@ embeddings wire format over HTTP; `mock` is fully deterministic and
 offline (hashed bag-of-words embeddings, lexicon sentiment, hash-derived
 completions) so the whole pipeline can run and be tested without a model.
 
-A content-addressed cache sits in front of both backends. In `record`
-mode every response is written through; in `replay` mode requests are
-served from the cache only and a miss is an error, which makes a replay
-run a pure function of (inputs, config, cache).
+A content-addressed cache sits in front of both backends: one SQLite file,
+`<cache_dir>/cache.sqlite3`, with one row per request, keyed by its
+`request_digest` and holding the compact canonical JSON of
+{op, model, request, response}. In `record` mode every response is
+written through, one autocommit transaction per entry in the file's
+write-ahead log, so a run cut short leaves each entry whole or absent.
+In `replay` mode the file is opened read-only, never created or written;
+requests are served from it only and a miss is an error, which makes a
+replay run a pure function of (inputs, config, cache). Caches of the old
+layout, one JSON file per request under `cache/<xx>/`, are not read:
+record them again.
 
 `LlmGateway.map` runs independent per-story, per-episode and per-question
 work. It overlaps requests only where they can wait on the network (remote
@@ -20,11 +27,13 @@ items no other worker has started itself, so it never waits on queued work.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
 import logging
 import os
+import random
 import re
 import threading
 import time
@@ -45,7 +54,7 @@ from .errors import (
     UncachedRequestError,
     ValidationError,
 )
-from .jsonio import atomic_write, canonical_dumps
+from .jsonio import canonical_dumps
 
 logger = logging.getLogger(__name__)
 
@@ -56,6 +65,14 @@ _CACHE_MODES = ("off", "record", "replay")
 
 _INITIAL_BACKOFF = 0.5
 _BACKOFF_FACTOR = 2.0
+# the longest `Retry-After` a 429 or 503 reply is honoured for, in seconds
+_MAX_RETRY_AFTER = 30.0
+
+CACHE_FILE = "cache.sqlite3"
+# SQLite's page cache for the cache file, in KiB. Keys are digests, so a run
+# reads and writes leaf pages in no order and seldom twice; 256 KiB keeps the
+# tree's inner pages, and the default 2 MiB would only add to peak memory.
+_PAGE_CACHE_KIB = 256
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -130,6 +147,13 @@ class GatewayStats:
     max_in_flight: int = 0
 
 
+def _retry_after_seconds(value: str | None) -> float | None:
+    """A `Retry-After` header given in seconds (RFC 9110 sec. 10.2.3); None
+    when absent or not a whole number of seconds, such as an HTTP date."""
+    match = re.fullmatch(r"\s*([0-9]+)\s*", value or "")
+    return float(match.group(1)) if match else None
+
+
 def default_transport(url: str, body: dict, timeout: float, headers: dict) -> dict:
     """POST JSON and return the decoded JSON reply; raises TransportError."""
     import requests
@@ -139,8 +163,11 @@ def default_transport(url: str, body: dict, timeout: float, headers: dict) -> di
     except requests.RequestException as e:
         raise TransportError(f"POST {url} failed: {e}") from e
     if response.status_code != 200:
+        throttled = response.status_code in (429, 503)
         raise TransportError(
-            f"POST {url} returned HTTP {response.status_code}: {response.text[:200]}", status=response.status_code
+            f"POST {url} returned HTTP {response.status_code}: {response.text[:200]}",
+            status=response.status_code,
+            retry_after=_retry_after_seconds(response.headers.get("Retry-After")) if throttled else None,
         )
     try:
         return response.json()
@@ -149,7 +176,11 @@ def default_transport(url: str, body: dict, timeout: float, headers: dict) -> di
 
 
 class LlmGateway:
-    """Thread-safe front end over one configured backend plus the cache."""
+    """Thread-safe front end over one configured backend plus the cache.
+
+    A cached gateway holds the cache file open from its first cached
+    request until `close()`; use it as a context manager.
+    """
 
     def __init__(
         self,
@@ -168,12 +199,36 @@ class LlmGateway:
         self.stats = GatewayStats()
         self._transport = transport or default_transport
         self._sleep = time.sleep  # patched in tests to avoid real backoff waits
+        self._random = random.random  # the jitter source, patched in tests
         self._semaphore = threading.BoundedSemaphore(config.max_parallel)
         self._lock = threading.Lock()
         self._pending: dict[str, Future] = {}  # cache key -> result of the request in flight
         self._pool: ThreadPoolExecutor | None = None  # created by the first threaded map
         self._pool_token = object()
         self._templates: dict[tuple[str, Path | str | None], str] = {}
+        self._db = None  # sqlite3 connection to the cache file, opened by the first cached request
+
+    def close(self) -> None:
+        """Close the cache file; a later cached request opens it again."""
+        with self._lock:
+            db, self._db = self._db, None
+        if db is None:
+            return
+        import sqlite3
+
+        if self.config.cache_mode == "record":
+            # leave the file in rollback mode, so that a read-only replay opens
+            # it without creating the log's side files; while another reader
+            # holds it open it stays in WAL mode, which reads the same
+            with contextlib.suppress(sqlite3.DatabaseError):
+                db.execute("PRAGMA journal_mode=DELETE")
+        db.close()
+
+    def __enter__(self) -> "LlmGateway":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     @property
     def is_mock(self) -> bool:
@@ -345,10 +400,10 @@ class LlmGateway:
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
 
-        last_error: Exception | None = None
+        last_error: TransportError | None = None
         for attempt in range(self.config.max_retries + 1):
-            if attempt:
-                self._sleep(_INITIAL_BACKOFF * _BACKOFF_FACTOR ** (attempt - 1))
+            if last_error is not None:
+                self._sleep(self._retry_delay(attempt, last_error))
             try:
                 with self._semaphore:
                     with self._lock:
@@ -368,6 +423,18 @@ class LlmGateway:
         raise TransportError(
             f"{endpoint} failed after {self.config.max_retries + 1} attempts: {last_error}"
         ) from last_error
+
+    def _retry_delay(self, attempt: int, error: TransportError) -> float:
+        """Seconds to wait before retry `attempt` (1-based) after `error`.
+
+        The `Retry-After` of a 429 or 503 reply is honoured, up to
+        `_MAX_RETRY_AFTER`; otherwise the wait is drawn uniformly from
+        [0, backoff) ("full jitter"), so clients that failed together do not
+        retry together.
+        """
+        if error.retry_after is not None:
+            return min(error.retry_after, _MAX_RETRY_AFTER)
+        return self._random() * _INITIAL_BACKOFF * _BACKOFF_FACTOR ** (attempt - 1)
 
     # -- structured replies ----------------------------------------------------
 
@@ -430,26 +497,75 @@ class LlmGateway:
 
     def _read_or_compute(self, op: str, model: str, body: dict, key: str, compute: Callable[[], Any]) -> Any:
         mode = self.config.cache_mode
-        path = self.cache_dir / key[:2] / f"{key}.json"
-        if path.exists():
+        row = self._cache_execute("SELECT record FROM entries WHERE key = ?", (key,))
+        if row is not None:
             try:
-                response = json.loads(path.read_text("utf-8"))["response"]
+                response = json.loads(row[0])["response"]
             except (ValueError, KeyError, TypeError) as e:
                 if mode != "record":
-                    raise PersistenceError(f"unreadable cache entry {path}: {e}") from e
-                logger.warning("unreadable cache entry %s (%s); requesting again", path, e)
+                    raise PersistenceError(f"unreadable cache entry {key} in {self.cache_path}: {e}") from e
+                logger.warning("unreadable cache entry %s in %s (%s); requesting again", key, self.cache_path, e)
             else:
                 with self._lock:
                     self.stats.cache_hits += 1
                 return response
         if mode == "replay":
-            raise UncachedRequestError(f"uncached request: op={op} key={key}")
+            old = next(self.cache_dir.glob("??/*.json"), None) is not None
+            hint = "; the cache directory is in the old one-file-per-request layout: record it again" if old else ""
+            raise UncachedRequestError(f"uncached request: op={op} key={key}{hint}")
         with self._lock:
             self.stats.cache_misses += 1
         response = compute()
         record = {"op": op, "model": model, "request": body, "response": _json_ready(response)}
-        atomic_write(path, (canonical_dumps(record, indent=2) + "\n").encode("utf-8"))
+        self._cache_execute("INSERT OR REPLACE INTO entries (key, record) VALUES (?, ?)", (key, canonical_dumps(record)))
         return response
+
+    @property
+    def cache_path(self) -> Path:
+        return self.cache_dir / CACHE_FILE
+
+    def _cache_execute(self, sql: str, params: tuple) -> tuple | None:
+        """Run one statement on the cache file and return its first row.
+
+        The first call opens the file; in replay mode a missing file is an
+        empty cache. A file SQLite cannot use raises PersistenceError naming it.
+        """
+        import sqlite3
+
+        try:
+            with self._lock:
+                if self._db is None:
+                    self._db = self._open_cache()
+                    if self._db is None:
+                        return None
+                return self._db.execute(sql, params).fetchone()
+        except sqlite3.DatabaseError as e:
+            raise PersistenceError(f"{self.cache_path}: not a usable cache file ({e})") from e
+
+    def _open_cache(self):
+        """A connection to the cache file, shared by the worker threads under
+        `_lock`: read-only in replay mode (None when there is no file), and in
+        record mode one autocommit transaction per statement in WAL mode."""
+        import sqlite3
+
+        path = self.cache_path
+        if self.config.cache_mode == "replay":
+            if not path.is_file():
+                return None
+            db = sqlite3.connect(path.resolve().as_uri() + "?mode=ro", uri=True, check_same_thread=False)
+            db.execute(f"PRAGMA cache_size = -{_PAGE_CACHE_KIB}")
+            return db
+        path.parent.mkdir(parents=True, exist_ok=True)
+        db = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+        try:
+            db.execute(f"PRAGMA cache_size = -{_PAGE_CACHE_KIB}")
+            db.execute("PRAGMA journal_mode=WAL")
+            db.execute("PRAGMA synchronous=NORMAL")
+            db.execute("CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, record TEXT NOT NULL)")
+        except BaseException:
+            db.close()
+            raise
+        return db
 
 
 def _json_ready(response: Any) -> Any:

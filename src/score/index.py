@@ -318,22 +318,21 @@ class FlatIndex:
         if not isinstance(entries, list) or len(entries) != count:
             raise PersistenceError(f"{meta_path}: entries must be a list of {count} objects")
         index = cls(dim)
-        for i, (row, entry) in enumerate(zip(matrix, entries)):
+        for i, entry in enumerate(entries):
             require_fields(meta_path, f"entries[{i}]", entry, _ENTRY_FIELDS)
             if entry["entry_id"] in index._by_id:
                 raise PersistenceError(f"{meta_path}: duplicate entry_id {entry['entry_id']!r}")
-            index._by_id[entry["entry_id"]] = len(index._entries)
-            index._entries.append(
-                IndexEntry(
-                    entry_id=entry["entry_id"],
-                    kind=entry["kind"],
-                    story_id=entry["story_id"],
-                    episode_index=entry["episode_index"],
-                    embedding=row,
-                )
-            )
-        index._matrix = matrix  # a read-only view of the file's bytes: the vectors are not copied
-        return index.freeze()
+            index._by_id[entry["entry_id"]] = i
+        # each entry's embedding is its row of the matrix, a read-only view of
+        # the file's bytes: no vector is copied, and no entry built twice
+        index._entries = [
+            IndexEntry(e["entry_id"], e["kind"], e["story_id"], e["episode_index"], row)
+            for e, row in zip(entries, matrix)
+        ]
+        index._matrix = matrix
+        index._materialize()
+        index._frozen = True
+        return index
 
 
 def build_index(dim: int, rows: Iterable[tuple[str, str, str, int, np.ndarray]]) -> FlatIndex:

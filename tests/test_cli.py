@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 
@@ -433,6 +434,33 @@ def test_corpus_manifest_limits_and_orders_loading(project, capsys):
     assert "tracked 2 story(ies)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "manifest",
+    ["[]", '{"files": ["missing.json"]}', '{"stories": []}', '{"files": [3]}', '{"files": "a.json"}'],
+    ids=["list", "names-a-missing-file", "without-files", "file-not-a-string", "files-not-a-list"],
+)
+def test_corrupt_corpus_manifest_exits_2_naming_it(project, capsys, manifest):
+    run(project, "fuzz", "--seed", "3", "--stories", "3")
+    (project / "stories" / "corpus.json").write_text(manifest, "utf-8")
+    capsys.readouterr()
+    assert run(project, "track") == 2
+    assert "corpus.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_truncated, lambda raw: b'{"stories": []}', lambda raw: b'{"stories": [{"items": []}], "qa": []}'],
+    ids=["truncated", "without-qa", "story-without-id"],
+)
+def test_corrupt_ground_truth_exits_2_naming_it(project, capsys, mutate):
+    run(project, "fuzz", "--seed", "3", "--stories", "3")
+    path = project / "ground_truth.json"
+    path.write_bytes(mutate(path.read_bytes()))
+    capsys.readouterr()
+    assert run(project, "track") == 2
+    assert "ground_truth.json" in capsys.readouterr().err
+
+
 def test_outputs_conform_to_declared_schemas(project):
     run(project, "fuzz", "--seed", "3", "--stories", "2")
     run(project, "summarize")
@@ -470,13 +498,36 @@ def test_track_sends_the_project_extract_states_override(project, monkeypatch):
 
 
 def test_unreadable_cache_entry_in_replay_exits_2(project, capsys):
+    import sqlite3
+
     run(project, "fuzz", "--seed", "3", "--stories", "2")
     assert run(project, "--cache-mode", "record", "evaluate") == 0
-    entry = sorted((project / "cache").rglob("*.json"))[0]
-    entry.write_bytes(entry.read_bytes()[:10])
+    with contextlib.closing(sqlite3.connect(project / "cache" / "cache.sqlite3")) as db, db:
+        (key,) = db.execute("SELECT min(key) FROM entries").fetchone()
+        db.execute("UPDATE entries SET record = substr(record, 1, 10) WHERE key = ?", (key,))
     capsys.readouterr()
     assert run(project, "--cache-mode", "replay", "evaluate") == 2
-    assert entry.name in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cache.sqlite3" in err and key in err
+
+
+@pytest.mark.parametrize("mode", ["record", "replay"])
+def test_cache_file_that_is_not_a_database_exits_2_naming_it(project, capsys, mode):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    (project / "cache" / "cache.sqlite3").write_text("not a database\n" * 100, "utf-8")
+    capsys.readouterr()
+    assert run(project, "--cache-mode", mode, "evaluate") == 2
+    assert f"{project / 'cache' / 'cache.sqlite3'}: not a usable cache file" in capsys.readouterr().err
+
+
+def test_replay_of_a_recorded_evaluate_leaves_the_cache_file_alone(project):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    assert run(project, "--cache-mode", "record", "evaluate") == 0
+    cache = project / "cache"
+    before = {p.name: p.read_bytes() for p in cache.iterdir()}
+    assert list(before) == ["cache.sqlite3"]
+    assert run(project, "--cache-mode", "replay", "evaluate") == 0
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
 
 
 def test_lock_left_by_a_dead_process_is_reported_stale(project, capsys):

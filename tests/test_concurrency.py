@@ -1,13 +1,16 @@
 """LlmGateway.map and the pipeline's overlapped model calls.
 
 Results must not depend on `max_parallel`; threads are used only where a
-request can wait on the network; every counter in GatewayStats survives
-heavy thread switching.
+request can wait on the network; every counter in GatewayStats, and every
+entry the workers write to the shared cache connection, survives heavy
+thread switching.
 """
 
+import contextlib
 import hashlib
 import json
 import re
+import sqlite3
 import sys
 import threading
 import time
@@ -17,7 +20,7 @@ import pytest
 from score import gateway as gateway_module
 from score.evaluator import PipelineConfig, run_pipeline
 from score.fuzz import FuzzSpec, generate_corpus
-from score.gateway import GatewayConfig, LlmGateway, hashed_embedding
+from score.gateway import CACHE_FILE, GatewayConfig, LlmGateway, hashed_embedding
 from score.lexicon import mock_sentiment_value
 from score.retrieval import RetrievalConfig
 from score.story import Episode, KeyItem, Story
@@ -248,7 +251,8 @@ def test_a_questions_tone_is_scored_only_when_the_query_filter_reads_it(corpus):
 
 
 def test_stats_survive_heavy_thread_switching(tmp_path):
-    """More workers than cores, a switch every microsecond: no counter update is lost."""
+    """More workers than cores, a switch every microsecond: no counter update
+    and no cache entry is lost."""
     distinct, repeats, workers = 150, 4, 16
     transport_calls = []
     lock = threading.Lock()
@@ -284,6 +288,13 @@ def test_stats_survive_heavy_thread_switching(tmp_path):
     assert stats.cache_hits + stats.cache_misses == len(prompts)
     assert stats.in_flight == 0
     assert 1 <= stats.max_in_flight <= workers
+    gw.close()
+    with contextlib.closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
+        records = [json.loads(record) for (record,) in db.execute("SELECT record FROM entries")]
+    assert {r["request"]["messages"][0]["content"]: r["response"] for r in records} == {
+        f"p{i}": f"re:p{i}" for i in range(distinct)
+    }
+    assert len(records) == distinct
 
 
 # ---------------------------------------------------------------------------

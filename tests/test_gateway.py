@@ -1,18 +1,29 @@
+import contextlib
 import json
+import os
+import sqlite3
+import subprocess
+import sys
+import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from score.errors import (
     ContractError,
+    PersistenceError,
     SentimentError,
     TransportError,
     UncachedRequestError,
 )
 from score.gateway import (
+    CACHE_FILE,
     GatewayConfig,
     LlmGateway,
     SentimentScore,
@@ -21,6 +32,7 @@ from score.gateway import (
     request_digest,
 )
 from score.index import cosine
+from score.jsonio import canonical_dumps
 
 
 def remote_config(**kw):
@@ -48,6 +60,12 @@ class FakeTransport:
 
 def chat_reply(text):
     return {"choices": [{"message": {"content": text}}]}
+
+
+def stored_entries(cache_dir) -> dict[str, str]:
+    """key -> record of every entry in the cache file under `cache_dir`."""
+    with contextlib.closing(sqlite3.connect(Path(cache_dir) / CACHE_FILE)) as db:
+        return dict(db.execute("SELECT key, record FROM entries"))
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +227,64 @@ def test_retry_backoff_sequence_and_recovery():
     gw = LlmGateway(remote_config(max_retries=3), transport=transport)
     delays = []
     gw._sleep = delays.append
+    gw._random = lambda: 1.0  # the top of the jitter range: the whole backoff
     assert gw.complete("x") == "recovered"
     assert transport.calls == 3
     assert delays == [0.5, 1.0]  # exponential, factor 2, initial 500ms
+
+
+def test_retry_waits_a_full_jitter_draw_below_the_backoff():
+    transport = FakeTransport([TransportError("boom1"), TransportError("boom2"), chat_reply("recovered")])
+    gw = LlmGateway(remote_config(max_retries=3), transport=transport)
+    delays = []
+    gw._sleep = delays.append
+    gw._random = iter([0.25, 0.75]).__next__
+    assert gw.complete("x") == "recovered"
+    assert delays == [0.125, 0.75]  # 0.25 of 500 ms, then 0.75 of 1 s
+
+
+def test_retry_after_of_a_throttled_reply_is_honoured_up_to_a_cap():
+    transport = FakeTransport(
+        [
+            TransportError("slow down", status=429, retry_after=7.0),
+            TransportError("down for a while", status=503, retry_after=3600.0),
+            TransportError("unavailable", status=503),
+            chat_reply("recovered"),
+        ]
+    )
+    gw = LlmGateway(remote_config(max_retries=3), transport=transport)
+    delays = []
+    gw._sleep = delays.append
+    gw._random = lambda: 0.5
+    assert gw.complete("x") == "recovered"
+    assert delays == [7.0, 30.0, 1.0]  # the header, the cap, then jitter: 0.5 of 2 s
+
+
+@pytest.mark.parametrize(
+    "status, header, expected",
+    [
+        (429, "12", 12.0),
+        (503, " 3 ", 3.0),
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", None),  # an HTTP date is not honoured
+        (429, "-5", None),
+        (429, None, None),
+        (500, "12", None),  # only 429 and 503 ask the client to wait
+    ],
+)
+def test_default_transport_carries_retry_after_seconds(monkeypatch, status, header, expected):
+    import requests
+
+    from score.gateway import default_transport
+
+    class Reply:
+        status_code = status
+        text = "busy"
+        headers = {} if header is None else {"Retry-After": header}
+
+    monkeypatch.setattr(requests, "post", lambda url, **kwargs: Reply())
+    with pytest.raises(TransportError) as caught:
+        default_transport("http://fake.local/v1/chat/completions", {}, 1.0, {})
+    assert caught.value.status == status and caught.value.retry_after == expected
 
 
 def test_retries_exhausted_raises_transport_error():
@@ -240,6 +313,7 @@ def test_server_errors_and_throttling_are_retried(status):
     gw = LlmGateway(remote_config(max_retries=2), transport=transport)
     delays = []
     gw._sleep = delays.append
+    gw._random = lambda: 1.0  # the top of the jitter range: the whole backoff
     with pytest.raises(TransportError, match="after 3 attempts"):
         gw.complete("x")
     assert transport.calls == 3
@@ -313,14 +387,118 @@ def test_replay_serves_recorded_responses(tmp_path):
 
 
 def test_cache_layout_is_content_addressed(tmp_path):
-    gw = LlmGateway(GatewayConfig(backend="mock", cache_mode="record"), cache_dir=tmp_path)
-    gw.complete("addressed")
-    files = list(tmp_path.rglob("*.json"))
-    assert len(files) == 1
-    key = files[0].stem
-    assert files[0].parent.name == key[:2]
-    payload = json.loads(files[0].read_text())
+    with LlmGateway(GatewayConfig(backend="mock", cache_mode="record"), cache_dir=tmp_path) as gw:
+        gw.complete("addressed")
+    assert [p.name for p in tmp_path.iterdir()] == [CACHE_FILE]
+    entries = stored_entries(tmp_path)
+    assert len(entries) == 1
+    ((key, record),) = entries.items()
+    payload = json.loads(record)
+    assert key == request_digest(payload["op"], payload["model"], payload["request"])
     assert set(payload) == {"op", "model", "request", "response"}
+    assert record == canonical_dumps(payload)  # compact: no indent, no trailing newline
+
+
+def test_replay_never_creates_or_writes_the_cache_file(tmp_path):
+    with LlmGateway(GatewayConfig(backend="mock", cache_mode="replay"), cache_dir=tmp_path / "empty") as gw:
+        with pytest.raises(UncachedRequestError):
+            gw.complete("never recorded")
+    assert not (tmp_path / "empty").exists()
+
+    with LlmGateway(GatewayConfig(backend="mock", cache_mode="record"), cache_dir=tmp_path) as gw:
+        recorded = gw.complete("recorded")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    assert list(before) == [CACHE_FILE]
+    with LlmGateway(GatewayConfig(backend="mock", cache_mode="replay"), cache_dir=tmp_path) as gw:
+        assert gw.complete("recorded") == recorded
+        with pytest.raises(UncachedRequestError):
+            gw.complete("never recorded")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+def test_replay_miss_over_an_old_layout_cache_says_record_again(tmp_path):
+    old_entry = tmp_path / "ab" / ("ab" + "0" * 62 + ".json")
+    old_entry.parent.mkdir()
+    old_entry.write_text('{"op": "complete", "response": "old"}', "utf-8")
+    gw = LlmGateway(GatewayConfig(backend="mock", cache_mode="replay"), cache_dir=tmp_path)
+    with pytest.raises(UncachedRequestError, match="old one-file-per-request layout: record it again"):
+        gw.complete("anything")
+
+
+@pytest.mark.parametrize("mode", ["record", "replay"])
+def test_cache_file_that_is_not_a_database_is_persistence_error_naming_it(tmp_path, mode):
+    (tmp_path / CACHE_FILE).write_bytes(b"not a database, " * 64)
+    transport = FakeTransport([chat_reply("a")])
+    with LlmGateway(remote_config(cache_mode=mode), cache_dir=tmp_path, transport=transport) as gw:
+        with pytest.raises(PersistenceError, match=f"{CACHE_FILE}: not a usable cache file"):
+            gw.complete("p")
+    assert transport.calls == 0
+    assert (tmp_path / CACHE_FILE).read_bytes() == b"not a database, " * 64
+
+
+def test_close_releases_the_connection(tmp_path):
+    gw = LlmGateway(GatewayConfig(backend="mock", cache_mode="record"), cache_dir=tmp_path)
+    gw.complete("first")
+    db = gw._db
+    gw.close()
+    assert gw._db is None
+    with pytest.raises(sqlite3.ProgrammingError):
+        db.execute("SELECT 1")
+    # the last connection is gone: the write-ahead log is folded into the file
+    assert [p.name for p in tmp_path.iterdir()] == [CACHE_FILE]
+    with contextlib.closing(sqlite3.connect(tmp_path / CACHE_FILE)) as other:
+        assert other.execute("PRAGMA journal_mode").fetchone() == ("delete",)
+    gw.close()  # closing twice is harmless
+    gw.complete("second")  # and a later request opens the file again
+    with gw:
+        pass
+    assert gw._db is None and len(stored_entries(tmp_path)) == 2
+
+
+def test_cache_off_imports_no_sqlite(tmp_path):
+    code = (
+        "import sys\n"
+        "import score.cli\n"
+        "assert 'sqlite3' not in sys.modules, 'import score.cli loaded sqlite3'\n"
+        f"assert score.cli.main(['--project', {str(tmp_path)!r}, 'fuzz', '--seed', '3', '--stories', '1']) == 0\n"
+        f"assert score.cli.main(['--project', {str(tmp_path)!r}, 'evaluate']) == 0\n"
+        "assert 'sqlite3' not in sys.modules, 'a cache-off run loaded sqlite3'\n"
+    )
+    import score
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(score.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True, width=64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    prompt=st.text(min_size=1),
+    reply=st.text(),
+    rows=st.lists(st.lists(_finite, min_size=3, max_size=3), min_size=1, max_size=3),
+)
+@example(prompt="\x00\u2028\U0001f600 \"quoted\"\n", reply="caf\u00e9 \u65e5\u672c", rows=[[-0.0, 5e-324, -2.2250738585072014e-308]])
+@example(prompt="p", reply="", rows=[[0.0, -0.0, 1.7976931348623157e308]])
+def test_record_then_replay_returns_equal_values(prompt, reply, rows):
+    """Unicode prompts and replies round-trip exactly, and embeddings bit for bit."""
+
+    def transport(url, body, timeout, headers):
+        if url.endswith("/embeddings"):
+            return {"data": [{"index": i, "embedding": row} for i, row in enumerate(rows)]}
+        return chat_reply(reply)
+
+    texts = [f"{prompt} {i}" for i in range(len(rows))]
+    with tempfile.TemporaryDirectory() as cache_dir:
+        results = []
+        for mode in ("record", "replay"):
+            config = remote_config(cache_mode=mode, embed_dim=3)
+            with LlmGateway(config, cache_dir=cache_dir, transport=transport) as gw:
+                vectors = gw.embed(texts)
+                results.append((gw.complete(prompt), [[float(x).hex() for x in vec] for vec in vectors]))
+    assert results[0] == results[1] == (reply, [[x.hex() for x in row] for row in rows])
 
 
 def test_mock_backend_also_goes_through_replay(tmp_path):
@@ -381,35 +559,36 @@ def test_record_mode_sends_a_request_in_flight_once(tmp_path):
         t.join(timeout=10)
     assert not any(t.is_alive() for t in threads)
     assert len(calls) == 1
-    (stored,) = tmp_path.rglob("*.json")
-    assert replies == ["reply 1", "reply 1"] == [json.loads(stored.read_text())["response"]] * 2
+    (stored,) = stored_entries(tmp_path).values()
+    assert replies == ["reply 1", "reply 1"] == [json.loads(stored)["response"]] * 2
     assert gw.stats.cache_misses == 1 and gw.stats.cache_hits == 1
 
 
 def _truncate_the_one_entry(cache_dir):
-    (entry,) = cache_dir.rglob("*.json")
-    entry.write_bytes(entry.read_bytes()[:20])
-    return entry
+    (key,) = stored_entries(cache_dir)
+    with contextlib.closing(sqlite3.connect(cache_dir / CACHE_FILE)) as db, db:
+        db.execute("UPDATE entries SET record = substr(record, 1, 20) WHERE key = ?", (key,))
+    return key
 
 
 def test_unreadable_cache_entry_in_replay_is_persistence_error(tmp_path):
-    from score.errors import PersistenceError
-
-    LlmGateway(remote_config(cache_mode="record"), cache_dir=tmp_path, transport=FakeTransport([chat_reply("a")])).complete("p")
-    entry = _truncate_the_one_entry(tmp_path)
+    with LlmGateway(remote_config(cache_mode="record"), cache_dir=tmp_path, transport=FakeTransport([chat_reply("a")])) as gw:
+        gw.complete("p")
+    key = _truncate_the_one_entry(tmp_path)
     replayer = LlmGateway(remote_config(cache_mode="replay"), cache_dir=tmp_path, transport=FakeTransport([chat_reply("b")]))
-    with pytest.raises(PersistenceError, match=entry.name):
+    with pytest.raises(PersistenceError, match=f"{key} in .*{CACHE_FILE}"):
         replayer.complete("p")
 
 
 def test_unreadable_cache_entry_in_record_is_a_miss_and_rewritten(tmp_path):
-    LlmGateway(remote_config(cache_mode="record"), cache_dir=tmp_path, transport=FakeTransport([chat_reply("a")])).complete("p")
-    entry = _truncate_the_one_entry(tmp_path)
+    with LlmGateway(remote_config(cache_mode="record"), cache_dir=tmp_path, transport=FakeTransport([chat_reply("a")])) as gw:
+        gw.complete("p")
+    key = _truncate_the_one_entry(tmp_path)
     transport = FakeTransport([chat_reply("b")])
-    recorder = LlmGateway(remote_config(cache_mode="record"), cache_dir=tmp_path, transport=transport)
-    assert recorder.complete("p") == "b"
+    with LlmGateway(remote_config(cache_mode="record"), cache_dir=tmp_path, transport=transport) as recorder:
+        assert recorder.complete("p") == "b"
     assert transport.calls == 1
-    assert json.loads(entry.read_text())["response"] == "b"
+    assert json.loads(stored_entries(tmp_path)[key])["response"] == "b"
 
 
 def test_sentiment_prompt_comes_from_the_project_override(tmp_path):

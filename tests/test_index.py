@@ -401,6 +401,26 @@ def test_frozen_and_loaded_indexes_store_each_vector_once(tmp_path):
         loaded.entries[0].embedding[0] = 1.0
 
 
+def test_load_builds_each_entry_once_as_a_view_of_its_matrix_row(tmp_path, monkeypatch):
+    from score import index as index_module
+
+    built = []
+
+    class CountedEntry(index_module.IndexEntry):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.entry_id)
+
+    filled_index(n=30, dim=8, seed=5).save(tmp_path / "idx")
+    monkeypatch.setattr(index_module, "IndexEntry", CountedEntry)
+    loaded = FlatIndex.load(tmp_path / "idx")
+    assert built == [f"e{i:04d}" for i in range(30)]
+    assert loaded.frozen and loaded.freeze() is loaded and len(built) == 30
+    for row, entry in enumerate(loaded.entries):
+        assert entry.embedding.base is not None and np.shares_memory(entry.embedding, loaded._matrix)
+        assert np.array_equal(entry.embedding, loaded._matrix[row])
+
+
 def test_load_empty_file_is_format_error(tmp_path):
     (tmp_path / "idx.vec").write_bytes(b"")
     (tmp_path / "idx.meta.json").write_text("{}")
