@@ -1,27 +1,24 @@
 """Command-line entry point wiring the pipeline over a project directory.
 
-A project root holds config.json plus stories/, summaries/, states/,
-index/, cache/, reports/, and prompts/. Commands create what is missing,
-never write outside the root, and exit with: 0 success (also when the
-reader of stdout closes the pipe early), 1 usage error, 2 validation error,
-3 gateway/transport error, 4 replay cache miss.
+This module parses the arguments, runs the commands and maps errors to exit
+codes; `project.Project` reads every project file (see `score.project`).
+Commands create what is missing, never write outside the root, and exit
+with: 0 success (also when the reader of stdout closes the pipe early),
+1 usage error, 2 validation error (every damaged file, named with the JSON
+path of its first wrong value), 3 gateway/transport error, 4 replay cache
+miss.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
-import json
 import logging
 import os
-import socket
 import sys
-import typing
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
-from . import prompts as prompt_templates
 from .errors import (
     ContractError,
     GatewayReplyError,
@@ -32,253 +29,43 @@ from .errors import (
     UncachedRequestError,
     ValidationError,
 )
-from .evaluator import Ablations, PipelineConfig, run_comparison, run_pipeline
-from .fuzz import FuzzSpec, generate_corpus, score_detection, truth_from_dict, truth_to_dict
+from .evaluator import Ablations, PipelineConfig, answer_query, run_comparison, run_pipeline
+from .fuzz import FuzzSpec, generate_corpus, score_detection, truth_to_dict
 from .gateway import GatewayConfig, LlmGateway
-from .index import FlatIndex
-from .jsonio import (
-    JSON_TYPES,
-    canonical_bytes,
-    canonical_dumps,
-    has_json_type,
-    load_json_object,
-    require_fields,
-    write_if_changed,
-)
-from .retrieval import (
-    RetrievalConfig,
-    build_retrieval_index,
-    load_records,
-    records_to_dict,
-    retrieval_units,
-    retrieve_for_query,
-)
-from .story import Story, parse_story, serialize_story
-from .summarize import summaries_from_dict, summaries_to_dict, summarize_story
+from .jsonio import canonical_bytes, canonical_dumps, write_if_changed
+from .project import METRIC_NAMES, Project, load_story
+from .retrieval import RetrievalConfig, build_retrieval_index, records_to_dict, retrieval_units, retrieve_for_query
+from .story import serialize_story
+from .summarize import summaries_to_dict, summarize_story
 from .tracker import detect_story_errors, states_to_dict, story_timelines
-from .evaluator import answer_query
 
 logger = logging.getLogger(__name__)
-
-_DIRS = ("stories", "summaries", "states", "index", "cache", "reports", "prompts")
 
 
 class UsageError(ScoreError):
     """Bad command line; maps to exit code 1."""
 
 
-@dataclass
-class Project:
-    root: Path
-
-    def __post_init__(self):
-        self.root = Path(self.root)
-
-    def dir(self, name: str) -> Path:
-        return self.root / name
-
-    @property
-    def config_path(self) -> Path:
-        return self.root / "config.json"
-
-    @property
-    def ground_truth_path(self) -> Path:
-        return self.root / "ground_truth.json"
-
-    def ensure(self) -> None:
-        """Create missing directories, default config, and default prompts."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        for name in _DIRS:
-            self.dir(name).mkdir(exist_ok=True)
-        if not self.config_path.exists():
-            default = {
-                "gateway": asdict(GatewayConfig()),
-                "retrieval": asdict(RetrievalConfig()),
-                "granularity": "summary",
-            }
-            write_if_changed(self.config_path, canonical_bytes(default))
-        for name, text in prompt_templates.default_templates().items():
-            target = self.dir("prompts") / f"{name}.txt"
-            if not target.exists():
-                target.write_text(text, "utf-8")
-
-    @contextlib.contextmanager
-    def lock(self):
-        """One command at a time per project root.
-
-        The lock file holds the owner's PID and host name. A lock whose PID
-        no longer runs on this host is reported as stale, never removed
-        here: only the user can tell that no other command still uses it.
-        """
-        path = self.root / ".score.lock"
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ValidationError("project", _lock_problem(path)) from None
-        try:
-            os.write(fd, f"{os.getpid()} {socket.gethostname()}".encode())
-            os.close(fd)
-            yield
-        finally:
-            with contextlib.suppress(OSError):
-                os.unlink(path)
-
-    def load_stories(self) -> list[Story]:
-        stories_dir = self.dir("stories")
-        manifest = stories_dir / "corpus.json"
-        if manifest.exists():
-            paths = _listed_story_files(manifest)
-        else:
-            paths = [p for p in sorted(stories_dir.glob("*.json")) if p.name != "corpus.json"]
-        stories = [parse_story(path.read_bytes()) for path in paths]
-        ids = [s.story_id for s in stories]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("story_id", "duplicate story_id in corpus")
-        if not stories:
-            raise ValidationError("stories", "no stories ingested (run `score ingest` or `score fuzz` first)")
-        return stories
-
-    def summaries_path(self, story_id: str) -> Path:
-        return self.dir("summaries") / f"{story_id}.json"
-
-    def load_summaries(self, story: Story) -> list | None:
-        """The story's saved summaries, or None when it has none. A file that
-        does not load, or does not hold one summary per episode of the story,
-        raises PersistenceError naming it; `summarize` rewrites such a file."""
-        path = self.summaries_path(story.story_id)
-        if not path.exists():
-            return None
-        try:
-            story_id, summaries = summaries_from_dict(load_json_object(path))
-        except (KeyError, TypeError, ValueError, AttributeError, ValidationError) as e:
-            raise PersistenceError(f"{path}: not a summaries file ({type(e).__name__}: {e})") from None
-        if story_id != story.story_id or [s.episode_index for s in summaries] != [ep.index for ep in story.episodes]:
-            raise PersistenceError(
-                f"{path}: does not hold one summary per episode of story {story.story_id!r} (run `score summarize`)"
-            )
-        return summaries
-
-    def load_gold(self):
-        """The ground truth and its gold data, or (None, None) when there is
-        none. A file that does not load, or is not of the shape `fuzz`
-        writes, raises PersistenceError naming it."""
-        path = self.ground_truth_path
-        if not path.exists():
-            return None, None
-        raw = load_json_object(path)
-        require_fields(path, "ground truth", raw, {"stories": list, "qa": list})
-        try:
-            truth = truth_from_dict(raw)
-        except (KeyError, TypeError, ValueError, AttributeError, ValidationError) as e:
-            raise PersistenceError(f"{path}: not a ground-truth file ({type(e).__name__}: {e})") from None
-        return truth, truth.to_gold()
-
-    def corpus_digest(self, stories: list[Story]) -> str:
-        h = hashlib.sha256()
-        for story in sorted(stories, key=lambda s: s.story_id):
-            h.update(serialize_story(story))
-        return h.hexdigest()[:16]
-
-
-def _listed_story_files(manifest: Path) -> list[Path]:
-    """The story files `stories/corpus.json` lists, in its order. A manifest
-    that does not load, has no `files` list or names a file that is not
-    there raises PersistenceError naming it."""
-    raw = load_json_object(manifest)
-    require_fields(manifest, "manifest", raw, {"files": list})
-    paths = []
-    for i, name in enumerate(raw["files"]):
-        if not isinstance(name, str) or not (manifest.parent / name).is_file():
-            raise PersistenceError(f"{manifest}: files[{i}] names no story file, got {canonical_dumps(name):.60}")
-        paths.append(manifest.parent / name)
-    return paths
-
-
-def _lock_problem(path: Path) -> str:
-    """Say who holds the lock at `path`, and whether that holder is gone."""
-    try:
-        pid_text, _, host = path.read_text("utf-8").partition(" ")
-        pid = int(pid_text)
-    except (OSError, ValueError):  # unreadable, or its owner has not written it yet
-        return f"locked by another process ({path})"
-    host = host.strip()
-    if host in ("", socket.gethostname()) and not _pid_running(pid):
-        return (
-            f"stale lock: {path} says PID {pid} locked the project, but no process {pid} "
-            "runs on this host; delete the file if no other command uses this project"
-        )
-    where = f" on {host}" if host else ""
-    return f"locked by another process (PID {pid}{where}, {path})"
-
-
-def _pid_running(pid: int) -> bool:
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)  # signal 0 checks that the process exists and sends nothing
-    except (ProcessLookupError, OverflowError):  # no such process, or larger than any PID
-        return False
-    except OSError:  # PermissionError: it runs under another user
-        return True
-    return True
-
-
-def _config_value(where: str, value, expected: type):
-    """`value` if JSON gave it the `expected` type (see `has_json_type`)."""
-    if not has_json_type(value, expected):
-        raise ValidationError("config.json", f"{where} must be {JSON_TYPES[expected]}, got {json.dumps(value):.40}")
-    return value
-
-
-def _config_section(raw: dict, section: str, cls):
-    """`cls` built from `raw[section]`, every field checked against its declared type."""
-    values = _config_value(section, raw.get(section, {}), dict)
-    types = typing.get_type_hints(cls)
-    for name, value in values.items():
-        if name not in types:
-            raise ValidationError("config.json", f"unknown config field {section}.{name}")
-        _config_value(f"{section}.{name}", value, types[name])
-    return cls(**values)
+# command-line flag -> the config field it overrides
+_GATEWAY_FLAGS = {
+    "backend": "backend", "model": "model_name", "cache_mode": "cache_mode", "base_url": "base_url",
+    "embed_dim": "embed_dim",
+}
+_RETRIEVAL_FLAGS = {"top_n": "top_n", "tau": "sentiment_tolerance"}
 
 
 def _load_config(project: Project, args) -> tuple[GatewayConfig, RetrievalConfig, str]:
-    raw = {}
-    if project.config_path.exists():
-        try:
-            raw = json.loads(project.config_path.read_text("utf-8"))
-        except json.JSONDecodeError as e:
-            raise ValidationError("config.json", f"malformed JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise ValidationError("config.json", f"must hold a JSON object, got {json.dumps(raw):.40}")
-    gateway_cfg = _config_section(raw, "gateway", GatewayConfig)
-    retrieval_cfg = _config_section(raw, "retrieval", RetrievalConfig)
-    granularity = _config_value("granularity", raw.get("granularity", "summary"), str)
+    """The project's config, each value a flag was given for replaced by the flag's."""
+    gateway_cfg, retrieval_cfg, granularity = project.load_config()
 
-    # explicit flags override file values
-    overrides = {}
-    for flag, field_name in (
-        ("backend", "backend"),
-        ("model", "model_name"),
-        ("cache_mode", "cache_mode"),
-        ("base_url", "base_url"),
-        ("embed_dim", "embed_dim"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field_name] = value
-    if overrides:
-        gateway_cfg = replace(gateway_cfg, **overrides)
+    def flagged(flags: dict[str, str]) -> dict:
+        return {field: getattr(args, flag) for flag, field in flags.items() if getattr(args, flag, None) is not None}
 
-    r_overrides = {}
-    if getattr(args, "top_n", None) is not None:
-        r_overrides["top_n"] = args.top_n
-    if getattr(args, "tau", None) is not None:
-        r_overrides["sentiment_tolerance"] = args.tau
-    if r_overrides:
-        retrieval_cfg = replace(retrieval_cfg, **r_overrides)
-    if getattr(args, "granularity", None) is not None:
-        granularity = args.granularity
-    return gateway_cfg, retrieval_cfg, granularity
+    return (
+        replace(gateway_cfg, **flagged(_GATEWAY_FLAGS)),
+        replace(retrieval_cfg, **flagged(_RETRIEVAL_FLAGS)),
+        getattr(args, "granularity", None) or granularity,
+    )
 
 
 def _gateway(project: Project, cfg: GatewayConfig) -> LlmGateway:
@@ -303,17 +90,9 @@ def _parse_ablations(spec: str | None) -> Ablations:
 
 def cmd_ingest(project: Project, args) -> int:
     project.ensure()
-    count = 0
     for file_name in args.files:
-        data = Path(file_name).read_bytes()
-        story = parse_story(data)
-        target = project.dir("stories") / f"{story.story_id}.json"
-        payload = serialize_story(story)
-        if target.exists() and target.read_bytes() != payload:
-            raise ValidationError("story_id", f"duplicate story_id {story.story_id!r} already in corpus")
-        write_if_changed(target, payload)
-        count += 1
-    print(f"ingested {count} story file(s) into {project.dir('stories')}")
+        project.add_story(load_story(Path(file_name)))
+    print(f"ingested {len(args.files)} story file(s) into {project.dir('stories')}")
     return 0
 
 
@@ -486,7 +265,7 @@ def cmd_evaluate(project: Project, args) -> int:
 
     metrics = result.report
     print(f"run {run_id}: {len(result.evaluations)} evaluation(s), {len(result.qa_results)} question(s)")
-    for name in ("consistency", "coherence", "item_status", "complex_qa"):
+    for name in METRIC_NAMES:
         value = getattr(metrics, name)
         print(f"  {name}: " + (f"{value:.2f}" if value is not None else "n/a"))
     if ablations.disabled():
@@ -498,12 +277,7 @@ def cmd_evaluate(project: Project, args) -> int:
 def cmd_ask(project: Project, args) -> int:
     project.ensure()
     gateway_cfg, retrieval_cfg, granularity = _load_config(project, args)
-    base = project.dir("index") / granularity
-    if not base.with_suffix(".vec").exists():
-        raise ValidationError("index", "index not built (run `score index` first)")
-    index = FlatIndex.load(base)
-    records = load_records(base.with_suffix(".records.json"))
-
+    index, records = project.load_index(granularity)
     if args.story and not any(r.story_id == args.story for r in records.values()):
         raise ValidationError("story", f"story {args.story!r} not in index")
     with _gateway(project, gateway_cfg) as gateway:
@@ -565,40 +339,25 @@ def cmd_compare(project: Project, args) -> int:
 
 
 def cmd_report(project: Project, args) -> int:
-    reports_dir = project.dir("reports")
-    for candidate in (reports_dir / f"{args.run_id}.json", reports_dir / f"{args.run_id}.compare.json"):
-        if candidate.exists():
-            payload = json.loads(candidate.read_text("utf-8"))
-            if args.markdown:
-                print(_render_markdown(payload))
-            else:
-                print(canonical_dumps(payload, indent=2))
-            return 0
-    raise ValidationError("run_id", f"no report named {args.run_id!r} in {reports_dir}")
+    payload, comparison = project.load_report(args.run_id)
+    print(_render_markdown(payload, comparison) if args.markdown else canonical_dumps(payload, indent=2))
+    return 0
 
 
-def _render_markdown(payload: dict) -> str:
+def _render_markdown(payload: dict, comparison: bool) -> str:
     def fmt(value):
         return "n/a" if value is None else f"{value:.2f}"
 
-    lines = [f"# Run {payload.get('run_id', '?')}", ""]
-    if payload.get("kind") == "comparison":
-        lines += ["| metric | a | b | delta |", "|---|---|---|---|"]
-        for name in ("consistency", "coherence", "item_status", "complex_qa"):
-            lines.append(
-                f"| {name} | {fmt(payload['metrics_a'][name])} | "
-                f"{fmt(payload['metrics_b'][name])} | {fmt(payload['deltas'][name])} |"
-            )
-        return "\n".join(lines)
-
-    metrics = payload["metrics"]
-    lines += ["| metric | value |", "|---|---|"]
-    for name in ("consistency", "coherence", "item_status", "complex_qa"):
-        lines.append(f"| {name} | {fmt(metrics[name])} |")
-    disabled = payload.get("disabled_modules") or []
-    if disabled:
-        lines += ["", f"Disabled modules: {', '.join(disabled)}"]
-    lines += ["", f"Evaluations: {len(payload.get('evaluations', []))}", f"Questions: {len(payload.get('qa', []))}"]
+    if comparison:
+        columns = {"a": payload["metrics_a"], "b": payload["metrics_b"], "delta": payload["deltas"]}
+    else:
+        columns = {"value": payload["metrics"]}
+    lines = [f"# Run {payload['run_id']}", "", f"| metric | {' | '.join(columns)} |", "|---" * (len(columns) + 1) + "|"]
+    lines += [f"| {name} | {' | '.join(fmt(c[name]) for c in columns.values())} |" for name in METRIC_NAMES]
+    if not comparison:
+        if payload["disabled_modules"]:
+            lines += ["", f"Disabled modules: {', '.join(payload['disabled_modules'])}"]
+        lines += ["", f"Evaluations: {len(payload['evaluations'])}", f"Questions: {len(payload['qa'])}"]
     return "\n".join(lines)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .errors import ValidationError
 from .evaluator import GoldData, GoldQA
 from .story import Episode, ItemState, KeyItem, Story
-from .tracker import ContinuityError, error_from_dict, error_to_dict
+from .tracker import ERROR_SHAPE, ContinuityError, error_from_dict, error_to_dict
 
 _ITEMS = (
     "sword", "amulet", "lantern", "dagger", "compass", "chalice", "banner",
@@ -329,6 +329,18 @@ def truth_to_dict(truth: GroundTruth) -> dict:
             for q in truth.qa
         ],
     }
+
+
+TRUTH_SHAPE = {
+    "stories": [
+        {
+            "story_id": str,
+            "items?": [{"item_id": str, "truth": [{"episode": int, "state": ItemState, "explained": bool}]}],
+            "planted_errors?": [ERROR_SHAPE],
+        }
+    ],
+    "qa": [{"story_id": str, "question": str, "answer": str, "item_id?": (str, None)}],
+}
 
 
 def truth_from_dict(raw: dict) -> GroundTruth:

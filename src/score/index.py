@@ -25,12 +25,17 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ContractError, PersistenceError
-from .jsonio import canonical_bytes, load_json_object, require_fields, write_if_changed
+from .jsonio import canonical_bytes, load_json, write_if_changed
 
 _MAGIC = b"SCIX"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIQI")  # magic, version, dim, count, payload crc32
-_ENTRY_FIELDS = {"entry_id": str, "kind": str, "story_id": str, "episode_index": int}
+# the parts of `<base>.meta.json` that `FlatIndex.load` reads
+_META_SHAPE = {
+    "dim": int,
+    "count": int,
+    "entries": [{"entry_id": str, "kind": str, "story_id": str, "episode_index": int}],
+}
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53  # unit roundoff of float64
 _TINY32 = 2.0**-126  # smallest normal float32
@@ -311,15 +316,12 @@ class FlatIndex:
             raise PersistenceError(f"{vec_path}: checksum mismatch")
         matrix = np.frombuffer(payload, dtype="<f8").reshape(count, dim)
 
-        meta = load_json_object(meta_path)
-        if meta.get("count") != count or meta.get("dim") != dim:
+        meta = load_json(meta_path, _META_SHAPE)
+        entries = meta["entries"]
+        if meta["count"] != count or meta["dim"] != dim or len(entries) != count:
             raise PersistenceError(f"{meta_path}: metadata does not match vector file")
-        entries = meta.get("entries")
-        if not isinstance(entries, list) or len(entries) != count:
-            raise PersistenceError(f"{meta_path}: entries must be a list of {count} objects")
         index = cls(dim)
         for i, entry in enumerate(entries):
-            require_fields(meta_path, f"entries[{i}]", entry, _ENTRY_FIELDS)
             if entry["entry_id"] in index._by_id:
                 raise PersistenceError(f"{meta_path}: duplicate entry_id {entry['entry_id']!r}")
             index._by_id[entry["entry_id"]] = i

@@ -1,20 +1,36 @@
-"""Canonical JSON serialization and atomic file writes.
+"""Canonical JSON serialization, atomic file writes and the JSON shape check.
 
 Every artifact this package writes (stories, states, summaries, reports,
 cache entries) goes through `canonical_dumps` so that equal values always
 produce byte-equal files. That is what makes replay runs comparable with
 a plain byte diff.
+
+Every JSON file it reads is checked against a declared shape (`check`)
+before any field is used, so a damaged file ends in an error that names
+the file and the JSON path of the first wrong value, such as
+`$.qa[0].answer` (RFC 9535 notation). A shape is one of:
+
+- a JSON type: `str`, `int`, `float` (an integer also serves), `bool`,
+  `dict` or `list`;
+- an `Enum` subclass, for one of its values;
+- `None`, for null;
+- a tuple of alternative shapes;
+- `[item]`, a list whose every element has the shape `item`;
+- `{field: shape}`, an object with those fields; a field written
+  `"name?"` may be absent, and fields the shape does not name are ignored.
 """
 
 from __future__ import annotations
 
+import contextlib
+import enum
 import json
 import os
 import tempfile
 from pathlib import Path
 from typing import Any
 
-from .errors import PersistenceError
+from .errors import PersistenceError, ValidationError
 
 JSON_TYPES = {
     str: "a string",
@@ -23,6 +39,7 @@ JSON_TYPES = {
     bool: "true or false",
     dict: "an object",
     list: "a list",
+    None: "null",
 }
 
 
@@ -67,25 +84,91 @@ def load_json_object(path: Path | str) -> dict:
     parse or holds another JSON value raises PersistenceError naming it."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_bytes())
-    except (OSError, ValueError) as e:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        data = path.read_bytes()
+        raw = json.loads(data)
+        if b"\\u" in data:  # an escape can spell a lone surrogate, which no UTF-8 file can hold
+            canonical_dumps(raw).encode("utf-8")
+    except (OSError, ValueError) as e:  # JSONDecodeError and the Unicode errors are ValueErrors
         raise PersistenceError(f"{path}: does not load ({e})") from None
     if not isinstance(raw, dict):
         raise PersistenceError(f"{path}: must hold a JSON object, got {canonical_dumps(raw):.40}")
     return raw
 
 
-def require_fields(path: Path | str, where: str, value: Any, fields: dict[str, type]) -> None:
-    """PersistenceError naming `path` and `where` unless `value` is an object
-    with each of `fields` (name -> type), of that JSON type."""
-    if not isinstance(value, dict):
-        raise PersistenceError(f"{path}: {where} must be an object, got {canonical_dumps(value):.40}")
-    for name, expected in fields.items():
-        if name not in value:
-            raise PersistenceError(f"{path}: {where} has no field {name!r}")
-        if not has_json_type(value[name], expected):
-            got = canonical_dumps(value[name])
-            raise PersistenceError(f"{path}: {where}.{name} must be {JSON_TYPES[expected]}, got {got:.40}")
+def load_json(path: Path | str, shape: Any, build=None):
+    """The JSON object saved at `path`, checked against `shape` and passed
+    through `build` when given. Any failure, a `ValidationError` raised by
+    `build` included, raises PersistenceError naming the file."""
+    raw = load_json_object(path)
+    try:
+        check(raw, shape)
+        return raw if build is None else build(raw)
+    except ValidationError as e:
+        raise PersistenceError(f"{path}: {e}") from None
+
+
+def check(value: Any, shape: Any, where: str = "$") -> None:
+    """ValidationError naming the JSON path, below `where`, of the first part
+    of `value` that does not have `shape` (see the module docstring)."""
+    try:
+        _check(value, shape)
+    except ValidationError as e:
+        raise ValidationError(where + e.field, e.reason) from None
+
+
+def _check(value: Any, shape: Any) -> None:
+    # The ValidationError raised here holds the path below `value`; each
+    # `check` of a member or an element prepends its step. One of a plain
+    # JSON type matches on `type(item) is sub` without a call, which keeps
+    # a large file cheap to check.
+    if type(shape) is dict:
+        if type(value) is not dict:
+            raise _wrong(value, shape)
+        for field, sub in shape.items():
+            optional = field[-1] == "?"
+            name = field[:-1] if optional else field
+            if name not in value:
+                if optional:
+                    continue
+                raise ValidationError(f".{name}", "missing required field")
+            if type(value[name]) is not sub:
+                check(value[name], sub, f".{name}")
+    elif type(shape) is list:
+        if type(value) is not list:
+            raise _wrong(value, shape)
+        (sub,) = shape
+        for i, item in enumerate(value):
+            if type(item) is not sub:
+                check(item, sub, f"[{i}]")
+    elif type(shape) is tuple:
+        for alternative in shape:
+            with contextlib.suppress(ValidationError):
+                return _check(value, alternative)
+        raise _wrong(value, shape)
+    elif shape is None:
+        if value is not None:
+            raise _wrong(value, shape)
+    elif issubclass(shape, enum.Enum):
+        try:
+            shape(value)
+        except ValueError:
+            raise _wrong(value, shape) from None
+    elif not has_json_type(value, shape):
+        raise _wrong(value, shape)
+
+
+def _wrong(value: Any, shape: Any) -> ValidationError:
+    return ValidationError("", f"must be {_describe(shape)}, got {canonical_dumps(value):.40}")
+
+
+def _describe(shape: Any) -> str:
+    if type(shape) is tuple:
+        return " or ".join(map(_describe, shape))
+    if type(shape) in (dict, list):
+        return JSON_TYPES[type(shape)]
+    if shape is not None and issubclass(shape, enum.Enum):
+        return "one of " + ", ".join(json.dumps(m.value) for m in shape)
+    return JSON_TYPES[shape]
 
 
 def write_if_changed(path: Path | str, data: bytes) -> bool:

@@ -1,0 +1,248 @@
+"""A project directory, and one loader per kind of file it holds.
+
+A project root holds config.json, ground_truth.json and the directories
+stories/, summaries/, states/, index/, cache/, reports/ and prompts/. Each
+`load_*` checks its file against the shape declared next to the file's
+`*_from_dict` (see `jsonio.check`) before it builds typed values. A file
+that cannot be read, or holds a value of the wrong shape or one its
+constructor rejects, raises PersistenceError naming the file and the value's
+JSON path: `ground_truth.json: $.qa[0].answer: must be a string, got null`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import os
+import socket
+import typing
+from dataclasses import asdict, dataclass
+from pathlib import Path
+
+from . import prompts as prompt_templates
+from .errors import PersistenceError, StoryParseError, ValidationError
+from .evaluator import GoldData
+from .fuzz import TRUTH_SHAPE, GroundTruth, truth_from_dict
+from .gateway import GatewayConfig
+from .index import FlatIndex
+from .jsonio import canonical_bytes, canonical_dumps, check, load_json, write_if_changed
+from .retrieval import RECORD_SHAPE, RetrievalConfig, SummaryRecord, records_from_dict
+from .story import Story, parse_story, serialize_story
+from .summarize import SUMMARIES_SHAPE, EpisodeSummary, summaries_from_dict
+
+_DIRS = ("stories", "summaries", "states", "index", "cache", "reports", "prompts")
+
+# config.json: a section may set any field of its dataclass, of the annotated type
+_CONFIG_SECTIONS = {"gateway": GatewayConfig, "retrieval": RetrievalConfig}
+CONFIG_SHAPE = {f"{s}?": {f"{n}?": t for n, t in typing.get_type_hints(c).items()} for s, c in _CONFIG_SECTIONS.items()}
+CONFIG_SHAPE["granularity?"] = str
+
+# stories/corpus.json: the story files to load, in order
+MANIFEST_SHAPE = {"files": [str]}
+
+# reports/: the parts of a stored report that `score report` reads
+METRIC_NAMES = ("consistency", "coherence", "item_status", "complex_qa")
+_METRICS = dict.fromkeys(METRIC_NAMES, (float, None))
+RUN_REPORT_SHAPE = {"run_id": str, "metrics": _METRICS, "disabled_modules": [str], "evaluations": list, "qa": list}
+COMPARISON_REPORT_SHAPE = {"run_id": str, "metrics_a": _METRICS, "metrics_b": _METRICS, "deltas": _METRICS}
+
+
+@dataclass
+class Project:
+    root: Path
+
+    def __post_init__(self):
+        self.root = Path(self.root)
+
+    def dir(self, name: str) -> Path:
+        return self.root / name
+
+    @property
+    def config_path(self) -> Path:
+        return self.root / "config.json"
+
+    @property
+    def ground_truth_path(self) -> Path:
+        return self.root / "ground_truth.json"
+
+    def summaries_path(self, story_id: str) -> Path:
+        return self.dir("summaries") / f"{story_id}.json"
+
+    def ensure(self) -> None:
+        """Create missing directories, default config, and default prompts."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        for name in _DIRS:
+            self.dir(name).mkdir(exist_ok=True)
+        if not self.config_path.exists():
+            default = {
+                "gateway": asdict(GatewayConfig()),
+                "retrieval": asdict(RetrievalConfig()),
+                "granularity": "summary",
+            }
+            write_if_changed(self.config_path, canonical_bytes(default))
+        for name, text in prompt_templates.default_templates().items():
+            target = self.dir("prompts") / f"{name}.txt"
+            if not target.exists():
+                target.write_text(text, "utf-8")
+
+    @contextlib.contextmanager
+    def lock(self):
+        """One command at a time per project root.
+
+        The lock file holds the owner's PID and host name. A lock whose PID
+        no longer runs on this host is reported as stale, never removed
+        here: only the user can tell that no other command still uses it.
+        """
+        path = self.root / ".score.lock"
+        try:
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            raise ValidationError("project", _lock_problem(path)) from None
+        try:
+            os.write(fd, f"{os.getpid()} {socket.gethostname()}".encode())
+            os.close(fd)
+            yield
+        finally:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+
+    def add_story(self, story: Story) -> None:
+        """Save `story` in stories/, unless another story of its id is there."""
+        target = self.dir("stories") / f"{story.story_id}.json"
+        payload = serialize_story(story)
+        if target.exists() and target.read_bytes() != payload:
+            raise ValidationError("story_id", f"duplicate story_id {story.story_id!r} already in corpus")
+        write_if_changed(target, payload)
+
+    def load_config(self) -> tuple[GatewayConfig, RetrievalConfig, str]:
+        """The gateway and retrieval configs and the granularity config.json
+        sets (`ensure` writes the default one); each field it leaves out keeps
+        its default. An unknown field is an error."""
+        return load_json(self.config_path, CONFIG_SHAPE, _config_from_dict)
+
+    def load_stories(self) -> list[Story]:
+        """The stories `stories/corpus.json` lists, in its order, or without
+        it every `stories/*.json`, in name order."""
+        stories_dir = self.dir("stories")
+        manifest = stories_dir / "corpus.json"
+        if manifest.exists():
+            paths = load_json(manifest, MANIFEST_SHAPE, lambda raw: _listed_story_files(stories_dir, raw["files"]))
+        else:
+            paths = [p for p in sorted(stories_dir.glob("*.json")) if p.name != "corpus.json"]
+        stories = [load_story(path) for path in paths]
+        ids = [s.story_id for s in stories]
+        if len(set(ids)) != len(ids):
+            raise ValidationError("story_id", "duplicate story_id in corpus")
+        if not stories:
+            raise ValidationError("stories", "no stories ingested (run `score ingest` or `score fuzz` first)")
+        return stories
+
+    def load_summaries(self, story: Story) -> list[EpisodeSummary] | None:
+        """The story's saved summaries, or None when it has none. A file that
+        does not load, or does not hold one summary per episode of the story,
+        raises PersistenceError naming it; `summarize` rewrites such a file."""
+        path = self.summaries_path(story.story_id)
+        if not path.exists():
+            return None
+        story_id, summaries = load_json(path, SUMMARIES_SHAPE, summaries_from_dict)
+        if story_id != story.story_id or [s.episode_index for s in summaries] != [ep.index for ep in story.episodes]:
+            raise PersistenceError(
+                f"{path}: does not hold one summary per episode of story {story.story_id!r} (run `score summarize`)"
+            )
+        return summaries
+
+    def load_gold(self) -> tuple[GroundTruth | None, GoldData | None]:
+        """The ground truth and its gold data, or (None, None) when there is none."""
+        if not self.ground_truth_path.exists():
+            return None, None
+        truth = load_json(self.ground_truth_path, TRUTH_SHAPE, truth_from_dict)
+        return truth, truth.to_gold()
+
+    def load_index(self, granularity: str) -> tuple[FlatIndex, dict[str, SummaryRecord]]:
+        """The index `score index` built at `granularity`, and its records."""
+        base = self.dir("index") / granularity
+        if not base.with_suffix(".vec").exists():
+            raise ValidationError("index", "index not built (run `score index` first)")
+        return FlatIndex.load(base), load_json(base.with_suffix(".records.json"), dict, _records_from_dict)
+
+    def load_report(self, run_id: str) -> tuple[dict, bool]:
+        """The stored report `run_id`, and whether it is a comparison."""
+        reports_dir = self.dir("reports")
+        for comparison, shape in ((False, RUN_REPORT_SHAPE), (True, COMPARISON_REPORT_SHAPE)):
+            path = reports_dir / f"{run_id}{'.compare' if comparison else ''}.json"
+            if path.exists():
+                return load_json(path, shape), comparison
+        raise ValidationError("run_id", f"no report named {run_id!r} in {reports_dir}")
+
+    def corpus_digest(self, stories: list[Story]) -> str:
+        h = hashlib.sha256()
+        for story in sorted(stories, key=lambda s: s.story_id):
+            h.update(serialize_story(story))
+        return h.hexdigest()[:16]
+
+
+def load_story(path: Path) -> Story:
+    """The story saved at `path`, or PersistenceError naming the file."""
+    try:
+        return parse_story(path.read_bytes())
+    except OSError as e:
+        raise PersistenceError(f"{path}: does not load ({e})") from None
+    except (StoryParseError, ValidationError) as e:
+        raise PersistenceError(f"{path}: {e}") from None
+
+
+def _config_from_dict(raw: dict) -> tuple[GatewayConfig, RetrievalConfig, str]:
+    sections = []
+    for section, cls in _CONFIG_SECTIONS.items():
+        values = raw.get(section, {})
+        known = CONFIG_SHAPE[f"{section}?"]
+        for name in values:
+            if f"{name}?" not in known:
+                raise ValidationError(f"$.{section}.{name}", "unknown config field")
+        try:
+            sections.append(cls(**values))
+        except ValidationError as e:
+            raise ValidationError(f"$.{section}.{e.field}", e.reason) from None
+    return sections[0], sections[1], raw.get("granularity", "summary")
+
+
+def _listed_story_files(stories_dir: Path, names: list[str]) -> list[Path]:
+    for i, name in enumerate(names):
+        if not (stories_dir / name).is_file():
+            raise ValidationError(f"$.files[{i}]", f"names no story file, got {canonical_dumps(name):.60}")
+    return [stories_dir / name for name in names]
+
+
+def _records_from_dict(raw: dict) -> dict[str, SummaryRecord]:
+    for entry_id, value in raw.items():
+        check(value, RECORD_SHAPE, f"$[{canonical_dumps(entry_id)}]")
+    return records_from_dict(raw)
+
+
+def _lock_problem(path: Path) -> str:
+    """Say who holds the lock at `path`, and whether that holder is gone."""
+    try:
+        pid_text, _, host = path.read_text("utf-8").partition(" ")
+        pid = int(pid_text)
+    except (OSError, ValueError):  # unreadable, or its owner has not written it yet
+        return f"locked by another process ({path})"
+    host = host.strip()
+    if host in ("", socket.gethostname()) and not _pid_running(pid):
+        return (
+            f"stale lock: {path} says PID {pid} locked the project, but no process {pid} "
+            "runs on this host; delete the file if no other command uses this project"
+        )
+    where = f" on {host}" if host else ""
+    return f"locked by another process (PID {pid}{where}, {path})"
+
+
+def _pid_running(pid: int) -> bool:
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)  # signal 0 checks that the process exists and sends nothing
+    except (ProcessLookupError, OverflowError):  # no such process, or larger than any PID
+        return False
+    except OSError:  # PermissionError: it runs under another user
+        return True
+    return True

@@ -14,13 +14,11 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .chunking import segment
 from .errors import ContractError, ValidationError
 from .gateway import SentimentScore
 from .index import FlatIndex, build_index
-from .jsonio import load_json_object, require_fields
 from .story import Story
 from .summarize import EpisodeSummary, build_retrieval_document
 
@@ -289,16 +287,8 @@ def records_to_dict(records: dict[str, SummaryRecord]) -> dict:
     }
 
 
-_RECORD_FIELDS = {"story_id": str, "episode_index": int, "sentiment": float, "text": str}
-
-
-def load_records(path: Path | str) -> dict[str, SummaryRecord]:
-    """The records saved at `path` by `records_to_dict`; a file that does not
-    hold them raises PersistenceError naming it."""
-    raw = load_json_object(path)
-    for entry_id, value in raw.items():
-        require_fields(path, f"record {entry_id!r}", value, _RECORD_FIELDS)
-    return records_from_dict(raw)
+# the shape of each value of the object `records_to_dict` returns
+RECORD_SHAPE = {"story_id": str, "episode_index": int, "sentiment": float, "text": str}
 
 
 def records_from_dict(raw: dict) -> dict[str, SummaryRecord]:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import StoryParseError, ValidationError
-from .jsonio import canonical_bytes
+from .jsonio import canonical_bytes, check
 
 GENRES = ("science_fiction", "drama", "fantasy", "comedy", "other")
 
@@ -109,6 +109,8 @@ class Story:
     def __post_init__(self):
         if not self.story_id:
             raise ValidationError("story_id", "must be non-empty")
+        if any(c in self.story_id for c in "/\\\0"):  # it names the story's files
+            raise ValidationError("story_id", f"must not hold '/', '\\' or NUL, got {self.story_id!r}")
         if self.genre not in GENRES:
             raise ValidationError("genre", f"must be one of {GENRES}, got {self.genre!r}")
         if not self.episodes:
@@ -135,16 +137,13 @@ class Story:
 # ---------------------------------------------------------------------------
 
 
-def _expect(obj: dict, key: str, kind: type, path: str):
-    if key not in obj:
-        raise ValidationError(f"{path}.{key}", "missing required field")
-    value = obj[key]
-    # bool is an int subclass; never accept it where an int is expected
-    if kind is int and isinstance(value, bool):
-        raise ValidationError(f"{path}.{key}", f"expected {kind.__name__}, got bool")
-    if not isinstance(value, kind):
-        raise ValidationError(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
-    return value
+STORY_SHAPE = {
+    "story_id": str,
+    "title": str,
+    "genre": str,
+    "key_items?": [{"item_id": str, "names": [str]}],
+    "episodes": [{"index": int, "text": str}],
+}
 
 
 def parse_story(data: bytes) -> Story:
@@ -162,51 +161,39 @@ def parse_story(data: bytes) -> Story:
     except json.JSONDecodeError as e:
         offset = len(text[: e.pos].encode("utf-8"))
         raise StoryParseError(f"malformed JSON: {e.msg}", byte_offset=offset) from e
-    if not isinstance(raw, dict):
-        raise ValidationError("$", f"expected object, got {type(raw).__name__}")
+    if "\\u" in text:  # an escape can spell a lone surrogate, which no UTF-8 file can hold
+        try:
+            canonical_bytes(raw)
+        except UnicodeEncodeError as e:
+            raise StoryParseError(f"not valid UTF-8: {e.reason}") from None
+    check(raw, STORY_SHAPE)
     return story_from_dict(raw)
 
 
 def story_from_dict(raw: dict) -> Story:
-    story_id = _expect(raw, "story_id", str, "$")
-    title = _expect(raw, "title", str, "$")
-    genre = _expect(raw, "genre", str, "$")
+    """The story `raw` holds; `raw` must have STORY_SHAPE."""
+    key_items = [
+        _built(f"$.key_items[{i}]", KeyItem, entry["item_id"], tuple(entry["names"]))
+        for i, entry in enumerate(raw.get("key_items", []))
+    ]
+    episodes = [
+        _built(f"$.episodes[{i}]", Episode, entry["index"], entry["text"]) for i, entry in enumerate(raw["episodes"])
+    ]
+    return Story(
+        story_id=raw["story_id"],
+        title=raw["title"],
+        genre=raw["genre"],
+        key_items=tuple(key_items),
+        episodes=tuple(episodes),
+    )
 
-    key_items = []
-    for i, entry in enumerate(raw.get("key_items", [])):
-        path = f"key_items[{i}]"
-        if not isinstance(entry, dict):
-            raise ValidationError(path, "expected object")
-        names = _expect(entry, "names", list, path)
-        for j, name in enumerate(names):
-            if not isinstance(name, str):
-                raise ValidationError(f"{path}.names[{j}]", "expected str")
-        try:
-            key_items.append(KeyItem(item_id=_expect(entry, "item_id", str, path), names=tuple(names)))
-        except ValidationError as e:
-            raise ValidationError(f"{path}.{e.field}", e.reason) from e
 
-    episodes_raw = _expect(raw, "episodes", list, "$")
-    episodes = []
-    for i, entry in enumerate(episodes_raw):
-        path = f"episodes[{i}]"
-        if not isinstance(entry, dict):
-            raise ValidationError(path, "expected object")
-        try:
-            episodes.append(Episode(index=_expect(entry, "index", int, path), text=_expect(entry, "text", str, path)))
-        except ValidationError as e:
-            raise ValidationError(f"{path}.{e.field}", e.reason) from e
-
+def _built(where: str, cls, *args):
+    """`cls(*args)`, its ValidationError re-raised with `where` before the field."""
     try:
-        return Story(
-            story_id=story_id,
-            title=title,
-            genre=genre,
-            key_items=tuple(key_items),
-            episodes=tuple(episodes),
-        )
-    except ValidationError:
-        raise
+        return cls(*args)
+    except ValidationError as e:
+        raise ValidationError(f"{where}.{e.field}", e.reason) from None
 
 
 def story_to_dict(story: Story) -> dict:

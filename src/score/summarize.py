@@ -315,6 +315,27 @@ def summary_to_dict(summary: EpisodeSummary) -> dict:
     }
 
 
+SUMMARY_SHAPE = {
+    "story_id": str,
+    "episode_index": int,
+    "synopsis": str,
+    "plot_points": [str],
+    "actions": [{"character": str, "episode_index": int, "description": str}],
+    "interactions": [
+        {
+            "item_id": str,
+            "episode_index": int,
+            "actor?": (str, None),
+            "description": str,
+            "implied_state?": (ItemState, None),
+        }
+    ],
+    "relationships": [str],
+    "emotional_changes": [str],
+    "sentiment": float,
+}
+
+
 def summary_from_dict(raw: dict) -> EpisodeSummary:
     return EpisodeSummary(
         story_id=raw["story_id"],
@@ -347,6 +368,9 @@ def summary_from_dict(raw: dict) -> EpisodeSummary:
 
 def summaries_to_dict(story_id: str, summaries: list[EpisodeSummary]) -> dict:
     return {"story_id": story_id, "summaries": [summary_to_dict(s) for s in summaries]}
+
+
+SUMMARIES_SHAPE = {"story_id": str, "summaries": [SUMMARY_SHAPE]}
 
 
 def summaries_from_dict(raw: dict) -> tuple[str, list[EpisodeSummary]]:

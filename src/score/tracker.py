@@ -348,6 +348,16 @@ def error_to_dict(err: ContinuityError) -> dict:
     }
 
 
+ERROR_SHAPE = {
+    "item_id": str,
+    "prior_episode": int,
+    "prior_state": ItemState,
+    "reappearance_episode": int,
+    "claimed_state": ItemState,
+    "explanation_found": bool,
+}
+
+
 def error_from_dict(raw: dict) -> ContinuityError:
     return ContinuityError(
         item_id=raw["item_id"],

@@ -139,3 +139,10 @@ def test_duplicate_item_ids_rejected():
 def test_key_item_requires_alias():
     with pytest.raises(ValidationError, match="names"):
         KeyItem(item_id="x", names=())
+
+
+@pytest.mark.parametrize("story_id", ["../outside", "/abs", "a\\b", "nul\u0000"])
+def test_story_id_that_would_name_a_path_is_rejected(story_id):
+    # the story id names the story's files under stories/, states/ and summaries/
+    with pytest.raises(ValidationError, match="story_id"):
+        parse_story(doc(story_id=story_id))
