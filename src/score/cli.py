@@ -52,11 +52,16 @@ _GATEWAY_FLAGS = {
     "embed_dim": "embed_dim",
 }
 _RETRIEVAL_FLAGS = {"top_n": "top_n", "tau": "sentiment_tolerance"}
+# what `score index` builds and `score ask` searches
+_GRANULARITIES = ("summary", "chunk")
 
 
 def _load_config(project: Project, args) -> tuple[GatewayConfig, RetrievalConfig, str]:
     """The project's config, each value a flag was given for replaced by the flag's."""
     gateway_cfg, retrieval_cfg, granularity = project.load_config()
+    granularity = getattr(args, "granularity", None) or granularity
+    if granularity not in _GRANULARITIES:
+        raise UsageError(f"unknown granularity {granularity!r}")
 
     def flagged(flags: dict[str, str]) -> dict:
         return {field: getattr(args, flag) for flag, field in flags.items() if getattr(args, flag, None) is not None}
@@ -64,7 +69,7 @@ def _load_config(project: Project, args) -> tuple[GatewayConfig, RetrievalConfig
     return (
         replace(gateway_cfg, **flagged(_GATEWAY_FLAGS)),
         replace(retrieval_cfg, **flagged(_RETRIEVAL_FLAGS)),
-        getattr(args, "granularity", None) or granularity,
+        granularity,
     )
 
 
@@ -132,7 +137,7 @@ def cmd_summarize(project: Project, args) -> int:
     todo = [story for story in stories if needs_summaries(story)]
     with _gateway(project, gateway_cfg) as gateway:
         def write_summaries(story):
-            summaries = summarize_story(story, gateway, prompts_root=project.dir("prompts"))
+            summaries = summarize_story(story, gateway)
             write_if_changed(
                 project.summaries_path(story.story_id),
                 canonical_bytes(summaries_to_dict(story.story_id, summaries)),
@@ -149,7 +154,7 @@ def cmd_track(project: Project, args) -> int:
     stories = project.load_stories()
     with _gateway(project, gateway_cfg) as gateway:
         def track_story(story):
-            timelines = story_timelines(story, gateway, prompts_root=project.dir("prompts"))
+            timelines = story_timelines(story, gateway)
             errors = detect_story_errors(timelines)
             write_if_changed(
                 project.dir("states") / f"{story.story_id}.json",
@@ -178,9 +183,6 @@ def cmd_index(project: Project, args) -> int:
     missing = [story_id for story_id, built in summaries.items() if built is None]
     if missing:
         raise ValidationError("summaries", f"not built for: {', '.join(missing)} (run `score summarize`)")
-
-    if granularity not in ("summary", "chunk"):
-        raise UsageError(f"unknown granularity {granularity!r}")
 
     units = [unit for story in stories for unit in retrieval_units(story, summaries[story.story_id], granularity)]
     with _gateway(project, gateway_cfg) as gateway:
@@ -245,7 +247,7 @@ def cmd_evaluate(project: Project, args) -> int:
 
     config = PipelineConfig(gateway_cfg, retrieval_cfg, ablations)
     with _gateway(project, gateway_cfg) as gateway:
-        result = run_pipeline(stories, gateway, config, gold, prompts_root=project.dir("prompts"))
+        result = run_pipeline(stories, gateway, config, gold)
     if episode_filter:
         result.evaluations = [
             e for e in result.evaluations
@@ -282,7 +284,7 @@ def cmd_ask(project: Project, args) -> int:
         raise ValidationError("story", f"story {args.story!r} not in index")
     with _gateway(project, gateway_cfg) as gateway:
         bundle = retrieve_for_query(args.question, index, records, retrieval_cfg, gateway, restrict_story=args.story)
-        result = answer_query(args.question, bundle, gateway, prompts_root=project.dir("prompts"))
+        result = answer_query(args.question, bundle, gateway)
     print(
         canonical_dumps(
             {
@@ -311,7 +313,7 @@ def cmd_compare(project: Project, args) -> int:
     config_b = PipelineConfig(gateway_cfg, retrieval_cfg, ablations_b)
 
     with _gateway(project, gateway_cfg) as gateway:
-        comparison = run_comparison(stories, gold, gateway, config_a, config_b, prompts_root=project.dir("prompts"))
+        comparison = run_comparison(stories, gold, gateway, config_a, config_b)
     run_id = hashlib.sha256(
         (config_a.digest() + config_b.digest() + project.corpus_digest(stories)).encode()
     ).hexdigest()[:12]
@@ -405,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="extract item states, detect continuity errors")
     p.set_defaults(func=cmd_track)
 
-    p = sub.add_parser("index", help="build and freeze the vector index")
-    p.add_argument("--granularity", choices=["summary", "chunk"])
+    p = sub.add_parser("index", help="embed the summaries or chunks into the vector index")
+    p.add_argument("--granularity", choices=_GRANULARITIES)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("evaluate", help="run the evaluation pipeline, write a report")
@@ -417,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ask", help="answer a question over the indexed corpus")
     p.add_argument("question")
     p.add_argument("--story", help="restrict retrieval to one story")
-    p.add_argument("--granularity", choices=["summary", "chunk"])
+    p.add_argument("--granularity", choices=_GRANULARITIES)
     p.set_defaults(func=cmd_ask)
 
     p = sub.add_parser("compare", help="paired run: full pipeline vs baseline or ablation")

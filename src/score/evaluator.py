@@ -147,7 +147,6 @@ def evaluate_episode(
     gateway,
     *,
     story_id: str,
-    prompts_root=None,
 ) -> EpisodeEvaluation:
     """Score one episode across the four narrative facets.
 
@@ -172,9 +171,7 @@ def evaluate_episode(
         )
         cited = tuple(episode_errors)
     else:
-        facets, rationale, cited, reply_states = _llm_evaluate(
-            episode, episode_errors, context, gateway, prompts_root
-        )
+        facets, rationale, cited, reply_states = _llm_evaluate(episode, episode_errors, context, gateway)
         asserted = reply_states or asserted
 
     if episode_errors:
@@ -206,15 +203,15 @@ def _mock_facet_scores(summary: EpisodeSummary, episode_errors: list[ContinuityE
     }
 
 
-def _llm_evaluate(episode, episode_errors, context, gateway, prompts_root):
+def _llm_evaluate(episode, episode_errors, context, gateway):
     prompt = prompts.render(
-        gateway.template("evaluate", prompts_root),
+        gateway.template("evaluate"),
         episode_text=episode.text,
         context=context.render() or "(no context retrieved)",
         errors_json=json.dumps([error_to_dict(e) for e in episode_errors], ensure_ascii=False),
     )
     return gateway.complete_parsed(
-        prompt, lambda reply: _parse_evaluation_reply(reply, episode_errors), EvaluationError, "evaluation", prompts_root
+        prompt, lambda reply: _parse_evaluation_reply(reply, episode_errors), EvaluationError, "evaluation"
     )
 
 
@@ -256,9 +253,7 @@ def _parse_evaluation_reply(reply, episode_errors):
 # ---------------------------------------------------------------------------
 
 
-def answer_query(
-    question: str, bundle: ContextBundle, gateway, *, story_id: str = "", prompts_root=None
-) -> QAResult:
+def answer_query(question: str, bundle: ContextBundle, gateway, *, story_id: str = "") -> QAResult:
     """Answer from the bundle only; refuses rather than inventing."""
     if not question or not question.strip():
         raise ContractError("question must be non-empty")
@@ -273,7 +268,7 @@ def answer_query(
     if gateway.is_mock:
         answer, refs = _mock_answer(question, bundle)
     else:
-        answer, refs = _llm_answer(question, bundle, gateway, prompts_root)
+        answer, refs = _llm_answer(question, bundle, gateway)
     return QAResult(
         question=question,
         answer=answer,
@@ -322,11 +317,9 @@ def _strip_bullet(sentence: str) -> str:
     return sentence
 
 
-def _llm_answer(question, bundle, gateway, prompts_root):
-    prompt = prompts.render(gateway.template("answer", prompts_root), question=question, context=bundle.render())
-    return gateway.complete_parsed(
-        prompt, lambda reply: _parse_answer_reply(reply, bundle), EvaluationError, "answer", prompts_root
-    )
+def _llm_answer(question, bundle, gateway):
+    prompt = prompts.render(gateway.template("answer"), question=question, context=bundle.render())
+    return gateway.complete_parsed(prompt, lambda reply: _parse_answer_reply(reply, bundle), EvaluationError, "answer")
 
 
 def _parse_answer_reply(reply, bundle):
@@ -563,8 +556,6 @@ def run_pipeline(
     gateway,
     config: PipelineConfig,
     gold: GoldData | None = None,
-    *,
-    prompts_root=None,
 ) -> PipelineResult:
     """Run extract -> track -> summarize -> index -> evaluate -> QA over a corpus.
 
@@ -587,7 +578,7 @@ def run_pipeline(
             gold_by_story.setdefault(gq.story_id, []).append(gq)
 
     def run_story(story):
-        raw_timelines = story_timelines(story, gateway, prompts_root=prompts_root)
+        raw_timelines = story_timelines(story, gateway)
         errors = detect_story_errors(raw_timelines)
         if ablations.tracking:
             timelines = correct_story_timelines(raw_timelines, errors)
@@ -595,7 +586,7 @@ def run_pipeline(
             timelines = raw_timelines
 
         if ablations.summary:
-            summaries = summarize_story(story, gateway, prompts_root=prompts_root)
+            summaries = summarize_story(story, gateway)
         else:
             summaries = gateway.map(lambda ep: _minimal_summary(ep, gateway, story_id=story.story_id), story.episodes)
 
@@ -622,14 +613,7 @@ def run_pipeline(
             else:
                 bundle = ContextBundle(focus=focus.entry_id, selected=())
             return evaluate_episode(
-                ep,
-                summaries[ep.index],
-                timelines,
-                errors,
-                bundle,
-                gateway,
-                story_id=story.story_id,
-                prompts_root=prompts_root,
+                ep, summaries[ep.index], timelines, errors, bundle, gateway, story_id=story.story_id
             )
 
         story_evaluations = gateway.map(evaluate_one, story.episodes)
@@ -648,7 +632,7 @@ def run_pipeline(
                 )
             else:
                 bundle = ContextBundle(focus=f"query:{gq.question[:72]}", selected=())
-            result = answer_query(gq.question, bundle, gateway, story_id=story.story_id, prompts_root=prompts_root)
+            result = answer_query(gq.question, bundle, gateway, story_id=story.story_id)
             return grade_answer(result, gq)
 
         story_qa = gateway.map(answer_one, range(len(questions)))
@@ -724,15 +708,13 @@ def run_comparison(
     gateway,
     config_a: PipelineConfig,
     config_b: PipelineConfig,
-    *,
-    prompts_root=None,
 ) -> ComparisonReport:
     """Evaluate the identical corpus and question set under two configurations."""
     collision = config_a.digest() == config_b.digest()
     if collision:
         logger.warning("both comparison configs have digest %s; comparing a config to itself", config_a.digest())
-    result_a = run_pipeline(stories, gateway, config_a, gold, prompts_root=prompts_root)
-    result_b = run_pipeline(stories, gateway, config_b, gold, prompts_root=prompts_root)
+    result_a = run_pipeline(stories, gateway, config_a, gold)
+    result_b = run_pipeline(stories, gateway, config_b, gold)
     return ComparisonReport(
         config_a=config_a,
         config_b=config_b,

@@ -190,7 +190,7 @@ class LlmGateway:
         prompts_root: Path | str | None = None,
     ):
         """`prompts_root` is a project's prompts/ directory; its templates
-        override the bundled ones for prompts the gateway itself builds."""
+        override the bundled ones in every prompt rendered from `template`."""
         if config.cache_mode != "off" and cache_dir is None:
             raise ContractError(f"cache_mode={config.cache_mode!r} requires a cache_dir")
         self.config = config
@@ -205,7 +205,7 @@ class LlmGateway:
         self._pending: dict[str, Future] = {}  # cache key -> result of the request in flight
         self._pool: ThreadPoolExecutor | None = None  # created by the first threaded map
         self._pool_token = object()
-        self._templates: dict[tuple[str, Path | str | None], str] = {}
+        self._templates: dict[str, str] = {}
         self._db = None  # sqlite3 connection to the cache file, opened by the first cached request
 
     def close(self) -> None:
@@ -281,14 +281,13 @@ class LlmGateway:
                 )
             return self._pool
 
-    def template(self, name: str, root: Path | str | None = None) -> str:
-        """Prompt template `name`, preferring `root/<name>.txt`; each is read
-        once per gateway, so a new gateway sees an edited `prompts/`."""
-        key = (name, root)
+    def template(self, name: str) -> str:
+        """Prompt template `name`, preferring `<prompts_root>/<name>.txt`; each is
+        read once per gateway, so a new gateway sees an edited `prompts/`."""
         with self._lock:
-            text = self._templates.get(key)
+            text = self._templates.get(name)
             if text is None:
-                text = self._templates[key] = prompts.load(name, root)
+                text = self._templates[name] = prompts.load(name, self.prompts_root)
         return text
 
     # -- public operations ---------------------------------------------------
@@ -363,7 +362,7 @@ class LlmGateway:
     def _sentiment_uncached(self, text: str) -> float:
         if self.is_mock:
             return lexicon.mock_sentiment_value(text)
-        prompt = prompts.render(self.template("sentiment", self.prompts_root), text=text)
+        prompt = prompts.render(self.template("sentiment"), text=text)
         reply = self._complete_uncached(
             {
                 "model": self.config.model_name,
@@ -444,7 +443,6 @@ class LlmGateway:
         parse: Callable[[str], R],
         error: type[GatewayReplyError],
         what: str,
-        prompts_root: Path | str | None = None,
     ) -> R:
         """`parse(complete(prompt))`, with one repair reprompt.
 
@@ -456,7 +454,7 @@ class LlmGateway:
         try:
             return parse(reply)
         except (ValueError, ValidationError):
-            repair = prompts.render(self.template("repair", prompts_root), raw_reply=reply, original_prompt=prompt)
+            repair = prompts.render(self.template("repair"), raw_reply=reply, original_prompt=prompt)
             reply = self.complete(repair)
             try:
                 return parse(reply)

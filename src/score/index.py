@@ -2,16 +2,17 @@
 
 Corpora here are thousands of units, so exact search is fast enough and
 exactly testable against a brute-force oracle; there is deliberately no
-approximate structure. Vectors are unit-normalized at insertion, which
-turns search into a dot product. Search screens, then exactly rescores:
-one float32 matrix-vector product over a float32 copy of the matrix
-screens the candidate rows (it reads half the bytes of a float64 one), and
-only the rows within a rounding margin of the n-th best screened score are
-rescored with the float64 per-row dot product the oracle uses. The margin
-bounds float32 input rounding, float32 accumulation, underflow and the
-float64 score's own error (`_screen_margin`), so no row of the exact top n
-is screened out. Ties break on entry_id, so results are reproducible and
-bit-for-bit equal to a full scan.
+approximate structure. An index is an immutable value. Its vectors are
+unit-normalized when it is built, which turns search into a dot product.
+Search screens, then exactly rescores: one float32 matrix-vector product
+over a float32 copy of the matrix screens the candidate rows (it reads half
+the bytes of a float64 one), and only the rows within a rounding margin of
+the n-th best screened score are rescored with the float64 per-row dot
+product the oracle uses. The margin bounds float32 input rounding, float32
+accumulation, underflow and the float64 score's own error
+(`_screen_margin`), so no row of the exact top n is screened out. Ties
+break on entry_id, so results are reproducible and bit-for-bit equal to a
+full scan.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def _screen_margin(dim: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class IndexEntry:
-    """A stored unit; `embedding` is kept unit-normalized. Once the index is
-    frozen it is a read-only view of the unit's row of the index matrix."""
+    """A stored unit; `embedding` is unit-normalized, a read-only view of the
+    unit's row of the index matrix."""
 
     entry_id: str
     kind: str  # "summary" | "episode" | "chunk"
@@ -126,90 +127,40 @@ def cosine(u, v) -> float:
 
 
 class FlatIndex:
-    """Append-then-freeze store; search is safe from any number of threads once frozen."""
+    """An immutable store of unit vectors; search is safe from any number of threads.
 
-    def __init__(self, dim: int):
+    `build_index` builds one from vectors and `load` from saved files; both
+    hand this constructor the entries and the matrix of their unit rows,
+    each entry's `embedding` a read-only view of its row.
+    """
+
+    def __init__(self, dim: int, entries: Sequence[IndexEntry], matrix: np.ndarray):
         if dim <= 0:
             raise ContractError(f"dimension must be positive, got {dim}")
         self._dim = dim
-        self._entries: list[IndexEntry] = []
-        self._by_id: dict[str, int] = {}
-        self._matrix: np.ndarray | None = None
-        self._screen: np.ndarray | None = None  # float32 copy of the matrix
-        self._story_rows: dict[str, list[int]] = {}  # built with the screen
+        self._entries = tuple(entries)
+        self._matrix = matrix
+        self._story_rows: dict[str, list[int]] = {}
+        seen: set[str] = set()
+        for row, entry in enumerate(self._entries):
+            if entry.entry_id in seen:
+                raise ContractError(f"duplicate entry_id {entry.entry_id!r}")
+            seen.add(entry.entry_id)
+            self._story_rows.setdefault(entry.story_id, []).append(row)
+        self._screen = matrix.astype(np.float32)  # the float32 copy that search screens with
+        self._screen.flags.writeable = False
         self._margin = _screen_margin(dim)
-        self._frozen = False
 
     @property
     def dim(self) -> int:
         return self._dim
 
     @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    @property
     def entries(self) -> tuple[IndexEntry, ...]:
-        return tuple(self._entries)
+        return self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def add(
-        self,
-        entry_id: str,
-        embedding,
-        *,
-        kind: str = "summary",
-        story_id: str = "",
-        episode_index: int = 0,
-    ) -> None:
-        if self._frozen:
-            raise ContractError("index is frozen")
-        if entry_id in self._by_id:
-            raise ContractError(f"duplicate entry_id {entry_id!r}")
-        vec = _as_vector(embedding, dim=self._dim)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            raise ContractError("zero vector rejected")
-        entry = IndexEntry(
-            entry_id=entry_id,
-            kind=kind,
-            story_id=story_id,
-            episode_index=episode_index,
-            embedding=vec / norm,
-        )
-        self._by_id[entry_id] = len(self._entries)
-        self._entries.append(entry)
-        self._matrix = self._screen = None
-
-    def freeze(self) -> "FlatIndex":
-        """Stop additions; from here on each vector is stored once, in the matrix,
-        next to the read-only float32 copy that search screens with."""
-        if not self._frozen:
-            matrix, _ = self._materialize()
-            matrix.flags.writeable = False
-            self._entries = [
-                IndexEntry(e.entry_id, e.kind, e.story_id, e.episode_index, row)
-                for e, row in zip(self._entries, matrix)
-            ]
-            self._frozen = True
-        return self
-
-    def _materialize(self) -> tuple[np.ndarray, np.ndarray]:
-        """The matrix of unit rows in entry order, and its float32 copy."""
-        if self._matrix is None:
-            self._matrix = np.vstack([e.embedding for e in self._entries]) if self._entries else np.zeros((0, self._dim))
-        if self._screen is None:
-            self._story_rows = {}
-            for row, entry in enumerate(self._entries):
-                self._story_rows.setdefault(entry.story_id, []).append(row)
-            self._screen = self._matrix.astype(np.float32)
-            self._screen.flags.writeable = False
-        return self._matrix, self._screen
-
-    def get(self, entry_id: str) -> IndexEntry:
-        return self._entries[self._by_id[entry_id]]
 
     def search_top_n(
         self,
@@ -236,7 +187,6 @@ class FlatIndex:
         if norm == 0.0:
             raise ContractError("zero query vector")
         unit = vec / norm
-        _, screen = self._materialize()
         entries = self._entries
 
         dropped = []  # a list even when empty: numpy reads `a[()]` as the whole array
@@ -247,13 +197,13 @@ class FlatIndex:
         if story is None and filter is None and len(entries) - len(dropped) > n:
             # every row: screen the stored copy in place and mask the excluded episode
             rows = None
-            screened = screen @ unit.astype(np.float32)
+            screened = self._screen @ unit.astype(np.float32)
             screened[dropped] = -np.inf
         else:
             rows = range(len(entries)) if story is None else self._story_rows.get(story, [])
             if dropped or filter is not None:
                 rows = [i for i in rows if i not in dropped and (filter is None or filter(entries[i]))]
-            screened = screen[rows] @ unit.astype(np.float32) if len(rows) > n else None
+            screened = self._screen[rows] @ unit.astype(np.float32) if len(rows) > n else None
         if screened is not None:
             kth = len(screened) - n
             # the floor and the comparison stay float64 (NEP 50 would round
@@ -274,8 +224,7 @@ class FlatIndex:
     def save(self, base: Path | str) -> None:
         """Write `<base>.vec` (binary vectors) and `<base>.meta.json`."""
         base = Path(base)
-        matrix, _ = self._materialize()
-        payload = np.ascontiguousarray(matrix, dtype="<f8").tobytes()
+        payload = np.ascontiguousarray(self._matrix, dtype="<f8").tobytes()
         header = _HEADER.pack(_MAGIC, _VERSION, self._dim, len(self._entries), zlib.crc32(payload))
         write_if_changed(base.with_suffix(".vec"), header + payload)
         meta = {
@@ -296,7 +245,7 @@ class FlatIndex:
 
     @classmethod
     def load(cls, base: Path | str) -> "FlatIndex":
-        """Load a saved index; the result is frozen."""
+        """Load a saved index."""
         base = Path(base)
         vec_path = base.with_suffix(".vec")
         meta_path = base.with_suffix(".meta.json")
@@ -320,26 +269,28 @@ class FlatIndex:
         entries = meta["entries"]
         if meta["count"] != count or meta["dim"] != dim or len(entries) != count:
             raise PersistenceError(f"{meta_path}: metadata does not match vector file")
-        index = cls(dim)
-        for i, entry in enumerate(entries):
-            if entry["entry_id"] in index._by_id:
-                raise PersistenceError(f"{meta_path}: duplicate entry_id {entry['entry_id']!r}")
-            index._by_id[entry["entry_id"]] = i
         # each entry's embedding is its row of the matrix, a read-only view of
-        # the file's bytes: no vector is copied, and no entry built twice
-        index._entries = [
+        # the file's bytes: no vector is copied
+        entries = [
             IndexEntry(e["entry_id"], e["kind"], e["story_id"], e["episode_index"], row)
             for e, row in zip(entries, matrix)
         ]
-        index._matrix = matrix
-        index._materialize()
-        index._frozen = True
-        return index
+        try:
+            return cls(dim, entries, matrix)
+        except ContractError as e:
+            raise PersistenceError(f"{meta_path}: {e}") from None
 
 
 def build_index(dim: int, rows: Iterable[tuple[str, str, str, int, np.ndarray]]) -> FlatIndex:
-    """Assemble and freeze an index from (entry_id, kind, story_id, episode, vector) rows."""
-    index = FlatIndex(dim)
-    for entry_id, kind, story_id, episode_index, vec in rows:
-        index.add(entry_id, vec, kind=kind, story_id=story_id, episode_index=episode_index)
-    return index.freeze()
+    """An index of (entry_id, kind, story_id, episode, vector) rows, each vector unit-normalized."""
+    rows = list(rows)
+    matrix = np.empty((len(rows), dim))
+    for i, (*_, vec) in enumerate(rows):
+        vec = _as_vector(vec, dim=dim)
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0:
+            raise ContractError("zero vector rejected")
+        matrix[i] = vec / norm
+    matrix.flags.writeable = False
+    entries = [IndexEntry(*row[:4], embedding) for row, embedding in zip(rows, matrix)]
+    return FlatIndex(dim, entries, matrix)

@@ -131,7 +131,7 @@ def retrieval_units(
 
 
 def build_retrieval_index(units: list[tuple[str, SummaryRecord]], gateway):
-    """Embed every unit in one `gateway.embed` call and freeze them into an index.
+    """Embed every unit in one `gateway.embed` call and build an index of them.
 
     Returns (index, records by entry id, raw vectors in unit order). The raw
     rows, not the index's normalized copies, serve as query vectors: search
@@ -167,8 +167,6 @@ def retrieve_related(
     embedding when the caller already has it; otherwise it is embedded here.
     focus_sentiment may be None only when the sentiment filter is off.
     """
-    if not index.frozen:
-        raise ContractError("index must be frozen before retrieval")
     if len(index) == 0:
         raise ContractError("index empty")
     if not focus_text:

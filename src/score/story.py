@@ -125,12 +125,6 @@ class Story:
         if len(set(ids)) != len(ids):
             raise ValidationError("key_items", "duplicate item_id")
 
-    def item(self, item_id: str) -> KeyItem:
-        for k in self.key_items:
-            if k.item_id == item_id:
-                return k
-        raise KeyError(item_id)
-
 
 # ---------------------------------------------------------------------------
 # JSON persistence

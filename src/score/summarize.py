@@ -58,29 +58,23 @@ class RetrievalDocument:
     story_id: str
     episode_index: int
     text: str
-    kind: str = "summary"
 
     def __post_init__(self):
         if not self.text:
             raise ValidationError("text", "must be non-empty")
 
 
-def summarize_episode(
-    episode: Episode, items: list[KeyItem], gateway, *, story_id: str, prompts_root=None
-) -> EpisodeSummary:
+def summarize_episode(episode: Episode, items: list[KeyItem], gateway, *, story_id: str) -> EpisodeSummary:
     """Produce a structured summary; deterministic rules under the mock backend."""
     if gateway.is_mock:
         return rule_summarize(episode, items, gateway, story_id=story_id)
-    return _llm_summarize(episode, items, gateway, story_id=story_id, prompts_root=prompts_root)
+    return _llm_summarize(episode, items, gateway, story_id=story_id)
 
 
-def summarize_story(story: Story, gateway, *, prompts_root=None) -> list[EpisodeSummary]:
+def summarize_story(story: Story, gateway) -> list[EpisodeSummary]:
     """Every episode's summary, in episode order; episodes run through `gateway.map`."""
     items = list(story.key_items)
-    return gateway.map(
-        lambda episode: summarize_episode(episode, items, gateway, story_id=story.story_id, prompts_root=prompts_root),
-        story.episodes,
-    )
+    return gateway.map(lambda ep: summarize_episode(ep, items, gateway, story_id=story.story_id), story.episodes)
 
 
 def rule_summarize(episode: Episode, items: list[KeyItem], gateway, *, story_id: str) -> EpisodeSummary:
@@ -165,17 +159,16 @@ def _names_in_sentence(words: list[str]) -> int:
     return len(names)
 
 
-def _llm_summarize(episode, items, gateway, *, story_id, prompts_root=None) -> EpisodeSummary:
+def _llm_summarize(episode, items, gateway, *, story_id) -> EpisodeSummary:
     prompt = prompts.render(
-        gateway.template("summarize", prompts_root),
+        gateway.template("summarize"),
         episode_text=episode.text,
         items_json=json.dumps(
             [{"item_id": k.item_id, "names": list(k.names)} for k in items], ensure_ascii=False
         ),
     )
     return gateway.complete_parsed(
-        prompt, lambda reply: _parse_summary_reply(reply, episode, items, gateway, story_id),
-        SummaryError, "summary", prompts_root,
+        prompt, lambda reply: _parse_summary_reply(reply, episode, items, gateway, story_id), SummaryError, "summary"
     )
 
 

@@ -29,7 +29,6 @@ logger = logging.getLogger(__name__)
 
 
 class ObservationSource(str, enum.Enum):
-    DECLARED = "declared"
     EXTRACTED_LLM = "extracted_llm"
     EXTRACTED_RULE = "extracted_rule"
 
@@ -194,9 +193,7 @@ def correct_timeline(timeline: ItemTimeline, errors: list[ContinuityError]) -> I
 # ---------------------------------------------------------------------------
 
 
-def extract_item_statuses(
-    episode: Episode, items: list[KeyItem], gateway, *, prompts_root=None
-) -> list[ItemObservation]:
+def extract_item_statuses(episode: Episode, items: list[KeyItem], gateway) -> list[ItemObservation]:
     """One observation per key item mentioned in the episode.
 
     The mock backend runs the deterministic rule extractor; the remote
@@ -204,7 +201,7 @@ def extract_item_statuses(
     """
     if gateway.is_mock:
         return rule_extract(episode, items)
-    return _llm_extract(episode, items, gateway, prompts_root)
+    return _llm_extract(episode, items, gateway)
 
 
 def rule_extract(episode: Episode, items: list[KeyItem]) -> list[ItemObservation]:
@@ -242,18 +239,18 @@ def rule_extract(episode: Episode, items: list[KeyItem]) -> list[ItemObservation
     return observations
 
 
-def _llm_extract(episode: Episode, items: list[KeyItem], gateway, prompts_root) -> list[ItemObservation]:
+def _llm_extract(episode: Episode, items: list[KeyItem], gateway) -> list[ItemObservation]:
     from . import prompts
 
     prompt = prompts.render(
-        gateway.template("extract_states", prompts_root),
+        gateway.template("extract_states"),
         episode_text=episode.text,
         items_json=json.dumps(
             [{"item_id": k.item_id, "names": list(k.names)} for k in items], ensure_ascii=False
         ),
     )
     return gateway.complete_parsed(
-        prompt, lambda reply: _parse_extraction_reply(reply, episode, items), ExtractionError, "extraction", prompts_root
+        prompt, lambda reply: _parse_extraction_reply(reply, episode, items), ExtractionError, "extraction"
     )
 
 
@@ -300,17 +297,14 @@ def _parse_extraction_reply(reply: str, episode: Episode, items: list[KeyItem]) 
 # ---------------------------------------------------------------------------
 
 
-def story_timelines(story: Story, gateway, *, prompts_root=None) -> dict[str, ItemTimeline]:
+def story_timelines(story: Story, gateway) -> dict[str, ItemTimeline]:
     """Extract every episode and fold the observations into per-item timelines.
 
     Episodes are extracted through `gateway.map` and folded in episode order.
     """
     items = list(story.key_items)
     timelines = {k.item_id: ItemTimeline(item_id=k.item_id) for k in items}
-    extracted = gateway.map(
-        lambda episode: extract_item_statuses(episode, items, gateway, prompts_root=prompts_root),
-        story.episodes,
-    )
+    extracted = gateway.map(lambda episode: extract_item_statuses(episode, items, gateway), story.episodes)
     for observations in extracted:
         for obs in observations:
             timelines[obs.item_id] = record_observation(timelines[obs.item_id], obs)

@@ -28,7 +28,7 @@ from score.evaluator import (
 )
 from score.fuzz import FuzzSpec, generate_corpus, score_detection
 from score.gateway import GatewayConfig, LlmGateway, SentimentScore
-from score.index import FlatIndex, cosine
+from score.index import FlatIndex, build_index, cosine
 from score.retrieval import RetrievalConfig, SummaryRecord, retrieve_related
 from score.story import ItemState, parse_story, serialize_story
 from score.tracker import (
@@ -140,11 +140,11 @@ def test_detection_predicate_equivalence_exhaustive():
 def test_search_matches_oracle_at_scale():
     rng = np.random.default_rng(12345)
     dim = 32
-    index = FlatIndex(dim)
+    rows = []
     for i in range(1000):
         vec = rng.normal(size=dim)
-        index.add(f"v{i:05d}", vec / np.linalg.norm(vec), story_id="s", episode_index=i)
-    index.freeze()
+        rows.append((f"v{i:05d}", "summary", "s", i, vec / np.linalg.norm(vec)))
+    index = build_index(dim, rows)
 
     for _ in range(100):
         query = rng.normal(size=dim)
@@ -191,14 +191,14 @@ def _synthetic_store(gateway, n, rng):
         "river stone lantern road night morning harbor forest sword crown "
         "gate wall tower bridge ship garden letter song dance feast"
     ).split()
-    index = FlatIndex(gateway.config.embed_dim)
+    rows = []
     records = {}
     texts = [" ".join(rng.choices(words, k=rng.randint(4, 10))) for _ in range(n)]
     for i, (text, vec) in enumerate(zip(texts, gateway.embed(texts))):
         entry_id = f"s#{i}"
-        index.add(entry_id, vec, story_id="s", episode_index=i)
+        rows.append((entry_id, "summary", "s", i, vec))
         records[entry_id] = SummaryRecord(entry_id, "s", i, rng.random(), text)
-    return index.freeze(), records, words
+    return build_index(gateway.config.embed_dim, rows), records, words
 
 
 @criterion("sentiment filter: 1,000 randomized calls sound and equal to the brute-force oracle")
@@ -290,10 +290,10 @@ def test_round_trips(tmp_path):
         assert serialize_story(story) == serialize_story(parse_story(serialize_story(story)))
 
     rng = np.random.default_rng(4)
-    index = FlatIndex(16)
+    rows = []
     for i in range(100):
-        index.add(f"e{i}", rng.normal(size=16), story_id="s", episode_index=i)
-    index.freeze()
+        rows.append((f"e{i}", "summary", "s", i, rng.normal(size=16)))
+    index = build_index(16, rows)
     index.save(tmp_path / "idx")
     loaded = FlatIndex.load(tmp_path / "idx")
     for _ in range(20):

@@ -1,11 +1,14 @@
 import contextlib
 import json
 import os
+import threading
 
 import pytest
 
+from score import prompts as prompt_templates
 from score.cli import main
-from score.gateway import GatewayConfig, LlmGateway
+from score.evaluator import FACETS
+from score.gateway import GatewayConfig, LlmGateway, hashed_embedding
 from score.jsonio import canonical_bytes
 from score.story import parse_story
 from score.summarize import summaries_to_dict, summarize_story
@@ -412,6 +415,8 @@ def test_unknown_granularity_in_config_is_usage_error_for_index(project, capsys)
     (project / "config.json").write_text(json.dumps(config), "utf-8")
     assert run(project, "index") == 1
     assert "unknown granularity 'paragraph'" in capsys.readouterr().err
+    assert run(project, "ask", "where is the sword?") == 1
+    assert "unknown granularity 'paragraph'" in capsys.readouterr().err
 
 
 def test_chunk_granularity_index_and_ask(project, capsys):
@@ -495,6 +500,51 @@ def test_track_sends_the_project_extract_states_override(project, monkeypatch):
     (project / "prompts" / "extract_states.txt").write_text("PROJECT EXTRACT $items_json $episode_text", "utf-8")
     assert run(project, "--backend", "remote", "--base-url", "http://fake.local/v1", "track") == 0
     assert sent and all(prompt.startswith("PROJECT EXTRACT [") for prompt in sent)
+
+
+# how each bundled template but `repair` begins -> a reply its parser accepts
+_REPLIES = {
+    "You are tracking": "[]",
+    "Summarize": json.dumps({"synopsis": "s"}),
+    "Rate the emotional tone": "0.5",
+    "Evaluate": json.dumps({"facet_scores": dict.fromkeys(FACETS, 3)}),
+    "Answer": json.dumps({"answer": "a"}),
+}
+
+
+@pytest.mark.parametrize("name", list(prompt_templates.TEMPLATE_FIELDS))
+def test_every_project_prompt_override_reaches_the_model_through_evaluate(project, monkeypatch, name):
+    from score import gateway as gateway_module
+
+    marker = f"PROJECT OVERRIDE {name}\n"
+    sent = []
+    spoiled = []  # for `repair`: the one structured request answered with text no parser accepts
+    lock = threading.Lock()
+
+    def reply(prompt):
+        prompt = prompt.removeprefix(marker)
+        if prompt.startswith("Your previous reply"):
+            return reply(prompt.split("The original request was:\n\n", 1)[1])
+        (answer,) = (answer for first, answer in _REPLIES.items() if prompt.startswith(first))
+        return answer
+
+    def transport(url, body, timeout, headers):
+        if url.endswith("/embeddings"):
+            vectors = [hashed_embedding(text, 256).tolist() for text in body["input"]]
+            return {"data": [{"index": i, "embedding": vector} for i, vector in enumerate(vectors)]}
+        prompt = body["messages"][0]["content"]
+        with lock:
+            sent.append(prompt)
+            spoil = name == "repair" and not spoiled and not prompt.startswith("Rate the emotional tone")
+            if spoil:
+                spoiled.append(prompt)
+        return {"choices": [{"message": {"content": "not json" if spoil else reply(prompt)}}]}
+
+    monkeypatch.setattr(gateway_module, "default_transport", transport)
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    (project / "prompts" / f"{name}.txt").write_text(marker + prompt_templates.load(name), "utf-8")
+    assert run(project, "--backend", "remote", "--base-url", "http://fake.local/v1", "evaluate") == 0
+    assert any(prompt.startswith(marker) for prompt in sent)
 
 
 def test_unreadable_cache_entry_in_replay_exits_2(project, capsys):

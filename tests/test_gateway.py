@@ -602,9 +602,9 @@ def test_sentiment_prompt_comes_from_the_project_override(tmp_path):
 def test_templates_are_read_once_per_gateway_and_a_new_gateway_sees_edits(tmp_path):
     (tmp_path / "sentiment.txt").write_text("FIRST $text", "utf-8")
     first = LlmGateway(remote_config(), prompts_root=tmp_path)
-    assert first.template("sentiment", tmp_path) == "FIRST $text"
+    assert first.template("sentiment") == "FIRST $text"
     (tmp_path / "sentiment.txt").write_text("SECOND $text", "utf-8")
-    assert first.template("sentiment", tmp_path) == "FIRST $text"
-    assert first.template("sentiment").startswith("Rate the emotional tone")  # bundled default, its own key
+    assert first.template("sentiment") == "FIRST $text"
+    assert LlmGateway(remote_config()).template("sentiment").startswith("Rate the emotional tone")  # no root: bundled
     second = LlmGateway(remote_config(), prompts_root=tmp_path)
-    assert second.template("sentiment", tmp_path) == "SECOND $text"
+    assert second.template("sentiment") == "SECOND $text"

@@ -7,12 +7,14 @@ from score.errors import ContractError, PersistenceError
 from score.index import FlatIndex, build_index, cosine
 
 
+def row(entry_id, vec, *, story_id="", episode_index=0, kind="summary"):
+    """One `build_index` row."""
+    return entry_id, kind, story_id, episode_index, vec
+
+
 def filled_index(n=50, dim=8, seed=0) -> FlatIndex:
     rng = np.random.default_rng(seed)
-    index = FlatIndex(dim)
-    for i in range(n):
-        index.add(f"e{i:04d}", rng.normal(size=dim), story_id="s", episode_index=i)
-    return index.freeze()
+    return build_index(dim, [row(f"e{i:04d}", rng.normal(size=dim), story_id="s", episode_index=i) for i in range(n)])
 
 
 def brute_force_top_n(index: FlatIndex, query, n):
@@ -25,54 +27,39 @@ def brute_force_top_n(index: FlatIndex, query, n):
 
 
 # ---------------------------------------------------------------------------
-# add
+# build
 # ---------------------------------------------------------------------------
 
 
 def test_add_normalizes_at_insertion():
-    index = FlatIndex(2)
-    index.add("a", [3.0, 4.0])
-    stored = index.get("a").embedding
+    index = build_index(2, [row("a", [3.0, 4.0])])
+    stored = index.entries[0].embedding
     assert np.allclose(stored, [0.6, 0.8], atol=1e-12)
 
 
 def test_add_to_empty_index():
-    index = FlatIndex(4)
-    index.add("only", [1, 0, 0, 0])
+    index = build_index(4, [row("only", [1, 0, 0, 0])])
     assert len(index) == 1
 
 
-def test_duplicate_id_rejected_and_index_unchanged():
-    index = FlatIndex(2)
-    index.add("a", [1.0, 0.0])
-    with pytest.raises(ContractError, match="duplicate"):
-        index.add("a", [0.0, 1.0])
-    assert len(index) == 1
-    assert np.allclose(index.get("a").embedding, [1.0, 0.0])
+def test_duplicate_id_rejected():
+    with pytest.raises(ContractError, match="duplicate entry_id 'a'"):
+        build_index(2, [row("a", [1.0, 0.0]), row("a", [0.0, 1.0])])
 
 
 def test_zero_vector_rejected():
-    index = FlatIndex(2)
     with pytest.raises(ContractError, match="zero"):
-        index.add("z", [0.0, 0.0])
+        build_index(2, [row("z", [0.0, 0.0])])
 
 
 def test_dimension_mismatch_rejected():
-    index = FlatIndex(3)
     with pytest.raises(ContractError, match="dimension"):
-        index.add("a", [1.0, 2.0])
+        build_index(3, [row("a", [1.0, 2.0])])
 
 
 def test_nonfinite_rejected():
-    index = FlatIndex(2)
     with pytest.raises(ContractError, match="finite"):
-        index.add("a", [1.0, float("nan")])
-
-
-def test_frozen_index_rejects_add():
-    index = filled_index(n=3)
-    with pytest.raises(ContractError, match="frozen"):
-        index.add("new", [1.0] * 8)
+        build_index(2, [row("a", [1.0, float("nan")])])
 
 
 # ---------------------------------------------------------------------------
@@ -81,24 +68,21 @@ def test_frozen_index_rejects_add():
 
 
 def test_self_similarity_is_one():
-    index = FlatIndex(3)
-    index.add("a", [1.0, 2.0, 2.0])
-    index.add("b", [-1.0, 0.0, 0.5])
+    index = build_index(3, [row("a", [1.0, 2.0, 2.0]), row("b", [-1.0, 0.0, 0.5])])
     hits = index.search_top_n([1.0, 2.0, 2.0], n=1)
     assert hits[0].entry_id == "a"
     assert hits[0].score == pytest.approx(1.0, abs=1e-9)
 
 
 def test_orthogonal_scores_are_zero():
-    index = FlatIndex(2)
-    index.add("x", [1.0, 0.0])
+    index = build_index(2, [row("x", [1.0, 0.0])])
     hits = index.search_top_n([0.0, 5.0], n=1)
     assert hits[0].score == pytest.approx(0.0, abs=1e-9)
 
 
 def test_search_empty_index_errors():
     with pytest.raises(ContractError, match="index empty"):
-        FlatIndex(2).search_top_n([1.0, 0.0], n=1)
+        build_index(2, []).search_top_n([1.0, 0.0], n=1)
 
 
 def test_search_matches_brute_force_oracle():
@@ -111,9 +95,7 @@ def test_search_matches_brute_force_oracle():
 
 
 def test_tie_break_on_entry_id():
-    index = FlatIndex(2)
-    for name in ("zeta", "alpha", "mid"):
-        index.add(name, [2.0, 0.0])
+    index = build_index(2, [row(name, [2.0, 0.0]) for name in ("zeta", "alpha", "mid")])
     hits = index.search_top_n([1.0, 0.0], n=3)
     assert [h.entry_id for h in hits] == ["alpha", "mid", "zeta"]
 
@@ -188,9 +170,9 @@ def test_search_equals_full_scan_oracle(seed, dim, n_rows, n_planted, values, n,
         rows = list(rng.integers(-2, 3, size=(n_rows, dim)).astype(np.float64))
     else:  # float32-subnormal components next to normal ones
         rows = [_with_subnormals(row, rng) for row in rng.normal(size=(n_rows, dim))]
-    for row in rows:
-        if not row.any():
-            row[0] = 1.0  # the index rejects zero vectors
+    for vec in rows:
+        if not vec.any():
+            vec[0] = 1.0  # the index rejects zero vectors
     # planted exact duplicates, near-ties a few float64 ulps apart, and
     # near-ties 1-3 float32 ulps apart, whose screened scores may collapse
     # to one float32 value or swap order
@@ -202,10 +184,13 @@ def test_search_equals_full_scan_oracle(seed, dim, n_rows, n_planted, values, n,
         else:
             rows.append((_nudged if kind == 1 else _nudged32)(source, rng, ulps))
     ids = rng.permutation(len(rows))  # entry-id order differs from row order
-    index = FlatIndex(dim)
-    for i, row in enumerate(rows):
-        index.add(f"e{ids[i]:03d}", row, story_id=f"s{rng.integers(3)}", episode_index=int(rng.integers(3)))
-    index.freeze()
+    index = build_index(
+        dim,
+        [
+            row(f"e{ids[i]:03d}", vec, story_id=f"s{rng.integers(3)}", episode_index=int(rng.integers(3)))
+            for i, vec in enumerate(rows)
+        ],
+    )
 
     if query_kind == "random":
         query = rng.normal(size=dim)
@@ -236,10 +221,10 @@ def test_screen_keeps_exact_order_among_near_ties():
     # 300 rows one or two ulps apart in one coordinate, and n in the middle of them
     rng = np.random.default_rng(7)
     base = rng.normal(size=64)
-    index = FlatIndex(64)
-    for i in range(300):
-        index.add(f"r{i:03d}", _nudged(base, rng, int(rng.integers(0, 3))), story_id="s", episode_index=i)
-    index.freeze()
+    index = build_index(
+        64,
+        [row(f"r{i:03d}", _nudged(base, rng, int(rng.integers(0, 3))), story_id="s", episode_index=i) for i in range(300)],
+    )
     for n in (1, 7, 150, 299, 300, 301):
         got = [(h.entry_id, h.score.hex()) for h in index.search_top_n(base, n=n)]
         assert got == full_scan(index, base, n)
@@ -252,11 +237,11 @@ def test_float32_screen_keeps_exact_order_among_float32_near_ties(dim):
     # stories of 60 rows, so story-restricted searches screen too
     rng = np.random.default_rng(dim)
     base = rng.normal(size=dim)
-    index = FlatIndex(dim)
+    rows = []
     for i in range(240):
-        row = base.copy() if i % 8 == 0 else _nudged32(base, rng, int(rng.integers(1, 4)))
-        index.add(f"r{i:03d}", row, story_id=f"s{i % 4}", episode_index=i // 4)
-    index.freeze()
+        vec = base.copy() if i % 8 == 0 else _nudged32(base, rng, int(rng.integers(1, 4)))
+        rows.append(row(f"r{i:03d}", vec, story_id=f"s{i % 4}", episode_index=i // 4))
+    index = build_index(dim, rows)
     for query in (base, _nudged32(base, rng, 1), rng.normal(size=dim)):
         for n in (1, 5, 20, 59, 120):
             for kwargs in ({}, {"story": "s2"}, {"exclude": ("s1", 3)}, {"story": "s0", "exclude": ("s0", 0)}):
@@ -272,11 +257,11 @@ def test_loaded_index_reads_its_vectors_in_place(tmp_path):
 
 
 def test_story_and_exclude_arguments_match_the_filter_callable():
-    index = FlatIndex(4)
     rng = np.random.default_rng(3)
-    for i in range(40):
-        index.add(f"x{i:02d}", rng.normal(size=4), story_id=f"s{i % 4}", episode_index=i % 3)
-    index.freeze()
+    index = build_index(
+        4, [row(f"x{i:02d}", rng.normal(size=4), story_id=f"s{i % 4}", episode_index=i % 3) for i in range(40)]
+    )
+    story_of = {e.entry_id: e.story_id for e in index.entries}
     query = rng.normal(size=4)
     for n in (1, 5, 40):
         by_args = index.search_top_n(query, n=n, story="s1", exclude=("s1", 2))
@@ -284,22 +269,12 @@ def test_story_and_exclude_arguments_match_the_filter_callable():
             query, n=n, filter=lambda e: e.story_id == "s1" and (e.story_id, e.episode_index) != ("s1", 2)
         )
         assert by_args == by_filter
-        assert by_args and all(index.get(h.entry_id).story_id == "s1" for h in by_args)
+        assert by_args and all(story_of[h.entry_id] == "s1" for h in by_args)
     assert index.search_top_n(query, n=5, story="nobody") == []
 
 
-def test_unfrozen_index_search_sees_later_additions():
-    index = FlatIndex(2)
-    index.add("a", [1.0, 0.0], story_id="s")
-    assert [h.entry_id for h in index.search_top_n([1.0, 0.0], n=5, story="s")] == ["a"]
-    index.add("b", [1.0, 0.1], story_id="s")
-    assert [h.entry_id for h in index.search_top_n([1.0, 0.0], n=5, story="s")] == ["a", "b"]
-
-
 def test_filter_predicate_restricts_candidates():
-    index = FlatIndex(2)
-    index.add("keep", [1.0, 0.0], story_id="a")
-    index.add("drop", [1.0, 0.0], story_id="b")
+    index = build_index(2, [row("keep", [1.0, 0.0], story_id="a"), row("drop", [1.0, 0.0], story_id="b")])
     hits = index.search_top_n([1.0, 0.0], n=5, filter=lambda e: e.story_id == "a")
     assert [h.entry_id for h in hits] == ["keep"]
 
@@ -368,7 +343,7 @@ def test_save_load_round_trip(tmp_path):
     base = tmp_path / "idx"
     index.save(base)
     loaded = FlatIndex.load(base)
-    assert loaded.frozen and len(loaded) == 100 and loaded.dim == 8
+    assert len(loaded) == 100 and loaded.dim == 8
 
     rng = np.random.default_rng(29)
     for _ in range(10):
@@ -411,14 +386,19 @@ def test_load_builds_each_entry_once_as_a_view_of_its_matrix_row(tmp_path, monke
             super().__init__(*args, **kwargs)
             built.append(self.entry_id)
 
-    filled_index(n=30, dim=8, seed=5).save(tmp_path / "idx")
     monkeypatch.setattr(index_module, "IndexEntry", CountedEntry)
+    ids = [f"e{i:04d}" for i in range(30)]
+    made = filled_index(n=30, dim=8, seed=5)
+    assert built == ids  # `build_index` too builds one entry per row, and no second one
+    made.save(tmp_path / "idx")
+    built.clear()
     loaded = FlatIndex.load(tmp_path / "idx")
-    assert built == [f"e{i:04d}" for i in range(30)]
-    assert loaded.frozen and loaded.freeze() is loaded and len(built) == 30
-    for row, entry in enumerate(loaded.entries):
-        assert entry.embedding.base is not None and np.shares_memory(entry.embedding, loaded._matrix)
-        assert np.array_equal(entry.embedding, loaded._matrix[row])
+    assert built == ids
+    for index in (made, loaded):
+        for i, entry in enumerate(index.entries):
+            assert type(entry) is CountedEntry and not entry.embedding.flags.writeable
+            assert entry.embedding.base is not None and np.shares_memory(entry.embedding, index._matrix)
+            assert np.array_equal(entry.embedding, index._matrix[i])
 
 
 def test_load_empty_file_is_format_error(tmp_path):
@@ -476,4 +456,6 @@ def test_load_version_mismatch_errors(tmp_path):
 def test_build_index_helper():
     rows = [(f"r{i}", "summary", "s", i, np.eye(4)[i % 4] + 0.01) for i in range(6)]
     index = build_index(4, rows)
-    assert index.frozen and len(index) == 6
+    assert len(index) == 6 and index.dim == 4
+    assert [(e.entry_id, e.kind, e.story_id, e.episode_index) for e in index.entries] == [r[:4] for r in rows]
+    assert all(np.isclose(np.linalg.norm(e.embedding), 1.0) for e in index.entries)

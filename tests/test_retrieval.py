@@ -6,7 +6,7 @@ import pytest
 
 from score.errors import ContractError
 from score.gateway import SentimentScore
-from score.index import FlatIndex
+from score.index import build_index
 from score.retrieval import (
     RetrievalConfig,
     SummaryRecord,
@@ -25,7 +25,7 @@ WORDS = (
 def synth_corpus(gateway, n, seed, story_id="s"):
     """n random-text entries with random sentiments, indexed and recorded."""
     rng = random.Random(seed)
-    index = FlatIndex(gateway.config.embed_dim)
+    rows = []
     records = {}
     texts = []
     for i in range(n):
@@ -34,7 +34,7 @@ def synth_corpus(gateway, n, seed, story_id="s"):
     vectors = gateway.embed(texts)
     for i, (text, vec) in enumerate(zip(texts, vectors)):
         entry_id = f"{story_id}#{i}"
-        index.add(entry_id, vec, story_id=story_id, episode_index=i)
+        rows.append((entry_id, "summary", story_id, i, vec))
         records[entry_id] = SummaryRecord(
             entry_id=entry_id,
             story_id=story_id,
@@ -42,7 +42,7 @@ def synth_corpus(gateway, n, seed, story_id="s"):
             sentiment=rng.random(),
             text=text,
         )
-    return index.freeze(), records
+    return build_index(gateway.config.embed_dim, rows), records
 
 
 def oracle_selection(index, records, query_vec, focus_sigma, config, exclude_ref=None):
@@ -81,7 +81,7 @@ def test_identical_text_ranks_first_with_unit_score(mock_gateway):
 
 
 def test_high_similarity_but_large_sentiment_gap_is_excluded(mock_gateway):
-    index = FlatIndex(mock_gateway.config.embed_dim)
+    rows = []
     texts = {
         0: "the silver sword gleamed in the morning light",
         1: "the silver sword gleamed in the morning sun",   # near-duplicate, far sentiment
@@ -91,9 +91,9 @@ def test_high_similarity_but_large_sentiment_gap_is_excluded(mock_gateway):
     records = {}
     for i, text in texts.items():
         (vec,) = mock_gateway.embed([text])
-        index.add(f"s#{i}", vec, story_id="s", episode_index=i)
+        rows.append((f"s#{i}", "summary", "s", i, vec))
         records[f"s#{i}"] = SummaryRecord(f"s#{i}", "s", i, sentiments[i], text)
-    index.freeze()
+    index = build_index(mock_gateway.config.embed_dim, rows)
 
     config = big_budget(top_n=2, sentiment_tolerance=0.3)
     bundle = retrieve_related(texts[0], SentimentScore(0.5), index, records, config, mock_gateway,
@@ -197,25 +197,17 @@ def test_top_n_beyond_corpus_returns_all_not_truncated(mock_gateway):
     assert not bundle.truncated
 
 
-def test_unfrozen_index_is_rejected(mock_gateway):
-    index = FlatIndex(mock_gateway.config.embed_dim)
-    (vec,) = mock_gateway.embed(["text"])
-    index.add("s#0", vec, story_id="s", episode_index=0)
-    with pytest.raises(ContractError, match="frozen"):
-        retrieve_related("text", SentimentScore(0.5), index, {}, big_budget(), mock_gateway)
-
-
 def test_restrict_story_limits_candidates(mock_gateway):
-    index = FlatIndex(mock_gateway.config.embed_dim)
+    rows = []
     records = {}
     for story in ("a", "b"):
         for i in range(3):
             text = f"{story} text number {i} about the {WORDS[i]}"
             (vec,) = mock_gateway.embed([text])
             entry_id = f"{story}#{i}"
-            index.add(entry_id, vec, story_id=story, episode_index=i)
+            rows.append((entry_id, "summary", story, i, vec))
             records[entry_id] = SummaryRecord(entry_id, story, i, 0.5, text)
-    index.freeze()
+    index = build_index(mock_gateway.config.embed_dim, rows)
     bundle = retrieve_for_query(
         "text about the river", index, records, big_budget(sentiment_tolerance=1.0),
         mock_gateway, restrict_story="b",
@@ -231,7 +223,7 @@ def test_records_round_trip(mock_gateway):
 def test_widening_recovers_survivors_beyond_initial_pool(mock_gateway):
     # 30 entries; only the 25 lowest-similarity ones pass the filter, so the
     # initial pool of 4*top_n is inadequate and must widen
-    index = FlatIndex(mock_gateway.config.embed_dim)
+    rows = []
     records = {}
     base = "alpha beta gamma delta"
     texts = [f"{base} epsilon {i}" for i in range(5)] + [
@@ -240,10 +232,10 @@ def test_widening_recovers_survivors_beyond_initial_pool(mock_gateway):
     vectors = mock_gateway.embed(texts)
     for i, (text, vec) in enumerate(zip(texts, vectors)):
         entry_id = f"s#{i}"
-        index.add(entry_id, vec, story_id="s", episode_index=i)
+        rows.append((entry_id, "summary", "s", i, vec))
         # the five most similar entries carry far-off sentiments
         records[entry_id] = SummaryRecord(entry_id, "s", i, 0.99 if i < 5 else 0.4, text)
-    index.freeze()
+    index = build_index(mock_gateway.config.embed_dim, rows)
     config = big_budget(top_n=3, candidate_pool=4, sentiment_tolerance=0.2, exclude_self=False)
     sigma = SentimentScore(0.4)
     bundle = retrieve_related(base + " epsilon", sigma, index, records, config, mock_gateway)
@@ -259,7 +251,7 @@ def test_chunk_exclusion_drops_every_chunk_of_the_focus_episode(mock_gateway, re
     # chunk entries are "story#episode#cK"; exclusion is by episode ref, so all
     # chunks of the focus episode go, although their entry ids all differ
     rng = random.Random(31)
-    index = FlatIndex(mock_gateway.config.embed_dim)
+    rows = []
     records = {}
     focus_chunks = []
     for story in ("s0", "s1", "s2"):
@@ -268,11 +260,11 @@ def test_chunk_exclusion_drops_every_chunk_of_the_focus_episode(mock_gateway, re
                 text = " ".join(rng.choices(WORDS, k=8))
                 entry_id = f"{story}#{ep}#c{k}"
                 (vec,) = mock_gateway.embed([text])
-                index.add(entry_id, vec, kind="chunk", story_id=story, episode_index=ep)
+                rows.append((entry_id, "chunk", story, ep, vec))
                 records[entry_id] = SummaryRecord(entry_id, story, ep, 0.5, text)
                 if (story, ep) == ("s1", 4):
                     focus_chunks.append(text)
-    index.freeze()
+    index = build_index(mock_gateway.config.embed_dim, rows)
     assert len(index) > big_budget().pool  # the corpus-wide search screens
     focus = " ".join(focus_chunks)
     config = big_budget(top_n=10, sentiment_tolerance=1.0)

@@ -369,13 +369,17 @@ def test_llm_extraction_and_repair_use_project_prompt_overrides(tmp_path):
 
     from score.gateway import GatewayConfig, LlmGateway
 
-    gw = LlmGateway(GatewayConfig(backend="remote", base_url="http://fake.local", model_name="m"), transport=transport)
+    gw = LlmGateway(
+        GatewayConfig(backend="remote", base_url="http://fake.local", model_name="m"),
+        transport=transport,
+        prompts_root=tmp_path,
+    )
     story = Story(
         story_id="s", title="t", genre="other",
         key_items=(KeyItem("sword", ("sword",)),),
         episodes=(Episode(index=0, text="The sword was lost."),),
     )
-    timelines = story_timelines(story, gw, prompts_root=tmp_path)
+    timelines = story_timelines(story, gw)
     assert timelines["sword"].observations[0].state is L
     assert seen[0].startswith("PROJECT EXTRACT [")
     assert seen[0].endswith("| The sword was lost.")
