@@ -244,6 +244,8 @@ def cmd_evaluate(project: Project, args) -> int:
         stories = [s for s in stories if s.story_id == story_id]
         if not stories:
             raise ValidationError("episode", f"story {story_id!r} not in corpus")
+        if episode_filter[1] >= len(stories[0].episodes):
+            raise ValidationError("episode", f"episode {episode_filter[1]} not in story {story_id!r}")
 
     config = PipelineConfig(gateway_cfg, retrieval_cfg, ablations)
     with _gateway(project, gateway_cfg) as gateway:
@@ -254,8 +256,6 @@ def cmd_evaluate(project: Project, args) -> int:
             if (e.story_id, e.episode_index) == episode_filter
         ]
         result.qa_results = []
-        if not result.evaluations:
-            raise ValidationError("episode", f"episode {episode_filter[1]} not in story {episode_filter[0]!r}")
 
     run_id = hashlib.sha256(
         (config.digest() + project.corpus_digest(stories) + str(episode_filter)).encode()
@@ -423,8 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ask)
 
     p = sub.add_parser("compare", help="paired run: full pipeline vs baseline or ablation")
-    p.add_argument("--baseline", action="store_true", help="plain model: no tracking, summaries, or retrieval")
-    p.add_argument("--ablate", help="modules to disable on side b")
+    side_b = p.add_mutually_exclusive_group()
+    side_b.add_argument("--baseline", action="store_true", help="plain model: no tracking, summaries, or retrieval")
+    side_b.add_argument("--ablate", help="modules to disable on side b")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("report", help="render a stored report")

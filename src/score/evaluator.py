@@ -372,9 +372,9 @@ def compute_metrics(
       contradict the corrected timelines (correction is recomputed here, so
       passing raw or corrected timelines yields the same reference).
     coherence: mean facet average, rescaled affinely from [1,5] to [0,100].
-    item_status: share of gold item-state assertions the passed timelines
-      reproduce. complex_qa: share of gold-graded questions answered
-      correctly. Metrics lacking inputs are None, never fabricated.
+    item_status: share of the passed stories' gold item-state assertions
+      their timelines reproduce. complex_qa: share of gold-graded questions
+      answered correctly. Metrics lacking inputs are None, never fabricated.
     """
     if not evaluations and not qa_results:
         raise ContractError("nothing to aggregate")
@@ -392,7 +392,8 @@ def compute_metrics(
     # one grouping pass each, keeping input order within a story
     evals_by_story = _group_by(evaluations, lambda e: e.story_id)
     qa_by_story = _group_by(qa_results, lambda q: q.story_id)
-    gold_by_story = _group_by(gold.item_assertions if gold else (), lambda g: g[0])
+    tracked_gold = [g for g in gold.item_assertions if g[0] in timelines_by_story] if gold else []
+    gold_by_story = _group_by(tracked_gold, lambda g: g[0])
     per_story: dict[str, dict[str, float | None]] = {}
     for story_id in story_ids:
         story_evals = evals_by_story.get(story_id, [])
@@ -407,7 +408,7 @@ def compute_metrics(
     return MetricsReport(
         consistency=_consistency(evaluations, qa_results, reference),
         coherence=_coherence(evaluations),
-        item_status=_item_status(list(gold.item_assertions) if gold else [], timelines_by_story),
+        item_status=_item_status(tracked_gold, timelines_by_story),
         complex_qa=_complex_qa(qa_results),
         per_story=per_story,
         config_digest=config_digest,
@@ -569,8 +570,8 @@ def run_pipeline(
     """
     ablations = config.ablations
     retrieval_cfg = config.retrieval
-    if not ablations.sentiment:
-        retrieval_cfg = replace(retrieval_cfg, sentiment_filter_enabled=False)
+    if not ablations.sentiment:  # the one switch for the filter of episodes and questions alike
+        retrieval_cfg = replace(retrieval_cfg, filter_queries=False)
 
     gold_by_story: dict[str, list[GoldQA]] = {}
     if gold:
@@ -601,12 +602,12 @@ def run_pipeline(
             if ablations.retrieval and len(story.episodes) > 1:
                 bundle = retrieve_related(
                     focus.text,
-                    summaries[ep.index].sentiment,
+                    summaries[ep.index].sentiment if ablations.sentiment else None,
                     index,
                     records,
                     retrieval_cfg,
                     gateway,
-                    exclude_ref=(story.story_id, ep.index),
+                    exclude_ref=(story.story_id, ep.index) if retrieval_cfg.exclude_self else None,
                     focus_label=focus.entry_id,
                     query_vector=vectors[ep.index],
                 )

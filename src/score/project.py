@@ -36,6 +36,11 @@ _DIRS = ("stories", "summaries", "states", "index", "cache", "reports", "prompts
 _CONFIG_SECTIONS = {"gateway": GatewayConfig, "retrieval": RetrievalConfig}
 CONFIG_SHAPE = {f"{s}?": {f"{n}?": t for n, t in typing.get_type_hints(c).items()} for s, c in _CONFIG_SECTIONS.items()}
 CONFIG_SHAPE["granularity?"] = str
+# retired field -> (the value `ensure` wrote, which loads silently; what replaced the field)
+_RETIRED_FIELDS = {
+    ("retrieval", "candidate_pool"): (0, "no result depended on it; delete it"),
+    ("retrieval", "sentiment_filter_enabled"): (True, "use `--ablate sentiment`, or retrieval.filter_queries"),
+}
 
 # stories/corpus.json: the story files to load, in order
 MANIFEST_SHAPE = {"files": [str]}
@@ -195,12 +200,14 @@ def _config_from_dict(raw: dict) -> tuple[GatewayConfig, RetrievalConfig, str]:
     sections = []
     for section, cls in _CONFIG_SECTIONS.items():
         values = raw.get(section, {})
-        known = CONFIG_SHAPE[f"{section}?"]
-        for name in values:
-            if f"{name}?" not in known:
+        for name, value in values.items():
+            written, successor = _RETIRED_FIELDS.get((section, name), (None, None))
+            if successor and (type(value), value) != (type(written), written):
+                raise ValidationError(f"$.{section}.{name}", f"retired config field: {successor}")
+            if not successor and f"{name}?" not in CONFIG_SHAPE[f"{section}?"]:
                 raise ValidationError(f"$.{section}.{name}", "unknown config field")
         try:
-            sections.append(cls(**values))
+            sections.append(cls(**{n: v for n, v in values.items() if (section, n) not in _RETIRED_FIELDS}))
         except ValidationError as e:
             raise ValidationError(f"$.{section}.{e.field}", e.reason) from None
     return sections[0], sections[1], raw.get("granularity", "summary")

@@ -1,12 +1,13 @@
 """Similarity retrieval with the sentiment-consistency filter.
 
-Candidates come back from the index by cosine similarity; candidates whose
-sentiment differs from the focus by more than the tolerance are dropped and
-the best N survivors form the context. The candidate pool starts at M and
-widens until enough survivors are found (or the index is exhausted), so the
-selection is always exactly equal to filter-everything-then-take-N. If the
-filter empties the pool entirely, retrieval falls back to pure similarity
-and flags the bundle.
+Candidates come back from the index by cosine similarity; given a focus
+sentiment, candidates whose sentiment differs from it by more than the
+tolerance are dropped and the best N survivors form the context. The pool
+starts at `RetrievalConfig.pool` and widens until enough survivors are found
+(or the index is exhausted), so the selection is always exactly equal to
+filter-everything-then-take-N. If the filter empties the pool entirely,
+retrieval falls back to pure similarity and flags the bundle. The caller
+decides whether to filter and which episode to leave out, by its arguments.
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ logger = logging.getLogger(__name__)
 class RetrievalConfig:
     top_n: int = 5
     sentiment_tolerance: float = 0.3
-    candidate_pool: int = 0  # 0 -> 4 * top_n
-    exclude_self: bool = True
+    exclude_self: bool = True  # evaluation leaves the focus episode out of its own context
     context_char_budget: int = 12_000
-    sentiment_filter_enabled: bool = True
     filter_queries: bool = True  # apply the sentiment filter during QA too
 
     def __post_init__(self):
@@ -40,14 +39,13 @@ class RetrievalConfig:
             raise ValidationError("top_n", "must be positive")
         if not (0.0 <= self.sentiment_tolerance <= 1.0):
             raise ValidationError("sentiment_tolerance", "must be in [0, 1]")
-        if self.candidate_pool and self.candidate_pool < self.top_n:
-            raise ValidationError("candidate_pool", "must be >= top_n")
         if self.context_char_budget <= 0:
             raise ValidationError("context_char_budget", "must be positive")
 
     @property
     def pool(self) -> int:
-        return self.candidate_pool or 4 * self.top_n
+        """The width of the first search, 4 * top_n; the search widens as needed, so no result depends on it."""
+        return 4 * self.top_n
 
 
 @dataclass(frozen=True)
@@ -156,35 +154,30 @@ def retrieve_related(
     exclude_ref: tuple[str, int] | None = None,
     restrict_story: str | None = None,
     focus_label: str = "",
-    apply_filter: bool | None = None,
     query_vector=None,
 ) -> ContextBundle:
     """Build the context bundle for one focus text.
 
-    exclude_ref drops the focus episode itself from candidacy (self-retrieval
-    says nothing useful about an episode under evaluation); restrict_story
-    limits candidacy to one story. query_vector is the focus text's
-    embedding when the caller already has it; otherwise it is embedded here.
-    focus_sentiment may be None only when the sentiment filter is off.
+    A focus_sentiment turns the sentiment filter on (None: off). exclude_ref
+    drops that episode from candidacy (self-retrieval says nothing useful
+    about an episode under evaluation); restrict_story limits candidacy to
+    one story. query_vector is the focus text's embedding when the caller
+    already has it; otherwise it is embedded here.
     """
     if len(index) == 0:
         raise ContractError("index empty")
     if not focus_text:
         raise ContractError("focus_text must be non-empty")
 
-    filtering = config.sentiment_filter_enabled if apply_filter is None else apply_filter
-    if filtering and focus_sentiment is None:
-        raise ContractError("the sentiment filter needs a focus sentiment")
+    filtering = focus_sentiment is not None
     query = gateway.embed([focus_text])[0] if query_vector is None else query_vector
 
-    # exclusion is by episode ref, not entry id, so every chunk of the focus episode goes
-    excluded = exclude_ref if config.exclude_self else None
-
     # widen the pool until enough survivors exist or everything was scanned,
-    # keeping the result identical to filter-all-then-top-N
-    pool = max(config.pool, config.top_n)
+    # keeping the result identical to filter-all-then-top-N; exclusion is by
+    # episode ref, not entry id, so every chunk of the focus episode goes
+    pool = config.pool
     while True:
-        hits = index.search_top_n(query, n=pool, story=restrict_story, exclude=excluded)
+        hits = index.search_top_n(query, n=pool, story=restrict_story, exclude=exclude_ref)
         if filtering:
             survivors = [
                 h for h in hits
@@ -245,13 +238,12 @@ def retrieve_for_query(
 ) -> ContextBundle:
     """Retrieval for question answering; the question's own tone is the focus sentiment.
 
-    The tone is scored only when the sentiment filter applies to questions.
+    The tone is scored, and filters, only when `config.filter_queries` holds.
     query_vector is the question's embedding when the caller already has it.
     """
     if not question or not question.strip():
         raise ContractError("question must be non-empty")
-    apply_filter = config.sentiment_filter_enabled and config.filter_queries
-    sentiment = gateway.score_sentiment(question) if apply_filter else None
+    sentiment = gateway.score_sentiment(question) if config.filter_queries else None
     return retrieve_related(
         question,
         sentiment,
@@ -261,7 +253,6 @@ def retrieve_for_query(
         gateway,
         restrict_story=restrict_story,
         focus_label=f"query:{question[:72]}",
-        apply_filter=apply_filter,
         query_vector=query_vector,
     )
 

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import logging
 import os
 import threading
 
@@ -675,3 +676,129 @@ def test_remote_track_and_summarize_write_the_same_bytes_at_any_max_parallel(pro
     assert parallel == serial
     assert "summarized 3 story(ies), 1 already present" in serial[0]
     assert len(serial[1]) == 8
+
+
+@pytest.mark.parametrize("manifest", [None, ["fuzz-3-0000.json"]], ids=["one-episode", "manifest-subset"])
+def test_item_status_counts_only_the_gold_items_of_the_stories_the_run_tracked(project, capsys, manifest):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    if manifest:
+        (project / "stories" / "corpus.json").write_text(json.dumps({"files": manifest}), "utf-8")
+        argv = ()
+    else:
+        argv = ("--episode", "fuzz-3-0000#0")
+    capsys.readouterr()
+    assert run(project, "evaluate", *argv) == 0
+    (report,) = (project / "reports").glob("*.json")
+    metrics = json.loads(report.read_text("utf-8"))["metrics"]
+    assert list(metrics["per_story"]) == ["fuzz-3-0000"]
+    assert metrics["item_status"] == metrics["per_story"]["fuzz-3-0000"]["item_status"] == 100.0
+    assert "item_status: 100.00" in capsys.readouterr().out
+
+
+def test_evaluate_of_an_episode_the_story_lacks_exits_2_before_any_request(project, monkeypatch, capsys):
+    from score import gateway as gateway_module
+    from test_concurrency import StoryModel
+
+    model = StoryModel(latency_s=0)
+    monkeypatch.setattr(gateway_module, "default_transport", model)
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    capsys.readouterr()
+    remote = ("--backend", "remote", "--base-url", "http://fake.local/v1")
+    assert run(project, *remote, "evaluate", "--episode", "fuzz-3-0000#99") == 2
+    assert "episode 99 not in story 'fuzz-3-0000'" in capsys.readouterr().err
+    assert model.calls == 0
+    assert not list((project / "reports").glob("*.json"))
+
+
+def test_compare_rejects_baseline_together_with_ablate(project, capsys):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    capsys.readouterr()
+    assert run(project, "compare", "--baseline", "--ablate", "sentiment") == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not list((project / "reports").glob("*.json"))
+
+
+# config.json as `Project.ensure` wrote it while the retrieval config still
+# had `candidate_pool` and `sentiment_filter_enabled`: every field at its default
+_CONFIG_WITH_RETIRED_FIELDS = """{
+  "gateway": {
+    "backend": "mock",
+    "base_url": "",
+    "cache_mode": "off",
+    "embed_batch_limit": 256,
+    "embed_dim": 256,
+    "embed_model_name": "",
+    "max_parallel": 4,
+    "max_retries": 3,
+    "model_name": "mock-small",
+    "timeout": 30.0
+  },
+  "granularity": "summary",
+  "retrieval": {
+    "candidate_pool": 0,
+    "context_char_budget": 12000,
+    "exclude_self": true,
+    "filter_queries": true,
+    "sentiment_filter_enabled": true,
+    "sentiment_tolerance": 0.3,
+    "top_n": 5
+  }
+}
+"""
+
+
+def test_a_config_with_the_retired_fields_at_their_old_defaults_changes_no_report_byte(tmp_path, caplog):
+    caplog.set_level(logging.DEBUG)
+    reports = {}
+    for name in ("today", "retired"):
+        root = str(tmp_path / name)
+        assert main(["--project", root, "fuzz", "--seed", "3", "--stories", "2"]) == 0
+        if name == "retired":
+            (tmp_path / name / "config.json").write_text(_CONFIG_WITH_RETIRED_FIELDS, "utf-8")
+        assert main(["--project", root, "evaluate"]) == 0
+        assert main(["--project", root, "compare", "--baseline"]) == 0
+        reports[name] = {path.name: path.read_bytes() for path in (tmp_path / name / "reports").glob("*.json")}
+    assert len(reports["today"]) == 2
+    assert reports["retired"] == reports["today"]
+    assert not [record for record in caplog.records if record.levelno >= logging.WARNING]
+
+
+@pytest.mark.parametrize(
+    "field, value, expected",
+    [
+        ("sentiment_filter_enabled", False, ("retired config field", "--ablate sentiment", "retrieval.filter_queries")),
+        ("sentiment_filter_enabled", 1, ("retired config field", "--ablate sentiment")),
+        ("candidate_pool", 40, ("retired config field", "no result depended on it; delete it")),
+        ("candidate_pool", False, ("retired config field", "no result depended on it")),
+        ("no_such_field", 0, ("unknown config field",)),
+    ],
+    ids=["filter-off", "filter-integer", "pool-40", "pool-bool", "unknown"],
+)
+def test_a_retired_config_field_at_another_value_exits_2_naming_what_replaced_it(
+    project, capsys, field, value, expected
+):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    config = json.loads((project / "config.json").read_text("utf-8"))
+    config["retrieval"][field] = value
+    (project / "config.json").write_text(json.dumps(config), "utf-8")
+    capsys.readouterr()
+    assert run(project, "evaluate") == 2
+    err = capsys.readouterr().err
+    assert f"config.json: $.retrieval.{field}: {expected[0]}" in err
+    assert all(part in err for part in expected)
+    assert "Traceback" not in err
+
+
+def test_the_config_ensure_writes_names_only_config_fields_and_loads_without_a_log_record(project, caplog):
+    from dataclasses import fields
+
+    from score.project import Project
+    from score.retrieval import RetrievalConfig
+
+    Project(project).ensure()
+    written = json.loads((project / "config.json").read_text("utf-8"))
+    assert set(written["retrieval"]) == {f.name for f in fields(RetrievalConfig)}
+    assert set(written["gateway"]) == {f.name for f in fields(GatewayConfig)}
+    caplog.set_level(logging.DEBUG)
+    assert Project(project).load_config() == (GatewayConfig(), RetrievalConfig(), "summary")
+    assert caplog.records == []

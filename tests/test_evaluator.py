@@ -326,6 +326,43 @@ def test_sentiment_ablation_disables_the_filter(fuzz_setup, mock_gateway):
     assert result.report.complex_qa is not None
 
 
+@pytest.mark.parametrize(
+    "retrieval, ablations, episodes_filter, episodes_exclude, questions_filter",
+    [
+        (RetrievalConfig(), Ablations(), True, True, True),
+        (RetrievalConfig(), Ablations(sentiment=False), False, True, False),
+        (RetrievalConfig(exclude_self=False), Ablations(), True, False, True),
+        (RetrievalConfig(filter_queries=False), Ablations(), True, True, False),
+    ],
+    ids=["default", "ablate-sentiment", "keep-self", "unfiltered-questions"],
+)
+def test_run_pipeline_passes_each_retrieval_decision_as_an_argument(
+    fuzz_setup, mock_gateway, monkeypatch, retrieval, ablations, episodes_filter, episodes_exclude, questions_filter
+):
+    # retrieve_related reads no switch from the config: the sentiment it is
+    # given turns its filter on, and the exclude_ref it is given leaves out
+    import score.evaluator
+    import score.retrieval
+
+    calls = []
+    real = score.retrieval.retrieve_related
+
+    def recording(focus_text, focus_sentiment, *args, **kw):
+        calls.append((kw["focus_label"].startswith("query:"), focus_sentiment is not None, kw.get("exclude_ref")))
+        return real(focus_text, focus_sentiment, *args, **kw)
+
+    monkeypatch.setattr(score.retrieval, "retrieve_related", recording)
+    monkeypatch.setattr(score.evaluator, "retrieve_related", recording)
+    stories, truth = fuzz_setup
+    config = PipelineConfig(GatewayConfig(backend="mock"), retrieval, ablations)
+    run_pipeline(stories[:3], mock_gateway, config, truth.to_gold())
+    episodes = [(filtered, excluded is not None) for query, filtered, excluded in calls if not query]
+    questions = [filtered for query, filtered, excluded in calls if query]
+    assert episodes and questions
+    assert set(episodes) == {(episodes_filter, episodes_exclude)}
+    assert set(questions) == {questions_filter}
+
+
 def test_same_config_comparison_has_zero_deltas(fuzz_setup, mock_gateway):
     stories, truth = fuzz_setup
     config = pipeline_config()

@@ -2,11 +2,13 @@
 
 The hashes were taken from the code before exact search was screened with a
 matrix product, and the `score index` files from the code before `index` and
-`evaluate` shared one retrieval-index stage. The report hash was retaken once
-when the run id stopped covering the gateway's sending-only fields and the
-dead `granularity` field: its config block changed, and nothing else did. A
-change that moves any report byte, search score bit or ranking fails here;
-one that means to change results updates the hash and says why.
+`evaluate` shared one retrieval-index stage. The report hash was retaken
+twice: when the run id stopped covering the gateway's sending-only fields and
+the dead `granularity` field, and when the retrieval config lost
+`candidate_pool` and `sentiment_filter_enabled`. Each time its config block
+(and with it the config digests) changed, and nothing else did. A change
+that moves any report byte, search score bit or ranking fails here; one that
+means to change results updates the hash and says why.
 """
 
 import hashlib
@@ -19,7 +21,7 @@ from score.index import build_index
 from score.jsonio import canonical_bytes
 from score.retrieval import RetrievalConfig
 
-PIPELINE_REPORT_SHA256 = "6572f10ac135a2eac27297ab8de76d666ca89325919d1981f2a37fbaf8561007"
+PIPELINE_REPORT_SHA256 = "9705da266e59b3d6239136f72169c14ed6cd4be25c07fb1014736ec6f616f4b9"
 CORPUS_SEARCH_SHA256 = "91ad6ed0d1a1de0c2c6a2154107dea0cd2d6e76be331f3a577c9bd964c67ad4e"
 INDEX_FILES_SHA256 = {
     "summary.vec": "2b1a9dd361e4c34bb1824a66920f0a04d28d742b0a54f615d342ee87e4ea888a",

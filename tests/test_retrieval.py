@@ -1,12 +1,11 @@
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from score.errors import ContractError
 from score.gateway import SentimentScore
-from score.index import build_index
+from score.index import FlatIndex, build_index
 from score.retrieval import (
     RetrievalConfig,
     SummaryRecord,
@@ -46,21 +45,21 @@ def synth_corpus(gateway, n, seed, story_id="s"):
 
 
 def oracle_selection(index, records, query_vec, focus_sigma, config, exclude_ref=None):
-    """Filter-everything-then-top-N, with the same bypass rule."""
+    """Filter-everything-then-top-N, with the same bypass rule; it filters iff focus_sigma is given."""
     scored = []
     for entry in index.entries:
         if exclude_ref and (entry.story_id, entry.episode_index) == exclude_ref:
             continue
         scored.append((float(np.dot(entry.embedding, query_vec)), entry.entry_id))
     scored.sort(key=lambda t: (-t[0], t[1]))
-    if config.sentiment_filter_enabled:
+    if focus_sigma is not None:
         survivors = [
             (s, eid) for s, eid in scored
             if abs(focus_sigma - records[eid].sentiment) <= config.sentiment_tolerance
         ]
     else:
         survivors = scored
-    bypassed = config.sentiment_filter_enabled and not survivors and bool(scored)
+    bypassed = focus_sigma is not None and not survivors and bool(scored)
     if bypassed:
         survivors = scored
     return [eid for _, eid in survivors[: config.top_n]], bypassed
@@ -121,14 +120,15 @@ def test_selection_equals_filter_then_top_n_oracle(mock_gateway):
         config = big_budget(
             top_n=rng.randint(1, 8),
             sentiment_tolerance=rng.choice([0.05, 0.15, 0.3, 0.6]),
-            candidate_pool=0,
             exclude_self=False,
         )
         focus = " ".join(rng.choices(WORDS, k=6))
         sigma = SentimentScore(rng.random())
+        if trial % 4 == 3:  # no focus sentiment: the filter is off
+            sigma = None
         (qvec,) = mock_gateway.embed([focus])
         bundle = retrieve_related(focus, sigma, index, records, config, mock_gateway)
-        expected, expect_bypass = oracle_selection(index, records, qvec, sigma.value, config)
+        expected, expect_bypass = oracle_selection(index, records, qvec, sigma and sigma.value, config)
         got = [f"{e.story_id}#{e.episode_index}" for e in bundle.selected]
         assert got == expected, f"trial {trial}"
         assert bundle.sentiment_filter_bypassed == expect_bypass
@@ -191,7 +191,7 @@ def test_empty_question_is_contract_error(mock_gateway):
 
 def test_top_n_beyond_corpus_returns_all_not_truncated(mock_gateway):
     index, records = synth_corpus(mock_gateway, 4, seed=15)
-    config = big_budget(top_n=50, candidate_pool=50, sentiment_tolerance=1.0)
+    config = big_budget(top_n=50, sentiment_tolerance=1.0)
     bundle = retrieve_for_query("river stone road", index, records, config, mock_gateway)
     assert len(bundle.selected) == 4
     assert not bundle.truncated
@@ -220,25 +220,35 @@ def test_records_round_trip(mock_gateway):
     assert records_from_dict(records_to_dict(records)) == records
 
 
-def test_widening_recovers_survivors_beyond_initial_pool(mock_gateway):
-    # 30 entries; only the 25 lowest-similarity ones pass the filter, so the
-    # initial pool of 4*top_n is inadequate and must widen
+def test_widening_recovers_survivors_beyond_initial_pool(mock_gateway, monkeypatch):
+    # 40 entries; only the 25 lowest-similarity ones pass the filter, so the
+    # first search, of 4*top_n = 12, holds no survivor and must widen
     rows = []
     records = {}
     base = "alpha beta gamma delta"
-    texts = [f"{base} epsilon {i}" for i in range(5)] + [
+    texts = [f"{base} epsilon {i}" for i in range(15)] + [
         " ".join(random.Random(i).choices(WORDS, k=6)) for i in range(25)
     ]
     vectors = mock_gateway.embed(texts)
     for i, (text, vec) in enumerate(zip(texts, vectors)):
         entry_id = f"s#{i}"
         rows.append((entry_id, "summary", "s", i, vec))
-        # the five most similar entries carry far-off sentiments
-        records[entry_id] = SummaryRecord(entry_id, "s", i, 0.99 if i < 5 else 0.4, text)
+        # the fifteen most similar entries carry far-off sentiments
+        records[entry_id] = SummaryRecord(entry_id, "s", i, 0.99 if i < 15 else 0.4, text)
     index = build_index(mock_gateway.config.embed_dim, rows)
-    config = big_budget(top_n=3, candidate_pool=4, sentiment_tolerance=0.2, exclude_self=False)
+    config = big_budget(top_n=3, sentiment_tolerance=0.2, exclude_self=False)
+    assert config.pool == 12
+    searches = []
+    search = FlatIndex.search_top_n
+
+    def counting_search(self, query, **kw):
+        searches.append(kw["n"])
+        return search(self, query, **kw)
+
+    monkeypatch.setattr(FlatIndex, "search_top_n", counting_search)
     sigma = SentimentScore(0.4)
     bundle = retrieve_related(base + " epsilon", sigma, index, records, config, mock_gateway)
+    assert len(searches) >= 2 and searches[0] == 12
     (qvec,) = mock_gateway.embed([base + " epsilon"])
     expected, _ = oracle_selection(index, records, qvec, sigma.value, config)
     assert [f"{e.story_id}#{e.episode_index}" for e in bundle.selected] == expected
@@ -275,7 +285,7 @@ def test_chunk_exclusion_drops_every_chunk_of_the_focus_episode(mock_gateway, re
     assert len(bundle.selected) == 10
     assert ("s1", 4) not in bundle.episode_refs()
     kept = retrieve_related(
-        focus, SentimentScore(0.5), index, records, replace(config, exclude_self=False), mock_gateway,
-        exclude_ref=("s1", 4), restrict_story=restrict_story,
+        focus, SentimentScore(0.5), index, records, config, mock_gateway,
+        exclude_ref=None, restrict_story=restrict_story,
     )
     assert kept.episode_refs()[:3] == [("s1", 4)] * 3  # the focus chunks rank first
