@@ -249,13 +249,7 @@ def cmd_evaluate(project: Project, args) -> int:
 
     config = PipelineConfig(gateway_cfg, retrieval_cfg, ablations)
     with _gateway(project, gateway_cfg) as gateway:
-        result = run_pipeline(stories, gateway, config, gold)
-    if episode_filter:
-        result.evaluations = [
-            e for e in result.evaluations
-            if (e.story_id, e.episode_index) == episode_filter
-        ]
-        result.qa_results = []
+        result = run_pipeline(stories, gateway, config, gold, episode=episode_filter)
 
     run_id = hashlib.sha256(
         (config.digest() + project.corpus_digest(stories) + str(episode_filter)).encode()

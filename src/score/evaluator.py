@@ -557,8 +557,14 @@ def run_pipeline(
     gateway,
     config: PipelineConfig,
     gold: GoldData | None = None,
+    *,
+    episode: tuple[str, int] | None = None,
 ) -> PipelineResult:
     """Run extract -> track -> summarize -> index -> evaluate -> QA over a corpus.
+
+    `episode`, a (story_id, episode index), runs that one story and
+    evaluates that one episode of it, with the same context a full run
+    gives it, and answers no question; the metrics cover that evaluation.
 
     Deterministic under the mock backend or in replay mode: every stage is a
     pure function of its inputs, and the stories, and within each story the
@@ -574,7 +580,9 @@ def run_pipeline(
         retrieval_cfg = replace(retrieval_cfg, filter_queries=False)
 
     gold_by_story: dict[str, list[GoldQA]] = {}
-    if gold:
+    if episode is not None:
+        stories = [s for s in stories if s.story_id == episode[0]]
+    elif gold:  # a one-episode run answers no question
         for gq in gold.qa:
             gold_by_story.setdefault(gq.story_id, []).append(gq)
 
@@ -595,7 +603,8 @@ def run_pipeline(
         # its raw text when summarization is ablated; each unit's vector is
         # also its episode's retrieval focus
         units = retrieval_units(story, summaries, "summary" if ablations.summary else "episode")
-        index, records, vectors = build_retrieval_index(units, gateway)
+        if ablations.retrieval:
+            index, records, vectors = build_retrieval_index(units, gateway)
 
         def evaluate_one(ep):
             focus = units[ep.index][1]
@@ -617,7 +626,8 @@ def run_pipeline(
                 ep, summaries[ep.index], timelines, errors, bundle, gateway, story_id=story.story_id
             )
 
-        story_evaluations = gateway.map(evaluate_one, story.episodes)
+        evaluated = story.episodes if episode is None else story.episodes[episode[1] : episode[1] + 1]
+        story_evaluations = gateway.map(evaluate_one, evaluated)
 
         questions = gold_by_story.get(story.story_id, [])
         # the story's questions are embedded in one batch of their own, so

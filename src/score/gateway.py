@@ -17,6 +17,15 @@ replay run a pure function of (inputs, config, cache). Caches of the old
 layout, one JSON file per request under `cache/<xx>/`, are not read:
 record them again.
 
+On the remote backend with cache `off`, a gateway sends each distinct
+request once over its lifetime: the first reply to a `request_digest` is
+kept in memory, and every later identical request is answered from it
+until `close()`. Every pipeline request is sent at temperature 0, so this
+gives the one reply per distinct request that a recorded run gets from
+its cache file. Record and replay need no such memo, since the cache file
+is one; the mock backend needs none, since its replies cost less than a
+digest. A failed request is not kept.
+
 `LlmGateway.map` runs independent per-story, per-episode and per-question
 work. It overlaps requests only where they can wait on the network (remote
 backend, cache `off` or `record`), on one pool of `max_parallel` worker
@@ -138,11 +147,18 @@ class SentimentScore:
 
 @dataclass
 class GatewayStats:
-    """Counters for tests and logging; guarded by the gateway's lock."""
+    """Counters for tests and logging; guarded by the gateway's lock.
+
+    `retries` counts the transport attempts that repeat a failed one, and
+    `memo_hits` the remote cache-off requests answered from the gateway's
+    memory instead of the transport.
+    """
 
     transport_calls: int = 0
+    retries: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    memo_hits: int = 0
     in_flight: int = 0
     max_in_flight: int = 0
 
@@ -203,14 +219,19 @@ class LlmGateway:
         self._semaphore = threading.BoundedSemaphore(config.max_parallel)
         self._lock = threading.Lock()
         self._pending: dict[str, Future] = {}  # cache key -> result of the request in flight
+        # cache key -> reply, with cache `off` on the remote backend; a value,
+        # not its resolved Future, which would take ~1.6 KB more per entry
+        self._memo: dict[str, Any] = {}
         self._pool: ThreadPoolExecutor | None = None  # created by the first threaded map
         self._pool_token = object()
         self._templates: dict[str, str] = {}
         self._db = None  # sqlite3 connection to the cache file, opened by the first cached request
 
     def close(self) -> None:
-        """Close the cache file; a later cached request opens it again."""
+        """Forget the remembered replies and close the cache file; a later
+        request is sent again, and a later cached one opens the file again."""
         with self._lock:
+            self._memo.clear()
             db, self._db = self._db, None
         if db is None:
             return
@@ -347,17 +368,20 @@ class LlmGateway:
             raise TransportError("chat reply content is not a string")
         return content
 
-    def _embed_uncached(self, body: dict) -> list:
-        """One vector per input text: arrays from the mock backend, JSON
-        lists from a remote one."""
+    def _embed_uncached(self, body: dict) -> list[np.ndarray]:
+        """One float64 vector per input text; a remote reply's vectors are
+        read-only, so that the callers the memo answers can share them."""
         if self.is_mock:
             return [hashed_embedding(text, self.config.embed_dim) for text in body["input"]]
         reply = self._post("/embeddings", body)
         try:
             data = sorted(reply["data"], key=lambda d: d["index"])
-            return [d["embedding"] for d in data]
-        except (KeyError, TypeError) as e:
+            vectors = [np.asarray(d["embedding"], dtype=np.float64) for d in data]
+        except (KeyError, TypeError, ValueError) as e:
             raise TransportError(f"malformed embeddings reply: {reply!r:.200}") from e
+        for vec in vectors:
+            vec.flags.writeable = False
+        return vectors
 
     def _sentiment_uncached(self, text: str) -> float:
         if self.is_mock:
@@ -407,6 +431,8 @@ class LlmGateway:
                 with self._semaphore:
                     with self._lock:
                         self.stats.transport_calls += 1
+                        if attempt:
+                            self.stats.retries += 1
                         self.stats.in_flight += 1
                         self.stats.max_in_flight = max(self.stats.max_in_flight, self.stats.in_flight)
                     try:
@@ -465,13 +491,18 @@ class LlmGateway:
 
     def _cached(self, op: str, model: str, body: dict, compute: Callable[[], Any]) -> Any:
         mode = self.config.cache_mode
-        if mode == "off":
+        if mode == "off" and self.is_mock:
             return compute()
         key = request_digest(op, model, body)
         # single flight: a request already in flight on another thread is
         # joined, so one key is sent once and every caller gets the reply
-        # that is stored
+        # that is stored. With cache `off` the reply then moves to the memo,
+        # which answers every later identical request; record and replay
+        # need no memo, because the cache file answers them.
         with self._lock:
+            if key in self._memo:
+                self.stats.memo_hits += 1
+                return self._memo[key]
             pending = self._pending.get(key)
             owner = pending is None
             if owner:
@@ -479,19 +510,25 @@ class LlmGateway:
         if not owner:
             response = pending.result()
             with self._lock:
-                self.stats.cache_hits += 1
+                if mode == "off":
+                    self.stats.memo_hits += 1
+                else:
+                    self.stats.cache_hits += 1
             return response
         try:
-            response = self._read_or_compute(op, model, body, key, compute)
+            response = compute() if mode == "off" else self._read_or_compute(op, model, body, key, compute)
         except BaseException as e:
-            pending.set_exception(e)
-            raise
-        else:
-            pending.set_result(response)
-            return response
-        finally:
+            # joined callers get the error, and a later identical request is sent again
             with self._lock:
                 del self._pending[key]
+            pending.set_exception(e)
+            raise
+        with self._lock:
+            if mode == "off":
+                self._memo[key] = response
+            del self._pending[key]
+        pending.set_result(response)
+        return response
 
     def _read_or_compute(self, op: str, model: str, body: dict, key: str, compute: Callable[[], Any]) -> Any:
         mode = self.config.cache_mode
@@ -567,7 +604,7 @@ class LlmGateway:
 
 
 def _json_ready(response: Any) -> Any:
-    """`response` as JSON values: the mock backend's embedding rows are arrays."""
+    """`response` as JSON values: embedding rows are arrays."""
     if isinstance(response, list):
         return [row.tolist() if isinstance(row, np.ndarray) else row for row in response]
     return response

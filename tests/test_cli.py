@@ -710,6 +710,46 @@ def test_evaluate_of_an_episode_the_story_lacks_exits_2_before_any_request(proje
     assert not list((project / "reports").glob("*.json"))
 
 
+def test_evaluate_of_one_episode_sends_one_evaluation_and_no_answer(project, monkeypatch, capsys):
+    from score import gateway as gateway_module
+    from test_concurrency import BodyLog
+
+    model = BodyLog()
+    monkeypatch.setattr(gateway_module, "default_transport", model)
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    remote = ("--backend", "remote", "--base-url", "http://fake.local/v1")
+    capsys.readouterr()
+    assert run(project, *remote, "evaluate", "--episode", "fuzz-3-0000#0") == 0
+    assert "1 evaluation(s), 0 question(s)" in capsys.readouterr().out
+    prompts = [json.loads(body.split(" ", 1)[1])["messages"][0]["content"] for body in model.bodies if "/chat/" in body]
+    assert sum(p.startswith("Evaluate") for p in prompts) == 1
+    assert sum(p.startswith("Answer") for p in prompts) == 0
+    assert sum("/embeddings " in body for body in model.bodies) == 1  # the story's documents, no questions
+    episode_requests = set(model.bodies)
+    (report_path,) = (project / "reports").glob("*.json")
+    report = json.loads(report_path.read_text("utf-8"))
+    (evaluation,) = report["evaluations"]
+    assert (evaluation["story_id"], evaluation["episode_index"]) == ("fuzz-3-0000", 0)
+    assert report["qa"] == []
+    facet_average = sum(evaluation["facet_scores"].values()) / len(FACETS)
+    assert report["metrics"]["coherence"] == (facet_average - 1.0) / 4.0 * 100.0
+    assert report["metrics"]["per_story"]["fuzz-3-0000"]["coherence"] == report["metrics"]["coherence"]
+
+    # its requests are a subset of a full run's, so the full run's recording serves it
+    report_path.unlink()
+    model.bodies.clear()
+    assert run(project, *remote, "--cache-mode", "record", "evaluate") == 0
+    assert episode_requests <= set(model.bodies)
+    (full_path,) = (project / "reports").glob("*.json")
+    full = json.loads(full_path.read_text("utf-8"))
+    full_path.unlink()
+    model.bodies.clear()
+    assert run(project, *remote, "--cache-mode", "replay", "evaluate", "--episode", "fuzz-3-0000#0") == 0
+    assert model.bodies == []
+    (replayed,) = (project / "reports").glob("*.json")
+    assert json.loads(replayed.read_text("utf-8"))["evaluations"] == [full["evaluations"][0]] == [evaluation]
+
+
 def test_compare_rejects_baseline_together_with_ablate(project, capsys):
     run(project, "fuzz", "--seed", "3", "--stories", "2")
     capsys.readouterr()

@@ -7,6 +7,7 @@ thread switching.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import re
@@ -18,7 +19,7 @@ import time
 import pytest
 
 from score import gateway as gateway_module
-from score.evaluator import PipelineConfig, run_pipeline
+from score.evaluator import Ablations, PipelineConfig, run_comparison, run_pipeline
 from score.fuzz import FuzzSpec, generate_corpus
 from score.gateway import CACHE_FILE, GatewayConfig, LlmGateway, hashed_embedding
 from score.lexicon import mock_sentiment_value
@@ -250,6 +251,118 @@ def test_a_questions_tone_is_scored_only_when_the_query_filter_reads_it(corpus):
     assert set(model.toned) == {ep.text for story in stories for ep in story.episodes}
 
 
+# ---------------------------------------------------------------------------
+# the memo of a remote gateway with cache off
+# ---------------------------------------------------------------------------
+
+
+class BodyLog(StoryModel):
+    """StoryModel that keeps the canonical form of every request it is sent."""
+
+    def __init__(self):
+        super().__init__(latency_s=0.0)
+        self.bodies = []
+
+    def __call__(self, url, body, timeout, headers):
+        with self._lock:
+            self.bodies.append(url + " " + json.dumps(body, sort_keys=True))
+        return super().__call__(url, body, timeout, headers)
+
+
+def test_a_cache_off_run_sends_each_distinct_request_once_and_equals_a_recorded_run(corpus, tmp_path):
+    stories, gold = corpus
+    first = stories[0]
+    repeated = dataclasses.replace(
+        first, episodes=(*first.episodes, Episode(index=len(first.episodes), text=first.episodes[0].text))
+    )
+    # a copy of a story under another id asks for the same extractions, summaries and tones
+    copy = dataclasses.replace(stories[1], story_id=stories[1].story_id + "-copy")
+    duplicated = ([repeated, copy, *stories[1:]], gold)
+    model = BodyLog()
+    config = GatewayConfig(backend="remote", base_url="http://fake.local/v1", model_name="m", max_parallel=4)
+    gateway = LlmGateway(config, transport=model)
+    pipeline_config = PipelineConfig(gateway=config, retrieval=RetrievalConfig())
+    off = run_pipeline(duplicated[0], gateway, pipeline_config, gold)
+    assert len(model.bodies) == len(set(model.bodies)) == gateway.stats.transport_calls
+    assert gateway.stats.memo_hits >= 3 * len(copy.episodes)  # extraction, summary and tone of each copied episode
+    recorded, recorded_gw = _remote_run(duplicated, 4, cache_mode="record", cache_dir=tmp_path)
+    assert recorded_gw.stats.cache_misses == gateway.stats.transport_calls
+    assert off.evaluations == recorded.evaluations
+    assert off.qa_results == recorded.qa_results
+    assert off.report == recorded.report
+
+
+def test_a_baseline_comparison_sends_each_distinct_request_once_and_embeds_only_for_side_a(corpus):
+    stories, gold = corpus
+    config = GatewayConfig(backend="remote", base_url="http://fake.local/v1", model_name="m", max_parallel=4)
+    config_a = PipelineConfig(gateway=config, retrieval=RetrievalConfig())
+    config_b = PipelineConfig(gateway=config, retrieval=RetrievalConfig(), ablations=Ablations.baseline())
+    alone = BodyLog()
+    run_pipeline(stories, LlmGateway(config, transport=alone), config_a, gold)
+    model = BodyLog()
+    gateway = LlmGateway(config, transport=model)
+    comparison = run_comparison(stories, gold, gateway, config_a, config_b)
+    assert len(model.bodies) == len(set(model.bodies)) == gateway.stats.transport_calls
+    embeds = lambda log: sorted(body for body in log.bodies if "/embeddings " in body)
+    assert embeds(model) == embeds(alone)  # side b, which retrieves nothing, embeds nothing
+    # side b asks for no extraction or episode tone that side a has not already had answered
+    assert gateway.stats.memo_hits >= 2 * sum(len(story.episodes) for story in stories)
+    assert comparison.report_b.complex_qa == 0.0
+
+
+def test_the_mock_backend_with_cache_off_computes_no_digest_and_keeps_no_entry(monkeypatch, mock_gateway):
+    def no_digest(*args):
+        raise AssertionError("request_digest called on the mock cache-off path")
+
+    monkeypatch.setattr(gateway_module, "request_digest", no_digest)
+    stories, truth = generate_corpus(FuzzSpec(seed=7, n_stories=6))
+    config = PipelineConfig(gateway=mock_gateway.config, retrieval=RetrievalConfig())
+    result = run_pipeline(stories, mock_gateway, config, truth.to_gold())
+    assert result.qa_results
+    assert mock_gateway._pending == mock_gateway._memo == {}
+    assert mock_gateway.stats.memo_hits == mock_gateway.stats.transport_calls == 0
+
+
+def _complete_under_heavy_switching(gw, prompts):
+    """`gw.complete` of each prompt through `gw.map`, switching threads every microsecond."""
+    out = {}
+    runner = threading.Thread(target=lambda: out.update(replies=gw.map(gw.complete, prompts)))
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not runner.is_alive()
+    return out["replies"]
+
+
+def test_the_memo_survives_heavy_thread_switching():
+    """Cache off on the remote backend: more workers than cores, a switch
+    every microsecond, and still each distinct prompt is sent once."""
+    distinct, repeats, workers = 150, 4, 16
+    sent = []
+    lock = threading.Lock()
+
+    def transport(url, body, timeout, headers):
+        with lock:
+            sent.append(body["messages"][0]["content"])
+        return {"choices": [{"message": {"content": "re:" + body["messages"][0]["content"]}}]}
+
+    gw = _remote_gateway(workers, transport)
+    prompts = [f"p{i % distinct}" for i in range(distinct * repeats)]
+    assert _complete_under_heavy_switching(gw, prompts) == ["re:" + p for p in prompts]
+    assert sorted(sent) == sorted(set(prompts))
+    stats = gw.stats
+    assert stats.transport_calls == distinct
+    assert stats.memo_hits + stats.transport_calls == len(prompts)
+    assert stats.cache_hits == stats.cache_misses == stats.in_flight == 0
+    assert len(gw._memo) == distinct and gw._pending == {}
+    gw.close()
+    assert gw._memo == {}
+
+
 def test_stats_survive_heavy_thread_switching(tmp_path):
     """More workers than cores, a switch every microsecond: no counter update
     and no cache entry is lost."""
@@ -270,17 +383,7 @@ def test_stats_survive_heavy_thread_switching(tmp_path):
         transport=transport,
     )
     prompts = [f"p{i % distinct}" for i in range(distinct * repeats)]
-    out = {}
-    runner = threading.Thread(target=lambda: out.update(replies=gw.map(gw.complete, prompts)))
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runner.start()
-        runner.join(timeout=120)
-    finally:
-        sys.setswitchinterval(previous)
-    assert not runner.is_alive()
-    assert out["replies"] == ["re:" + p for p in prompts]
+    assert _complete_under_heavy_switching(gw, prompts) == ["re:" + p for p in prompts]
     assert len(transport_calls) == distinct  # each key sent once
     stats = gw.stats
     assert stats.transport_calls == distinct

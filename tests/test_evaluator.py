@@ -318,6 +318,20 @@ def test_disabling_retrieval_lowers_complex_qa(fuzz_setup, mock_gateway):
     assert ablated.report.complex_qa == 0.0  # every answer is a refusal
 
 
+def test_an_ablated_retrieval_builds_no_index(fuzz_setup, mock_gateway, monkeypatch):
+    import score.evaluator
+
+    def no_index(*args):
+        raise AssertionError("build_retrieval_index called with retrieval ablated")
+
+    monkeypatch.setattr(score.evaluator, "build_retrieval_index", no_index)
+    stories, truth = fuzz_setup
+    config = pipeline_config(ablations=Ablations(retrieval=False))
+    result = run_pipeline(stories[:3], mock_gateway, config, truth.to_gold())
+    assert len(result.evaluations) == sum(len(s.episodes) for s in stories[:3])
+    assert result.qa_results and result.report.complex_qa == 0.0  # every answer is a refusal
+
+
 def test_sentiment_ablation_disables_the_filter(fuzz_setup, mock_gateway):
     stories, truth = fuzz_setup
     config = pipeline_config(ablations=Ablations(sentiment=False))

@@ -202,6 +202,14 @@ def test_remote_embed_dimension_mismatch_is_transport_error():
         gw.embed(["text"])
 
 
+def test_remote_embedding_that_is_not_numbers_is_transport_error(tmp_path):
+    reply = {"data": [{"index": 0, "embedding": ["a", "b", "c"]}]}
+    gw = LlmGateway(remote_config(embed_dim=3, cache_mode="record"), cache_dir=tmp_path, transport=FakeTransport([reply]))
+    with gw, pytest.raises(TransportError, match="malformed embeddings reply"):
+        gw.embed(["text"])
+    assert stored_entries(tmp_path) == {}
+
+
 def test_remote_sentiment_parses_decimal_reply():
     gw = LlmGateway(remote_config(), transport=FakeTransport([chat_reply("0.73")]))
     assert gw.score_sentiment("anything").value == pytest.approx(0.73)
@@ -285,6 +293,18 @@ def test_default_transport_carries_retry_after_seconds(monkeypatch, status, head
     with pytest.raises(TransportError) as caught:
         default_transport("http://fake.local/v1/chat/completions", {}, 1.0, {})
     assert caught.value.status == status and caught.value.retry_after == expected
+
+
+def test_stats_count_each_retried_attempt():
+    unavailable = TransportError("unavailable", status=503)
+    transport = FakeTransport([unavailable, unavailable, chat_reply("recovered")])
+    gw = LlmGateway(remote_config(max_retries=3), transport=transport)
+    gw._sleep = lambda _: None
+    assert gw.complete("x") == "recovered"
+    assert gw.stats.transport_calls == transport.calls == 3
+    assert gw.stats.retries == 2
+    gw.complete("y")
+    assert gw.stats.transport_calls == 4 and gw.stats.retries == 2
 
 
 def test_retries_exhausted_raises_transport_error():
@@ -562,6 +582,86 @@ def test_record_mode_sends_a_request_in_flight_once(tmp_path):
     (stored,) = stored_entries(tmp_path).values()
     assert replies == ["reply 1", "reply 1"] == [json.loads(stored)["response"]] * 2
     assert gw.stats.cache_misses == 1 and gw.stats.cache_hits == 1
+
+
+# ---------------------------------------------------------------------------
+# the memo of a remote gateway with cache off
+# ---------------------------------------------------------------------------
+
+
+def test_cache_off_sends_each_distinct_request_once_per_gateway():
+    transport = FakeTransport([chat_reply("first"), chat_reply("second"), chat_reply("third")])
+    gw = LlmGateway(remote_config(), transport=transport)
+    assert [gw.complete("a"), gw.complete("b"), gw.complete("a"), gw.complete("a", max_tokens=8)] == [
+        "first", "second", "first", "third"
+    ]
+    assert transport.calls == gw.stats.transport_calls == 3
+    assert gw.stats.memo_hits == 1
+    assert gw.stats.cache_hits == gw.stats.cache_misses == 0
+
+
+def test_memoized_vectors_are_shared_read_only_and_close_forgets_them():
+    reply = {"data": [{"index": 0, "embedding": [0.6, 0.8, 0.0]}, {"index": 1, "embedding": [0.0, 0.0, 1.0]}]}
+    transport = FakeTransport([reply])
+    gw = LlmGateway(remote_config(embed_dim=3), transport=transport)
+    first, again = gw.embed(["x", "y"]), gw.embed(["x", "y"])
+    assert transport.calls == 1 and gw.stats.memo_hits == 1
+    assert all(a is b for a, b in zip(first, again))
+    assert np.array_equal(first[0], [0.6, 0.8, 0.0]) and np.array_equal(first[1], [0.0, 0.0, 1.0])
+    assert all(vec.dtype == np.float64 and not vec.flags.writeable for vec in first)
+    with pytest.raises(ValueError):
+        first[0][0] = 1.0
+    gw.close()
+    after = gw.embed(["x", "y"])
+    assert transport.calls == 2
+    assert all(np.array_equal(a, b) for a, b in zip(first, after))
+
+
+def test_a_failed_request_is_not_remembered_and_its_joined_callers_get_its_error(monkeypatch):
+    """The first send of a prompt fails with a 400 while a second caller waits
+    on it: both get the error, and the next identical call is sent again."""
+    from score import gateway as gateway_module
+
+    joined, entered = threading.Event(), threading.Event()
+
+    class SignalledFuture(gateway_module.Future):
+        def result(self, timeout=None):  # only a joining caller waits on the entry
+            joined.set()
+            return super().result(timeout)
+
+    monkeypatch.setattr(gateway_module, "Future", SignalledFuture)
+    calls = []
+
+    def transport(url, body, timeout, headers):
+        calls.append(body)
+        if len(calls) == 1:
+            entered.set()
+            assert joined.wait(timeout=10)
+            raise TransportError("HTTP 400: bad request", status=400)
+        return chat_reply("ok")
+
+    gw = LlmGateway(remote_config(max_parallel=4), transport=transport)
+    errors = []
+
+    def send():
+        try:
+            gw.complete("same prompt")
+        except TransportError as e:
+            errors.append(e)
+
+    owner = threading.Thread(target=send)
+    owner.start()
+    assert entered.wait(timeout=10)
+    joiner = threading.Thread(target=send)
+    joiner.start()
+    for t in (owner, joiner):
+        t.join(timeout=10)
+    assert not owner.is_alive() and not joiner.is_alive()
+    assert len(errors) == 2 and errors[0] is errors[1] and errors[0].status == 400
+    assert len(calls) == 1
+    assert gw.complete("same prompt") == "ok"
+    assert len(calls) == 2 and gw.stats.transport_calls == 2
+    assert gw.complete("same prompt") == "ok" and len(calls) == 2
 
 
 def _truncate_the_one_entry(cache_dir):
