@@ -186,7 +186,8 @@ def cmd_index(project: Project, args) -> int:
 
     units = [unit for story in stories for unit in retrieval_units(story, summaries[story.story_id], granularity)]
     with _gateway(project, gateway_cfg) as gateway:
-        index, records, _ = build_retrieval_index(units, gateway)
+        vectors = gateway.embed([record.text for _, record in units])
+    index, records = build_retrieval_index(units, vectors, gateway_cfg.embed_dim)
     base = project.dir("index") / granularity
     index.save(base)
     write_if_changed(base.with_suffix(".records.json"), canonical_bytes(records_to_dict(records)))

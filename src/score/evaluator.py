@@ -11,33 +11,38 @@ never fabricated.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
 import re
 from dataclasses import asdict, dataclass, field, replace
+from typing import Callable
 
 from . import lexicon, prompts
 from .errors import ContractError, EvaluationError, ValidationError
 from .gateway import SENDING_ONLY_FIELDS, GatewayConfig, extract_json_value, reply_field, reply_number
+from .index import FlatIndex
 from .jsonio import canonical_dumps
 from .retrieval import (
     ContextBundle,
     RetrievalConfig,
+    SummaryRecord,
     build_retrieval_index,
     retrieval_units,
     retrieve_for_query,
     retrieve_related,
 )
-from .story import Episode, ItemState, Story
-from .summarize import EpisodeSummary, summarize_story
+from .story import Episode, ItemState, KeyItem, Story
+from .summarize import EpisodeSummary, summarize_episode
 from .tracker import (
     ContinuityError,
     ItemTimeline,
     correct_story_timelines,
     detect_story_errors,
     error_to_dict,
-    story_timelines,
+    extract_item_statuses,
+    fold_timelines,
 )
 
 logger = logging.getLogger(__name__)
@@ -552,6 +557,46 @@ class PipelineResult:
     summaries: dict[str, list[EpisodeSummary]]
 
 
+@dataclass
+class _StoryRun:
+    """One story's state inside its group, filled in stage by stage."""
+
+    story: Story
+    items: list[KeyItem]
+    questions: list[GoldQA]
+    raw_timelines: dict[str, ItemTimeline] = field(default_factory=dict)
+    errors: list[ContinuityError] = field(default_factory=list)
+    timelines: dict[str, ItemTimeline] = field(default_factory=dict)
+    summaries: list[EpisodeSummary] = field(default_factory=list)
+    # (kind, record) of each retrieval unit: one per episode, in episode order
+    units: list[tuple[str, SummaryRecord]] = field(default_factory=list)
+    # one per unit: the raw rows, not the index's normalized copies, are the
+    # episodes' query vectors, since search normalizes a query itself
+    vectors: list = field(default_factory=list)
+    question_vectors: list = field(default_factory=list)  # one per question
+    index: FlatIndex | None = None
+    records: dict[str, SummaryRecord] = field(default_factory=dict)
+
+    def embedded_texts(self) -> list[str]:
+        """Its documents, then its questions."""
+        return [record.text for _, record in self.units] + [gq.question for gq in self.questions]
+
+
+def _story_groups(stories: list[Story], size: Callable[[Story], int], limit: int) -> list[list[Story]]:
+    """`stories` cut into runs of consecutive stories whose `size`s add up
+    to at most `limit`; a story larger than `limit` is a group of its own."""
+    groups: list[list[Story]] = []
+    total = 0
+    for story in stories:
+        n = size(story)
+        if not groups or total + n > limit:
+            groups.append([])
+            total = 0
+        groups[-1].append(story)
+        total += n
+    return groups
+
+
 def run_pipeline(
     stories: list[Story],
     gateway,
@@ -566,18 +611,34 @@ def run_pipeline(
     evaluates that one episode of it, with the same context a full run
     gives it, and answers no question; the metrics cover that evaluation.
 
-    Deterministic under the mock backend or in replay mode: every stage is a
-    pure function of its inputs, and the stories, and within each story the
-    per-episode and per-question stages, run through `gateway.map`, which
-    keeps input order at any `max_parallel`. Results are folded in story_id
-    order. On the remote path up to `max_parallel` stories are in progress
-    at once, so the request slots stay full across each story's stage
-    barriers.
+    Stories run in groups of consecutive stories in story_id order. A group
+    closes when the next story's documents plus questions would take the
+    texts it embeds past `embed_batch_limit`; a story larger than that is a
+    group of its own. Each group runs stage by stage:
+    1. one `gateway.map` over every episode of the group: its extraction,
+       then its summary and tone;
+    2. each story's timelines are folded, checked and corrected;
+    3. one `gateway.embed` call carries every document and question of the
+       group;
+    4. each story's retrieval index is built;
+    5. one `gateway.map` over every evaluation and every question.
+    So a group sends one embedding request, and on the remote path each map
+    keeps the request slots full across its stories. Memory stays bounded
+    by one group.
+
+    Deterministic under the mock backend or in replay mode: every stage is
+    a pure function of its inputs, and `gateway.map` keeps input order at
+    any `max_parallel`. Results are folded in story, episode and question
+    order.
     """
     ablations = config.ablations
     retrieval_cfg = config.retrieval
     if not ablations.sentiment:  # the one switch for the filter of episodes and questions alike
         retrieval_cfg = replace(retrieval_cfg, filter_queries=False)
+    # one unit per episode: its summary's document, or its raw text when
+    # summarization is ablated; each unit's vector is also its episode's
+    # retrieval focus
+    granularity = "summary" if ablations.summary else "episode"
 
     gold_by_story: dict[str, list[GoldQA]] = {}
     if episode is not None:
@@ -586,68 +647,48 @@ def run_pipeline(
         for gq in gold.qa:
             gold_by_story.setdefault(gq.story_id, []).append(gq)
 
-    def run_story(story):
-        raw_timelines = story_timelines(story, gateway)
-        errors = detect_story_errors(raw_timelines)
-        if ablations.tracking:
-            timelines = correct_story_timelines(raw_timelines, errors)
-        else:
-            timelines = raw_timelines
-
+    def read_episode(job):
+        run, ep = job
+        observations = extract_item_statuses(ep, run.items, gateway)
         if ablations.summary:
-            summaries = summarize_story(story, gateway)
+            summary = summarize_episode(ep, run.items, gateway, story_id=run.story.story_id)
         else:
-            summaries = gateway.map(lambda ep: _minimal_summary(ep, gateway, story_id=story.story_id), story.episodes)
+            summary = _minimal_summary(ep, gateway, story_id=run.story.story_id)
+        return observations, summary
 
-        # one unit per episode, in episode order: its summary's document, or
-        # its raw text when summarization is ablated; each unit's vector is
-        # also its episode's retrieval focus
-        units = retrieval_units(story, summaries, "summary" if ablations.summary else "episode")
-        if ablations.retrieval:
-            index, records, vectors = build_retrieval_index(units, gateway)
-
-        def evaluate_one(ep):
-            focus = units[ep.index][1]
-            if ablations.retrieval and len(story.episodes) > 1:
-                bundle = retrieve_related(
-                    focus.text,
-                    summaries[ep.index].sentiment if ablations.sentiment else None,
-                    index,
-                    records,
-                    retrieval_cfg,
-                    gateway,
-                    exclude_ref=(story.story_id, ep.index) if retrieval_cfg.exclude_self else None,
-                    focus_label=focus.entry_id,
-                    query_vector=vectors[ep.index],
-                )
-            else:
-                bundle = ContextBundle(focus=focus.entry_id, selected=())
-            return evaluate_episode(
-                ep, summaries[ep.index], timelines, errors, bundle, gateway, story_id=story.story_id
+    def evaluate_one(run, ep):
+        story = run.story
+        focus = run.units[ep.index][1]
+        if ablations.retrieval and len(story.episodes) > 1:
+            bundle = retrieve_related(
+                focus.text,
+                run.summaries[ep.index].sentiment if ablations.sentiment else None,
+                run.index,
+                run.records,
+                retrieval_cfg,
+                gateway,
+                exclude_ref=(story.story_id, ep.index) if retrieval_cfg.exclude_self else None,
+                focus_label=focus.entry_id,
+                query_vector=run.vectors[ep.index],
             )
+        else:
+            bundle = ContextBundle(focus=focus.entry_id, selected=())
+        return evaluate_episode(
+            ep, run.summaries[ep.index], run.timelines, run.errors, bundle, gateway, story_id=story.story_id
+        )
 
-        evaluated = story.episodes if episode is None else story.episodes[episode[1] : episode[1] + 1]
-        story_evaluations = gateway.map(evaluate_one, evaluated)
+    def answer_one(run, i):
+        gq = run.questions[i]
+        if ablations.retrieval:
+            bundle = retrieve_for_query(
+                gq.question, run.index, run.records, retrieval_cfg, gateway, query_vector=run.question_vectors[i]
+            )
+        else:
+            bundle = ContextBundle(focus=f"query:{gq.question[:72]}", selected=())
+        return grade_answer(answer_query(gq.question, bundle, gateway, story_id=run.story.story_id), gq)
 
-        questions = gold_by_story.get(story.story_id, [])
-        # the story's questions are embedded in one batch of their own, so
-        # the story's document batch, and with it its index, does not depend
-        # on its questions
-        question_vectors = gateway.embed([gq.question for gq in questions]) if ablations.retrieval else []
-
-        def answer_one(i):
-            gq = questions[i]
-            if ablations.retrieval:
-                bundle = retrieve_for_query(
-                    gq.question, index, records, retrieval_cfg, gateway, query_vector=question_vectors[i]
-                )
-            else:
-                bundle = ContextBundle(focus=f"query:{gq.question[:72]}", selected=())
-            result = answer_query(gq.question, bundle, gateway, story_id=story.story_id)
-            return grade_answer(result, gq)
-
-        story_qa = gateway.map(answer_one, range(len(questions)))
-        return raw_timelines, errors, timelines, summaries, story_evaluations, story_qa
+    def evaluated(story):
+        return story.episodes if episode is None else story.episodes[episode[1] : episode[1] + 1]
 
     evaluations: list[EpisodeEvaluation] = []
     qa_results: list[QAResult] = []
@@ -655,14 +696,45 @@ def run_pipeline(
     summaries_out: dict[str, list[EpisodeSummary]] = {}
     effective_timelines: dict[str, dict[str, ItemTimeline]] = {}
     ordered = sorted(stories, key=lambda s: s.story_id)
-    for story, (raw_timelines, errors, timelines, summaries, story_evaluations, story_qa) in zip(
-        ordered, gateway.map(run_story, ordered)
-    ):
-        states[story.story_id] = (raw_timelines, errors)
-        effective_timelines[story.story_id] = timelines
-        summaries_out[story.story_id] = summaries
-        evaluations.extend(story_evaluations)
-        qa_results.extend(story_qa)
+    groups = _story_groups(
+        ordered,
+        lambda story: len(story.episodes) + len(gold_by_story.get(story.story_id, ())),
+        gateway.config.embed_batch_limit,
+    )
+    for group in groups:
+        runs = [_StoryRun(story, list(story.key_items), gold_by_story.get(story.story_id, [])) for story in group]
+
+        read = iter(gateway.map(read_episode, [(run, ep) for run in runs for ep in run.story.episodes]))
+        for run in runs:
+            pairs = [next(read) for _ in run.story.episodes]
+            run.raw_timelines = fold_timelines(run.items, [observations for observations, _ in pairs])
+            run.errors = detect_story_errors(run.raw_timelines)
+            if ablations.tracking:
+                run.timelines = correct_story_timelines(run.raw_timelines, run.errors)
+            else:
+                run.timelines = run.raw_timelines
+            run.summaries = [summary for _, summary in pairs]
+            run.units = retrieval_units(run.story, run.summaries, granularity)
+
+        if ablations.retrieval:
+            vectors = iter(gateway.embed([text for run in runs for text in run.embedded_texts()]))
+            for run in runs:
+                run.vectors = [next(vectors) for _ in run.units]
+                run.question_vectors = [next(vectors) for _ in run.questions]
+                run.index, run.records = build_retrieval_index(run.units, run.vectors, gateway.config.embed_dim)
+
+        tasks = []
+        for run in runs:
+            tasks.extend(functools.partial(evaluate_one, run, ep) for ep in evaluated(run.story))
+            tasks.extend(functools.partial(answer_one, run, i) for i in range(len(run.questions)))
+        done = iter(gateway.map(lambda task: task(), tasks))
+        for run in runs:
+            story_id = run.story.story_id
+            states[story_id] = (run.raw_timelines, run.errors)
+            effective_timelines[story_id] = run.timelines
+            summaries_out[story_id] = run.summaries
+            evaluations.extend(next(done) for _ in evaluated(run.story))
+            qa_results.extend(next(done) for _ in run.questions)
 
     report = compute_metrics(
         evaluations,

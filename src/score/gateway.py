@@ -8,23 +8,32 @@ completions) so the whole pipeline can run and be tested without a model.
 A content-addressed cache sits in front of both backends: one SQLite file,
 `<cache_dir>/cache.sqlite3`, with one row per request, keyed by its
 `request_digest` and holding the compact canonical JSON of
-{op, model, request, response}. In `record` mode every response is
-written through, one autocommit transaction per entry in the file's
-write-ahead log, so a run cut short leaves each entry whole or absent.
-In `replay` mode the file is opened read-only, never created or written;
-requests are served from it only and a miss is an error, which makes a
-replay run a pure function of (inputs, config, cache). Caches of the old
-layout, one JSON file per request under `cache/<xx>/`, are not read:
-record them again.
+{op, model, request, response}. An embedded text is a request of its own:
+its row stores the one-text request `{"model": m, "input": [text]}`, so
+how texts are batched on the wire changes no key, and a text embedded by
+one command is a cache hit for every later one. In `record` mode every
+response is written through, one autocommit transaction per entry in the
+file's write-ahead log, so a run cut short leaves each entry whole or
+absent. In `replay` mode the file is opened read-only, never created or
+written; requests are served from it only and a miss is an error, which
+makes a replay run a pure function of (inputs, config, cache). Caches of
+the old layout, one JSON file per request under `cache/<xx>/`, are not
+read, and neither are the embedding rows of one batch of several texts
+that recordings made before per-text entries hold: record them again.
 
 On the remote backend with cache `off`, a gateway sends each distinct
-request once over its lifetime: the first reply to a `request_digest` is
-kept in memory, and every later identical request is answered from it
-until `close()`. Every pipeline request is sent at temperature 0, so this
-gives the one reply per distinct request that a recorded run gets from
-its cache file. Record and replay need no such memo, since the cache file
-is one; the mock backend needs none, since its replies cost less than a
-digest. A failed request is not kept.
+request, and each distinct text to embed, once over its lifetime: the
+first reply to a `request_digest` is kept in memory, and every later
+identical request is answered from it until `close()`. Every pipeline
+request is sent at temperature 0, so this gives the one reply per distinct
+request that a recorded run gets from its cache file. Record and replay
+need no such memo, since the cache file is one; the mock backend needs
+none, since its replies cost less than a digest. A failed request is not
+kept.
+
+`embed` answers each text from the memo, the cache file or a request
+already in flight, and sends only the distinct texts left over, in one
+request per call of at most `embed_batch_limit` texts.
 
 `LlmGateway.map` runs independent per-story, per-episode and per-question
 work. It overlaps requests only where they can wait on the network (remote
@@ -78,6 +87,12 @@ _BACKOFF_FACTOR = 2.0
 _MAX_RETRY_AFTER = 30.0
 
 CACHE_FILE = "cache.sqlite3"
+# an embedding entry of a batch of several texts, as recordings made before
+# per-text entries hold; CASE guards the JSON functions against a damaged row
+_BATCHED_EMBED_ROW = (
+    "SELECT 1 FROM entries WHERE CASE WHEN json_valid(record) THEN "
+    "json_extract(record, '$.op') = 'embed' AND json_array_length(record, '$.request.input') > 1 END LIMIT 1"
+)
 # SQLite's page cache for the cache file, in KiB. Keys are digests, so a run
 # reads and writes leaf pages in no order and seldom twice; 256 KiB keeps the
 # tree's inner pages, and the default 2 MiB would only add to peak memory.
@@ -151,7 +166,8 @@ class GatewayStats:
 
     `retries` counts the transport attempts that repeat a failed one, and
     `memo_hits` the remote cache-off requests answered from the gateway's
-    memory instead of the transport.
+    memory instead of the transport. The hit, miss and memo counters count
+    requests, and each embedded text is a request of its own.
     """
 
     transport_calls: int = 0
@@ -322,7 +338,7 @@ class LlmGateway:
             "temperature": temperature,
             "max_tokens": max_tokens,
         }
-        return self._cached("complete", self.config.model_name, body, lambda: self._complete_uncached(body))
+        return self._cached_one("complete", self.config.model_name, body, lambda: self._complete_uncached(body))
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
@@ -336,9 +352,16 @@ class LlmGateway:
             for start in range(0, len(texts), limit):
                 out.extend(self.embed(texts[start : start + limit]))
             return out
-        body = {"model": self.config.effective_embed_model, "input": list(texts)}
-        rows = self._cached("embed", self.config.effective_embed_model, body, lambda: self._embed_uncached(body))
-        vectors = [np.asarray(row, dtype=np.float64) for row in rows]
+        model = self.config.effective_embed_model
+        # one request per text, so each text has its own key; the texts left
+        # to send go out together, each reply being a one-row embedding list
+        rows = self._cached(
+            "embed",
+            model,
+            [{"model": model, "input": [text]} for text in texts],
+            lambda bodies: [[vec] for vec in self._embed_uncached([body["input"][0] for body in bodies])],
+        )
+        vectors = [np.asarray(row[0], dtype=np.float64) for row in rows]
         for i, vec in enumerate(vectors):
             if vec.shape != (self.config.embed_dim,):
                 raise TransportError(
@@ -350,7 +373,7 @@ class LlmGateway:
         if not text:
             raise ContractError("text must be non-empty")
         body = {"model": self.config.model_name, "text": text}
-        value = self._cached("sentiment", self.config.model_name, body, lambda: self._sentiment_uncached(text))
+        value = self._cached_one("sentiment", self.config.model_name, body, lambda: self._sentiment_uncached(text))
         return SentimentScore(value=float(value))
 
     # -- backend dispatch ------------------------------------------------------
@@ -368,17 +391,19 @@ class LlmGateway:
             raise TransportError("chat reply content is not a string")
         return content
 
-    def _embed_uncached(self, body: dict) -> list[np.ndarray]:
-        """One float64 vector per input text; a remote reply's vectors are
-        read-only, so that the callers the memo answers can share them."""
+    def _embed_uncached(self, texts: list[str]) -> list[np.ndarray]:
+        """One float64 vector per text, in one request; a remote reply's
+        vectors are read-only, so that the callers the memo answers can share them."""
         if self.is_mock:
-            return [hashed_embedding(text, self.config.embed_dim) for text in body["input"]]
-        reply = self._post("/embeddings", body)
+            return [hashed_embedding(text, self.config.embed_dim) for text in texts]
+        reply = self._post("/embeddings", {"model": self.config.effective_embed_model, "input": texts})
         try:
             data = sorted(reply["data"], key=lambda d: d["index"])
             vectors = [np.asarray(d["embedding"], dtype=np.float64) for d in data]
         except (KeyError, TypeError, ValueError) as e:
             raise TransportError(f"malformed embeddings reply: {reply!r:.200}") from e
+        if len(vectors) != len(texts):
+            raise TransportError(f"embeddings reply holds {len(vectors)} vector(s) for {len(texts)} text(s)")
         for vec in vectors:
             vec.flags.writeable = False
         return vectors
@@ -489,71 +514,116 @@ class LlmGateway:
 
     # -- cache -----------------------------------------------------------------
 
-    def _cached(self, op: str, model: str, body: dict, compute: Callable[[], Any]) -> Any:
+    def _cached_one(self, op: str, model: str, body: dict, compute: Callable[[], Any]) -> Any:
+        return self._cached(op, model, [body], lambda bodies: [compute()])[0]
+
+    def _cached(self, op: str, model: str, bodies: list[dict], compute: Callable[[list[dict]], list]) -> list:
+        """The reply to each of `bodies`, in order; `compute(todo)` sends the
+        ones no memo, cache entry or request in flight answers, all at once,
+        and returns their replies in order. A body repeated within one call
+        is one request."""
         mode = self.config.cache_mode
         if mode == "off" and self.is_mock:
-            return compute()
-        key = request_digest(op, model, body)
+            return compute(bodies)
+        keys = [request_digest(op, model, body) for body in bodies]
         # single flight: a request already in flight on another thread is
         # joined, so one key is sent once and every caller gets the reply
         # that is stored. With cache `off` the reply then moves to the memo,
         # which answers every later identical request; record and replay
         # need no memo, because the cache file answers them.
+        replies: dict[str, Any] = {}
+        joined: dict[str, Future] = {}
+        owned: dict[str, Future] = {}
+        todo: dict[str, dict] = {}
         with self._lock:
-            if key in self._memo:
-                self.stats.memo_hits += 1
-                return self._memo[key]
-            pending = self._pending.get(key)
-            owner = pending is None
-            if owner:
-                pending = self._pending[key] = Future()
-        if not owner:
-            response = pending.result()
+            for key, body in zip(keys, bodies):
+                if key in replies or key in joined or key in owned:
+                    continue
+                if key in self._memo:
+                    self.stats.memo_hits += 1
+                    replies[key] = self._memo[key]
+                elif key in self._pending:
+                    joined[key] = self._pending[key]
+                else:
+                    owned[key] = self._pending[key] = Future()
+                    todo[key] = body
+        # the owned keys are answered before any joined one is waited on, so
+        # two calls that each join a key the other owns cannot deadlock
+        if owned:
+            try:
+                answered = self._read_or_compute(op, model, todo, compute)
+            except BaseException as e:
+                # joined callers get the error, and a later identical request is sent again
+                with self._lock:
+                    for key in owned:
+                        del self._pending[key]
+                for future in owned.values():
+                    future.set_exception(e)
+                raise
+            with self._lock:
+                for key, response in answered.items():
+                    if mode == "off":
+                        self._memo[key] = response
+                    del self._pending[key]
+            for key, response in answered.items():
+                owned[key].set_result(response)
+            replies.update(answered)
+        if joined:
+            for key, future in joined.items():
+                replies[key] = future.result()
             with self._lock:
                 if mode == "off":
-                    self.stats.memo_hits += 1
+                    self.stats.memo_hits += len(joined)
                 else:
-                    self.stats.cache_hits += 1
-            return response
-        try:
-            response = compute() if mode == "off" else self._read_or_compute(op, model, body, key, compute)
-        except BaseException as e:
-            # joined callers get the error, and a later identical request is sent again
-            with self._lock:
-                del self._pending[key]
-            pending.set_exception(e)
-            raise
-        with self._lock:
-            if mode == "off":
-                self._memo[key] = response
-            del self._pending[key]
-        pending.set_result(response)
-        return response
+                    self.stats.cache_hits += len(joined)
+        return [replies[key] for key in keys]
 
-    def _read_or_compute(self, op: str, model: str, body: dict, key: str, compute: Callable[[], Any]) -> Any:
+    def _read_or_compute(
+        self, op: str, model: str, todo: dict[str, dict], compute: Callable[[list[dict]], list]
+    ) -> dict[str, Any]:
+        """The reply to each request of `todo` (key -> body): from the cache
+        file where it holds one, and from one `compute` of the others."""
         mode = self.config.cache_mode
-        row = self._cache_execute("SELECT record FROM entries WHERE key = ?", (key,))
-        if row is not None:
-            try:
-                response = json.loads(row[0])["response"]
-            except (ValueError, KeyError, TypeError) as e:
-                if mode != "record":
-                    raise PersistenceError(f"unreadable cache entry {key} in {self.cache_path}: {e}") from e
-                logger.warning("unreadable cache entry %s in %s (%s); requesting again", key, self.cache_path, e)
-            else:
-                with self._lock:
-                    self.stats.cache_hits += 1
-                return response
+        answered: dict[str, Any] = {}
+        if mode != "off":
+            for key in todo:
+                row = self._cache_execute("SELECT record FROM entries WHERE key = ?", (key,))
+                if row is None:
+                    continue
+                try:
+                    answered[key] = json.loads(row[0])["response"]
+                except (ValueError, KeyError, TypeError) as e:
+                    if mode != "record":
+                        raise PersistenceError(f"unreadable cache entry {key} in {self.cache_path}: {e}") from e
+                    logger.warning("unreadable cache entry %s in %s (%s); requesting again", key, self.cache_path, e)
+            with self._lock:
+                self.stats.cache_hits += len(answered)
+        missing = [key for key in todo if key not in answered]
+        if not missing:
+            return answered
         if mode == "replay":
-            old = next(self.cache_dir.glob("??/*.json"), None) is not None
-            hint = "; the cache directory is in the old one-file-per-request layout: record it again" if old else ""
-            raise UncachedRequestError(f"uncached request: op={op} key={key}{hint}")
-        with self._lock:
-            self.stats.cache_misses += 1
-        response = compute()
-        record = {"op": op, "model": model, "request": body, "response": _json_ready(response)}
-        self._cache_execute("INSERT OR REPLACE INTO entries (key, record) VALUES (?, ?)", (key, canonical_dumps(record)))
-        return response
+            raise UncachedRequestError(f"uncached request: op={op} key={missing[0]}{self._replay_miss_hint(op)}")
+        if mode == "record":
+            with self._lock:
+                self.stats.cache_misses += len(missing)
+        for key, response in zip(missing, compute([todo[key] for key in missing])):
+            answered[key] = response
+            if mode == "record":
+                record = {"op": op, "model": model, "request": todo[key], "response": _json_ready(response)}
+                self._cache_execute(
+                    "INSERT OR REPLACE INTO entries (key, record) VALUES (?, ?)", (key, canonical_dumps(record))
+                )
+        return answered
+
+    def _replay_miss_hint(self, op: str) -> str:
+        """Why a replay cache may lack a request that a current recording holds."""
+        if next(self.cache_dir.glob("??/*.json"), None) is not None:
+            return "; the cache directory is in the old one-file-per-request layout: record it again"
+        # an embedding row of several texts is a batch request, which no key
+        # is computed for since each text has an entry of its own
+        if op == "embed" and self._cache_execute(_BATCHED_EMBED_ROW, ()) is not None:
+            return "; the cache predates one entry per embedded text: record it again"
+        return ""
 
     @property
     def cache_path(self) -> Path:

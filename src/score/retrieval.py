@@ -128,19 +128,13 @@ def retrieval_units(
     ]
 
 
-def build_retrieval_index(units: list[tuple[str, SummaryRecord]], gateway):
-    """Embed every unit in one `gateway.embed` call and build an index of them.
-
-    Returns (index, records by entry id, raw vectors in unit order). The raw
-    rows, not the index's normalized copies, serve as query vectors: search
-    normalizes a query itself.
-    """
-    vectors = gateway.embed([record.text for _, record in units])
+def build_retrieval_index(units: list[tuple[str, SummaryRecord]], vectors, dim: int):
+    """An index of `units`, each with its vector of `vectors` (in unit
+    order), and their records by entry id."""
     index = build_index(
-        gateway.config.embed_dim,
-        [(r.entry_id, kind, r.story_id, r.episode_index, vec) for (kind, r), vec in zip(units, vectors)],
+        dim, [(r.entry_id, kind, r.story_id, r.episode_index, vec) for (kind, r), vec in zip(units, vectors)]
     )
-    return index, {record.entry_id: record for _, record in units}, vectors
+    return index, {record.entry_id: record for _, record in units}
 
 
 def retrieve_related(

@@ -303,8 +303,13 @@ def story_timelines(story: Story, gateway) -> dict[str, ItemTimeline]:
     Episodes are extracted through `gateway.map` and folded in episode order.
     """
     items = list(story.key_items)
-    timelines = {k.item_id: ItemTimeline(item_id=k.item_id) for k in items}
     extracted = gateway.map(lambda episode: extract_item_statuses(episode, items, gateway), story.episodes)
+    return fold_timelines(items, extracted)
+
+
+def fold_timelines(items: list[KeyItem], extracted: list[list[ItemObservation]]) -> dict[str, ItemTimeline]:
+    """Per-item timelines of each episode's observations, `extracted` in episode order."""
+    timelines = {k.item_id: ItemTimeline(item_id=k.item_id) for k in items}
     for observations in extracted:
         for obs in observations:
             timelines[obs.item_id] = record_observation(timelines[obs.item_id], obs)

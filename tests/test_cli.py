@@ -725,7 +725,7 @@ def test_evaluate_of_one_episode_sends_one_evaluation_and_no_answer(project, mon
     assert sum(p.startswith("Evaluate") for p in prompts) == 1
     assert sum(p.startswith("Answer") for p in prompts) == 0
     assert sum("/embeddings " in body for body in model.bodies) == 1  # the story's documents, no questions
-    episode_requests = set(model.bodies)
+    episode_chat, episode_texts = _chat_requests(model.bodies), _embedded_texts(model.bodies)
     (report_path,) = (project / "reports").glob("*.json")
     report = json.loads(report_path.read_text("utf-8"))
     (evaluation,) = report["evaluations"]
@@ -735,11 +735,13 @@ def test_evaluate_of_one_episode_sends_one_evaluation_and_no_answer(project, mon
     assert report["metrics"]["coherence"] == (facet_average - 1.0) / 4.0 * 100.0
     assert report["metrics"]["per_story"]["fuzz-3-0000"]["coherence"] == report["metrics"]["coherence"]
 
-    # its requests are a subset of a full run's, so the full run's recording serves it
+    # its requests are a subset of a full run's, so the full run's recording serves it: each
+    # chat request, and each text it embeds, which has a cache entry of its own
     report_path.unlink()
     model.bodies.clear()
     assert run(project, *remote, "--cache-mode", "record", "evaluate") == 0
-    assert episode_requests <= set(model.bodies)
+    assert episode_chat <= _chat_requests(model.bodies)
+    assert episode_texts <= _embedded_texts(model.bodies)
     (full_path,) = (project / "reports").glob("*.json")
     full = json.loads(full_path.read_text("utf-8"))
     full_path.unlink()
@@ -748,6 +750,38 @@ def test_evaluate_of_one_episode_sends_one_evaluation_and_no_answer(project, mon
     assert model.bodies == []
     (replayed,) = (project / "reports").glob("*.json")
     assert json.loads(replayed.read_text("utf-8"))["evaluations"] == [full["evaluations"][0]] == [evaluation]
+
+
+def _chat_requests(bodies: list[str]) -> set[str]:
+    return {body for body in bodies if "/chat/" in body}
+
+
+def _embedded_texts(bodies: list[str]) -> set[str]:
+    """Every text sent to `/embeddings` in the logged request `bodies`."""
+    return {
+        text for body in bodies if "/embeddings " in body for text in json.loads(body.split(" ", 1)[1])["input"]
+    }
+
+
+def test_evaluate_embeds_no_document_that_index_already_embedded(project, monkeypatch, capsys):
+    from score import gateway as gateway_module
+    from test_concurrency import BodyLog
+
+    model = BodyLog()
+    monkeypatch.setattr(gateway_module, "default_transport", model)
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    record = ("--backend", "remote", "--base-url", "http://fake.local/v1", "--cache-mode", "record")
+    assert run(project, *record, "summarize") == 0
+    assert run(project, *record, "index", "--granularity", "summary") == 0
+    indexed = _embedded_texts(model.bodies)
+    records = json.loads((project / "index" / "summary.records.json").read_text("utf-8"))
+    assert indexed == {record["text"] for record in records.values()}
+    model.bodies.clear()
+    assert run(project, *record, "evaluate") == 0
+    questions = {qa["question"] for qa in json.loads((project / "ground_truth.json").read_text("utf-8"))["qa"]}
+    # the documents are cache hits, so only the questions are sent
+    assert _embedded_texts(model.bodies) == questions
+    assert not any('"content": "Summarize' in body for body in model.bodies)  # `summarize` recorded them
 
 
 def test_compare_rejects_baseline_together_with_ablate(project, capsys):

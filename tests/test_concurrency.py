@@ -15,6 +15,7 @@ import sqlite3
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -25,6 +26,7 @@ from score.gateway import CACHE_FILE, GatewayConfig, LlmGateway, hashed_embeddin
 from score.lexicon import mock_sentiment_value
 from score.retrieval import RetrievalConfig
 from score.story import Episode, KeyItem, Story
+from score.summarize import build_retrieval_document
 from score.tracker import rule_extract
 
 _SECTION_RE = {
@@ -220,27 +222,136 @@ class RequestLog(StoryModel):
         return super().__call__(url, body, timeout, headers)
 
 
-def _logged_run(corpus, retrieval_config):
+def _logged_run(corpus, retrieval_config, **gateway_fields):
     stories, gold = corpus
-    config = GatewayConfig(backend="remote", base_url="http://fake.local/v1", model_name="m", max_parallel=4)
+    config = GatewayConfig(
+        backend="remote", base_url="http://fake.local/v1", model_name="m", max_parallel=4, **gateway_fields
+    )
     model = RequestLog()
     gateway = LlmGateway(config, transport=model)
-    run_pipeline(stories, gateway, PipelineConfig(gateway=config, retrieval=retrieval_config), gold)
+    result = run_pipeline(stories, gateway, PipelineConfig(gateway=config, retrieval=retrieval_config), gold)
+    model.result = result
     return model
 
 
+def _expected_embed_batches(texts: dict[str, list[str]], limit: int) -> tuple[list[set[str]], int]:
+    """The text set of each embedding request, and the number of groups: a
+    group of consecutive stories (by id) closes before a story whose texts
+    would take it past `limit`, each group's texts go out in requests of at
+    most `limit`, and a text already sent is not sent again."""
+    groups, total = [], 0
+    for story_id in sorted(texts):
+        if not groups or total + len(texts[story_id]) > limit:
+            groups.append([])
+            total = 0
+        groups[-1].extend(texts[story_id])
+        total += len(texts[story_id])
+    expected, sent = [], set()
+    for group in groups:
+        for start in range(0, len(group), limit):
+            batch = set(group[start : start + limit]) - sent
+            if batch:
+                expected.append(batch)
+                sent |= batch
+    return expected, len(groups)
+
+
 def test_a_storys_questions_are_embedded_in_one_request(corpus):
+    """One embedding request per group of consecutive stories, carrying each
+    distinct document and question of the group once; a story with more
+    texts than the limit is a group of its own, sent in requests of at most
+    the limit."""
     stories, gold = corpus
-    model = _logged_run(corpus, RetrievalConfig())
-    questions = {gq.question for gq in gold.qa}
-    question_batches = [batch for batch in model.embed_batches if set(batch) <= questions]
     asked = {}
     for gq in gold.qa:
         asked.setdefault(gq.story_id, []).append(gq.question)
     assert max(len(qs) for qs in asked.values()) >= 2  # the corpus has a story with several questions
-    assert sorted(question_batches) == sorted(asked.values())
-    assert len(model.embed_batches) == len(stories) + len(asked)
-    assert questions <= set(model.toned)  # the query filter reads each question's tone
+    questions = {gq.question for gq in gold.qa}
+    for limit in (256, 25, 12):
+        model = _logged_run(corpus, RetrievalConfig(), embed_batch_limit=limit)
+        texts = {
+            story.story_id: [build_retrieval_document(s).text for s in model.result.summaries[story.story_id]]
+            + asked.get(story.story_id, [])
+            for story in stories
+        }
+        expected, n_groups = _expected_embed_batches(texts, limit)
+        if limit == 256:
+            assert n_groups == 1 and len(expected) == 1
+        else:
+            assert n_groups > 1
+        if limit == 12:
+            assert len(expected) > n_groups  # a story larger than the limit is split
+        assert [set(batch) for batch in model.embed_batches] == expected
+        assert all(len(batch) == len(set(batch)) <= limit for batch in model.embed_batches)
+        assert questions <= set(model.toned)  # the query filter reads each question's tone
+
+
+def test_a_question_asked_of_two_stories_is_embedded_once(corpus, tmp_path):
+    """With the cache off and in record mode, whether the two stories share
+    a group (limit 256) or not (limit 20)."""
+    stories, gold = corpus
+    first, second = sorted(stories, key=lambda s: s.story_id)[:2]
+    shared = next(gq for gq in gold.qa if gq.story_id == first.story_id)
+    doubled = dataclasses.replace(gold, qa=(*gold.qa, dataclasses.replace(shared, story_id=second.story_id)))
+    for mode in ("off", "record"):
+        for limit in (256, 20):
+            config = GatewayConfig(
+                backend="remote", base_url="http://fake.local/v1", model_name="m",
+                max_parallel=4, cache_mode=mode, embed_batch_limit=limit,
+            )
+            model = RequestLog()
+            with LlmGateway(config, cache_dir=tmp_path / f"{mode}-{limit}", transport=model) as gateway:
+                pipeline_config = PipelineConfig(gateway=config, retrieval=RetrievalConfig())
+                result = run_pipeline(stories, gateway, pipeline_config, doubled)
+            embedded = [text for batch in model.embed_batches for text in batch]
+            assert embedded.count(shared.question) == 1
+            assert len(embedded) == len(set(embedded))
+            assert len(model.embed_batches) == (1 if limit == 256 else len(stories))
+            answered = [q for q in result.qa_results if q.question == shared.question]
+            assert [q.story_id for q in answered] == [first.story_id, second.story_id]
+
+
+def _request_kind(body: str) -> str:
+    url, payload = body.split(" ", 1)
+    if url.endswith("/embeddings"):
+        return "embedding"
+    prompt = json.loads(payload)["messages"][0]["content"]
+    for prefix, kind in _PROMPT_KINDS:
+        if prompt.startswith(prefix):
+            return kind
+    raise AssertionError(f"unexpected prompt: {prompt[:80]!r}")
+
+
+_PROMPT_KINDS = (
+    ("You are tracking", "extraction"),
+    ("Summarize", "summary"),
+    ("Rate the emotional tone", "tone"),
+    ("Evaluate", "evaluation"),
+    ("Answer", "answer"),
+)
+
+
+def test_a_remote_run_sends_a_pinned_number_of_requests_of_each_kind(corpus):
+    """The call budget of one fixed corpus: a change that sends more
+    requests of any kind fails here, not only in the benchmark."""
+    stories, gold = corpus
+    model = BodyLog()
+    config = GatewayConfig(backend="remote", base_url="http://fake.local/v1", model_name="m", max_parallel=4)
+    gateway = LlmGateway(config, transport=model)
+    run_pipeline(stories, gateway, PipelineConfig(gateway=config, retrieval=RetrievalConfig()), gold)
+    assert sum(len(story.episodes) for story in stories) == 40 and len(gold.qa) == 9
+    # the corpus repeats one episode text, whose extraction, summary and
+    # tone are sent once; every question's tone is read by the query filter;
+    # the 4 stories are one group, which sends one embedding request
+    assert Counter(map(_request_kind, model.bodies)) == {
+        "extraction": 39,
+        "summary": 39,
+        "tone": 39 + 9,
+        "evaluation": 40,
+        "answer": 9,
+        "embedding": 1,
+    }
+    assert gateway.stats.transport_calls == len(model.bodies) == 176
 
 
 def test_a_questions_tone_is_scored_only_when_the_query_filter_reads_it(corpus):
@@ -286,7 +397,12 @@ def test_a_cache_off_run_sends_each_distinct_request_once_and_equals_a_recorded_
     assert len(model.bodies) == len(set(model.bodies)) == gateway.stats.transport_calls
     assert gateway.stats.memo_hits >= 3 * len(copy.episodes)  # extraction, summary and tone of each copied episode
     recorded, recorded_gw = _remote_run(duplicated, 4, cache_mode="record", cache_dir=tmp_path)
-    assert recorded_gw.stats.cache_misses == gateway.stats.transport_calls
+    chat = [body for body in model.bodies if "/chat/" in body]
+    embeddings = [json.loads(body.split(" ", 1)[1]) for body in model.bodies if "/embeddings " in body]
+    embedded = [text for body in embeddings for text in body["input"]]
+    assert len(embedded) == len(set(embedded))  # each text is sent once, whatever batch it rides in
+    # the recording keeps one entry per distinct chat request and per distinct embedded text
+    assert recorded_gw.stats.cache_misses == len(set(chat)) + len(set(embedded))
     assert off.evaluations == recorded.evaluations
     assert off.qa_results == recorded.qa_results
     assert off.report == recorded.report

@@ -445,6 +445,39 @@ def test_replay_miss_over_an_old_layout_cache_says_record_again(tmp_path):
         gw.complete("anything")
 
 
+def _write_rows(cache_dir, records):
+    """A cache file holding `records` (op, model, request, response), each under its request digest."""
+    with contextlib.closing(sqlite3.connect(Path(cache_dir) / CACHE_FILE)) as db:
+        db.execute("CREATE TABLE entries (key TEXT PRIMARY KEY, record TEXT NOT NULL)")
+        for op, model, request, response in records:
+            record = {"op": op, "model": model, "request": request, "response": response}
+            key = request_digest(op, model, request)
+            db.execute("INSERT INTO entries VALUES (?, ?)", (key, canonical_dumps(record)))
+        db.commit()
+
+
+def test_replay_miss_over_a_cache_of_batched_embeddings_says_record_again(tmp_path):
+    batch = {"model": "test-model", "input": ["a", "b"]}
+    _write_rows(tmp_path, [("embed", "test-model", batch, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])])
+    gw = LlmGateway(remote_config(cache_mode="replay", embed_dim=3), cache_dir=tmp_path, transport=FakeTransport([]))
+    with gw, pytest.raises(UncachedRequestError, match="predates one entry per embedded text: record it again"):
+        gw.embed(["a", "b"])
+    assert gw.stats.transport_calls == 0
+
+
+def test_one_text_embedding_entries_of_an_older_recording_still_serve(tmp_path):
+    one = {"model": "test-model", "input": ["a"]}
+    _write_rows(tmp_path, [("embed", "test-model", one, [[0.6, 0.8, 0.0]])])
+    with LlmGateway(remote_config(cache_mode="replay", embed_dim=3), cache_dir=tmp_path) as gw:
+        (vec,) = gw.embed(["a"])
+        assert np.array_equal(vec, [0.6, 0.8, 0.0])
+        with pytest.raises(UncachedRequestError) as missed:
+            gw.embed(["a", "never recorded"])
+    assert "record it again" not in str(missed.value)  # no batch row: an ordinary miss
+    missing_key = request_digest("embed", "test-model", {"model": "test-model", "input": ["never recorded"]})
+    assert missing_key in str(missed.value)
+
+
 @pytest.mark.parametrize("mode", ["record", "replay"])
 def test_cache_file_that_is_not_a_database_is_persistence_error_naming_it(tmp_path, mode):
     (tmp_path / CACHE_FILE).write_bytes(b"not a database, " * 64)
@@ -605,7 +638,7 @@ def test_memoized_vectors_are_shared_read_only_and_close_forgets_them():
     transport = FakeTransport([reply])
     gw = LlmGateway(remote_config(embed_dim=3), transport=transport)
     first, again = gw.embed(["x", "y"]), gw.embed(["x", "y"])
-    assert transport.calls == 1 and gw.stats.memo_hits == 1
+    assert transport.calls == 1 and gw.stats.memo_hits == 2  # one hit per text
     assert all(a is b for a, b in zip(first, again))
     assert np.array_equal(first[0], [0.6, 0.8, 0.0]) and np.array_equal(first[1], [0.0, 0.0, 1.0])
     assert all(vec.dtype == np.float64 and not vec.flags.writeable for vec in first)
@@ -615,6 +648,88 @@ def test_memoized_vectors_are_shared_read_only_and_close_forgets_them():
     after = gw.embed(["x", "y"])
     assert transport.calls == 2
     assert all(np.array_equal(a, b) for a, b in zip(first, after))
+
+
+# ---------------------------------------------------------------------------
+# one request, and one cache entry, per embedded text
+# ---------------------------------------------------------------------------
+
+
+class EmbedLog:
+    """Embeddings transport: each text's vector is `hashed_embedding(text, dim)`; keeps each batch sent."""
+
+    def __init__(self, dim=3, latency_s=0.0):
+        self.dim = dim
+        self.latency_s = latency_s
+        self.batches = []
+        self._lock = threading.Lock()
+
+    def __call__(self, url, body, timeout, headers):
+        with self._lock:
+            self.batches.append(list(body["input"]))
+        time.sleep(self.latency_s)
+        rows = [hashed_embedding(text, self.dim).tolist() for text in body["input"]]
+        return {"data": [{"index": i, "embedding": row} for i, row in enumerate(rows)]}
+
+
+def test_each_embedded_text_is_one_cache_entry_keyed_by_its_one_text_request(tmp_path):
+    log = EmbedLog()
+    with LlmGateway(remote_config(cache_mode="record", embed_dim=3), cache_dir=tmp_path, transport=log) as gw:
+        gw.embed(["a", "b"])
+        gw.embed(["b", "c", "a"])
+    assert log.batches == [["a", "b"], ["c"]]
+    entries = stored_entries(tmp_path)
+    assert len(entries) == 3
+    for key, raw in entries.items():
+        record = json.loads(raw)
+        assert record["op"] == "embed" and len(record["request"]["input"]) == 1
+        assert key == request_digest("embed", "test-model", record["request"])
+        (text,) = record["request"]["input"]
+        assert record["response"] == [hashed_embedding(text, 3).tolist()]
+    # batching changes no key: texts embedded one by one replay from the rows one batch wrote
+    with LlmGateway(remote_config(cache_mode="replay", embed_dim=3), cache_dir=tmp_path) as gw:
+        for text in ("c", "a", "b"):
+            (vec,) = gw.embed([text])
+            assert np.array_equal(vec, hashed_embedding(text, 3))
+        assert gw.stats.cache_hits == 3
+
+
+@pytest.mark.parametrize("mode", ["off", "record"])
+def test_embed_sends_each_distinct_miss_once_in_batches_of_at_most_the_limit(tmp_path, mode):
+    log = EmbedLog()
+    config = remote_config(cache_mode=mode, embed_dim=3, embed_batch_limit=3)
+    with LlmGateway(config, cache_dir=tmp_path, transport=log) as gw:
+        gw.embed(["b"])
+        texts = ["a", "b", "a", "c", "d", "e", "b", "f"]
+        vectors = gw.embed(texts)
+    assert [np.array_equal(vec, hashed_embedding(t, 3)) for t, vec in zip(texts, vectors)] == [True] * len(texts)
+    # calls of at most 3 texts: [a b a] sends a, [c d e] all three, [b f] sends f
+    assert log.batches == [["b"], ["a"], ["c", "d", "e"], ["f"]]
+    assert gw.stats.transport_calls == 4
+    if mode == "record":
+        assert gw.stats.cache_misses == 6 and gw.stats.cache_hits == 2
+    else:
+        assert gw.stats.memo_hits == 2
+
+
+def test_concurrent_embeds_of_overlapping_texts_send_each_text_once():
+    log = EmbedLog(latency_s=0.02)
+    gw = LlmGateway(remote_config(embed_dim=3, max_parallel=4), transport=log)
+    batches = [["a", "b"], ["b", "c"], ["c", "a", "d"], ["d"]]
+    results = gw.map(gw.embed, batches)
+    sent = [text for batch in log.batches for text in batch]
+    assert sorted(sent) == ["a", "b", "c", "d"]
+    for batch, vectors in zip(batches, results):
+        assert all(np.array_equal(vec, hashed_embedding(t, 3)) for t, vec in zip(batch, vectors))
+
+
+def test_an_embeddings_reply_with_a_vector_missing_is_transport_error(tmp_path):
+    reply = {"data": [{"index": 0, "embedding": [1.0, 0.0, 0.0]}]}
+    config = remote_config(embed_dim=3, cache_mode="record")
+    gw = LlmGateway(config, cache_dir=tmp_path, transport=FakeTransport([reply]))
+    with gw, pytest.raises(TransportError, match="1 vector"):
+        gw.embed(["first", "second"])
+    assert stored_entries(tmp_path) == {}
 
 
 def test_a_failed_request_is_not_remembered_and_its_joined_callers_get_its_error(monkeypatch):
