@@ -1,8 +1,10 @@
 """Byte-identity of results across changes that must not alter them.
 
 The hashes were taken from the code before exact search was screened with a
-matrix product, and the `score index` files from the code before `index` and
-`evaluate` shared one retrieval-index stage. The report hash was retaken
+matrix product, the `score index` files from the code before `index` and
+`evaluate` shared one retrieval-index stage, and the wire hash (every
+distinct request a fixed sequence of commands sends) from the code before
+the stage commands and `evaluate` shared one set of stage functions. The report hash was retaken
 twice: when the run id stopped covering the gateway's sending-only fields and
 the dead `granularity` field, and when the retrieval config lost
 `candidate_pool` and `sentiment_filter_enabled`. Each time its config block
@@ -12,17 +14,22 @@ means to change results updates the hash and says why.
 """
 
 import hashlib
+import json
+import sqlite3
+
+from test_concurrency import StoryModel
 
 from score import cli, fuzz, retrieval, summarize
 from score.cli import _report_payload
 from score.evaluator import PipelineConfig, run_pipeline
-from score.gateway import GatewayConfig, LlmGateway
+from score.gateway import CACHE_FILE, GatewayConfig, LlmGateway
 from score.index import build_index
 from score.jsonio import canonical_bytes
 from score.retrieval import RetrievalConfig
 
 PIPELINE_REPORT_SHA256 = "9705da266e59b3d6239136f72169c14ed6cd4be25c07fb1014736ec6f616f4b9"
 CORPUS_SEARCH_SHA256 = "91ad6ed0d1a1de0c2c6a2154107dea0cd2d6e76be331f3a577c9bd964c67ad4e"
+WIRE_REQUESTS_SHA256 = "0b97194bd265ff03b4d2b6d206703a5f5f8e0c3afc312403822ded84d8669c56"
 INDEX_FILES_SHA256 = {
     "summary.vec": "2b1a9dd361e4c34bb1824a66920f0a04d28d742b0a54f615d342ee87e4ea888a",
     "summary.meta.json": "7fd73328472592bdc4f903a3b90fbd7f938c1029dd75c80a760b7c17bb7042e4",
@@ -99,3 +106,22 @@ def test_index_command_files(tmp_path):
         assert cli.main(["--project", str(root), *argv]) == 0
     written = {name: hashlib.sha256((root / "index" / name).read_bytes()).hexdigest() for name in INDEX_FILES_SHA256}
     assert written == INDEX_FILES_SHA256
+
+
+def test_wire_requests_of_the_stage_commands_evaluate_and_compare(tmp_path, monkeypatch):
+    # record mode keeps one cache row per distinct request, keyed by its digest
+    from score import gateway as gateway_module
+
+    monkeypatch.setattr(gateway_module, "default_transport", StoryModel(latency_s=0))
+    root = tmp_path / "proj"
+    assert cli.main(["--project", str(root), "fuzz", "--seed", "5", "--stories", "4"]) == 0
+    config = json.loads((root / "config.json").read_text("utf-8"))
+    config["gateway"].update(
+        backend="remote", base_url="http://fake.local/v1", model_name="m", cache_mode="record", max_parallel=1
+    )
+    (root / "config.json").write_text(json.dumps(config), "utf-8")
+    for argv in (["track"], ["summarize"], ["index"], ["evaluate"], ["compare", "--baseline"]):
+        assert cli.main(["--project", str(root), *argv]) == 0, argv
+    with sqlite3.connect(root / "cache" / CACHE_FILE) as db:
+        keys = sorted(key for (key,) in db.execute("SELECT key FROM entries"))
+    assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == WIRE_REQUESTS_SHA256
