@@ -85,13 +85,3 @@ def _last_sentence_end(text: str, lo: int, hi: int) -> int | None:
         if text[i] in SENTENCE_ENDERS:
             return i + 1
     return None
-
-
-def reassemble(chunks: list[Chunk], overlap_chars: int) -> str:
-    """Inverse of segment for a single episode's chunk list (test oracle aid)."""
-    if not chunks:
-        return ""
-    parts = [chunks[0].text]
-    for chunk in chunks[1:]:
-        parts.append(chunk.text[overlap_chars:])
-    return "".join(parts)

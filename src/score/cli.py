@@ -29,15 +29,20 @@ from .errors import (
     UncachedRequestError,
     ValidationError,
 )
-from .evaluator import Ablations, PipelineConfig, answer_query, run_comparison, run_pipeline
+from .evaluator import (
+    Ablations,
+    PipelineConfig,
+    answer_query,
+    run_comparison,
+    run_pipeline,
+    stage_outputs,
+)
 from .fuzz import FuzzSpec, generate_corpus, score_detection, truth_to_dict
 from .gateway import GatewayConfig, LlmGateway
 from .jsonio import canonical_bytes, canonical_dumps, write_if_changed
-from .project import METRIC_NAMES, Project, load_story
+from .project import METRIC_NAMES, Project, load_story, stage_inputs
 from .retrieval import RetrievalConfig, build_retrieval_index, records_to_dict, retrieval_units, retrieve_for_query
-from .story import serialize_story
-from .summarize import summaries_to_dict, summarize_story
-from .tracker import detect_story_errors, states_to_dict, story_timelines
+from .story import Story, serialize_story
 
 logger = logging.getLogger(__name__)
 
@@ -122,29 +127,40 @@ def cmd_fuzz(project: Project, args) -> int:
     return 0
 
 
+def _matching(project: Project, stage: str, stories: list[Story], gateway) -> dict:
+    """The `stage` output ("states" or "summaries") of each story whose stage file matches, by
+    story id; a file that does not load is left out with a warning, so its story is computed again."""
+    found = {}
+    for story in stories:
+        inputs = stage_inputs(stage, story, gateway)
+        try:
+            output = project.load_stage(stage, story, inputs)
+        except PersistenceError as e:
+            logger.warning("%s; computing it again", e)
+            continue
+        if output is not None:
+            found[story.story_id] = output
+    return found
+
+
+def _run_stage(project: Project, stage: str, stories: list[Story], gateway, *, force=False) -> tuple[dict, int]:
+    """Every story's `stage` output by story id, computing and saving each one no matching stage
+    file holds (with `force`, every one); and how many such files held one."""
+    held = {} if force else _matching(project, stage, stories, gateway)
+    todo = [story for story in stories if story.story_id not in held]
+    made = stage_outputs(todo, gateway, stage)
+    for story in todo:
+        project.save_stage(stage, story, stage_inputs(stage, story, gateway), made[story.story_id])
+    return {**held, **made}, len(held)
+
+
 def cmd_summarize(project: Project, args) -> int:
     project.ensure()
     gateway_cfg, _, _ = _load_config(project, args)
     stories = project.load_stories()
-
-    def needs_summaries(story) -> bool:
-        try:
-            return args.force or project.load_summaries(story) is None
-        except PersistenceError as e:
-            logger.warning("%s; summarizing the story again", e)
-            return True
-
-    todo = [story for story in stories if needs_summaries(story)]
     with _gateway(project, gateway_cfg) as gateway:
-        def write_summaries(story):
-            summaries = summarize_story(story, gateway)
-            write_if_changed(
-                project.summaries_path(story.story_id),
-                canonical_bytes(summaries_to_dict(story.story_id, summaries)),
-            )
-
-        gateway.map(write_summaries, todo)
-    print(f"summarized {len(todo)} story(ies), {len(stories) - len(todo)} already present (use --force to redo)")
+        _, held = _run_stage(project, "summaries", stories, gateway, force=args.force)
+    print(f"summarized {len(stories) - held} story(ies), {held} already present (use --force to redo)")
     return 0
 
 
@@ -153,16 +169,8 @@ def cmd_track(project: Project, args) -> int:
     gateway_cfg, _, _ = _load_config(project, args)
     stories = project.load_stories()
     with _gateway(project, gateway_cfg) as gateway:
-        def track_story(story):
-            timelines = story_timelines(story, gateway)
-            errors = detect_story_errors(timelines)
-            write_if_changed(
-                project.dir("states") / f"{story.story_id}.json",
-                canonical_bytes(states_to_dict(story.story_id, timelines, errors)),
-            )
-            return errors
-
-        reported = {story.story_id: errors for story, errors in zip(stories, gateway.map(track_story, stories))}
+        states, _ = _run_stage(project, "states", stories, gateway)
+    reported = {story_id: errors for story_id, (_, errors) in states.items()}
     total_errors = sum(len(errors) for errors in reported.values())
     print(f"tracked {len(stories)} story(ies), {total_errors} continuity error(s) detected")
     truth, _ = project.load_gold()
@@ -179,13 +187,13 @@ def cmd_index(project: Project, args) -> int:
     project.ensure()
     gateway_cfg, _, granularity = _load_config(project, args)
     stories = project.load_stories()
-    summaries = {story.story_id: project.load_summaries(story) for story in stories}
-    missing = [story_id for story_id, built in summaries.items() if built is None]
-    if missing:
-        raise ValidationError("summaries", f"not built for: {', '.join(missing)} (run `score summarize`)")
-
-    units = [unit for story in stories for unit in retrieval_units(story, summaries[story.story_id], granularity)]
     with _gateway(project, gateway_cfg) as gateway:
+        inputs = {story.story_id: stage_inputs("summaries", story, gateway) for story in stories}
+        summaries = {s.story_id: project.load_stage("summaries", s, inputs[s.story_id]) for s in stories}
+        missing = [story_id for story_id, built in summaries.items() if built is None]
+        if missing:
+            raise ValidationError("summaries", f"not built for: {', '.join(missing)} (run `score summarize`)")
+        units = [unit for story in stories for unit in retrieval_units(story, summaries[story.story_id], granularity)]
         vectors = gateway.embed([record.text for _, record in units])
     index, records = build_retrieval_index(units, vectors, gateway_cfg.embed_dim)
     base = project.dir("index") / granularity
@@ -250,7 +258,9 @@ def cmd_evaluate(project: Project, args) -> int:
 
     config = PipelineConfig(gateway_cfg, retrieval_cfg, ablations)
     with _gateway(project, gateway_cfg) as gateway:
-        result = run_pipeline(stories, gateway, config, gold, episode=episode_filter)
+        used = ("states", "summaries") if ablations.summary else ("states",)
+        made = {stage: _matching(project, stage, stories, gateway) for stage in used}
+        result = run_pipeline(stories, gateway, config, gold, episode=episode_filter, **made)
 
     run_id = hashlib.sha256(
         (config.digest() + project.corpus_digest(stories) + str(episode_filter)).encode()
@@ -308,7 +318,8 @@ def cmd_compare(project: Project, args) -> int:
     config_b = PipelineConfig(gateway_cfg, retrieval_cfg, ablations_b)
 
     with _gateway(project, gateway_cfg) as gateway:
-        comparison = run_comparison(stories, gold, gateway, config_a, config_b)
+        made = {stage: _matching(project, stage, stories, gateway) for stage in ("states", "summaries")}
+        comparison = run_comparison(stories, gold, gateway, config_a, config_b, **made)
     run_id = hashlib.sha256(
         (config_a.digest() + config_b.digest() + project.corpus_digest(stories)).encode()
     ).hexdigest()[:12]

@@ -17,7 +17,7 @@ import json
 import logging
 import re
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import lexicon, prompts
 from .errors import ContractError, EvaluationError, ValidationError
@@ -33,16 +33,18 @@ from .retrieval import (
     retrieve_for_query,
     retrieve_related,
 )
-from .story import Episode, ItemState, KeyItem, Story
+from .story import Episode, ItemState, Story
 from .summarize import EpisodeSummary, summarize_episode
 from .tracker import (
     ContinuityError,
+    ItemObservation,
     ItemTimeline,
+    StoryStates,
     correct_story_timelines,
     detect_story_errors,
     error_to_dict,
     extract_item_statuses,
-    fold_timelines,
+    story_timelines,
 )
 
 logger = logging.getLogger(__name__)
@@ -369,13 +371,13 @@ def compute_metrics(
     timelines_by_story: dict[str, dict[str, ItemTimeline]],
     gold: GoldData | None,
     *,
+    reference: dict[str, dict[str, ItemTimeline]] | None = None,
     config_digest: str = "",
 ) -> MetricsReport:
     """Aggregate the four headline metrics.
 
     consistency: share of responses whose asserted item states do not
-      contradict the corrected timelines (correction is recomputed here, so
-      passing raw or corrected timelines yields the same reference).
+      contradict `reference`, the corrected timelines (by default the passed ones).
     coherence: mean facet average, rescaled affinely from [1,5] to [0,100].
     item_status: share of the passed stories' gold item-state assertions
       their timelines reproduce. complex_qa: share of gold-graded questions
@@ -383,11 +385,7 @@ def compute_metrics(
     """
     if not evaluations and not qa_results:
         raise ContractError("nothing to aggregate")
-
-    reference = {
-        story_id: correct_story_timelines(tls, detect_story_errors(tls))
-        for story_id, tls in timelines_by_story.items()
-    }
+    reference = timelines_by_story if reference is None else reference
 
     story_ids = sorted(
         {e.story_id for e in evaluations}
@@ -553,22 +551,21 @@ class PipelineResult:
     report: MetricsReport
     evaluations: list[EpisodeEvaluation]
     qa_results: list[QAResult]
-    states: dict[str, tuple[dict[str, ItemTimeline], list[ContinuityError]]]
+    states: dict[str, StoryStates]
     summaries: dict[str, list[EpisodeSummary]]
 
 
 @dataclass
 class _StoryRun:
-    """One story's state inside its group, filled in stage by stage."""
+    """One story's state inside its group, filled in stage by stage; no stage redoes a given output."""
 
     story: Story
-    items: list[KeyItem]
-    questions: list[GoldQA]
-    raw_timelines: dict[str, ItemTimeline] = field(default_factory=dict)
-    errors: list[ContinuityError] = field(default_factory=list)
-    timelines: dict[str, ItemTimeline] = field(default_factory=dict)
-    summaries: list[EpisodeSummary] = field(default_factory=list)
-    # (kind, record) of each retrieval unit: one per episode, in episode order
+    questions: list[GoldQA] = field(default_factory=list)
+    summaries: list[EpisodeSummary] | None = None  # stage 2
+    states: StoryStates | None = None  # stage 3: the raw timelines and their errors
+    extracted: list[list[ItemObservation]] = field(default_factory=list)  # stage 1, per episode
+    corrected: dict[str, ItemTimeline] = field(default_factory=dict)  # stage 3
+    # stage 4: (kind, record) of each retrieval unit, one per episode in episode order
     units: list[tuple[str, SummaryRecord]] = field(default_factory=list)
     # one per unit: the raw rows, not the index's normalized copies, are the
     # episodes' query vectors, since search normalizes a query itself
@@ -577,24 +574,129 @@ class _StoryRun:
     index: FlatIndex | None = None
     records: dict[str, SummaryRecord] = field(default_factory=dict)
 
-    def embedded_texts(self) -> list[str]:
-        """Its documents, then its questions."""
-        return [record.text for _, record in self.units] + [gq.question for gq in self.questions]
+    def timelines(self, tracking: bool) -> dict[str, ItemTimeline]:
+        """The timelines its evaluations see: the corrected ones, unless tracking is ablated."""
+        return self.corrected if tracking else self.states[0]
 
 
-def _story_groups(stories: list[Story], size: Callable[[Story], int], limit: int) -> list[list[Story]]:
-    """`stories` cut into runs of consecutive stories whose `size`s add up
-    to at most `limit`; a story larger than `limit` is a group of its own."""
-    groups: list[list[Story]] = []
-    total = 0
-    for story in stories:
-        n = size(story)
-        if not groups or total + n > limit:
-            groups.append([])
-            total = 0
-        groups[-1].append(story)
+def _stage_groups(runs: Iterable[_StoryRun], limit: int) -> Iterator[list[_StoryRun]]:
+    """`runs` in groups of consecutive runs whose episodes plus questions, the texts stage 4
+    embeds, add up to at most `limit`; a larger run is a group of its own."""
+    group, total = [], 0
+    for run in runs:
+        n = len(run.story.episodes) + len(run.questions)
+        if group and total + n > limit:
+            yield group
+            group, total = [], 0
+        group.append(run)
         total += n
-    return groups
+    if group:
+        yield group
+
+
+def _map_episodes(runs: list[_StoryRun], gateway, fn: Callable) -> list[list]:
+    """`fn(episode, story)` over every episode of `runs` in one `gateway.map`, one list per run."""
+    done = iter(gateway.map(lambda job: fn(*job), [(ep, run.story) for run in runs for ep in run.story.episodes]))
+    return [[next(done) for _ in run.story.episodes] for run in runs]
+
+
+def _extract_stage(runs: list[_StoryRun], gateway) -> None:
+    """Stage 1: every episode's item observations, for each story without states."""
+    todo = [run for run in runs if run.states is None]
+    made = _map_episodes(todo, gateway, lambda ep, story: extract_item_statuses(ep, story.key_items, gateway))
+    for run, extracted in zip(todo, made):
+        run.extracted = extracted
+
+
+def _summary_stage(runs: list[_StoryRun], gateway, full: bool) -> None:
+    """Stage 2: every episode's summary and tone (`_minimal_summary` unless `full`), for each story without them."""
+    todo = [run for run in runs if run.summaries is None]
+    summarize = summarize_episode if full else _minimal_summary
+    made = _map_episodes(todo, gateway, lambda ep, s: summarize(ep, s.key_items, gateway, story_id=s.story_id))
+    for run, summaries in zip(todo, made):
+        run.summaries = summaries
+
+
+def _track_stage(runs: list[_StoryRun]) -> None:
+    """Stage 3: each story's observations folded and checked (unless it has states), and its timelines corrected."""
+    for run in runs:
+        if run.states is None:
+            timelines = story_timelines(run.story.key_items, run.extracted)
+            run.states = (timelines, detect_story_errors(timelines))
+        run.corrected = correct_story_timelines(*run.states)
+
+
+def _index_stage(runs: list[_StoryRun], gateway, granularity: str, retrieval: bool) -> None:
+    """Stage 4: each story's retrieval units; with `retrieval`, one `gateway.embed` of
+    the group's documents and questions, and each story's index."""
+    for run in runs:
+        run.units = retrieval_units(run.story, run.summaries, granularity)
+    if not retrieval:
+        return
+    texts = [text for run in runs for text in [r.text for _, r in run.units] + [q.question for q in run.questions]]
+    vectors = iter(gateway.embed(texts))
+    for run in runs:
+        run.vectors = [next(vectors) for _ in run.units]
+        run.question_vectors = [next(vectors) for _ in run.questions]
+        run.index, run.records = build_retrieval_index(run.units, run.vectors, gateway.config.embed_dim)
+
+
+def _evaluate_stage(
+    runs: list[_StoryRun], gateway, ablations: Ablations, retrieval_cfg: RetrievalConfig, evaluated: Callable
+) -> tuple[list[EpisodeEvaluation], list[QAResult]]:
+    """Stage 5: one `gateway.map` over the group's `evaluated` episodes, then its questions."""
+
+    def evaluate_one(run, ep):
+        story = run.story
+        focus = run.units[ep.index][1]
+        if ablations.retrieval and len(story.episodes) > 1:
+            bundle = retrieve_related(
+                focus.text,
+                run.summaries[ep.index].sentiment if ablations.sentiment else None,
+                run.index,
+                run.records,
+                retrieval_cfg,
+                gateway,
+                exclude_ref=(story.story_id, ep.index) if retrieval_cfg.exclude_self else None,
+                focus_label=focus.entry_id,
+                query_vector=run.vectors[ep.index],
+            )
+        else:
+            bundle = ContextBundle(focus=focus.entry_id, selected=())
+        timelines, errors = run.timelines(ablations.tracking), run.states[1]
+        return evaluate_episode(
+            ep, run.summaries[ep.index], timelines, errors, bundle, gateway, story_id=story.story_id
+        )
+
+    def answer_one(run, i):
+        gq = run.questions[i]
+        if ablations.retrieval:
+            bundle = retrieve_for_query(
+                gq.question, run.index, run.records, retrieval_cfg, gateway, query_vector=run.question_vectors[i]
+            )
+        else:
+            bundle = ContextBundle(focus=f"query:{gq.question[:72]}", selected=())
+        return grade_answer(answer_query(gq.question, bundle, gateway, story_id=run.story.story_id), gq)
+
+    tasks = [functools.partial(evaluate_one, run, ep) for run in runs for ep in evaluated(run.story)]
+    n = len(tasks)
+    tasks += [functools.partial(answer_one, run, i) for run in runs for i in range(len(run.questions))]
+    done = gateway.map(lambda task: task(), tasks)
+    return done[:n], done[n:]
+
+
+def stage_outputs(stories: list[Story], gateway, stage: str) -> dict:
+    """Each story's `stage` output by story id, as `PipelineResult` holds it:
+    "states" runs stages 1 and 3 of `run_pipeline`, "summaries" stage 2."""
+    made = {}
+    for group in _stage_groups(map(_StoryRun, stories), gateway.config.embed_batch_limit):
+        if stage == "states":
+            _extract_stage(group, gateway)
+            _track_stage(group)
+        else:
+            _summary_stage(group, gateway, full=True)
+        made.update((run.story.story_id, getattr(run, stage)) for run in group)
+    return made
 
 
 def run_pipeline(
@@ -604,27 +706,27 @@ def run_pipeline(
     gold: GoldData | None = None,
     *,
     episode: tuple[str, int] | None = None,
+    states: dict[str, StoryStates] | None = None,
+    summaries: dict[str, list[EpisodeSummary]] | None = None,
 ) -> PipelineResult:
-    """Run extract -> track -> summarize -> index -> evaluate -> QA over a corpus.
+    """Run extract -> summarize -> track -> index -> evaluate -> QA over a corpus.
 
     `episode`, a (story_id, episode index), runs that one story and
     evaluates that one episode of it, with the same context a full run
     gives it, and answers no question; the metrics cover that evaluation.
+    `states` and `summaries`, by story id as `PipelineResult` holds them,
+    were made before: a story they hold is not tracked, or not summarized,
+    again (`summaries` go unused when summarization is ablated).
 
-    Stories run in groups of consecutive stories in story_id order. A group
-    closes when the next story's documents plus questions would take the
-    texts it embeds past `embed_batch_limit`; a story larger than that is a
-    group of its own. Each group runs stage by stage:
-    1. one `gateway.map` over every episode of the group: its extraction,
-       then its summary and tone;
-    2. each story's timelines are folded, checked and corrected;
-    3. one `gateway.embed` call carries every document and question of the
-       group;
-    4. each story's retrieval index is built;
+    Stories run in story_id order, in the groups of `_stage_groups`. Each
+    group runs five stages; `stage_outputs` runs stages 1 to 3 alone:
+    1. extraction: one `gateway.map` over every episode;
+    2. summary and tone (tone only, when summarization is ablated): one `gateway.map` over every episode;
+    3. each story's timelines are folded, checked and corrected;
+    4. one `gateway.embed` of every document and question, and each story's retrieval index;
     5. one `gateway.map` over every evaluation and every question.
-    So a group sends one embedding request, and on the remote path each map
-    keeps the request slots full across its stories. Memory stays bounded
-    by one group.
+    No mapped item maps again; on the remote path each map keeps the request
+    slots full across the group's stories. Memory stays bounded by one group.
 
     Deterministic under the mock backend or in replay mode: every stage is
     a pure function of its inputs, and `gateway.map` keeps input order at
@@ -647,113 +749,38 @@ def run_pipeline(
         for gq in gold.qa:
             gold_by_story.setdefault(gq.story_id, []).append(gq)
 
-    def read_episode(job):
-        run, ep = job
-        observations = extract_item_statuses(ep, run.items, gateway)
-        if ablations.summary:
-            summary = summarize_episode(ep, run.items, gateway, story_id=run.story.story_id)
-        else:
-            summary = _minimal_summary(ep, gateway, story_id=run.story.story_id)
-        return observations, summary
-
-    def evaluate_one(run, ep):
-        story = run.story
-        focus = run.units[ep.index][1]
-        if ablations.retrieval and len(story.episodes) > 1:
-            bundle = retrieve_related(
-                focus.text,
-                run.summaries[ep.index].sentiment if ablations.sentiment else None,
-                run.index,
-                run.records,
-                retrieval_cfg,
-                gateway,
-                exclude_ref=(story.story_id, ep.index) if retrieval_cfg.exclude_self else None,
-                focus_label=focus.entry_id,
-                query_vector=run.vectors[ep.index],
-            )
-        else:
-            bundle = ContextBundle(focus=focus.entry_id, selected=())
-        return evaluate_episode(
-            ep, run.summaries[ep.index], run.timelines, run.errors, bundle, gateway, story_id=story.story_id
-        )
-
-    def answer_one(run, i):
-        gq = run.questions[i]
-        if ablations.retrieval:
-            bundle = retrieve_for_query(
-                gq.question, run.index, run.records, retrieval_cfg, gateway, query_vector=run.question_vectors[i]
-            )
-        else:
-            bundle = ContextBundle(focus=f"query:{gq.question[:72]}", selected=())
-        return grade_answer(answer_query(gq.question, bundle, gateway, story_id=run.story.story_id), gq)
-
     def evaluated(story):
         return story.episodes if episode is None else story.episodes[episode[1] : episode[1] + 1]
 
     evaluations: list[EpisodeEvaluation] = []
     qa_results: list[QAResult] = []
-    states: dict[str, tuple[dict[str, ItemTimeline], list[ContinuityError]]] = {}
-    summaries_out: dict[str, list[EpisodeSummary]] = {}
-    effective_timelines: dict[str, dict[str, ItemTimeline]] = {}
-    ordered = sorted(stories, key=lambda s: s.story_id)
-    groups = _story_groups(
-        ordered,
-        lambda story: len(story.episodes) + len(gold_by_story.get(story.story_id, ())),
-        gateway.config.embed_batch_limit,
+    made_states, made_summaries, timelines, reference = {}, {}, {}, {}  # timelines: what evaluations saw
+    states, summaries = states or {}, (summaries or {}) if ablations.summary else {}
+    runs = (
+        _StoryRun(s, gold_by_story.get(s.story_id, []), summaries.get(s.story_id), states.get(s.story_id))
+        for s in sorted(stories, key=lambda s: s.story_id)
     )
-    for group in groups:
-        runs = [_StoryRun(story, list(story.key_items), gold_by_story.get(story.story_id, [])) for story in group]
-
-        read = iter(gateway.map(read_episode, [(run, ep) for run in runs for ep in run.story.episodes]))
-        for run in runs:
-            pairs = [next(read) for _ in run.story.episodes]
-            run.raw_timelines = fold_timelines(run.items, [observations for observations, _ in pairs])
-            run.errors = detect_story_errors(run.raw_timelines)
-            if ablations.tracking:
-                run.timelines = correct_story_timelines(run.raw_timelines, run.errors)
-            else:
-                run.timelines = run.raw_timelines
-            run.summaries = [summary for _, summary in pairs]
-            run.units = retrieval_units(run.story, run.summaries, granularity)
-
-        if ablations.retrieval:
-            vectors = iter(gateway.embed([text for run in runs for text in run.embedded_texts()]))
-            for run in runs:
-                run.vectors = [next(vectors) for _ in run.units]
-                run.question_vectors = [next(vectors) for _ in run.questions]
-                run.index, run.records = build_retrieval_index(run.units, run.vectors, gateway.config.embed_dim)
-
-        tasks = []
-        for run in runs:
-            tasks.extend(functools.partial(evaluate_one, run, ep) for ep in evaluated(run.story))
-            tasks.extend(functools.partial(answer_one, run, i) for i in range(len(run.questions)))
-        done = iter(gateway.map(lambda task: task(), tasks))
-        for run in runs:
+    for group in _stage_groups(runs, gateway.config.embed_batch_limit):
+        _extract_stage(group, gateway)
+        _summary_stage(group, gateway, ablations.summary)
+        _track_stage(group)
+        _index_stage(group, gateway, granularity, ablations.retrieval)
+        group_evaluations, group_answers = _evaluate_stage(group, gateway, ablations, retrieval_cfg, evaluated)
+        evaluations += group_evaluations
+        qa_results += group_answers
+        for run in group:
             story_id = run.story.story_id
-            states[story_id] = (run.raw_timelines, run.errors)
-            effective_timelines[story_id] = run.timelines
-            summaries_out[story_id] = run.summaries
-            evaluations.extend(next(done) for _ in evaluated(run.story))
-            qa_results.extend(next(done) for _ in run.questions)
-
+            made_states[story_id], made_summaries[story_id] = run.states, run.summaries
+            timelines[story_id], reference[story_id] = run.timelines(ablations.tracking), run.corrected
     report = compute_metrics(
-        evaluations,
-        qa_results,
-        effective_timelines,
-        gold,
-        config_digest=config.digest(),
+        evaluations, qa_results, timelines, gold, reference=reference, config_digest=config.digest()
     )
-    return PipelineResult(
-        report=report,
-        evaluations=evaluations,
-        qa_results=qa_results,
-        states=states,
-        summaries=summaries_out,
-    )
+    return PipelineResult(report, evaluations, qa_results, made_states, made_summaries)
 
 
-def _minimal_summary(episode: Episode, gateway, *, story_id: str) -> EpisodeSummary:
-    """Summary stub for the no-summarization configuration: synopsis and tone only."""
+def _minimal_summary(episode: Episode, items, gateway, *, story_id: str) -> EpisodeSummary:
+    """Summary stub for the no-summarization configuration: synopsis and tone
+    only; `items` go unused, as `summarize_episode` takes them."""
     sents = lexicon.sentences(episode.text)
     return EpisodeSummary(
         story_id=story_id,
@@ -791,13 +818,18 @@ def run_comparison(
     gateway,
     config_a: PipelineConfig,
     config_b: PipelineConfig,
+    *,
+    states: dict[str, StoryStates] | None = None,
+    summaries: dict[str, list[EpisodeSummary]] | None = None,
 ) -> ComparisonReport:
-    """Evaluate the identical corpus and question set under two configurations."""
+    """Evaluate the identical corpus and question set under two
+    configurations; `states` and `summaries` serve both runs as in
+    `run_pipeline`."""
     collision = config_a.digest() == config_b.digest()
     if collision:
         logger.warning("both comparison configs have digest %s; comparing a config to itself", config_a.digest())
-    result_a = run_pipeline(stories, gateway, config_a, gold)
-    result_b = run_pipeline(stories, gateway, config_b, gold)
+    result_a = run_pipeline(stories, gateway, config_a, gold, states=states, summaries=summaries)
+    result_b = run_pipeline(stories, gateway, config_b, gold, states=states, summaries=summaries)
     return ComparisonReport(
         config_a=config_a,
         config_b=config_b,

@@ -39,8 +39,8 @@ request per call of at most `embed_batch_limit` texts.
 work. It overlaps requests only where they can wait on the network (remote
 backend, cache `off` or `record`), on one pool of `max_parallel` worker
 threads per gateway, and always returns results in input order, so no
-result depends on `max_parallel`. Maps nest: a worker that maps runs the
-items no other worker has started itself, so it never waits on queued work.
+result depends on `max_parallel`. A map called on one of those workers
+runs its items in that worker, so it never waits on queued work.
 """
 
 from __future__ import annotations
@@ -280,28 +280,19 @@ class LlmGateway:
         replay mode are pure CPU and cache reads, which threads cannot speed
         up under the GIL, so they run in the calling thread.
 
-        `fn` may itself call `map`. A caller that is one of the pool's
-        workers runs every item no worker has started yet itself and waits
-        only on items already running, so nested maps cannot deadlock and
-        the gateway never has more than `max_parallel` worker threads.
-        Results are in input order either way; the first exception in input
-        order propagates, and no item of this map starts after it returns.
+        The pipeline's stages never nest maps. A `map` called on one of the
+        pool's own workers runs its items there, in input order, so it never
+        waits on work queued behind it and the gateway never has more than
+        `max_parallel` worker threads. Results are in input order either
+        way; the first exception in input order propagates, and no item of
+        this map starts after it returns.
         """
         items = list(items)
-        if self.is_mock or self.config.cache_mode == "replay" or self.config.max_parallel < 2 or len(items) < 2:
+        inline = self.is_mock or self.config.cache_mode == "replay" or self.config.max_parallel < 2 or len(items) < 2
+        if inline or getattr(_worker, "pool", None) is self._pool_token:
             return [fn(item) for item in items]
-        pool = self._worker_pool()
-        futures = [pool.submit(fn, item) for item in items]
+        futures = [self._worker_pool().submit(fn, item) for item in items]
         try:
-            if getattr(_worker, "pool", None) is self._pool_token:
-                for i, item in enumerate(items):
-                    if futures[i].cancel():
-                        futures[i] = stolen = Future()
-                        try:
-                            stolen.set_result(fn(item))
-                        except Exception as e:
-                            stolen.set_exception(e)
-                            break
             return [future.result() for future in futures]
         finally:
             for future in futures:

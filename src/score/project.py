@@ -7,6 +7,9 @@ stories/, summaries/, states/, index/, cache/, reports/ and prompts/. Each
 that cannot be read, or holds a value of the wrong shape or one its
 constructor rejects, raises PersistenceError naming the file and the value's
 JSON path: `ground_truth.json: $.qa[0].answer: must be a string, got null`.
+A stage file, `states/<story>.json` or `summaries/<story>.json`, records in
+`inputs` the `stage_inputs` digest it was made from; `load_stage` treats a
+file made from other inputs as missing.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from .index import FlatIndex
 from .jsonio import canonical_bytes, canonical_dumps, check, load_json, write_if_changed
 from .retrieval import RECORD_SHAPE, RetrievalConfig, SummaryRecord, records_from_dict
 from .story import Story, parse_story, serialize_story
-from .summarize import SUMMARIES_SHAPE, EpisodeSummary, summaries_from_dict
+from .summarize import SUMMARIES_SHAPE, summaries_from_dict, summaries_to_dict
+from .tracker import STATES_SHAPE, detect_story_errors, states_from_dict, states_to_dict
 
 _DIRS = ("stories", "summaries", "states", "index", "cache", "reports", "prompts")
 
@@ -40,6 +44,13 @@ CONFIG_SHAPE["granularity?"] = str
 _RETIRED_FIELDS = {
     ("retrieval", "candidate_pool"): (0, "no result depended on it; delete it"),
     ("retrieval", "sentiment_filter_enabled"): (True, "use `--ablate sentiment`, or retrieval.filter_queries"),
+}
+
+# stage file directory -> (its shape, writer and reader, and the templates its
+# stage can send on the remote backend)
+_STAGE_FILES = {
+    "states": (STATES_SHAPE, states_to_dict, states_from_dict, ("extract_states", "repair")),
+    "summaries": (SUMMARIES_SHAPE, summaries_to_dict, summaries_from_dict, ("summarize", "sentiment", "repair")),
 }
 
 # stories/corpus.json: the story files to load, in order
@@ -69,9 +80,6 @@ class Project:
     @property
     def ground_truth_path(self) -> Path:
         return self.root / "ground_truth.json"
-
-    def summaries_path(self, story_id: str) -> Path:
-        return self.dir("summaries") / f"{story_id}.json"
 
     def ensure(self) -> None:
         """Create missing directories, default config, and default prompts."""
@@ -142,19 +150,27 @@ class Project:
             raise ValidationError("stories", "no stories ingested (run `score ingest` or `score fuzz` first)")
         return stories
 
-    def load_summaries(self, story: Story) -> list[EpisodeSummary] | None:
-        """The story's saved summaries, or None when it has none. A file that
-        does not load, or does not hold one summary per episode of the story,
-        raises PersistenceError naming it; `summarize` rewrites such a file."""
-        path = self.summaries_path(story.story_id)
+    def load_stage(self, stage: str, story: Story, inputs: str):
+        """The output of `stage` ("states" or "summaries") that the story's
+        file in that directory holds, or None when it has no such file made
+        from `inputs`. A file that does not load, or does not hold an output
+        of the story, raises PersistenceError naming it."""
+        path = self.dir(stage) / f"{story.story_id}.json"
         if not path.exists():
             return None
-        story_id, summaries = load_json(path, SUMMARIES_SHAPE, summaries_from_dict)
-        if story_id != story.story_id or [s.episode_index for s in summaries] != [ep.index for ep in story.episodes]:
-            raise PersistenceError(
-                f"{path}: does not hold one summary per episode of story {story.story_id!r} (run `score summarize`)"
-            )
-        return summaries
+        shape, _, build, _ = _STAGE_FILES[stage]
+        loaded = load_json(path, {**shape, "inputs?": str}, lambda raw: raw.get("inputs") == inputs and build(raw))
+        if not loaded:
+            return None
+        story_id, output = loaded
+        if story_id != story.story_id or not _fits(story, stage, output):
+            raise PersistenceError(f"{path}: does not hold the {stage} of story {story.story_id!r}")
+        return output
+
+    def save_stage(self, stage: str, story: Story, inputs: str, output) -> None:
+        """Write the story's `stage` file, recording the `inputs` its `output` was made from."""
+        payload = _STAGE_FILES[stage][1](story.story_id, output)
+        write_if_changed(self.dir(stage) / f"{story.story_id}.json", canonical_bytes({**payload, "inputs": inputs}))
 
     def load_gold(self) -> tuple[GroundTruth | None, GoldData | None]:
         """The ground truth and its gold data, or (None, None) when there is none."""
@@ -184,6 +200,24 @@ class Project:
         for story in sorted(stories, key=lambda s: s.story_id):
             h.update(serialize_story(story))
         return h.hexdigest()[:16]
+
+
+def stage_inputs(stage: str, story: Story, gateway) -> str:
+    """The digest of what the `stage` file of `story` is made from under
+    `gateway`: the story's bytes, the backend and model, and each template
+    the stage can send (none on the mock backend) as `gateway.template`
+    resolves it, so that a project override counts."""
+    templates = () if gateway.is_mock else _STAGE_FILES[stage][3]
+    texts = [gateway.config.backend, gateway.config.model_name, *map(gateway.template, templates)]
+    parts = [serialize_story(story), *(text.encode("utf-8") for text in texts)]
+    return hashlib.sha256(" ".join(hashlib.sha256(part).hexdigest() for part in parts).encode()).hexdigest()[:16]
+
+
+def _fits(story: Story, stage: str, output) -> bool:
+    """Whether a `stage` output can be the story's: errors its timelines show, or one summary per episode."""
+    if stage == "states":
+        return output[1] == detect_story_errors(output[0])
+    return [s.episode_index for s in output] == [ep.index for ep in story.episodes]
 
 
 def load_story(path: Path) -> Story:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass
 
 from .errors import StoryParseError, ValidationError
@@ -29,12 +28,6 @@ class ItemState(str, enum.Enum):
 TERMINAL_STATES = frozenset({ItemState.LOST, ItemState.DESTROYED})
 
 
-def estimate_tokens(text: str) -> int:
-    """Deterministic token estimate: whitespace word count scaled by 4/3."""
-    words = len(text.split())
-    return math.ceil(words * 4 / 3)
-
-
 @dataclass(frozen=True)
 class Episode:
     """One narrative unit; `index` is the time coordinate of all tracking."""
@@ -47,10 +40,6 @@ class Episode:
             raise ValidationError("index", f"must be >= 0, got {self.index}")
         if not self.text.strip():
             raise ValidationError("text", "must be non-empty after trimming")
-
-    @property
-    def token_estimate(self) -> int:
-        return estimate_tokens(self.text)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import lexicon, prompts
 from .errors import SummaryError, ValidationError
 from .gateway import SentimentScore, extract_json_value, reply_field
-from .story import CharacterAction, Episode, ItemInteraction, ItemState, KeyItem, Story
+from .story import CharacterAction, Episode, ItemInteraction, ItemState, KeyItem
 
 logger = logging.getLogger(__name__)
 
@@ -69,12 +69,6 @@ def summarize_episode(episode: Episode, items: list[KeyItem], gateway, *, story_
     if gateway.is_mock:
         return rule_summarize(episode, items, gateway, story_id=story_id)
     return _llm_summarize(episode, items, gateway, story_id=story_id)
-
-
-def summarize_story(story: Story, gateway) -> list[EpisodeSummary]:
-    """Every episode's summary, in episode order; episodes run through `gateway.map`."""
-    items = list(story.key_items)
-    return gateway.map(lambda ep: summarize_episode(ep, items, gateway, story_id=story.story_id), story.episodes)
 
 
 def rule_summarize(episode: Episode, items: list[KeyItem], gateway, *, story_id: str) -> EpisodeSummary:
@@ -248,33 +242,6 @@ def build_retrieval_document(summary: EpisodeSummary) -> RetrievalDocument:
         episode_index=summary.episode_index,
         text="\n".join(lines),
     )
-
-
-def parse_items_section(text: str, episode_index: int) -> list[ItemInteraction]:
-    """Recover the interactions list from a document's ITEMS: section."""
-    interactions = []
-    in_items = False
-    for line in text.splitlines():
-        if line == "ITEMS:":
-            in_items = True
-            continue
-        if not in_items:
-            continue
-        if not line.startswith("- "):
-            break
-        item_id, actor_part, state_part, description = line[2:].split(" | ", 3)
-        actor = actor_part.removeprefix("actor=")
-        state = state_part.removeprefix("state=")
-        interactions.append(
-            ItemInteraction(
-                item_id=item_id,
-                episode_index=episode_index,
-                description=description,
-                actor=None if actor == _NO_VALUE else actor,
-                implied_state=None if state == _NO_VALUE else ItemState(state),
-            )
-        )
-    return interactions
 
 
 # ---------------------------------------------------------------------------

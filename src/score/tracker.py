@@ -15,22 +15,17 @@ stable.
 from __future__ import annotations
 
 import bisect
-import enum
 import functools
 import json
 import logging
 from dataclasses import dataclass, replace
 
-from . import lexicon
+from . import lexicon, prompts
 from .errors import ContractError, ExtractionError, ValidationError
-from .story import Episode, ItemState, KeyItem, Story, TERMINAL_STATES
+from .gateway import extract_json_value, reply_number
+from .story import Episode, ItemState, KeyItem, TERMINAL_STATES
 
 logger = logging.getLogger(__name__)
-
-
-class ObservationSource(str, enum.Enum):
-    EXTRACTED_LLM = "extracted_llm"
-    EXTRACTED_RULE = "extracted_rule"
 
 
 @dataclass(frozen=True)
@@ -46,7 +41,6 @@ class ItemObservation:
     item_id: str
     episode_index: int
     state: ItemState
-    source: ObservationSource
     evidence: tuple[int, int] | None = None
     explained: bool = False
     suppressed: bool = False
@@ -54,10 +48,8 @@ class ItemObservation:
     def __post_init__(self):
         if self.episode_index < 0:
             raise ValidationError("episode_index", "must be >= 0")
-        if self.evidence is not None:
-            start, end = self.evidence
-            if start < 0 or end <= start:
-                raise ValidationError("evidence", f"invalid span [{start}, {end})")
+        if self.evidence is not None and (len(self.evidence) != 2 or not 0 <= self.evidence[0] < self.evidence[1]):
+            raise ValidationError("evidence", f"invalid span {list(self.evidence)}")
 
 
 @dataclass(frozen=True)
@@ -231,7 +223,6 @@ def rule_extract(episode: Episode, items: list[KeyItem]) -> list[ItemObservation
                     item_id=item.item_id,
                     episode_index=episode.index,
                     state=state,
-                    source=ObservationSource.EXTRACTED_RULE,
                     evidence=evidence,
                     explained=explained,
                 )
@@ -240,8 +231,6 @@ def rule_extract(episode: Episode, items: list[KeyItem]) -> list[ItemObservation
 
 
 def _llm_extract(episode: Episode, items: list[KeyItem], gateway) -> list[ItemObservation]:
-    from . import prompts
-
     prompt = prompts.render(
         gateway.template("extract_states"),
         episode_text=episode.text,
@@ -255,8 +244,6 @@ def _llm_extract(episode: Episode, items: list[KeyItem], gateway) -> list[ItemOb
 
 
 def _parse_extraction_reply(reply: str, episode: Episode, items: list[KeyItem]) -> list[ItemObservation]:
-    from .gateway import extract_json_value, reply_number
-
     raw = extract_json_value(reply)
     if not isinstance(raw, list):
         raise ValueError("expected a JSON array")
@@ -284,7 +271,6 @@ def _parse_extraction_reply(reply: str, episode: Episode, items: list[KeyItem]) 
                 item_id=item_id,
                 episode_index=episode.index,
                 state=state,
-                source=ObservationSource.EXTRACTED_LLM,
                 evidence=span,
                 explained=bool(entry.get("explained", False)),
             )
@@ -293,21 +279,11 @@ def _parse_extraction_reply(reply: str, episode: Episode, items: list[KeyItem]) 
 
 
 # ---------------------------------------------------------------------------
-# Story-level convenience and the states file
+# Story-level folding and the states file
 # ---------------------------------------------------------------------------
 
 
-def story_timelines(story: Story, gateway) -> dict[str, ItemTimeline]:
-    """Extract every episode and fold the observations into per-item timelines.
-
-    Episodes are extracted through `gateway.map` and folded in episode order.
-    """
-    items = list(story.key_items)
-    extracted = gateway.map(lambda episode: extract_item_statuses(episode, items, gateway), story.episodes)
-    return fold_timelines(items, extracted)
-
-
-def fold_timelines(items: list[KeyItem], extracted: list[list[ItemObservation]]) -> dict[str, ItemTimeline]:
+def story_timelines(items: list[KeyItem], extracted: list[list[ItemObservation]]) -> dict[str, ItemTimeline]:
     """Per-item timelines of each episode's observations, `extracted` in episode order."""
     timelines = {k.item_id: ItemTimeline(item_id=k.item_id) for k in items}
     for observations in extracted:
@@ -368,12 +344,17 @@ def error_from_dict(raw: dict) -> ContinuityError:
     )
 
 
-def states_to_dict(story_id: str, timelines: dict[str, ItemTimeline], errors: list[ContinuityError]) -> dict:
+# a story's raw timelines, by item id, and their continuity errors
+StoryStates = tuple[dict[str, ItemTimeline], list[ContinuityError]]
+
+
+def states_to_dict(story_id: str, states: StoryStates) -> dict:
     """The on-disk item-state file: raw timelines plus the detected errors.
 
     Corrected timelines are not stored; they are reproducible from this
     file via correct_story_timelines.
     """
+    timelines, errors = states
     return {
         "story_id": story_id,
         "timelines": [
@@ -395,7 +376,12 @@ def states_to_dict(story_id: str, timelines: dict[str, ItemTimeline], errors: li
     }
 
 
-def states_from_dict(raw: dict) -> tuple[str, dict[str, ItemTimeline], list[ContinuityError]]:
+_OBSERVATION_SHAPE = {"episode": int, "state": ItemState, "explained": bool, "evidence": ([int], None)}
+_TIMELINE_SHAPE = {"item_id": str, "observations": [_OBSERVATION_SHAPE]}
+STATES_SHAPE = {"story_id": str, "timelines": [_TIMELINE_SHAPE], "errors": [ERROR_SHAPE]}
+
+
+def states_from_dict(raw: dict) -> tuple[str, StoryStates]:
     timelines = {}
     for entry in raw["timelines"]:
         item_id = entry["item_id"]
@@ -407,11 +393,9 @@ def states_from_dict(raw: dict) -> tuple[str, dict[str, ItemTimeline], list[Cont
                     item_id=item_id,
                     episode_index=o["episode"],
                     state=ItemState(o["state"]),
-                    source=ObservationSource.EXTRACTED_RULE,
-                    evidence=tuple(o["evidence"]) if o.get("evidence") else None,
-                    explained=o.get("explained", False),
+                    evidence=tuple(o["evidence"]) if o["evidence"] else None,
+                    explained=o["explained"],
                 ),
             )
         timelines[item_id] = tl
-    errors = [error_from_dict(e) for e in raw.get("errors", [])]
-    return raw["story_id"], timelines, errors
+    return raw["story_id"], (timelines, [error_from_dict(e) for e in raw["errors"]])

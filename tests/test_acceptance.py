@@ -25,6 +25,7 @@ from score.evaluator import (
     QAResult,
     compute_metrics,
     run_pipeline,
+    stage_outputs,
 )
 from score.fuzz import FuzzSpec, generate_corpus, score_detection
 from score.gateway import GatewayConfig, LlmGateway, SentimentScore
@@ -34,11 +35,8 @@ from score.story import ItemState, parse_story, serialize_story
 from score.tracker import (
     ItemObservation,
     ItemTimeline,
-    ObservationSource,
     detect_continuity_errors,
-    detect_story_errors,
     record_observation,
-    story_timelines,
 )
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -74,10 +72,8 @@ def test_continuity_detection_exact_on_fuzz_corpora():
     for seed in range(1, 11):
         spec = FuzzSpec(seed=seed, n_stories=100, violation_rate=0.3, explained_rate=0.2)
         stories, truth = generate_corpus(spec)
-        reported = {
-            story.story_id: detect_story_errors(story_timelines(story, gateway))
-            for story in stories
-        }
+        states = stage_outputs(stories, gateway, "states")
+        reported = {story_id: errors for story_id, (_, errors) in states.items()}
         score = score_detection(reported, truth)
         assert score.precision == 1.0, f"seed {seed}: precision {score.precision}"
         assert score.recall == 1.0, f"seed {seed}: recall {score.recall}"
@@ -118,7 +114,6 @@ def test_detection_predicate_equivalence_exhaustive():
                         item_id="x",
                         episode_index=episode,
                         state=state,
-                        source=ObservationSource.EXTRACTED_RULE,
                     ),
                 )
             got = [

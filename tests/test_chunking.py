@@ -2,9 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from score.chunking import reassemble, segment
+from score.chunking import Chunk, segment
 from score.errors import ContractError
 from score.story import Episode
+
+
+def reassemble(chunks: list[Chunk], overlap_chars: int) -> str:
+    """Inverse of `segment` for one episode's chunk list: the oracle of the reconstruction tests."""
+    if not chunks:
+        return ""
+    return chunks[0].text + "".join(chunk.text[overlap_chars:] for chunk in chunks[1:])
+
 
 text_strategy = st.text(
     alphabet=st.sampled_from(list("abcdefg .!?\n")),

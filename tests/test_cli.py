@@ -9,10 +9,8 @@ import pytest
 from score import prompts as prompt_templates
 from score.cli import main
 from score.evaluator import FACETS
-from score.gateway import GatewayConfig, LlmGateway, hashed_embedding
-from score.jsonio import canonical_bytes
+from score.gateway import GatewayConfig, hashed_embedding
 from score.story import parse_story
-from score.summarize import summaries_to_dict, summarize_story
 
 
 @pytest.fixture
@@ -473,7 +471,7 @@ def test_outputs_conform_to_declared_schemas(project):
     run(project, "track")
     for path in (project / "states").glob("*.json"):
         payload = json.loads(path.read_text())
-        assert set(payload) == {"story_id", "timelines", "errors"}
+        assert set(payload) == {"story_id", "inputs", "timelines", "errors"}
         for tl in payload["timelines"]:
             assert set(tl) == {"item_id", "observations"}
             for obs in tl["observations"]:
@@ -481,7 +479,7 @@ def test_outputs_conform_to_declared_schemas(project):
                 assert obs["state"] in ("active", "lost", "destroyed")
     for path in (project / "summaries").glob("*.json"):
         payload = json.loads(path.read_text())
-        assert set(payload) == {"story_id", "summaries"}
+        assert set(payload) == {"story_id", "inputs", "summaries"}
         for summary in payload["summaries"]:
             assert summary["synopsis"]
             assert 0.0 <= summary["sentiment"] <= 1.0
@@ -653,10 +651,11 @@ def _remote_stage_run(project, monkeypatch, max_parallel, capsys):
     for name in ("summaries", "states"):
         for path in (project / name).glob("*.json"):
             path.unlink()
-    first_story = sorted((project / "stories").glob("*.json"))[0]
-    story = parse_story(first_story.read_bytes())
-    present = summaries_to_dict(story.story_id, summarize_story(story, LlmGateway(GatewayConfig())))
-    (project / "summaries" / first_story.name).write_bytes(canonical_bytes(present))  # valid: summarize skips it
+    # a summaries file made from what a remote `summarize` uses, which it skips
+    manifest = project / "stories" / "corpus.json"
+    manifest.write_text(json.dumps({"files": [sorted((project / "stories").glob("*.json"))[0].name]}), "utf-8")
+    assert run(project, *remote, "summarize") == 0
+    manifest.unlink()
     capsys.readouterr()
     assert run(project, *remote, "track") == 0
     assert run(project, *remote, "summarize") == 0
@@ -876,3 +875,117 @@ def test_the_config_ensure_writes_names_only_config_fields_and_loads_without_a_l
     caplog.set_level(logging.DEBUG)
     assert Project(project).load_config() == (GatewayConfig(), RetrievalConfig(), "summary")
     assert caplog.records == []
+
+
+# ---------------------------------------------------------------------------
+# stage files record what they were made from
+# ---------------------------------------------------------------------------
+
+REMOTE = ("--backend", "remote", "--base-url", "http://fake.local/v1")
+
+
+def _body_log(monkeypatch):
+    from score import gateway as gateway_module
+    from test_concurrency import BodyLog
+
+    model = BodyLog()
+    monkeypatch.setattr(gateway_module, "default_transport", model)
+    return model
+
+
+def _prompts(model) -> list[str]:
+    """The prompt of every chat request `model` was sent."""
+    return [json.loads(body.split(" ", 1)[1])["messages"][0]["content"] for body in model.bodies if "/chat/" in body]
+
+
+def _sent(model, start: str) -> int:
+    return sum(prompt.startswith(start) for prompt in _prompts(model))
+
+
+def _inputs(project, stage: str) -> dict:
+    return {path.name: json.loads(path.read_text("utf-8")).get("inputs") for path in (project / stage).glob("*.json")}
+
+
+def test_a_mock_summaries_file_is_summarized_again_by_a_remote_summarize_and_refused_by_a_remote_index(
+    project, monkeypatch, capsys
+):
+    model = _body_log(monkeypatch)
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    assert run(project, "summarize") == 0
+    capsys.readouterr()
+    assert run(project, *REMOTE, "index") == 2
+    assert "not built for: fuzz-3-0000, fuzz-3-0001 (run `score summarize`)" in capsys.readouterr().err
+    assert model.bodies == []
+    assert run(project, *REMOTE, "summarize") == 0
+    assert "summarized 2 story(ies), 0 already present" in capsys.readouterr().out
+    assert _sent(model, "Summarize") > 0
+    assert run(project, *REMOTE, "index") == 0
+    assert run(project, "index") == 2  # and now the mock backend asks for its own
+
+
+def test_an_edit_of_the_summarize_template_makes_summarize_redo_the_file(project, monkeypatch, capsys):
+    model = _body_log(monkeypatch)
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    assert run(project, *REMOTE, "summarize") == 0
+    before = _inputs(project, "summaries")
+    template = project / "prompts" / "summarize.txt"
+    template.write_text(template.read_text("utf-8") + "Be brief.\n", "utf-8")
+    model.bodies.clear()
+    capsys.readouterr()
+    assert run(project, *REMOTE, "summarize") == 0
+    assert "summarized 2 story(ies), 0 already present" in capsys.readouterr().out
+    summaries = [prompt for prompt in _prompts(model) if prompt.startswith("Summarize")]
+    assert summaries and all(prompt.endswith("Be brief.\n") for prompt in summaries)
+    after = _inputs(project, "summaries")
+    assert set(after) == set(before) and all(after[name] != before[name] for name in before)
+    assert run(project, *REMOTE, "summarize") == 0
+    assert "summarized 0 story(ies), 2 already present" in capsys.readouterr().out
+
+
+def test_a_states_file_made_under_another_model_is_computed_again_by_track_and_by_evaluate(project, monkeypatch):
+    model = _body_log(monkeypatch)
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    assert run(project, *REMOTE, "--model", "m1", "track") == 0
+    made_by_m1 = _inputs(project, "states")
+    for command in ("evaluate", "track"):
+        model.bodies.clear()
+        assert run(project, *REMOTE, "--model", "m1", command) == 0
+        assert _sent(model, "You are tracking") == 0, command
+        model.bodies.clear()
+        assert run(project, *REMOTE, "--model", "m2", command) == 0
+        assert _sent(model, "You are tracking") > 0, command
+        if command == "evaluate":  # which writes no stage file
+            assert _inputs(project, "states") == made_by_m1
+    made_by_m2 = _inputs(project, "states")
+    assert set(made_by_m2) == set(made_by_m1) and all(made_by_m2[n] != made_by_m1[n] for n in made_by_m1)
+
+
+def test_evaluate_after_track_and_summarize_sends_no_stage_request_and_writes_the_same_report(
+    project, tmp_path, monkeypatch
+):
+    model = _body_log(monkeypatch)
+    fresh = tmp_path / "fresh"
+    for root in (fresh, project):
+        assert run(root, "fuzz", "--seed", "5", "--stories", "4") == 0
+    assert run(fresh, *REMOTE, "evaluate") == 0
+    assert run(project, *REMOTE, "track") == 0
+    assert run(project, *REMOTE, "summarize") == 0
+    model.bodies.clear()
+    assert run(project, *REMOTE, "evaluate") == 0
+    assert _sent(model, "You are tracking") == _sent(model, "Summarize") == 0
+    questions = {qa["question"] for qa in json.loads((project / "ground_truth.json").read_text("utf-8"))["qa"]}
+    tones = [prompt for prompt in _prompts(model) if prompt.startswith("Rate the emotional tone")]
+    assert tones and all(prompt.split("Text:\n", 1)[1].split("\n\n", 1)[0] in questions for prompt in tones)
+    (report,) = (project / "reports").glob("*.json")
+    assert report.read_bytes() == (fresh / "reports" / report.name).read_bytes()
+
+
+def test_evaluate_warns_of_a_damaged_summaries_file_only_when_it_reads_summaries(project, caplog):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    run(project, "summarize")
+    path = sorted((project / "summaries").glob("*.json"))[0]
+    path.write_bytes(_truncated(path.read_bytes()))
+    assert run(project, "evaluate", "--ablate", "summary") == 0
+    assert not [r for r in caplog.records if path.name in r.getMessage()]
+    assert run(project, "evaluate") == 0
+    assert [r for r in caplog.records if path.name in r.getMessage() and "computing it again" in r.getMessage()]

@@ -1,8 +1,8 @@
 """Every damaged project file ends in an exit code, never in a traceback.
 
 One mock project is built per module: three fuzz stories with a manifest,
-summaries, both index granularities, a recorded `evaluate` and a comparison
-report. The property mutates one file of one kind, runs each command that
+summaries, states, both index granularities, a recorded `evaluate` and a
+comparison report. The property mutates one file of one kind, runs each command that
 reads that kind through `cli.main`, and puts the project back. The fixed
 tests after it pin one case of each kind of damage that used to end in a
 traceback, or in a message that did not name the file.
@@ -27,6 +27,7 @@ from score.cli import main
 QUESTION = "where is the sword?"
 REMOTE = ("--backend", "remote", "--base-url", "http://fake.local/v1")
 LOCK = b"12345 another-host"
+COMPARE = ["compare", "--ablate", "retrieval"]
 
 
 def run(root: Path, *argv: str) -> tuple[int, str]:
@@ -76,7 +77,7 @@ def built(tmp_path_factory) -> Built:
         ["index", "--granularity", "summary"],
         ["index", "--granularity", "chunk"],
         ["--cache-mode", "record", "evaluate"],
-        ["compare", "--ablate", "retrieval"],
+        COMPARE,
     ):
         assert run(root, *argv)[0] == 0, argv
     stories = [p.name for p in _stories(root)]
@@ -88,7 +89,8 @@ def built(tmp_path_factory) -> Built:
         "story": ([f"stories/{stories[0]}"], [["track"], ["evaluate"]]),
         "manifest": (["stories/corpus.json"], [["track"], ["evaluate"]]),
         "ground truth": (["ground_truth.json"], [["track"], ["evaluate"]]),
-        "summaries": ([f"summaries/{stories[0]}"], [["index"]]),
+        "states": ([f"states/{stories[0]}"], [["track"], ["evaluate"], COMPARE]),
+        "summaries": ([f"summaries/{stories[0]}"], [["index"], ["summarize"], ["evaluate"], COMPARE]),
         "index": (["index/summary.meta.json", "index/summary.records.json", "index/summary.vec"], [["ask", QUESTION]]),
         "report": ([f"reports/{report.name}"], [["report", report_id], ["report", report_id, "--markdown"]]),
         "compare report": ([f"reports/{compare.name}"], [["report", compare_id], ["report", compare_id, "--markdown"]]),
@@ -167,7 +169,8 @@ def _mutations(raw: bytes) -> st.SearchStrategy[bytes]:
 
 # every kind `built.readers` names
 KINDS = [
-    "config", "story", "manifest", "ground truth", "summaries", "index", "report", "compare report", "lock", "cache"
+    "config", "story", "manifest", "ground truth", "states", "summaries", "index", "report", "compare report", "lock",
+    "cache",
 ]
 
 

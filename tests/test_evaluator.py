@@ -26,8 +26,9 @@ from score.summarize import rule_summarize
 from score.tracker import (
     ItemObservation,
     ItemTimeline,
-    ObservationSource,
+    correct_story_timelines,
     detect_continuity_errors,
+    detect_story_errors,
     record_observation,
 )
 
@@ -47,13 +48,7 @@ def evaluation(story_id="s", episode=0, scores=None, item_states=None):
 def timeline(entries, item="sword"):
     tl = ItemTimeline(item_id=item)
     for ep, state in entries:
-        tl = record_observation(
-            tl,
-            ItemObservation(
-                item_id=item, episode_index=ep, state=state,
-                source=ObservationSource.EXTRACTED_RULE,
-            ),
-        )
+        tl = record_observation(tl, ItemObservation(item_id=item, episode_index=ep, state=state))
     return tl
 
 
@@ -130,10 +125,13 @@ def test_consistency_flags_contradicting_assertions():
     # raw timeline with an unexplained reappearance: corrected reference says LOST at 4
     tl = timeline([(0, ItemState.ACTIVE), (2, ItemState.LOST), (4, ItemState.ACTIVE)])
     timelines = {"s": {"sword": tl}}
+    reference = {"s": correct_story_timelines(timelines["s"], detect_story_errors(timelines["s"]))}
     consistent = evaluation(episode=2, item_states={"sword": ItemState.LOST})
     conflicting = evaluation(episode=4, item_states={"sword": ItemState.ACTIVE})
-    report = compute_metrics([consistent, conflicting], [], timelines, None)
+    report = compute_metrics([consistent, conflicting], [], timelines, None, reference=reference)
     assert report.consistency == 50.0
+    # without a reference, the timelines passed are the reference
+    assert compute_metrics([consistent, conflicting], [], reference, None).consistency == 50.0
 
 
 def test_metric_bounds():

@@ -13,7 +13,7 @@ from score import lexicon
 from score.gateway import hashed_embedding
 from score.lexicon import SENTENCE_ENDERS, _WORD_RE
 from score.story import ItemState
-from score.tracker import ItemObservation, ItemTimeline, ObservationSource, record_observation
+from score.tracker import ItemObservation, ItemTimeline, record_observation
 
 # ---------------------------------------------------------------------------
 # references: the loop versions the helpers replaced
@@ -161,8 +161,7 @@ def test_resolved_state_at_equals_the_reference(raw):
     timeline = ItemTimeline(item_id="x")
     for episode, state, suppressed, explained in raw:
         obs = ItemObservation(
-            item_id="x", episode_index=episode, state=state, source=ObservationSource.EXTRACTED_RULE,
-            explained=explained, suppressed=suppressed,
+            item_id="x", episode_index=episode, state=state, explained=explained, suppressed=suppressed,
         )
         timeline = record_observation(timeline, obs)
     for episode in range(-1, 9):

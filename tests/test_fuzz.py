@@ -3,6 +3,7 @@ import random
 import pytest
 
 from score.errors import ValidationError
+from score.evaluator import stage_outputs
 from score.fuzz import (
     DetectionScore,
     FuzzSpec,
@@ -12,7 +13,6 @@ from score.fuzz import (
     truth_to_dict,
 )
 from score.story import ItemState, serialize_story
-from score.tracker import detect_story_errors, story_timelines
 
 
 def small_spec(**kw):
@@ -52,10 +52,8 @@ def test_planted_errors_are_consistent_with_true_timelines():
 
 def test_detection_is_exact_on_generated_corpora(mock_gateway):
     stories, truth = generate_corpus(small_spec(n_stories=40))
-    reported = {
-        story.story_id: detect_story_errors(story_timelines(story, mock_gateway))
-        for story in stories
-    }
+    states = stage_outputs(stories, mock_gateway, "states")
+    reported = {story_id: errors for story_id, (_, errors) in states.items()}
     score = score_detection(reported, truth)
     assert score.precision == 1.0 and score.recall == 1.0 and score.f1 == 1.0
 
@@ -67,8 +65,8 @@ def test_explained_plantings_are_never_flagged(mock_gateway):
             small_spec(seed=seed, violation_rate=1.0, explained_rate=1.0, n_stories=10)
         )
         assert truth.total_planted() == 0
-        for story in stories:
-            assert detect_story_errors(story_timelines(story, mock_gateway)) == []
+        for _, errors in stage_outputs(stories, mock_gateway, "states").values():
+            assert errors == []
 
 
 def test_fully_unexplained_violations_all_detected(mock_gateway):
@@ -76,9 +74,8 @@ def test_fully_unexplained_violations_all_detected(mock_gateway):
         small_spec(seed=3, violation_rate=1.0, explained_rate=0.0, n_stories=10)
     )
     assert truth.total_planted() > 0
-    reported = {
-        s.story_id: detect_story_errors(story_timelines(s, mock_gateway)) for s in stories
-    }
+    states = stage_outputs(stories, mock_gateway, "states")
+    reported = {story_id: errors for story_id, (_, errors) in states.items()}
     assert score_detection(reported, truth).recall == 1.0
 
 

@@ -1,5 +1,4 @@
 import json
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +9,6 @@ from score.story import (
     Episode,
     KeyItem,
     Story,
-    estimate_tokens,
     parse_story,
     serialize_story,
 )
@@ -117,12 +115,6 @@ def test_unicode_round_trip(texts):
         episodes=tuple(Episode(index=i, text=t) for i, t in enumerate(texts)),
     )
     assert parse_story(serialize_story(story)) == story
-
-
-def test_token_estimate_is_ceil_four_thirds_of_words():
-    assert estimate_tokens("one two three") == math.ceil(3 * 4 / 3)
-    assert estimate_tokens("one two three four") == math.ceil(4 * 4 / 3)
-    assert Episode(index=0, text="a b c").token_estimate == 4
 
 
 def test_duplicate_item_ids_rejected():

@@ -6,7 +6,6 @@ from score.story import CharacterAction, Episode, ItemInteraction, ItemState, Ke
 from score.summarize import (
     EpisodeSummary,
     build_retrieval_document,
-    parse_items_section,
     rule_summarize,
     summaries_from_dict,
     summaries_to_dict,
@@ -14,6 +13,35 @@ from score.summarize import (
     summary_from_dict,
     summary_to_dict,
 )
+
+
+def parse_items_section(text: str, episode_index: int) -> list[ItemInteraction]:
+    """The interactions of a retrieval document's ITEMS: section: the
+    inverse of its layout, and the oracle of the round-trip tests."""
+    interactions = []
+    in_items = False
+    for line in text.splitlines():
+        if line == "ITEMS:":
+            in_items = True
+            continue
+        if not in_items:
+            continue
+        if not line.startswith("- "):
+            break
+        item_id, actor_part, state_part, description = line[2:].split(" | ", 3)
+        actor = actor_part.removeprefix("actor=")
+        state = state_part.removeprefix("state=")
+        interactions.append(
+            ItemInteraction(
+                item_id=item_id,
+                episode_index=episode_index,
+                description=description,
+                actor=None if actor == "-" else actor,
+                implied_state=None if state == "-" else ItemState(state),
+            )
+        )
+    return interactions
+
 
 GOLDEN_TEXT = (
     "The morning felt bright and hopeful. "

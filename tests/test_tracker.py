@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from score.errors import ContractError, ValidationError
+from score.evaluator import stage_outputs
 from score.story import Episode, ItemState, KeyItem, Story
 from score.tracker import (
     ContinuityError,
     ItemObservation,
     ItemTimeline,
-    ObservationSource,
     correct_timeline,
     detect_continuity_errors,
     extract_item_statuses,
@@ -19,7 +19,6 @@ from score.tracker import (
     rule_extract,
     states_from_dict,
     states_to_dict,
-    story_timelines,
 )
 
 A, L, D = ItemState.ACTIVE, ItemState.LOST, ItemState.DESTROYED
@@ -30,7 +29,6 @@ def obs(episode, state, explained=False, item="sword"):
         item_id=item,
         episode_index=episode,
         state=state,
-        source=ObservationSource.EXTRACTED_RULE,
         explained=explained,
     )
 
@@ -239,7 +237,6 @@ def test_extracts_destroyed_from_verb_lexicon(mock_gateway):
     out = extract_item_statuses(episode, [KeyItem("sword", ("sword",))], mock_gateway)
     assert len(out) == 1
     assert out[0].state is D
-    assert out[0].source is ObservationSource.EXTRACTED_RULE
 
 
 def test_no_mention_no_observation(mock_gateway):
@@ -317,7 +314,6 @@ def test_llm_extraction_parses_valid_reply():
     episode = Episode(index=1, text="The sword shattered on the stone.")
     (observation,) = extract_item_statuses(episode, [KeyItem("sword", ("sword",))], gw)
     assert observation.state is D
-    assert observation.source is ObservationSource.EXTRACTED_LLM
     assert observation.evidence == (0, 10)
 
 
@@ -379,7 +375,7 @@ def test_llm_extraction_and_repair_use_project_prompt_overrides(tmp_path):
         key_items=(KeyItem("sword", ("sword",)),),
         episodes=(Episode(index=0, text="The sword was lost."),),
     )
-    timelines = story_timelines(story, gw)
+    timelines, _ = stage_outputs([story], gw, "states")["s"]
     assert timelines["sword"].observations[0].state is L
     assert seen[0].startswith("PROJECT EXTRACT [")
     assert seen[0].endswith("| The sword was lost.")
@@ -394,8 +390,8 @@ def test_llm_extraction_and_repair_use_project_prompt_overrides(tmp_path):
 def test_states_file_round_trip():
     tl = timeline(obs(0, A), obs(2, L), obs(5, A))
     errors = detect_continuity_errors(tl)
-    raw = states_to_dict("story-1", {"sword": tl}, errors)
-    story_id, timelines, loaded_errors = states_from_dict(raw)
+    raw = states_to_dict("story-1", ({"sword": tl}, errors))
+    story_id, (timelines, loaded_errors) = states_from_dict(raw)
     assert story_id == "story-1"
     assert [
         (o.episode_index, o.state, o.explained) for o in timelines["sword"].observations
