@@ -244,8 +244,18 @@ class LlmGateway:
         self._db = None  # sqlite3 connection to the cache file, opened by the first cached request
 
     def close(self) -> None:
-        """Forget the remembered replies and close the cache file; a later
-        request is sent again, and a later cached one opens the file again."""
+        """Stop the worker pool, forget the remembered replies and close the
+        cache file.
+
+        Map items that have not started are cancelled, and running ones are
+        waited for, so no request goes out and no reply reaches the cache
+        file after this returns. A later map starts a new pool, a later
+        request is sent again, and a later cached one opens the file again.
+        """
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
         with self._lock:
             self._memo.clear()
             db, self._db = self._db, None

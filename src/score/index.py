@@ -13,6 +13,10 @@ accumulation, underflow and the float64 score's own error
 (`_screen_margin`), so no row of the exact top n is screened out. Ties
 break on entry_id, so results are reproducible and bit-for-bit equal to a
 full scan.
+
+Saving writes the matrix to disk from its own buffer, and an unchanged
+file is compared chunk by chunk, so a save adds no copy of the matrix to
+memory; loading reads the file once and views the matrix in place.
 """
 
 from __future__ import annotations
@@ -222,11 +226,17 @@ class FlatIndex:
     # -- persistence --------------------------------------------------------
 
     def save(self, base: Path | str) -> None:
-        """Write `<base>.vec` (binary vectors) and `<base>.meta.json`."""
+        """Write `<base>.vec` (binary vectors) and `<base>.meta.json`.
+
+        The checksum and the writer both take a byte view of the matrix, so
+        a save holds no copy of it: only the metadata, and the bounded
+        buffer with which `jsonio.write_if_changed` compares an existing file.
+        """
         base = Path(base)
-        payload = np.ascontiguousarray(self._matrix, dtype="<f8").tobytes()
+        # a view: an index built or loaded here stores its matrix contiguous and little-endian
+        payload = np.ascontiguousarray(self._matrix, dtype="<f8").reshape(-1).view(np.uint8)
         header = _HEADER.pack(_MAGIC, _VERSION, self._dim, len(self._entries), zlib.crc32(payload))
-        write_if_changed(base.with_suffix(".vec"), header + payload)
+        write_if_changed(base.with_suffix(".vec"), header, payload)
         meta = {
             "format_version": _VERSION,
             "dim": self._dim,

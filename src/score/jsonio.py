@@ -42,6 +42,8 @@ JSON_TYPES = {
     None: "null",
 }
 
+_CHUNK = 1 << 20  # bytes of an existing file that `write_if_changed` reads at a time
+
 
 def canonical_dumps(obj: Any, *, indent: int | None = None) -> str:
     """Serialize with sorted keys and no trailing whitespace."""
@@ -55,21 +57,25 @@ def canonical_bytes(obj: Any, *, indent: int | None = 2) -> bytes:
     return (canonical_dumps(obj, indent=indent) + "\n").encode("utf-8")
 
 
-def atomic_write(path: Path | str, data: bytes) -> None:
-    """Write via temp-file-then-rename so readers never see partial files."""
+def atomic_write(path: Path | str, *parts) -> None:
+    """Write the bytes-like `parts`, in turn, to a temp file renamed over
+    `path`, so readers never see a partial file. A write the OS refuses
+    raises PersistenceError naming `path`, and leaves no temp file."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "wb") as fh:
+                for part in parts:
+                    fh.write(part)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise PersistenceError(f"{path}: cannot be written ({e})") from None
 
 
 def has_json_type(value: Any, expected: type) -> bool:
@@ -171,14 +177,38 @@ def _describe(shape: Any) -> str:
     return JSON_TYPES[shape]
 
 
-def write_if_changed(path: Path | str, data: bytes) -> bool:
-    """Write only when content differs; returns True if a write happened.
+def write_if_changed(path: Path | str, *parts) -> bool:
+    """Write the bytes-like `parts` only when the file does not already hold
+    them; returns True if a write happened.
 
     Skipping identical writes keeps mtimes stable, which is what makes
-    re-running commands on unchanged inputs a no-op.
+    re-running commands on unchanged inputs a no-op. The check compares
+    sizes, then reads the file at most `_CHUNK` bytes at a time against the
+    parts, so it holds no copy of the file or of the parts. A file the OS
+    refuses to read raises PersistenceError naming it.
     """
     path = Path(path)
-    if path.exists() and path.read_bytes() == data:
+    try:
+        if _holds(path, [memoryview(part).cast("B") for part in parts]):
+            return False
+    except OSError as e:
+        raise PersistenceError(f"{path}: cannot be read ({e})") from None
+    atomic_write(path, *parts)
+    return True
+
+
+def _holds(path: Path, views: list[memoryview]) -> bool:
+    """Whether the file at `path` holds exactly the concatenated `views`."""
+    try:
+        if path.stat().st_size != sum(map(len, views)):
+            return False
+    except FileNotFoundError:
         return False
-    atomic_write(path, data)
+    with open(path, "rb") as fh:
+        for view in views:
+            for start in range(0, len(view), _CHUNK):
+                piece = view[start : start + _CHUNK]
+                # bytes compare with memcmp; memoryviews compare byte by byte
+                if fh.read(len(piece)) != bytes(piece):
+                    return False
     return True

@@ -309,6 +309,18 @@ def test_summarize_rewrites_a_corrupt_summaries_file(project, capsys, mutate):
     assert run(project, "index") == 0
 
 
+def test_a_write_the_os_refuses_exits_2_naming_the_file_and_leaves_no_temp_file(project, capsys):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    run(project, "summarize")
+    target = project / "index" / "summary.vec"
+    target.mkdir(parents=True)
+    capsys.readouterr()
+    assert run(project, "index") == 2
+    assert str(target) in capsys.readouterr().err
+    assert target.is_dir()
+    assert sorted(p.name for p in target.parent.iterdir()) == ["summary.vec"]
+
+
 def test_lock_file_blocks_concurrent_runs(project, capsys):
     run(project, "fuzz", "--seed", "3", "--stories", "2")
     lock = project / ".score.lock"

@@ -20,6 +20,7 @@ from collections import Counter
 import pytest
 
 from score import gateway as gateway_module
+from score.errors import TransportError
 from score.evaluator import Ablations, PipelineConfig, run_comparison, run_pipeline
 from score.fuzz import FuzzSpec, generate_corpus
 from score.gateway import CACHE_FILE, GatewayConfig, LlmGateway, hashed_embedding
@@ -631,6 +632,42 @@ def test_collected_gateways_leave_no_worker_threads():
     for thread in started:
         thread.join(timeout=max(0.0, deadline - time.monotonic()))
     assert not [t for t in started if t.is_alive()]
+
+
+def test_no_request_goes_out_after_close_returns_from_a_failed_run(tmp_path):
+    stories, gold = generate_corpus(FuzzSpec(seed=5, n_stories=3))
+    model = StoryModel(latency_s=0.0)
+    lock = threading.Lock()
+    sent = []
+    closed = threading.Event()
+    late = []
+
+    def transport(url, body, timeout, headers):
+        with lock:
+            sent.append(url)
+            first = len(sent) == 1
+        if first:
+            raise TransportError("400 Bad Request", status=400)
+        time.sleep(0.3)
+        reply = model(url, body, timeout, headers)
+        if closed.is_set():
+            late.append(url)
+        return reply
+
+    config = GatewayConfig(
+        backend="remote", base_url="http://fake.local/v1", model_name="m", max_parallel=4, cache_mode="record"
+    )
+    gw = LlmGateway(config, cache_dir=tmp_path / "cache", transport=transport)
+    with pytest.raises(TransportError):
+        run_pipeline(stories, gw, PipelineConfig(gateway=config, retrieval=RetrievalConfig()), gold.to_gold())
+    gw.close()
+    closed.set()
+    time.sleep(0.8)  # time for a request still running on a worker to complete
+    assert late == []
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [CACHE_FILE]
+    # the pool went with close(): a later map starts a new one
+    assert gw.map(lambda i: threading.current_thread().name, range(2))[0].startswith("score-gateway")
+    gw.close()
 
 
 def test_remote_pipeline_reads_each_prompt_template_once(corpus, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -356,6 +358,26 @@ def test_save_load_round_trip(tmp_path):
         assert a.entry_id == b.entry_id and a.kind == b.kind
         assert a.story_id == b.story_id and a.episode_index == b.episode_index
         assert np.array_equal(a.embedding, b.embedding)
+
+
+def test_saving_an_index_holds_no_copy_of_its_matrix(tmp_path):
+    # tracemalloc sees numpy's buffers, so a copy of the matrix shows in the peak
+    first, other = filled_index(n=4000, dim=256, seed=3), filled_index(n=4000, dim=256, seed=4)
+    matrix_bytes = 4000 * 256 * 8
+    base = tmp_path / "idx"
+    vec = base.with_suffix(".vec")
+    mtimes = []
+    for index, label in [(first, "first save"), (first, "unchanged re-save"), (other, "different index over it")]:
+        tracemalloc.start()
+        try:
+            index.save(base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * matrix_bytes, f"{label}: peak {peak / matrix_bytes:.2f}x the matrix"
+        assert FlatIndex.load(base)._matrix.tobytes() == index._matrix.tobytes(), label
+        mtimes.append(vec.stat().st_mtime_ns)
+    assert mtimes[1] == mtimes[0]  # the unchanged re-save wrote nothing
 
 
 def _stores_each_vector_once(index: FlatIndex) -> bool:

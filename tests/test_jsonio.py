@@ -1,9 +1,15 @@
 import enum
+import os
+import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from score.errors import PersistenceError, ValidationError
-from score.jsonio import check, load_json
+from score.jsonio import _CHUNK, check, load_json, write_if_changed
 
 
 class Color(str, enum.Enum):
@@ -59,3 +65,60 @@ def test_load_json_names_the_file_when_the_builder_rejects_a_value(tmp_path):
 
     with pytest.raises(PersistenceError, match=r"f\.json: value: must be in \[0, 1\], got 2$"):
         load_json(path, {}, build)
+
+
+# ---------------------------------------------------------------------------
+# write_if_changed with parts
+# ---------------------------------------------------------------------------
+
+_BOUNDARY = [_CHUNK - 1, _CHUNK, _CHUNK + 1]
+_KINDS = ["missing", "equal", "one byte differs", "shorter", "longer"]
+
+
+def _existing(content: bytes, kind: str, at: int, extra: bytes) -> bytes | None:
+    """The file already at the path: `at` picks the changed byte or the shorter length."""
+    if kind == "missing":
+        return None
+    if kind == "shorter" and content:
+        return content[: at % len(content)]
+    if kind == "longer":
+        return content + extra
+    if kind == "one byte differs" and content:
+        at %= len(content)
+        return content[:at] + bytes([content[at] ^ extra[0]]) + content[at + 1 :]
+    return content  # "equal", and an empty content has no shorter or changed form
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.one_of(st.integers(0, 64), st.sampled_from([*_BOUNDARY, 2 * _CHUNK + 1])),
+    seed=st.integers(0, 2**32 - 1),
+    cuts=st.lists(st.one_of(st.integers(0, 64), st.sampled_from([0, *_BOUNDARY])), max_size=4),
+    kind=st.sampled_from(_KINDS),
+    at=st.one_of(st.integers(0, 2 * _CHUNK), st.sampled_from(_BOUNDARY)),
+    extra=st.binary(min_size=1, max_size=8).filter(lambda b: b[0]),
+)
+@example(size=2 * _CHUNK + 1, seed=0, cuts=[24], kind="one byte differs", at=_CHUNK - 1, extra=b"\x01")
+@example(size=2 * _CHUNK + 1, seed=0, cuts=[24], kind="one byte differs", at=_CHUNK, extra=b"\x01")
+@example(size=2 * _CHUNK + 1, seed=0, cuts=[24], kind="one byte differs", at=_CHUNK + 1, extra=b"\x01")
+@example(size=2 * _CHUNK + 1, seed=0, cuts=[24], kind="one byte differs", at=2 * _CHUNK, extra=b"\x01")
+def test_write_if_changed_with_parts_writes_exactly_when_the_bytes_differ(size, seed, cuts, kind, at, extra):
+    content = random.Random(seed).randbytes(size)
+    bounds = [0, *sorted(min(cut, size) for cut in cuts), size]
+    parts = [content[a:b] for a, b in zip(bounds, bounds[1:])]
+    existing = _existing(content, kind, at, extra)
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "sub" / "f.bin"
+        if existing is not None:
+            path.parent.mkdir()
+            path.write_bytes(existing)
+            os.utime(path, ns=(1, 1))
+        wrote = write_if_changed(path, *(memoryview(part) if i % 2 else part for i, part in enumerate(parts)))
+        assert wrote == (existing != content)
+        assert path.read_bytes() == content
+        if not wrote:
+            assert path.stat().st_mtime_ns == 1
+        assert os.listdir(path.parent) == ["f.bin"]
+        # one bytes argument, as every caller but FlatIndex.save passes
+        assert write_if_changed(path, content) is False
+
