@@ -40,7 +40,7 @@ from .evaluator import (
 from .fuzz import FuzzSpec, generate_corpus, score_detection, truth_to_dict
 from .gateway import GatewayConfig, LlmGateway
 from .jsonio import canonical_bytes, canonical_dumps, write_if_changed
-from .project import METRIC_NAMES, Project, load_story, stage_inputs
+from .project import METRIC_NAMES, Project, load_story, make_dir, stage_inputs
 from .retrieval import RetrievalConfig, build_retrieval_index, records_to_dict, retrieval_units, retrieve_for_query
 from .story import Story, serialize_story
 
@@ -452,8 +452,8 @@ def main(argv: list[str] | None = None) -> int:
 
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING, format="%(levelname)s %(message)s")
     project = Project(root=Path(args.project))
-    project.root.mkdir(parents=True, exist_ok=True)  # the lock file lives here
     try:
+        make_dir(project.root)  # the lock file lives here
         with project.lock():
             code = args.func(project, args)
         sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's exit flush

@@ -11,15 +11,18 @@ A content-addressed cache sits in front of both backends: one SQLite file,
 {op, model, request, response}. An embedded text is a request of its own:
 its row stores the one-text request `{"model": m, "input": [text]}`, so
 how texts are batched on the wire changes no key, and a text embedded by
-one command is a cache hit for every later one. In `record` mode every
-response is written through, one autocommit transaction per entry in the
-file's write-ahead log, so a run cut short leaves each entry whole or
-absent. In `replay` mode the file is opened read-only, never created or
-written; requests are served from it only and a miss is an error, which
-makes a replay run a pure function of (inputs, config, cache). Caches of
-the old layout, one JSON file per request under `cache/<xx>/`, are not
-read, and neither are the embedding rows of one batch of several texts
-that recordings made before per-text entries hold: record them again.
+one command is a cache hit for every later one. A remote tone request is a
+chat request like any other; only the mock backend's tones are entries of
+op `sentiment`. In `record` mode every response is written through, one
+autocommit transaction per entry in the file's write-ahead log, so a run
+cut short leaves each entry whole or absent. In `replay` mode the file is
+opened read-only, never created or written; requests are served from it
+only and a miss is an error, which makes a replay run a pure function of
+(inputs, config, cache). Caches of the old layout, one JSON file per
+request under `cache/<xx>/`, are not read, and neither are the embedding
+rows of one batch of several texts that recordings made before per-text
+entries hold, nor the remote tone rows of op `sentiment` that recordings
+made before tone requests were keyed by their prompt hold: record them again.
 
 On the remote backend with cache `off`, a gateway sends each distinct
 request, and each distinct text to embed, once over its lifetime: the
@@ -87,12 +90,15 @@ _BACKOFF_FACTOR = 2.0
 _MAX_RETRY_AFTER = 30.0
 
 CACHE_FILE = "cache.sqlite3"
-# an embedding entry of a batch of several texts, as recordings made before
-# per-text entries hold; CASE guards the JSON functions against a damaged row
-_BATCHED_EMBED_ROW = (
-    "SELECT 1 FROM entries WHERE CASE WHEN json_valid(record) THEN "
-    "json_extract(record, '$.op') = 'embed' AND json_array_length(record, '$.request.input') > 1 END LIMIT 1"
+# entries of older recordings that no key of today reads: an embedding of a
+# batch of several texts, and a tone entry, which a remote recording holds when
+# made before tone requests were keyed by their prompt; CASE guards the JSON
+# functions against a damaged row
+_OLD_ROW = "SELECT 1 FROM entries WHERE CASE WHEN json_valid(record) THEN {} END LIMIT 1"
+_BATCHED_EMBED_ROW = _OLD_ROW.format(
+    "json_extract(record, '$.op') = 'embed' AND json_array_length(record, '$.request.input') > 1"
 )
+_SENTIMENT_ROW = _OLD_ROW.format("json_extract(record, '$.op') = 'sentiment'")
 # SQLite's page cache for the cache file, in KiB. Keys are digests, so a run
 # reads and writes leaf pages in no order and seldom twice; 256 KiB keeps the
 # tree's inner pages, and the default 2 MiB would only add to peak memory.
@@ -330,13 +336,13 @@ class LlmGateway:
 
     # -- public operations ---------------------------------------------------
 
-    def complete(self, prompt: str, *, temperature: float = 0.0, max_tokens: int = 1024) -> str:
+    def complete(self, prompt: str, *, max_tokens: int = 1024) -> str:
         if not prompt:
             raise ContractError("prompt must be non-empty")
         body = {
             "model": self.config.model_name,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": temperature,
+            "temperature": 0.0,
             "max_tokens": max_tokens,
         }
         return self._cached_one("complete", self.config.model_name, body, lambda: self._complete_uncached(body))
@@ -371,10 +377,15 @@ class LlmGateway:
         return vectors
 
     def score_sentiment(self, text: str) -> SentimentScore:
+        """The lexicon's tone of `text` on the mock backend; on the remote one,
+        the reply to the `sentiment` template, parsed like any structured reply."""
         if not text:
             raise ContractError("text must be non-empty")
+        if not self.is_mock:
+            prompt = prompts.render(self.template("sentiment"), text=text)
+            return SentimentScore(self.complete_parsed(prompt, parse_tone, SentimentError, "sentiment", max_tokens=8))
         body = {"model": self.config.model_name, "text": text}
-        value = self._cached_one("sentiment", self.config.model_name, body, lambda: self._sentiment_uncached(text))
+        value = self._cached_one("sentiment", body["model"], body, lambda: lexicon.mock_sentiment_value(text))
         return SentimentScore(value=float(value))
 
     # -- backend dispatch ------------------------------------------------------
@@ -408,37 +419,6 @@ class LlmGateway:
         for vec in vectors:
             vec.flags.writeable = False
         return vectors
-
-    def _sentiment_uncached(self, text: str) -> float:
-        if self.is_mock:
-            return lexicon.mock_sentiment_value(text)
-        prompt = prompts.render(self.template("sentiment"), text=text)
-        reply = self._complete_uncached(
-            {
-                "model": self.config.model_name,
-                "messages": [{"role": "user", "content": prompt}],
-                "temperature": 0.0,
-                "max_tokens": 8,
-            }
-        )
-        value = _parse_decimal(reply)
-        if value is None:
-            retry = prompt + "\nReply with ONLY one decimal number between 0 and 1. No other text."
-            reply = self._complete_uncached(
-                {
-                    "model": self.config.model_name,
-                    "messages": [{"role": "user", "content": retry}],
-                    "temperature": 0.0,
-                    "max_tokens": 8,
-                }
-            )
-            value = _parse_decimal(reply)
-            if value is None:
-                raise SentimentError("sentiment reply is not a decimal", raw_reply=reply)
-        if value < 0.0 or value > 1.0:
-            logger.warning("sentiment reply %s out of range; clamped", value)
-            value = min(1.0, max(0.0, value))
-        return value
 
     # -- transport with retry and the parallelism bound ----------------------
 
@@ -495,19 +475,22 @@ class LlmGateway:
         parse: Callable[[str], R],
         error: type[GatewayReplyError],
         what: str,
+        *,
+        max_tokens: int = 1024,
     ) -> R:
         """`parse(complete(prompt))`, with one repair reprompt.
 
         A reply `parse` rejects with ValueError or ValidationError goes back
         to the model once, inside the `repair` template. A second unusable
-        reply raises `error("unusable <what> reply: ...")` carrying it.
+        reply raises `error("unusable <what> reply: ...")` carrying it. Both
+        requests are sent with `max_tokens`.
         """
-        reply = self.complete(prompt)
+        reply = self.complete(prompt, max_tokens=max_tokens)
         try:
             return parse(reply)
         except (ValueError, ValidationError):
             repair = prompts.render(self.template("repair"), raw_reply=reply, original_prompt=prompt)
-            reply = self.complete(repair)
+            reply = self.complete(repair, max_tokens=max_tokens)
             try:
                 return parse(reply)
             except (ValueError, ValidationError) as e:
@@ -624,6 +607,9 @@ class LlmGateway:
         # is computed for since each text has an entry of its own
         if op == "embed" and self._cache_execute(_BATCHED_EMBED_ROW, ()) is not None:
             return "; the cache predates one entry per embedded text: record it again"
+        # on the remote backend, a tone is a `complete` request
+        if op == "complete" and not self.is_mock and self._cache_execute(_SENTIMENT_ROW, ()) is not None:
+            return "; the cache predates sentiment requests keyed by their prompt: record it again"
         return ""
 
     @property
@@ -736,9 +722,17 @@ def hashed_embedding(text: str, dim: int) -> np.ndarray:
 _DECIMAL_RE = re.compile(r"-?\d+(?:\.\d+)?")
 
 
-def _parse_decimal(reply: str) -> float | None:
+def parse_tone(reply: str) -> float:
+    """The first decimal in a tone reply, clamped to [0, 1]; a reply
+    without one is a ValueError."""
     match = _DECIMAL_RE.search(reply)
-    return float(match.group()) if match else None
+    if match is None:
+        raise ValueError("no decimal in reply")
+    value = float(match.group())
+    if value < 0.0 or value > 1.0:
+        logger.warning("sentiment reply %s out of range; clamped", value)
+        value = min(1.0, max(0.0, value))
+    return value
 
 
 def extract_json_value(reply: str):

@@ -119,17 +119,6 @@ def _as_vector(values, dim: int | None = None) -> np.ndarray:
     return vec
 
 
-def cosine(u, v) -> float:
-    """Cosine similarity of two raw (not necessarily normalized) vectors."""
-    u = _as_vector(u)
-    v = _as_vector(v, dim=u.shape[0])
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ContractError("cosine is undefined for zero vectors")
-    return float(np.dot(u, v) / (nu * nv))
-
-
 class FlatIndex:
     """An immutable store of unit vectors; search is safe from any number of threads.
 

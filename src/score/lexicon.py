@@ -26,11 +26,7 @@ SENTENCE_ENDERS = ".!?\n"
 _WORD_RE = re.compile(r"[\w']+")
 _ENDER_RUN_RE = re.compile(f"[{re.escape(SENTENCE_ENDERS)}]+")
 
-# Memo bounds. The rule extractor reads every episode of a story before the
-# rule summarizer reads them again, and a story has up to 12 episodes in the
-# fuzz corpora, so 32 analyses span that gap; more only cost memory. An alias
-# tuple is compiled once per item.
-_SENTENCE_MEMO_SIZE = 32
+# An alias tuple is compiled once per item.
 _ALIAS_MEMO_SIZE = 256
 
 
@@ -85,14 +81,9 @@ def sentence_spans(text: str) -> list[tuple[int, int]]:
     return trimmed
 
 
-@functools.lru_cache(maxsize=_SENTENCE_MEMO_SIZE)
 def sentence_tokens(text: str) -> tuple[tuple[int, int, tuple[str, ...]], ...]:
     """(start, end, tokens) of each sentence of `text`, as `sentence_spans`
-    and `tokens` give them.
-
-    The rule extractor and the rule summarizer both read an episode's
-    sentences; the memo lets the second read reuse the first's work.
-    """
+    and `tokens` give them."""
     return tuple((s, e, tuple(tokens(text[s:e]))) for s, e in sentence_spans(text))
 
 

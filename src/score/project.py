@@ -28,7 +28,7 @@ from .evaluator import GoldData
 from .fuzz import TRUTH_SHAPE, GroundTruth, truth_from_dict
 from .gateway import GatewayConfig
 from .index import FlatIndex
-from .jsonio import canonical_bytes, canonical_dumps, check, load_json, write_if_changed
+from .jsonio import atomic_write, canonical_bytes, canonical_dumps, check, load_json, write_if_changed
 from .retrieval import RECORD_SHAPE, RetrievalConfig, SummaryRecord, records_from_dict
 from .story import Story, parse_story, serialize_story
 from .summarize import SUMMARIES_SHAPE, summaries_from_dict, summaries_to_dict
@@ -63,6 +63,15 @@ RUN_REPORT_SHAPE = {"run_id": str, "metrics": _METRICS, "disabled_modules": [str
 COMPARISON_REPORT_SHAPE = {"run_id": str, "metrics_a": _METRICS, "metrics_b": _METRICS, "deltas": _METRICS}
 
 
+def make_dir(path: Path) -> None:
+    """Make the directory `path` and any missing parents; one the OS refuses
+    raises PersistenceError naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise PersistenceError(f"{path}: cannot be made a directory ({e})") from None
+
+
 @dataclass
 class Project:
     root: Path
@@ -83,9 +92,8 @@ class Project:
 
     def ensure(self) -> None:
         """Create missing directories, default config, and default prompts."""
-        self.root.mkdir(parents=True, exist_ok=True)
         for name in _DIRS:
-            self.dir(name).mkdir(exist_ok=True)
+            make_dir(self.dir(name))
         if not self.config_path.exists():
             default = {
                 "gateway": asdict(GatewayConfig()),
@@ -96,7 +104,7 @@ class Project:
         for name, text in prompt_templates.default_templates().items():
             target = self.dir("prompts") / f"{name}.txt"
             if not target.exists():
-                target.write_text(text, "utf-8")
+                atomic_write(target, text.encode("utf-8"))
 
     @contextlib.contextmanager
     def lock(self):

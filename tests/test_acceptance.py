@@ -29,7 +29,7 @@ from score.evaluator import (
 )
 from score.fuzz import FuzzSpec, generate_corpus, score_detection
 from score.gateway import GatewayConfig, LlmGateway, SentimentScore
-from score.index import FlatIndex, build_index, cosine
+from score.index import FlatIndex, build_index
 from score.retrieval import RetrievalConfig, SummaryRecord, retrieve_related
 from score.story import ItemState, parse_story, serialize_story
 from score.tracker import (
@@ -38,6 +38,7 @@ from score.tracker import (
     detect_continuity_errors,
     record_observation,
 )
+from test_index import cosine
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 

@@ -321,6 +321,20 @@ def test_a_write_the_os_refuses_exits_2_naming_the_file_and_leaves_no_temp_file(
     assert sorted(p.name for p in target.parent.iterdir()) == ["summary.vec"]
 
 
+@pytest.mark.parametrize("plain_file", ["prompts", "project"])
+def test_a_project_directory_the_os_refuses_exits_2_naming_it(project, capsys, plain_file):
+    root = project / "proj"
+    root.mkdir()
+    target = root / "prompts" if plain_file == "prompts" else root / "not-a-directory"
+    target.write_text("a plain file", "utf-8")
+    if plain_file == "project":
+        root = target
+    assert main(["--project", str(root), "fuzz", "--seed", "3", "--stories", "2"]) == 2
+    err = capsys.readouterr().err
+    assert f"{target}: cannot be made a directory" in err and "Traceback" not in err
+    assert target.read_text("utf-8") == "a plain file"
+
+
 def test_lock_file_blocks_concurrent_runs(project, capsys):
     run(project, "fuzz", "--seed", "3", "--stories", "2")
     lock = project / ".score.lock"
@@ -793,6 +807,38 @@ def test_evaluate_embeds_no_document_that_index_already_embedded(project, monkey
     # the documents are cache hits, so only the questions are sent
     assert _embedded_texts(model.bodies) == questions
     assert not any('"content": "Summarize' in body for body in model.bodies)  # `summarize` recorded them
+
+
+def test_summarize_after_an_edit_of_the_sentiment_template_asks_for_new_tones(project, monkeypatch):
+    from score import gateway as gateway_module
+    from test_concurrency import BodyLog
+
+    model = BodyLog()
+    monkeypatch.setattr(gateway_module, "default_transport", model)
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    record = ("--backend", "remote", "--base-url", "http://fake.local/v1", "--cache-mode", "record")
+
+    def tones():
+        return [
+            summary["sentiment"]
+            for path in sorted((project / "summaries").glob("*.json"))
+            for summary in json.loads(path.read_text("utf-8"))["summaries"]
+        ]
+
+    assert run(project, *record, "summarize") == 0
+    before = tones()
+    # the model rates the text it finds between the template's markers, so
+    # three more positive words there raise every tone
+    edit = "A joyful, hopeful, bright day."
+    template = project / "prompts" / "sentiment.txt"
+    template.write_text(template.read_text("utf-8").replace("$text", f"$text {edit}"), "utf-8")
+    model.bodies.clear()
+    assert run(project, *record, "summarize") == 0
+    after = tones()
+    assert len(after) == len(before) and all(new > old for new, old in zip(after, before))
+    # the summary requests are cache hits; each distinct episode text is asked for its tone again
+    sent = _chat_requests(model.bodies)
+    assert len(sent) == 16 and all(edit in body for body in sent)
 
 
 def test_compare_rejects_baseline_together_with_ablate(project, capsys):

@@ -31,8 +31,8 @@ from score.gateway import (
     hashed_embedding,
     request_digest,
 )
-from score.index import cosine
 from score.jsonio import canonical_dumps
+from test_index import cosine
 
 
 def remote_config(**kw):
@@ -226,6 +226,42 @@ def test_remote_sentiment_reprompts_once_then_fails():
     with pytest.raises(SentimentError):
         gw.score_sentiment("anything")
     assert transport.calls == 2
+
+
+def test_remote_tone_is_a_complete_request_keyed_by_the_body_it_sends(tmp_path):
+    transport = FakeTransport([chat_reply("0.6")])
+    with LlmGateway(remote_config(cache_mode="record"), cache_dir=tmp_path, transport=transport) as gw:
+        assert gw.score_sentiment("a calm sea").value == 0.6
+    ((url, body),) = transport.bodies
+    assert url.endswith("/chat/completions") and body["max_tokens"] == 8 and body["temperature"] == 0.0
+    ((key, record),) = stored_entries(tmp_path).items()
+    assert json.loads(record)["op"] == "complete"
+    assert key == request_digest("complete", "test-model", body)
+
+
+def test_unparseable_tone_reply_gets_the_repair_reprompt(tmp_path):
+    (tmp_path / "repair.txt").write_text("PROJECT REPAIR of $raw_reply for $original_prompt", "utf-8")
+    transport = FakeTransport([chat_reply("no idea"), chat_reply("0.25")])
+    gw = LlmGateway(remote_config(), transport=transport, prompts_root=tmp_path)
+    assert gw.score_sentiment("a calm sea").value == 0.25
+    first, repair = (body for _, body in transport.bodies)
+    assert repair["messages"][0]["content"] == f"PROJECT REPAIR of no idea for {first['messages'][0]['content']}"
+    assert repair["max_tokens"] == 8
+
+
+def test_a_tone_recorded_under_one_template_is_asked_again_under_another(tmp_path):
+    prompts_root = tmp_path / "prompts"
+    prompts_root.mkdir()
+    config = remote_config(cache_mode="record")
+    (prompts_root / "sentiment.txt").write_text("TEMPLATE A: $text", "utf-8")
+    transport = FakeTransport([chat_reply("0.25"), chat_reply("0.75")])
+    with LlmGateway(config, cache_dir=tmp_path / "cache", transport=transport, prompts_root=prompts_root) as gw:
+        assert gw.score_sentiment("a calm sea").value == 0.25
+    (prompts_root / "sentiment.txt").write_text("TEMPLATE B: $text", "utf-8")
+    with LlmGateway(config, cache_dir=tmp_path / "cache", transport=transport, prompts_root=prompts_root) as gw:
+        assert gw.score_sentiment("a calm sea").value == 0.75
+    sent = [body["messages"][0]["content"] for _, body in transport.bodies]
+    assert sent == ["TEMPLATE A: a calm sea", "TEMPLATE B: a calm sea"]
 
 
 def test_retry_backoff_sequence_and_recovery():
@@ -463,6 +499,27 @@ def test_replay_miss_over_a_cache_of_batched_embeddings_says_record_again(tmp_pa
     with gw, pytest.raises(UncachedRequestError, match="predates one entry per embedded text: record it again"):
         gw.embed(["a", "b"])
     assert gw.stats.transport_calls == 0
+
+
+def test_remote_replay_miss_over_a_cache_of_sentiment_rows_says_record_again(tmp_path):
+    tone = {"model": "test-model", "text": "a calm sea"}
+    _write_rows(tmp_path, [("sentiment", "test-model", tone, 0.5)])
+    gw = LlmGateway(remote_config(cache_mode="replay"), cache_dir=tmp_path, transport=FakeTransport([]))
+    hint = "predates sentiment requests keyed by their prompt: record it again"
+    with gw, pytest.raises(UncachedRequestError, match=hint):
+        gw.score_sentiment("a calm sea")
+    assert gw.stats.transport_calls == 0
+
+
+def test_a_mock_recording_of_tones_still_replays(tmp_path):
+    with LlmGateway(GatewayConfig(backend="mock", cache_mode="record"), cache_dir=tmp_path) as gw:
+        recorded = gw.score_sentiment("a bright hopeful morning")
+    assert [json.loads(record)["op"] for record in stored_entries(tmp_path).values()] == ["sentiment"]
+    with LlmGateway(GatewayConfig(backend="mock", cache_mode="replay"), cache_dir=tmp_path) as gw:
+        assert gw.score_sentiment("a bright hopeful morning") == recorded
+        with pytest.raises(UncachedRequestError) as missed:
+            gw.complete("never recorded")
+    assert "record it again" not in str(missed.value)
 
 
 def test_one_text_embedding_entries_of_an_older_recording_still_serve(tmp_path):

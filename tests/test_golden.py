@@ -8,7 +8,10 @@ the stage commands and `evaluate` shared one set of stage functions. The report 
 twice: when the run id stopped covering the gateway's sending-only fields and
 the dead `granularity` field, and when the retrieval config lost
 `candidate_pool` and `sentiment_filter_enabled`. Each time its config block
-(and with it the config digests) changed, and nothing else did. A change
+(and with it the config digests) changed, and nothing else did. The wire
+hash was retaken once, when remote tone requests became `complete` requests
+keyed by the chat body they send: the 48 `sentiment` keys of its 262 became
+48 `complete` keys, and the other 214 stayed. A change
 that moves any report byte, search score bit or ranking fails here; one that
 means to change results updates the hash and says why.
 """
@@ -29,7 +32,7 @@ from score.retrieval import RetrievalConfig
 
 PIPELINE_REPORT_SHA256 = "9705da266e59b3d6239136f72169c14ed6cd4be25c07fb1014736ec6f616f4b9"
 CORPUS_SEARCH_SHA256 = "91ad6ed0d1a1de0c2c6a2154107dea0cd2d6e76be331f3a577c9bd964c67ad4e"
-WIRE_REQUESTS_SHA256 = "0b97194bd265ff03b4d2b6d206703a5f5f8e0c3afc312403822ded84d8669c56"
+WIRE_REQUESTS_SHA256 = "3b5486ea152be937a8b573d4f3ee1f0e9a8088d22ad9c0c7a47c76e8b2685261"
 INDEX_FILES_SHA256 = {
     "summary.vec": "2b1a9dd361e4c34bb1824a66920f0a04d28d742b0a54f615d342ee87e4ea888a",
     "summary.meta.json": "7fd73328472592bdc4f903a3b90fbd7f938c1029dd75c80a760b7c17bb7042e4",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from score.errors import ContractError, PersistenceError
-from score.index import FlatIndex, build_index, cosine
+from score.index import FlatIndex, build_index
 
 
 def row(entry_id, vec, *, story_id="", episode_index=0, kind="summary"):
@@ -296,8 +296,17 @@ def test_query_scale_leaves_ranking_unchanged():
 
 
 # ---------------------------------------------------------------------------
-# cosine
+# cosine, the similarity that search scores and mock embeddings are checked by
 # ---------------------------------------------------------------------------
+
+
+def cosine(u, v) -> float:
+    """Cosine similarity of two raw (not necessarily normalized) vectors."""
+    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        raise ContractError("cosine is undefined for zero vectors")
+    return float(np.dot(u, v) / (nu * nv))
 
 
 def test_cosine_self_is_one():
