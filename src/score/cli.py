@@ -40,7 +40,7 @@ from .evaluator import (
 from .fuzz import FuzzSpec, generate_corpus, score_detection, truth_to_dict
 from .gateway import GatewayConfig, LlmGateway
 from .jsonio import canonical_bytes, canonical_dumps, write_if_changed
-from .project import METRIC_NAMES, Project, load_story, make_dir, stage_inputs
+from .project import METRIC_NAMES, Project, corpus_digest, load_story, make_dir, serialized_stories, stage_inputs
 from .retrieval import RetrievalConfig, build_retrieval_index, records_to_dict, retrieval_units, retrieve_for_query
 from .story import Story, serialize_story
 
@@ -127,14 +127,14 @@ def cmd_fuzz(project: Project, args) -> int:
     return 0
 
 
-def _matching(project: Project, stage: str, stories: list[Story], gateway) -> dict:
+def _matching(project: Project, stage: str, stories: list[Story], gateway, serialized: dict[str, bytes]) -> dict:
     """The `stage` output ("states" or "summaries") of each story whose stage file matches, by
-    story id; a file that does not load is left out with a warning, so its story is computed again."""
+    story id; a file that does not load is left out with a warning, so its story is computed again.
+    `serialized` holds the stories' `serialized_stories` bytes."""
     found = {}
     for story in stories:
-        inputs = stage_inputs(stage, story, gateway)
         try:
-            output = project.load_stage(stage, story, inputs)
+            output = project.load_stage(stage, story, stage_inputs(stage, serialized[story.story_id], gateway))
         except PersistenceError as e:
             logger.warning("%s; computing it again", e)
             continue
@@ -146,11 +146,12 @@ def _matching(project: Project, stage: str, stories: list[Story], gateway) -> di
 def _run_stage(project: Project, stage: str, stories: list[Story], gateway, *, force=False) -> tuple[dict, int]:
     """Every story's `stage` output by story id, computing and saving each one no matching stage
     file holds (with `force`, every one); and how many such files held one."""
-    held = {} if force else _matching(project, stage, stories, gateway)
+    serialized = serialized_stories(stories)
+    held = {} if force else _matching(project, stage, stories, gateway, serialized)
     todo = [story for story in stories if story.story_id not in held]
     made = stage_outputs(todo, gateway, stage)
     for story in todo:
-        project.save_stage(stage, story, stage_inputs(stage, story, gateway), made[story.story_id])
+        project.save_stage(stage, story, stage_inputs(stage, serialized[story.story_id], gateway), made[story.story_id])
     return {**held, **made}, len(held)
 
 
@@ -188,8 +189,11 @@ def cmd_index(project: Project, args) -> int:
     gateway_cfg, _, granularity = _load_config(project, args)
     stories = project.load_stories()
     with _gateway(project, gateway_cfg) as gateway:
-        inputs = {story.story_id: stage_inputs("summaries", story, gateway) for story in stories}
-        summaries = {s.story_id: project.load_stage("summaries", s, inputs[s.story_id]) for s in stories}
+        serialized = serialized_stories(stories)
+        summaries = {
+            s.story_id: project.load_stage("summaries", s, stage_inputs("summaries", serialized[s.story_id], gateway))
+            for s in stories
+        }
         missing = [story_id for story_id, built in summaries.items() if built is None]
         if missing:
             raise ValidationError("summaries", f"not built for: {', '.join(missing)} (run `score summarize`)")
@@ -257,13 +261,14 @@ def cmd_evaluate(project: Project, args) -> int:
             raise ValidationError("episode", f"episode {episode_filter[1]} not in story {story_id!r}")
 
     config = PipelineConfig(gateway_cfg, retrieval_cfg, ablations)
+    serialized = serialized_stories(stories)
     with _gateway(project, gateway_cfg) as gateway:
         used = ("states", "summaries") if ablations.summary else ("states",)
-        made = {stage: _matching(project, stage, stories, gateway) for stage in used}
+        made = {stage: _matching(project, stage, stories, gateway, serialized) for stage in used}
         result = run_pipeline(stories, gateway, config, gold, episode=episode_filter, **made)
 
     run_id = hashlib.sha256(
-        (config.digest() + project.corpus_digest(stories) + str(episode_filter)).encode()
+        (config.digest() + corpus_digest(serialized) + str(episode_filter)).encode()
     ).hexdigest()[:12]
     payload = _report_payload(config, result)
     payload["run_id"] = run_id
@@ -317,11 +322,12 @@ def cmd_compare(project: Project, args) -> int:
         ablations_b = _parse_ablations(args.ablate)
     config_b = PipelineConfig(gateway_cfg, retrieval_cfg, ablations_b)
 
+    serialized = serialized_stories(stories)
     with _gateway(project, gateway_cfg) as gateway:
-        made = {stage: _matching(project, stage, stories, gateway) for stage in ("states", "summaries")}
+        made = {stage: _matching(project, stage, stories, gateway, serialized) for stage in ("states", "summaries")}
         comparison = run_comparison(stories, gold, gateway, config_a, config_b, **made)
     run_id = hashlib.sha256(
-        (config_a.digest() + config_b.digest() + project.corpus_digest(stories)).encode()
+        (config_a.digest() + config_b.digest() + corpus_digest(serialized)).encode()
     ).hexdigest()[:12]
     payload = {
         "run_id": run_id,
@@ -475,6 +481,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, StoryParseError, PersistenceError, ContractError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # the command's `with` blocks have closed its gateway and released the lock
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

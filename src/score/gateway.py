@@ -755,6 +755,8 @@ def extract_json_value(reply: str):
         value, _ = decoder.raw_decode(text[start:])
     except json.JSONDecodeError as e:
         raise ValueError(f"invalid JSON in reply: {e}") from e
+    except RecursionError:  # nested deeper than the decoder recurses
+        raise ValueError("JSON in reply nested too deeply") from None
     return value
 
 

@@ -4,15 +4,22 @@ Corpora here are thousands of units, so exact search is fast enough and
 exactly testable against a brute-force oracle; there is deliberately no
 approximate structure. An index is an immutable value. Its vectors are
 unit-normalized when it is built, which turns search into a dot product.
-Search screens, then exactly rescores: one float32 matrix-vector product
+Search screens, then exactly rescores: one float32 vector-matrix product
 over a float32 copy of the matrix screens the candidate rows (it reads half
-the bytes of a float64 one), and only the rows within a rounding margin of
-the n-th best screened score are rescored with the float64 per-row dot
-product the oracle uses. The margin bounds float32 input rounding, float32
-accumulation, underflow and the float64 score's own error
-(`_screen_margin`), so no row of the exact top n is screened out. Ties
-break on entry_id, so results are reproducible and bit-for-bit equal to a
-full scan.
+the bytes of a float64 one; the first search that screens makes the copy),
+and only the rows within a rounding margin of the n-th best screened score
+are rescored with the float64 per-row dot product the oracle uses. The copy
+is stored dimension-major, shape (dim, N), and the product multiplies only
+the dimensions in which the float32 query is nonzero, the term-at-a-time
+order of an inverted file (Zobel & Moffat, "Inverted files for text search
+engines", ACM Computing Surveys 38(2), 2006): a hashed bag-of-words query
+touches about 13 of 256 dimensions, so it reads about 5 % of the screen. A
+skipped dimension adds an exact ±0 to every screened score, so each score
+is still a float32 evaluation of the whole dot product, only in another
+order. The margin bounds float32 input rounding, float32 accumulation in
+any order, underflow and the float64 score's own error (`_screen_margin`),
+so no row of the exact top n is screened out. Ties break on entry_id, so
+results are reproducible and bit-for-bit equal to a full scan.
 
 Saving writes the matrix to disk from its own buffer, and an unchanged
 file is compared chunk by chunk, so a save adds no copy of the matrix to
@@ -21,6 +28,7 @@ memory; loading reads the file once and views the matrix in place.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from dataclasses import dataclass
@@ -71,6 +79,14 @@ def _screen_margin(dim: int) -> float:
       (its product, or the input that zeroed it, and its addition):
       2 * d * 2**-126 in all. It also covers float64 underflow;
     - the exact float64 score is within gamma_d(2**-53) of the real value.
+
+    The screen skips the dimensions in which q32 is zero (a component of q
+    that is 0, -0 or rounds to 0 in float32). Each skipped product is an
+    exact ±0, and adding ±0 to a partial sum leaves its value unchanged, so
+    the screened score equals a float32 evaluation of all d terms with the
+    zero terms added last: the order-free accumulation bound above covers
+    it, and the underflow term already covers a component that float32
+    rounding zeroed.
 
     Since sum|x_i q_i| <= |x| |q| = 1, the screened and exact scores of a
     row differ by at most B, the sum of the four terms. A row that screens
@@ -133,16 +149,34 @@ class FlatIndex:
         self._dim = dim
         self._entries = tuple(entries)
         self._matrix = matrix
-        self._story_rows: dict[str, list[int]] = {}
+        story_rows: dict[str, list[int]] = {}
         seen: set[str] = set()
         for row, entry in enumerate(self._entries):
             if entry.entry_id in seen:
                 raise ContractError(f"duplicate entry_id {entry.entry_id!r}")
             seen.add(entry.entry_id)
-            self._story_rows.setdefault(entry.story_id, []).append(row)
-        self._screen = matrix.astype(np.float32)  # the float32 copy that search screens with
-        self._screen.flags.writeable = False
+            story_rows.setdefault(entry.story_id, []).append(row)
+        # a story whose entries were added together is one run of rows, which
+        # the screen reads as a slice, without a gather
+        self._story_rows: dict[str, Sequence[int]] = {
+            story: range(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else rows
+            for story, rows in story_rows.items()
+        }
         self._margin = _screen_margin(dim)
+
+    @functools.cached_property
+    def _screen(self) -> np.ndarray:
+        """The read-only float32 copy of the matrix that search screens with,
+        made by the first search that screens (two threads whose first such
+        searches overlap may each make one; the copies are equal). It is
+        dimension-major: each dimension is one contiguous row of it. It is
+        copied 64 stored rows at a time, so that each block's reads and
+        writes stay in cache."""
+        screen = np.empty((self._dim, len(self._matrix)), dtype=np.float32)
+        for start in range(0, len(self._matrix), 64):
+            screen[:, start : start + 64] = self._matrix[start : start + 64].T
+        screen.flags.writeable = False
+        return screen
 
     @property
     def dim(self) -> int:
@@ -190,13 +224,13 @@ class FlatIndex:
         if story is None and filter is None and len(entries) - len(dropped) > n:
             # every row: screen the stored copy in place and mask the excluded episode
             rows = None
-            screened = self._screen @ unit.astype(np.float32)
+            screened = self._screened(unit, range(len(entries)))
             screened[dropped] = -np.inf
         else:
             rows = range(len(entries)) if story is None else self._story_rows.get(story, [])
             if dropped or filter is not None:
                 rows = [i for i in rows if i not in dropped and (filter is None or filter(entries[i]))]
-            screened = self._screen[rows] @ unit.astype(np.float32) if len(rows) > n else None
+            screened = self._screened(unit, rows) if len(rows) > n else None
         if screened is not None:
             kth = len(screened) - n
             # the floor and the comparison stay float64 (NEP 50 would round
@@ -211,6 +245,24 @@ class FlatIndex:
         scored = [(float(np.dot(entries[i].embedding, unit)), entries[i].entry_id) for i in rows]
         scored.sort(key=lambda t: (-t[0], t[1]))
         return [SearchHit(entry_id, score) for score, entry_id in scored[:n]]
+
+    def _screened(self, unit: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+        """The float32 screened scores of `rows`, in their order.
+
+        Only the dimensions in which the float32 query is nonzero are
+        multiplied: each skipped term is an exact ±0 of the float32 sum, so a
+        score is still a float32 evaluation of the whole dot product, in
+        another order (`_screen_margin`). A query without a zero component
+        multiplies a run of rows in place.
+        """
+        if isinstance(rows, range):  # one run of rows, such as every row: a view of the screen, no gather
+            rows = slice(rows.start, rows.stop)
+        screen = self._screen[:, rows]
+        q32 = unit.astype(np.float32)
+        dims = np.flatnonzero(q32)
+        if len(dims) == self._dim:
+            return q32 @ screen
+        return q32[dims] @ screen[dims]
 
     # -- persistence --------------------------------------------------------
 

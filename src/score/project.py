@@ -203,21 +203,29 @@ class Project:
                 return load_json(path, shape), comparison
         raise ValidationError("run_id", f"no report named {run_id!r} in {reports_dir}")
 
-    def corpus_digest(self, stories: list[Story]) -> str:
-        h = hashlib.sha256()
-        for story in sorted(stories, key=lambda s: s.story_id):
-            h.update(serialize_story(story))
-        return h.hexdigest()[:16]
+
+def serialized_stories(stories: list[Story]) -> dict[str, bytes]:
+    """Each story's `serialize_story` bytes by story id. A command serializes
+    its stories once, here, and both digests below read the bytes."""
+    return {story.story_id: serialize_story(story) for story in stories}
 
 
-def stage_inputs(stage: str, story: Story, gateway) -> str:
-    """The digest of what the `stage` file of `story` is made from under
-    `gateway`: the story's bytes, the backend and model, and each template
-    the stage can send (none on the mock backend) as `gateway.template`
-    resolves it, so that a project override counts."""
+def corpus_digest(serialized: dict[str, bytes]) -> str:
+    """The digest of a corpus, from its `serialized_stories`, in story id order."""
+    h = hashlib.sha256()
+    for story_id in sorted(serialized):
+        h.update(serialized[story_id])
+    return h.hexdigest()[:16]
+
+
+def stage_inputs(stage: str, story_bytes: bytes, gateway) -> str:
+    """The digest of what the `stage` file of a story is made from under
+    `gateway`: the story's `serialize_story` bytes, the backend and model,
+    and each template the stage can send (none on the mock backend) as
+    `gateway.template` resolves it, so that a project override counts."""
     templates = () if gateway.is_mock else _STAGE_FILES[stage][3]
     texts = [gateway.config.backend, gateway.config.model_name, *map(gateway.template, templates)]
-    parts = [serialize_story(story), *(text.encode("utf-8") for text in texts)]
+    parts = [story_bytes, *(text.encode("utf-8") for text in texts)]
     return hashlib.sha256(" ".join(hashlib.sha256(part).hexdigest() for part in parts).encode()).hexdigest()[:16]
 
 

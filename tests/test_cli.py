@@ -1,3 +1,4 @@
+import _thread
 import contextlib
 import json
 import logging
@@ -703,6 +704,37 @@ def test_remote_track_and_summarize_write_the_same_bytes_at_any_max_parallel(pro
     assert len(serial[1]) == 8
 
 
+def test_ctrl_c_during_a_remote_evaluate_exits_130_without_a_traceback(project, monkeypatch, capsys):
+    from score import gateway as gateway_module
+    from test_concurrency import StoryModel
+
+    model = StoryModel(latency_s=0)
+    interrupted_at = 5
+
+    def transport(url, body, timeout, headers):
+        reply = model(url, body, timeout, headers)
+        if model.calls == interrupted_at:
+            _thread.interrupt_main()  # a Ctrl-C while the request is on the wire
+        return reply
+
+    monkeypatch.setattr(gateway_module, "default_transport", transport)
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    config = json.loads((project / "config.json").read_text("utf-8"))
+    config["gateway"]["max_parallel"] = 1  # requests run on the main thread, where the interrupt lands
+    (project / "config.json").write_text(json.dumps(config), "utf-8")
+    capsys.readouterr()
+    try:
+        code = run(project, "--backend", "remote", "--base-url", "http://fake.local/v1", "evaluate")
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    assert code == 130
+    err = capsys.readouterr().err
+    assert err.strip() == "interrupted" and "Traceback" not in err
+    assert not (project / ".score.lock").exists()
+    assert model.calls == interrupted_at  # no request started after the interrupt
+    assert not list((project / "reports").glob("*.json"))
+
+
 @pytest.mark.parametrize("manifest", [None, ["fuzz-3-0000.json"]], ids=["one-episode", "manifest-subset"])
 def test_item_status_counts_only_the_gold_items_of_the_stories_the_run_tracked(project, capsys, manifest):
     run(project, "fuzz", "--seed", "3", "--stories", "2")
@@ -1047,3 +1079,16 @@ def test_evaluate_warns_of_a_damaged_summaries_file_only_when_it_reads_summaries
     assert not [r for r in caplog.records if path.name in r.getMessage()]
     assert run(project, "evaluate") == 0
     assert [r for r in caplog.records if path.name in r.getMessage() and "computing it again" in r.getMessage()]
+
+
+@pytest.mark.parametrize("command", [("track",), ("summarize",), ("index",), ("evaluate",), ("compare", "--baseline")])
+def test_a_command_serializes_each_story_once(project, monkeypatch, command):
+    from score import project as project_module
+
+    run(project, "fuzz", "--seed", "3", "--stories", "3")
+    run(project, "summarize")
+    serialized = []
+    real = project_module.serialize_story
+    monkeypatch.setattr(project_module, "serialize_story", lambda story: serialized.append(story.story_id) or real(story))
+    assert run(project, *command) == 0
+    assert sorted(serialized) == ["fuzz-3-0000", "fuzz-3-0001", "fuzz-3-0002"]

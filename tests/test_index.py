@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from score.errors import ContractError, PersistenceError
+from score.gateway import hashed_embedding
 from score.index import FlatIndex, build_index
 
 
@@ -153,25 +154,77 @@ def _with_subnormals(vec, rng):
     return out
 
 
+_WORDS = "sword lost found ship storm mira kept the a river gold broke".split()
+_PATHS = ["all", "story", "exclude", "story+exclude", "filter", "filter+exclude"]
+
+
+def _text(rng):
+    return " ".join(rng.choice(_WORDS, size=int(rng.integers(1, 10))))
+
+
+def _sparse(dim, rng, k):
+    """A vector with `k` nonzero normal components and zeros elsewhere."""
+    out = np.zeros(dim)
+    out[rng.choice(dim, size=min(k, dim), replace=False)] = rng.normal(size=min(k, dim))
+    return out
+
+
+def _query(kind, dim, rows, rng):
+    """A query of `kind`. The kinds after the near-row ones have zero float32
+    components by construction, so the screen multiplies only some dimensions."""
+    if kind == "random":
+        return rng.normal(size=dim)
+    if kind in ("row", "near-row", "near-row-f32"):
+        source = rows[rng.integers(len(rows))]
+        return {"row": source, "near-row": _nudged(source, rng, 2), "near-row-f32": _nudged32(source, rng, 1)}[kind]
+    if kind == "one-dim":
+        return _sparse(dim, rng, 1)
+    if kind == "few-dims":
+        return _sparse(dim, rng, int(rng.integers(2, 17)))
+    if kind == "all-but-one":
+        query = rng.normal(size=dim)
+        query[rng.integers(dim)] = 0.0
+        return query
+    if kind == "hashed":
+        return hashed_embedding(_text(rng), dim)
+    query = rng.normal(size=dim)
+    picked = rng.random(dim) < 0.5
+    picked[rng.integers(dim)] = False  # one normal component keeps the query's norm from underflowing
+    if kind == "f32-zero":  # nonzero float64 components that round to 0 in float32, even once normalized
+        query[picked] *= 2.0 ** -int(rng.integers(160, 1000))
+    else:  # "neg-zero": -0.0 components next to +0.0 and nonzero ones
+        query[picked] = -0.0
+        query[rng.random(dim) < 0.2] = 0.0
+    return query
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     dim=st.one_of(st.integers(1, 24), st.integers(25, 1024)),
     n_rows=st.integers(1, 70),
     n_planted=st.integers(0, 40),
-    values=st.sampled_from(["normal", "small-int", "subnormal"]),
+    values=st.sampled_from(["normal", "small-int", "subnormal", "sparse", "hashed"]),
     n=st.one_of(st.integers(1, 8), st.integers(1, 90)),
-    path=st.sampled_from(["all", "story", "exclude", "story+exclude", "filter", "filter+exclude"]),
-    query_kind=st.sampled_from(["random", "row", "near-row", "near-row-f32"]),
+    query_kind=st.sampled_from(
+        [
+            "random", "row", "near-row", "near-row-f32",  # dense, unless the rows are sparse
+            "one-dim", "few-dims", "all-but-one", "hashed", "f32-zero", "neg-zero",
+        ]
+    ),
 )
-def test_search_equals_full_scan_oracle(seed, dim, n_rows, n_planted, values, n, path, query_kind):
+def test_search_equals_full_scan_oracle(seed, dim, n_rows, n_planted, values, n, query_kind):
     rng = np.random.default_rng(seed)
     if values == "normal":
         rows = list(rng.normal(size=(n_rows, dim)))
     elif values == "small-int":  # few distinct directions: many exact ties
         rows = list(rng.integers(-2, 3, size=(n_rows, dim)).astype(np.float64))
-    else:  # float32-subnormal components next to normal ones
+    elif values == "subnormal":  # float32-subnormal components next to normal ones
         rows = [_with_subnormals(row, rng) for row in rng.normal(size=(n_rows, dim))]
+    elif values == "sparse":  # a few nonzero components per row
+        rows = [_sparse(dim, rng, int(rng.integers(1, 17))) for _ in range(n_rows)]
+    else:  # the mock backend's vectors: few words, so many rows share buckets or are equal
+        rows = [hashed_embedding(_text(rng), dim) for _ in range(n_rows)]
     for vec in rows:
         if not vec.any():
             vec[0] = 1.0  # the index rejects zero vectors
@@ -186,37 +239,32 @@ def test_search_equals_full_scan_oracle(seed, dim, n_rows, n_planted, values, n,
         else:
             rows.append((_nudged if kind == 1 else _nudged32)(source, rng, ulps))
     ids = rng.permutation(len(rows))  # entry-id order differs from row order
+    stories = rng.integers(3, size=len(rows))
+    if rng.random() < 0.5:  # each story one run of rows, as when stories are added one after another
+        stories.sort()
     index = build_index(
         dim,
         [
-            row(f"e{ids[i]:03d}", vec, story_id=f"s{rng.integers(3)}", episode_index=int(rng.integers(3)))
+            row(f"e{ids[i]:03d}", vec, story_id=f"s{stories[i]}", episode_index=int(rng.integers(3)))
             for i, vec in enumerate(rows)
         ],
     )
 
-    if query_kind == "random":
-        query = rng.normal(size=dim)
-    else:
-        source = rows[rng.integers(len(rows))]
-        if query_kind == "row":
-            query = source
-        elif query_kind == "near-row":
-            query = _nudged(source, rng, 2)
-        else:
-            query = _nudged32(source, rng, 1)
+    query = _query(query_kind, dim, rows, rng)
     if not query.any():
         query[0] = 1.0
-    kwargs = {}
-    if "story" in path:
-        kwargs["story"] = f"s{rng.integers(3)}"
-    if "exclude" in path:
-        kwargs["exclude"] = (f"s{rng.integers(3)}", int(rng.integers(3)))
-    if "filter" in path:
-        kept = set(rng.choice(len(rows), size=len(rows) // 2, replace=False).tolist())
-        kwargs["filter"] = lambda e: int(e.entry_id[1:]) in kept
+    for path in _PATHS:
+        kwargs = {}
+        if "story" in path:
+            kwargs["story"] = f"s{rng.integers(3)}"
+        if "exclude" in path:
+            kwargs["exclude"] = (f"s{rng.integers(3)}", int(rng.integers(3)))
+        if "filter" in path:
+            kept = set(rng.choice(len(rows), size=len(rows) // 2, replace=False).tolist())
+            kwargs["filter"] = lambda e: int(e.entry_id[1:]) in kept
 
-    got = [(h.entry_id, h.score.hex()) for h in index.search_top_n(query, n=n, **kwargs)]
-    assert got == full_scan(index, query, n, **kwargs)
+        got = [(h.entry_id, h.score.hex()) for h in index.search_top_n(query, n=n, **kwargs)]
+        assert got == full_scan(index, query, n, **kwargs), path
 
 
 def test_screen_keeps_exact_order_among_near_ties():
@@ -255,7 +303,15 @@ def test_loaded_index_reads_its_vectors_in_place(tmp_path):
     filled_index(n=30, dim=8, seed=5).save(tmp_path / "idx")
     loaded = FlatIndex.load(tmp_path / "idx")
     assert not loaded._matrix.flags.owndata  # a view of the file's bytes, not a copy of them
-    assert loaded._screen.dtype == np.float32 and not loaded._screen.flags.writeable
+    # the screen is one read-only float32 copy, dimension-major, made by the first search that screens
+    loaded.search_top_n(np.ones(8), n=30)  # every row is a hit: nothing to screen
+    assert "_screen" not in vars(loaded)
+    loaded.search_top_n(np.ones(8), n=3)
+    screen = vars(loaded)["_screen"]
+    assert screen.shape == (8, 30) and screen.dtype == np.float32 and screen.flags.c_contiguous
+    assert screen.flags.owndata and not screen.flags.writeable
+    assert not np.shares_memory(screen, loaded._matrix)
+    assert np.array_equal(screen, loaded._matrix.T.astype(np.float32))
 
 
 def test_story_and_exclude_arguments_match_the_filter_callable():

@@ -1,8 +1,8 @@
 """Any JSON a model sends back parses or raises the error that starts the repair path.
 
-The three reply parsers must turn every wrong shape into ValueError or
-ValidationError; anything else would escape the repair and the CLI's
-exit-code mapping as a traceback.
+The five reply parsers (extraction, summary, evaluation, answer and tone)
+must turn every wrong shape into ValueError or ValidationError; anything
+else would escape the repair and the CLI's exit-code mapping as a traceback.
 """
 
 import json
@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from score.errors import ValidationError
-from score.evaluator import FACETS, _parse_evaluation_reply
-from score.gateway import GatewayConfig, LlmGateway
+from score.evaluator import FACETS, _parse_answer_reply, _parse_evaluation_reply
+from score.gateway import GatewayConfig, LlmGateway, parse_tone
+from score.retrieval import ContextBundle, ContextEntry
 from score.story import Episode, KeyItem
 from score.summarize import _parse_summary_reply
 from score.tracker import _parse_extraction_reply
@@ -26,6 +27,7 @@ json_values = st.recursive(
 
 EPISODE = Episode(index=0, text="Mira carried the sword. The sword was lost.")
 ITEMS = [KeyItem("sword", ("sword",))]
+BUNDLE = ContextBundle(focus="query:where", selected=(ContextEntry("s", 0, 0.9, 0.5, "The sword was lost."),))
 
 
 def _parses_or_asks_for_repair(parse, reply):
@@ -89,9 +91,47 @@ def test_evaluation_reply_of_any_shape(field, value):
     _parses_or_asks_for_repair(lambda r: _parse_evaluation_reply(r, []), reply)
 
 
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(["answer", "supporting_episode_ids", "supporting_episode_ids.0"]), value=json_values)
+def test_answer_reply_of_any_shape(field, value):
+    reply = {"answer": "lost", "supporting_episode_ids": ["s#0", "s#7"]}
+    outer, _, inner = field.partition(".")
+    if inner:
+        reply[outer][int(inner)] = value
+    else:
+        reply[outer] = value
+    _parses_or_asks_for_repair(lambda r: _parse_answer_reply(r, BUNDLE), reply)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reply=json_values.map(json.dumps) | st.text())  # a tone reply is plain text, a JSON value's or any
+def test_tone_reply_of_any_shape(reply):
+    try:
+        parse_tone(reply)
+    except ValueError:
+        pass
+
+
+def _parsers():
+    gateway = LlmGateway(GatewayConfig(backend="mock"))
+    return [
+        lambda r: _parse_extraction_reply(r, EPISODE, ITEMS),
+        lambda r: _parse_summary_reply(r, EPISODE, ITEMS, gateway, "s"),
+        lambda r: _parse_evaluation_reply(r, []),
+        lambda r: _parse_answer_reply(r, BUNDLE),
+        parse_tone,
+    ]
+
+
 @pytest.mark.parametrize("reply", [[], {}, None, 5, "text"])
 def test_top_level_wrong_shapes_ask_for_repair(reply):
-    gateway = LlmGateway(GatewayConfig(backend="mock"))
-    _parses_or_asks_for_repair(lambda r: _parse_extraction_reply(r, EPISODE, ITEMS), reply)
-    _parses_or_asks_for_repair(lambda r: _parse_summary_reply(r, EPISODE, ITEMS, gateway, "s"), reply)
-    _parses_or_asks_for_repair(lambda r: _parse_evaluation_reply(r, []), reply)
+    for parse in _parsers():
+        _parses_or_asks_for_repair(parse, reply)
+
+
+@pytest.mark.parametrize("bracket", ["[", '{"answer": '])
+def test_a_reply_nested_deeper_than_the_decoder_recurses_asks_for_repair(bracket):
+    reply = bracket * 100_000
+    for parse in _parsers():
+        with pytest.raises((ValueError, ValidationError)):
+            parse(reply)
