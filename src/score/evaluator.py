@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import lexicon, prompts
 from .errors import ContractError, EvaluationError, ValidationError
-from .gateway import SENDING_ONLY_FIELDS, GatewayConfig, extract_json_value, reply_field, reply_number
+from .gateway import SENDING_ONLY_FIELDS, GatewayConfig, extract_json_value
 from .index import FlatIndex
 from .jsonio import canonical_dumps
 from .retrieval import (
@@ -222,37 +222,39 @@ def _llm_evaluate(episode, episode_errors, context, gateway):
     )
 
 
+# the reply to `evaluate`; an asserted state that is no `ItemState` is dropped, not refused
+_EVALUATION_REPLY_SHAPE = {
+    "facet_scores": {name: float for name in FACETS},
+    "rationale?": str,
+    "cited_error_indexes?": ([int], None),
+    "item_states?": (dict, None),
+}
+
+
 def _parse_evaluation_reply(reply, episode_errors):
-    raw = extract_json_value(reply)
-    if not isinstance(raw, dict):
-        raise ValueError("expected a JSON object")
-    scores_raw = raw.get("facet_scores")
-    if not isinstance(scores_raw, dict):
-        raise ValueError("missing facet_scores object")
+    raw = extract_json_value(reply, _EVALUATION_REPLY_SHAPE)
     facets = {}
     for name in FACETS:
-        if name not in scores_raw:
-            raise ValueError(f"missing facet {name}")
-        value = reply_number(scores_raw[name], f"facet {name}")
+        value = float(raw["facet_scores"][name])
         if not (1.0 <= value <= 5.0):
             logger.warning("facet %s=%s out of range; clamped", name, value)
             value = min(5.0, max(1.0, value))
         facets[name] = value
 
     cited = []
-    for idx in reply_field(raw, "cited_error_indexes", list):
-        if isinstance(idx, int) and 0 <= idx < len(episode_errors):
+    for idx in raw.get("cited_error_indexes") or ():
+        if 0 <= idx < len(episode_errors):
             cited.append(episode_errors[idx])
         else:
             logger.warning("reply cites nonexistent error index %r; dropped", idx)
 
     states = {}
-    for item_id, value in reply_field(raw, "item_states", dict).items():
+    for item_id, value in (raw.get("item_states") or {}).items():
         try:
-            states[str(item_id)] = ItemState(value)
+            states[item_id] = ItemState(value)
         except ValueError:
             logger.warning("reply asserts invalid state %r for %r; dropped", value, item_id)
-    return facets, str(raw.get("rationale", "")), tuple(cited), states
+    return facets, raw.get("rationale", ""), tuple(cited), states
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +331,16 @@ def _llm_answer(question, bundle, gateway):
     return gateway.complete_parsed(prompt, lambda reply: _parse_answer_reply(reply, bundle), EvaluationError, "answer")
 
 
+# the reply to `answer`; a supporting id that names no episode of the bundle is dropped
+_ANSWER_REPLY_SHAPE = {"answer": str, "supporting_episode_ids?": ([str], None)}
+
+
 def _parse_answer_reply(reply, bundle):
-    raw = extract_json_value(reply)
-    if not isinstance(raw, dict) or not isinstance(raw.get("answer"), str):
-        raise ValueError("expected an object with an 'answer' string")
+    raw = extract_json_value(reply, _ANSWER_REPLY_SHAPE)
     valid_refs = set(bundle.episode_refs())
     refs = []
-    for ref in reply_field(raw, "supporting_episode_ids", list):
-        story_id, _, idx = str(ref).rpartition("#")
+    for ref in raw.get("supporting_episode_ids") or ():
+        story_id, _, idx = ref.rpartition("#")
         try:
             parsed = (story_id, int(idx))
         except ValueError:

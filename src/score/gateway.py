@@ -15,14 +15,16 @@ one command is a cache hit for every later one. A remote tone request is a
 chat request like any other; only the mock backend's tones are entries of
 op `sentiment`. In `record` mode every response is written through, one
 autocommit transaction per entry in the file's write-ahead log, so a run
-cut short leaves each entry whole or absent. In `replay` mode the file is
-opened read-only, never created or written; requests are served from it
-only and a miss is an error, which makes a replay run a pure function of
-(inputs, config, cache). Caches of the old layout, one JSON file per
-request under `cache/<xx>/`, are not read, and neither are the embedding
-rows of one batch of several texts that recordings made before per-text
-entries hold, nor the remote tone rows of op `sentiment` that recordings
-made before tone requests were keyed by their prompt hold: record them again.
+cut short leaves each entry whole or absent; a structured reply (see
+`complete_parsed`) is written only once its parser accepts it. In `replay`
+mode the file is opened read-only, never created or written; requests are
+served from it only and a miss is an error, which makes a replay run a pure
+function of (inputs, config, cache). Caches of the old layout, one JSON
+file per request under `cache/<xx>/`, are not read, and neither are the
+embedding rows of one batch of several texts that recordings made before
+per-text entries hold, nor the remote tone rows of op `sentiment` that
+recordings made before tone requests were keyed by their prompt hold:
+record them again.
 
 On the remote backend with cache `off`, a gateway sends each distinct
 request, and each distinct text to embed, once over its lifetime: the
@@ -32,7 +34,7 @@ request is sent at temperature 0, so this gives the one reply per distinct
 request that a recorded run gets from its cache file. Record and replay
 need no such memo, since the cache file is one; the mock backend needs
 none, since its replies cost less than a digest. A failed request is not
-kept.
+kept, and neither is a structured reply its parser rejects.
 
 `embed` answers each text from the memo, the cache file or a request
 already in flight, and sends only the distinct texts left over, in one
@@ -75,7 +77,7 @@ from .errors import (
     UncachedRequestError,
     ValidationError,
 )
-from .jsonio import canonical_dumps
+from .jsonio import canonical_dumps, check
 
 logger = logging.getLogger(__name__)
 
@@ -118,7 +120,7 @@ def _mark_worker(token: object) -> None:
 
 # GatewayConfig fields that decide how requests are sent, never what is sent
 # or what comes back, so no result depends on them
-SENDING_ONLY_FIELDS = ("max_parallel", "timeout", "max_retries", "cache_mode")
+SENDING_ONLY_FIELDS = ("max_parallel", "timeout", "max_retries", "cache_mode", "embed_batch_limit")
 
 
 @dataclass(frozen=True)
@@ -248,6 +250,7 @@ class LlmGateway:
         self._pool_token = object()
         self._templates: dict[str, str] = {}
         self._db = None  # sqlite3 connection to the cache file, opened by the first cached request
+        self._local = threading.local()  # `held`: the fresh replies of this thread's `complete_parsed`
 
     def close(self) -> None:
         """Stop the worker pool, forget the remembered replies and close the
@@ -484,17 +487,33 @@ class LlmGateway:
         to the model once, inside the `repair` template. A second unusable
         reply raises `error("unusable <what> reply: ...")` carrying it. Both
         requests are sent with `max_tokens`.
+
+        Its replies are kept (in the cache file, or in the memo with cache
+        `off`) only once `parse` accepts one; the rejected reply before a
+        repair is kept then too, since a replay asks for it. Replies rejected
+        twice are kept nowhere, so the next request for them is sent again.
         """
-        reply = self.complete(prompt, max_tokens=max_tokens)
+        held = self._local.held = []  # the (op, model, todo, fresh) of each `_cached` call that sent requests
         try:
-            return parse(reply)
-        except (ValueError, ValidationError):
-            repair = prompts.render(self.template("repair"), raw_reply=reply, original_prompt=prompt)
-            reply = self.complete(repair, max_tokens=max_tokens)
+            reply = self.complete(prompt, max_tokens=max_tokens)
             try:
-                return parse(reply)
-            except (ValueError, ValidationError) as e:
-                raise error(f"unusable {what} reply: {e}", raw_reply=reply) from e
+                result = parse(reply)
+            except (ValueError, ValidationError):
+                repair = prompts.render(self.template("repair"), raw_reply=reply, original_prompt=prompt)
+                reply = self.complete(repair, max_tokens=max_tokens)
+                try:
+                    result = parse(reply)
+                except (ValueError, ValidationError) as e:
+                    raise error(f"unusable {what} reply: {e}", raw_reply=reply) from e
+            for sent in held:
+                self._keep(*sent)
+            return result
+        finally:
+            self._local.held = None
+            with self._lock:
+                for *_, fresh in held:
+                    for key in fresh:
+                        del self._pending[key]
 
     # -- cache -----------------------------------------------------------------
 
@@ -534,8 +553,16 @@ class LlmGateway:
         # the owned keys are answered before any joined one is waited on, so
         # two calls that each join a key the other owns cannot deadlock
         if owned:
+            # inside `complete_parsed` a fresh reply is kept only once its
+            # parser accepts it; until then it waits in `_pending`, resolved,
+            # where identical requests join it as they would find it kept
+            held = getattr(self._local, "held", None)
             try:
-                answered = self._read_or_compute(op, model, todo, compute)
+                hits, fresh = self._read_or_compute(op, todo, compute)
+                if held is None:
+                    self._keep(op, model, todo, fresh)
+                else:
+                    held.append((op, model, todo, fresh))
             except BaseException as e:
                 # joined callers get the error, and a later identical request is sent again
                 with self._lock:
@@ -544,11 +571,11 @@ class LlmGateway:
                 for future in owned.values():
                     future.set_exception(e)
                 raise
+            answered = {**hits, **fresh}
             with self._lock:
-                for key, response in answered.items():
-                    if mode == "off":
-                        self._memo[key] = response
-                    del self._pending[key]
+                for key in answered:
+                    if held is None or key not in fresh:
+                        del self._pending[key]
             for key, response in answered.items():
                 owned[key].set_result(response)
             replies.update(answered)
@@ -563,41 +590,49 @@ class LlmGateway:
         return [replies[key] for key in keys]
 
     def _read_or_compute(
-        self, op: str, model: str, todo: dict[str, dict], compute: Callable[[list[dict]], list]
-    ) -> dict[str, Any]:
-        """The reply to each request of `todo` (key -> body): from the cache
-        file where it holds one, and from one `compute` of the others."""
+        self, op: str, todo: dict[str, dict], compute: Callable[[list[dict]], list]
+    ) -> tuple[dict[str, Any], dict[str, Any]]:
+        """The reply to each request of `todo` (key -> body), as two dicts
+        by key: those the cache file holds, and those of one `compute` of
+        the others."""
         mode = self.config.cache_mode
-        answered: dict[str, Any] = {}
+        hits: dict[str, Any] = {}
         if mode != "off":
             for key in todo:
                 row = self._cache_execute("SELECT record FROM entries WHERE key = ?", (key,))
                 if row is None:
                     continue
                 try:
-                    answered[key] = json.loads(row[0])["response"]
+                    hits[key] = json.loads(row[0])["response"]
                 except (ValueError, KeyError, TypeError) as e:
                     if mode != "record":
                         raise PersistenceError(f"unreadable cache entry {key} in {self.cache_path}: {e}") from e
                     logger.warning("unreadable cache entry %s in %s (%s); requesting again", key, self.cache_path, e)
             with self._lock:
-                self.stats.cache_hits += len(answered)
-        missing = [key for key in todo if key not in answered]
+                self.stats.cache_hits += len(hits)
+        missing = [key for key in todo if key not in hits]
         if not missing:
-            return answered
+            return hits, {}
         if mode == "replay":
             raise UncachedRequestError(f"uncached request: op={op} key={missing[0]}{self._replay_miss_hint(op)}")
         if mode == "record":
             with self._lock:
                 self.stats.cache_misses += len(missing)
-        for key, response in zip(missing, compute([todo[key] for key in missing])):
-            answered[key] = response
-            if mode == "record":
-                record = {"op": op, "model": model, "request": todo[key], "response": _json_ready(response)}
-                self._cache_execute(
-                    "INSERT OR REPLACE INTO entries (key, record) VALUES (?, ?)", (key, canonical_dumps(record))
-                )
-        return answered
+        return hits, dict(zip(missing, compute([todo[key] for key in missing])))
+
+    def _keep(self, op: str, model: str, todo: dict[str, dict], fresh: dict[str, Any]) -> None:
+        """Keep the `fresh` replies (key -> reply) to requests of `todo`
+        where a later identical request finds them: in the cache file in
+        record mode, in the memo with cache `off`."""
+        if self.config.cache_mode == "off":
+            with self._lock:
+                self._memo.update(fresh)
+            return
+        for key, response in fresh.items():
+            record = {"op": op, "model": model, "request": todo[key], "response": _json_ready(response)}
+            self._cache_execute(
+                "INSERT OR REPLACE INTO entries (key, record) VALUES (?, ?)", (key, canonical_dumps(record))
+            )
 
     def _replay_miss_hint(self, op: str) -> str:
         """Why a replay cache may lack a request that a current recording holds."""
@@ -716,7 +751,7 @@ def hashed_embedding(text: str, dim: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Reply parsing helpers shared by the structured-output callers
+# Model replies: a tone's decimal, and a structured reply's checked JSON
 # ---------------------------------------------------------------------------
 
 _DECIMAL_RE = re.compile(r"-?\d+(?:\.\d+)?")
@@ -735,11 +770,13 @@ def parse_tone(reply: str) -> float:
     return value
 
 
-def extract_json_value(reply: str):
-    """Pull the first JSON object or array out of a model reply.
+def extract_json_value(reply: str, shape: Any):
+    """The first JSON object or array in a model reply, checked against
+    `shape` (in `jsonio`'s grammar).
 
-    Tolerates surrounding prose and ``` fences; raises ValueError when no
-    parseable JSON value is present.
+    Tolerates surrounding prose and ``` fences. A reply without a parseable
+    JSON value raises ValueError, and one whose value does not have `shape`
+    raises ValidationError naming the JSON path of its first wrong value.
     """
     text = reply.strip()
     if text.startswith("```"):
@@ -757,34 +794,5 @@ def extract_json_value(reply: str):
         raise ValueError(f"invalid JSON in reply: {e}") from e
     except RecursionError:  # nested deeper than the decoder recurses
         raise ValueError("JSON in reply nested too deeply") from None
+    check(value, shape)
     return value
-
-
-_JSON_NAMES = {list: "array", dict: "object"}
-
-
-def reply_field(raw: dict, key: str, kind: type, *, entries: type | None = None):
-    """`raw[key]` of a parsed reply, checked to be a `kind` (list or dict).
-
-    Absent or null gives an empty `kind`. Any other shape, or a list entry
-    that is not an `entries`, is a ValueError, so a wrong-shaped reply takes
-    the same repair path as unparseable text instead of escaping as a
-    TypeError or AttributeError.
-    """
-    value = raw.get(key)
-    if value is None:
-        return kind()
-    if not isinstance(value, kind):
-        raise ValueError(f"{key!r} must be a JSON {_JSON_NAMES[kind]}, got {value!r:.80}")
-    if entries is not None and not all(isinstance(entry, entries) for entry in value):
-        raise ValueError(f"every {key!r} entry must be a JSON {_JSON_NAMES[entries]}")
-    return value
-
-
-def reply_number(value, what: str, kind: type = float):
-    """A reply value as a `kind` (float or int); null, arrays, objects,
-    non-numeric text and out-of-range numbers are a ValueError."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what} must be a number, got {value!r:.80}") from None

@@ -135,6 +135,24 @@ def _as_vector(values, dim: int | None = None) -> np.ndarray:
     return vec
 
 
+def _unit(vec: np.ndarray, error: str) -> np.ndarray:
+    """`vec` divided by its norm; a zero vector raises ContractError(`error`).
+
+    `np.linalg.norm` sums the squared components, whose sum falls below the
+    smallest normal float64 (2**-1022), losing bits or all of them, when the
+    norm is below 2**-511. Only then is `vec` first divided by its largest
+    |component|; every other vector takes `vec / norm` as is.
+    """
+    norm = float(np.linalg.norm(vec))
+    if norm < 2.0**-511:
+        scale = float(np.max(np.abs(vec), initial=0.0))
+        if scale == 0.0:
+            raise ContractError(error)
+        vec = vec / scale
+        norm = float(np.linalg.norm(vec))
+    return vec / norm
+
+
 class FlatIndex:
     """An immutable store of unit vectors; search is safe from any number of threads.
 
@@ -209,11 +227,7 @@ class FlatIndex:
             raise ContractError("index empty")
         if n <= 0:
             raise ContractError(f"n must be positive, got {n}")
-        vec = _as_vector(query, dim=self._dim)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            raise ContractError("zero query vector")
-        unit = vec / norm
+        unit = _unit(_as_vector(query, dim=self._dim), "zero query vector")
         entries = self._entries
 
         dropped = []  # a list even when empty: numpy reads `a[()]` as the whole array
@@ -337,11 +351,7 @@ def build_index(dim: int, rows: Iterable[tuple[str, str, str, int, np.ndarray]])
     rows = list(rows)
     matrix = np.empty((len(rows), dim))
     for i, (*_, vec) in enumerate(rows):
-        vec = _as_vector(vec, dim=dim)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            raise ContractError("zero vector rejected")
-        matrix[i] = vec / norm
+        matrix[i] = _unit(_as_vector(vec, dim=dim), "zero vector rejected")
     matrix.flags.writeable = False
     entries = [IndexEntry(*row[:4], embedding) for row, embedding in zip(rows, matrix)]
     return FlatIndex(dim, entries, matrix)

@@ -8,10 +8,12 @@ a plain byte diff.
 Every JSON file it reads is checked against a declared shape (`check`)
 before any field is used, so a damaged file ends in an error that names
 the file and the JSON path of the first wrong value, such as
-`$.qa[0].answer` (RFC 9535 notation). A shape is one of:
+`$.qa[0].answer` (RFC 9535 notation). Each structured model reply is
+checked the same way, against a shape declared beside its parser
+(`gateway.extract_json_value`). A shape is one of:
 
-- a JSON type: `str`, `int`, `float` (an integer also serves), `bool`,
-  `dict` or `list`;
+- a JSON type: `str`, `int`, `float` (an integer that a float can hold
+  also serves), `bool`, `dict` or `list`;
 - an `Enum` subclass, for one of its values;
 - `None`, for null;
 - a tuple of alternative shapes;
@@ -26,6 +28,7 @@ import contextlib
 import enum
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 from typing import Any
@@ -79,10 +82,12 @@ def atomic_write(path: Path | str, *parts) -> None:
 
 
 def has_json_type(value: Any, expected: type) -> bool:
-    """Whether JSON gave `value` the `expected` type; an integer also serves
-    as a number, but true and false serve as nothing but themselves."""
-    ok = isinstance(value, expected) or (expected is float and isinstance(value, int))
-    return ok and (expected is bool or not isinstance(value, bool))
+    """Whether JSON gave `value` the `expected` type; an integer a float can
+    hold also serves as a number, but true and false serve as nothing but
+    themselves."""
+    if expected is float and type(value) is int:
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, expected) and (expected is bool or not isinstance(value, bool))
 
 
 def load_json_object(path: Path | str) -> dict:
@@ -147,6 +152,9 @@ def _check(value: Any, shape: Any) -> None:
             if type(item) is not sub:
                 check(item, sub, f"[{i}]")
     elif type(shape) is tuple:
+        # null or a plain JSON type matches without the message of a failed alternative
+        if value is None and None in shape or type(value) in shape:
+            return
         for alternative in shape:
             with contextlib.suppress(ValidationError):
                 return _check(value, alternative)
@@ -164,7 +172,11 @@ def _check(value: Any, shape: Any) -> None:
 
 
 def _wrong(value: Any, shape: Any) -> ValidationError:
-    return ValidationError("", f"must be {_describe(shape)}, got {canonical_dumps(value):.40}")
+    try:
+        got = canonical_dumps(value)
+    except RecursionError:  # nested deeper than the encoder recurses
+        got = "a value nested too deeply to show"
+    return ValidationError("", f"must be {_describe(shape)}, got {got:.40}")
 
 
 def _describe(shape: Any) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import lexicon, prompts
 from .errors import SummaryError, ValidationError
-from .gateway import SentimentScore, extract_json_value, reply_field
+from .gateway import SentimentScore, extract_json_value
 from .story import CharacterAction, Episode, ItemInteraction, ItemState, KeyItem
 
 logger = logging.getLogger(__name__)
@@ -161,55 +161,64 @@ def _llm_summarize(episode, items, gateway, *, story_id) -> EpisodeSummary:
             [{"item_id": k.item_id, "names": list(k.names)} for k in items], ensure_ascii=False
         ),
     )
-    return gateway.complete_parsed(
-        prompt, lambda reply: _parse_summary_reply(reply, episode, items, gateway, story_id), SummaryError, "summary"
+    fields = gateway.complete_parsed(
+        prompt, lambda reply: _parse_summary_reply(reply, episode, items), SummaryError, "summary"
     )
+    return EpisodeSummary(story_id=story_id, **fields, sentiment=gateway.score_sentiment(episode.text))
 
 
-def _parse_summary_reply(reply, episode, items, gateway, story_id) -> EpisodeSummary:
-    raw = extract_json_value(reply)
-    if not isinstance(raw, dict):
-        raise ValueError("expected a JSON object")
-    synopsis = raw.get("synopsis")
-    if not isinstance(synopsis, str) or not synopsis.strip():
-        raise ValueError("missing or empty synopsis")
+# the reply to `summarize`, whose lists may be null for none; an interaction's
+# `item_id` is left out of it, as in `tracker`'s extraction reply
+_NOTES = ([str], None)
+_SUMMARY_REPLY_SHAPE = {
+    "synopsis": str,
+    "plot_points?": _NOTES,
+    "actions?": ([{"character?": str, "description?": str}], None),
+    "interactions?": ([{"actor?": (str, None), "description?": str, "implied_state?": (ItemState, None)}], None),
+    "relationships?": _NOTES,
+    "emotional_changes?": _NOTES,
+}
 
-    known = {k.item_id for k in items}
+
+def _parse_summary_reply(reply, episode, items) -> dict:
+    """The `EpisodeSummary` fields of a reply but `story_id` and `sentiment`."""
+    raw = extract_json_value(reply, _SUMMARY_REPLY_SHAPE)
+    if not raw["synopsis"].strip():
+        raise ValueError("empty synopsis")
+
+    known = tuple(k.item_id for k in items)  # found by equality, so an unhashable id is no error
     interactions = []
-    for entry in reply_field(raw, "interactions", list, entries=dict):
+    for entry in raw.get("interactions") or ():
         item_id = entry.get("item_id")
-        if not isinstance(item_id, str) or item_id not in known:
+        if item_id not in known:
             logger.warning("summary names undeclared item %r; dropped", item_id)
             continue
         implied = entry.get("implied_state")
-        actor = entry.get("actor")
         interactions.append(
             ItemInteraction(
                 item_id=item_id,
                 episode_index=episode.index,
-                description=_one_line(str(entry.get("description", ""))) or "(unspecified)",
-                actor=str(actor) if actor else None,
+                description=_one_line(entry.get("description", "")) or "(unspecified)",
+                actor=entry.get("actor") or None,
                 implied_state=ItemState(implied) if implied else None,
             )
         )
     actions = [
         CharacterAction(
-            character=str(entry.get("character", "")) or "(unknown)",
+            character=entry.get("character") or "(unknown)",
             episode_index=episode.index,
-            description=_one_line(str(entry.get("description", ""))) or "(unspecified)",
+            description=_one_line(entry.get("description", "")) or "(unspecified)",
         )
-        for entry in reply_field(raw, "actions", list, entries=dict)
+        for entry in raw.get("actions") or ()
     ]
-    return EpisodeSummary(
-        story_id=story_id,
+    return dict(
         episode_index=episode.index,
-        synopsis=_one_line(synopsis),
-        plot_points=tuple(str(p) for p in reply_field(raw, "plot_points", list)),
+        synopsis=_one_line(raw["synopsis"]),
+        plot_points=tuple(raw.get("plot_points") or ()),
         actions=tuple(actions),
         interactions=tuple(interactions),
-        relationships=tuple(str(r) for r in reply_field(raw, "relationships", list)),
-        emotional_changes=tuple(str(c) for c in reply_field(raw, "emotional_changes", list)),
-        sentiment=gateway.score_sentiment(episode.text),
+        relationships=tuple(raw.get("relationships") or ()),
+        emotional_changes=tuple(raw.get("emotional_changes") or ()),
     )
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from . import lexicon, prompts
 from .errors import ContractError, ExtractionError, ValidationError
-from .gateway import extract_json_value, reply_number
+from .gateway import extract_json_value
 from .story import Episode, ItemState, KeyItem, TERMINAL_STATES
 
 logger = logging.getLogger(__name__)
@@ -243,36 +243,30 @@ def _llm_extract(episode: Episode, items: list[KeyItem], gateway) -> list[ItemOb
     )
 
 
+# the reply to `extract_states`: one object per item the episode mentions. Its
+# `item_id` is left out, as an id of any other kind names no declared item
+# either, and is dropped as an unknown one is.
+_EXTRACTION_REPLY_SHAPE = [{"state": ItemState, "explained?": bool, "evidence?": ([int], None)}]
+
+
 def _parse_extraction_reply(reply: str, episode: Episode, items: list[KeyItem]) -> list[ItemObservation]:
-    raw = extract_json_value(reply)
-    if not isinstance(raw, list):
-        raise ValueError("expected a JSON array")
-    known = {k.item_id for k in items}
+    known = tuple(k.item_id for k in items)  # found by equality, so an unhashable id is no error
     observations = []
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise ValueError("array entries must be objects")
+    for entry in extract_json_value(reply, _EXTRACTION_REPLY_SHAPE):
         item_id = entry.get("item_id")
-        if not isinstance(item_id, str) or item_id not in known:
+        if item_id not in known:
             logger.warning("extractor reply names undeclared item %r; dropped", item_id)
             continue
-        state = ItemState(entry.get("state"))
         evidence = entry.get("evidence")
-        span = None
-        if evidence is not None:
-            if not isinstance(evidence, list) or len(evidence) < 2:
-                raise ValueError(f"evidence must be a [start, end) array, got {evidence!r}")
-            start, end = (reply_number(bound, "evidence bound", int) for bound in evidence[:2])
-            if not (0 <= start < end <= len(episode.text)):
-                raise ValueError(f"evidence span [{start}, {end}) outside episode text")
-            span = (start, end)
+        if evidence is not None and (len(evidence) != 2 or not 0 <= evidence[0] < evidence[1] <= len(episode.text)):
+            raise ValueError(f"evidence {evidence} is not a [start, end) span inside the episode text")
         observations.append(
             ItemObservation(
                 item_id=item_id,
                 episode_index=episode.index,
-                state=state,
-                evidence=span,
-                explained=bool(entry.get("explained", False)),
+                state=ItemState(entry["state"]),
+                evidence=None if evidence is None else tuple(evidence),
+                explained=entry.get("explained", False),
             )
         )
     return observations

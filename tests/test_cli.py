@@ -735,6 +735,45 @@ def test_ctrl_c_during_a_remote_evaluate_exits_130_without_a_traceback(project, 
     assert not list((project / "reports").glob("*.json"))
 
 
+def _recorded_evaluate(root, monkeypatch, transport):
+    """`evaluate` of a fresh or existing 2-story project in record mode over `transport`."""
+    from score import gateway as gateway_module
+
+    monkeypatch.setattr(gateway_module, "default_transport", transport)
+    if not root.exists():
+        assert run(root, "fuzz", "--seed", "5", "--stories", "2") == 0
+        config = json.loads((root / "config.json").read_text("utf-8"))
+        config["gateway"].update(
+            backend="remote", base_url="http://fake.local/v1", model_name="m", cache_mode="record", max_parallel=1
+        )
+        (root / "config.json").write_text(json.dumps(config), "utf-8")
+    return run(root, "evaluate")
+
+
+def test_a_summary_rejected_twice_is_not_recorded_so_the_next_record_run_recovers(tmp_path, monkeypatch, capsys):
+    from test_concurrency import StoryModel
+
+    model = StoryModel(latency_s=0)
+    page = []  # the prompts answered with an error page: the first summary, then its repair
+
+    def gateway_error_page(url, body, timeout, headers):
+        prompt = body.get("messages", [{}])[0].get("content", "")
+        if len(page) < 2 and prompt.startswith(("Summarize", "Your previous reply")[len(page)]):
+            page.append(prompt)
+            return {"choices": [{"message": {"content": "<html>502 Bad Gateway</html>"}}]}
+        return model(url, body, timeout, headers)
+
+    root = tmp_path / "proj"
+    assert _recorded_evaluate(root, monkeypatch, gateway_error_page) == 3
+    assert "unusable summary reply" in capsys.readouterr().err
+    assert len(page) == 2
+    assert _recorded_evaluate(root, monkeypatch, model) == 0
+    assert _recorded_evaluate(tmp_path / "clean", monkeypatch, StoryModel(latency_s=0)) == 0
+    (report,) = (root / "reports").glob("*.json")
+    (clean,) = (tmp_path / "clean" / "reports").glob("*.json")
+    assert report.name == clean.name and report.read_bytes() == clean.read_bytes()
+
+
 @pytest.mark.parametrize("manifest", [None, ["fuzz-3-0000.json"]], ids=["one-episode", "manifest-subset"])
 def test_item_status_counts_only_the_gold_items_of_the_stories_the_run_tracked(project, capsys, manifest):
     run(project, "fuzz", "--seed", "3", "--stories", "2")

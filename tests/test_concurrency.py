@@ -20,7 +20,7 @@ from collections import Counter
 import pytest
 
 from score import gateway as gateway_module
-from score.errors import TransportError
+from score.errors import SentimentError, TransportError
 from score.evaluator import Ablations, PipelineConfig, run_comparison, run_pipeline
 from score.fuzz import FuzzSpec, generate_corpus
 from score.gateway import CACHE_FILE, GatewayConfig, LlmGateway, hashed_embedding
@@ -515,6 +515,58 @@ def test_stats_survive_heavy_thread_switching(tmp_path):
         f"p{i}": f"re:p{i}" for i in range(distinct)
     }
     assert len(records) == distinct
+
+
+def test_held_structured_replies_survive_heavy_thread_switching(tmp_path):
+    """Record mode, more workers than cores, a switch every microsecond: a
+    reply its parser accepts is sent and recorded once, also while identical
+    requests arrive during the parse, and one it rejects twice is never
+    recorded."""
+    distinct, repeats, workers = 60, 4, 16
+    sent = []
+    lock = threading.Lock()
+
+    def transport(url, body, timeout, headers):
+        prompt = body["messages"][0]["content"]
+        with lock:
+            sent.append(prompt)
+        return {"choices": [{"message": {"content": "0.5" if "GOOD" in prompt else "no idea"}}]}
+
+    config = GatewayConfig(
+        backend="remote", base_url="http://fake.local/v1", model_name="m", max_parallel=workers, cache_mode="record"
+    )
+    gw = LlmGateway(config, cache_dir=tmp_path, transport=transport)
+
+    def slow_parse(reply):
+        time.sleep(0.001)  # identical requests arrive while the reply waits for its verdict
+        return float(reply)
+
+    def tone(text):
+        try:
+            return gw.complete_parsed(text, slow_parse, SentimentError, "tone")
+        except SentimentError:
+            return None
+
+    texts = [f"{'GOOD' if i % 2 else 'BAD'} text {i}" for i in range(distinct) for _ in range(repeats)]
+    out = {}
+    runner = threading.Thread(target=lambda: out.update(tones=gw.map(tone, texts)))
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not runner.is_alive()
+    assert out["tones"] == [0.5 if text.startswith("GOOD") else None for text in texts]
+    accepted = [prompt for prompt in sent if "GOOD" in prompt]
+    assert len(accepted) == len(set(accepted)) == distinct // 2  # each sent once
+    assert gw._pending == {}
+    gw.close()
+    with contextlib.closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
+        records = [json.loads(record) for (record,) in db.execute("SELECT record FROM entries")]
+    assert sorted(r["request"]["messages"][0]["content"] for r in records) == sorted(accepted)
+    assert {r["response"] for r in records} == {"0.5"}
 
 
 # ---------------------------------------------------------------------------

@@ -398,6 +398,13 @@ def test_config_digest_distinguishes_ablations():
     assert a.digest() != b.digest()
 
 
+def test_config_digest_leaves_out_the_embedding_batch_limit():
+    # the limit only decides how texts are grouped on the wire: no key, no result
+    small = PipelineConfig(gateway=GatewayConfig(backend="mock", embed_batch_limit=16), retrieval=RetrievalConfig())
+    assert small.digest() == pipeline_config().digest()
+    assert "embed_batch_limit" not in small.to_dict()["gateway"]
+
+
 def test_disabling_tracking_never_increases_item_status_across_seeds(mock_gateway):
     for seed in range(1, 5):
         stories, truth = generate_corpus(
@@ -487,6 +494,14 @@ def test_remote_answer_drops_hallucinated_refs(mock_gateway):
         pytest.param("1" + "0" * 400, "", id="int-too-large-for-float"),
         ("4", ', "cited_error_indexes": 0'),
         ("4", ', "item_states": ["sword"]'),
+        # each of these used to be read: "3" as 3.0, true as 1.0, [true] as a citation of
+        # error 1, and a rationale of another type as its Python repr
+        ('"3"', ""),
+        ("true", ""),
+        ("4", ', "cited_error_indexes": [true]'),
+        ("4", ', "cited_error_indexes": ["0"]'),
+        ("4", ', "rationale": {"a": 1}'),
+        ("4", ', "rationale": null'),
     ],
 )
 def test_remote_evaluation_wrong_shape_ends_in_evaluation_error(mock_gateway, facet, extra):
@@ -503,6 +518,16 @@ def test_remote_evaluation_wrong_shape_ends_in_evaluation_error(mock_gateway, fa
     with pytest.raises(EvaluationError):
         evaluate_episode(episode, summary, {}, [], ContextBundle(focus="f", selected=()), gw, story_id="s")
     assert gw._transport.replies == []  # the repair prompt was sent
+
+
+def test_remote_answer_supporting_ids_must_be_strings():
+    # 5 used to be read as the id "5", and dropped as naming no episode
+    from score.errors import EvaluationError
+
+    bad = '{"answer": "Episode 1: it broke.", "supporting_episode_ids": ["s#1", 5]}'
+    gw = _remote([bad, bad])
+    with pytest.raises(EvaluationError, match=r'\$\.supporting_episode_ids: must be a list or null, got \["s#1",5\]'):
+        answer_query("what broke?", bundle_with(["a.", "b."]), gw)
 
 
 def test_remote_answer_wrong_shape_refs_end_in_evaluation_error():

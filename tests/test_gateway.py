@@ -21,6 +21,7 @@ from score.errors import (
     SentimentError,
     TransportError,
     UncachedRequestError,
+    ValidationError,
 )
 from score.gateway import (
     CACHE_FILE,
@@ -74,8 +75,6 @@ def stored_entries(cache_dir) -> dict[str, str]:
 
 
 def test_remote_backend_requires_base_url():
-    from score.errors import ValidationError
-
     with pytest.raises(ValidationError, match="base_url"):
         GatewayConfig(backend="remote")
 
@@ -630,16 +629,21 @@ def test_request_digest_is_stable_and_distinct():
 
 
 def test_extract_json_value_handles_fences_and_prose():
-    assert extract_json_value('```json\n{"a": 1}\n```') == {"a": 1}
-    assert extract_json_value('Sure! Here it is: {"a": [1, 2]} hope that helps') == {"a": [1, 2]}
-    assert extract_json_value("[1, 2, 3] trailing") == [1, 2, 3]
+    assert extract_json_value('```json\n{"a": 1}\n```', {"a": int}) == {"a": 1}
+    assert extract_json_value('Sure! Here it is: {"a": [1, 2]} hope that helps', {"a": [int]}) == {"a": [1, 2]}
+    assert extract_json_value("[1, 2, 3] trailing", [int]) == [1, 2, 3]
 
 
 def test_extract_json_value_rejects_proseless_garbage():
     with pytest.raises(ValueError):
-        extract_json_value("no json here at all")
+        extract_json_value("no json here at all", dict)
     with pytest.raises(ValueError):
-        extract_json_value("{broken: json")
+        extract_json_value("{broken: json", dict)
+
+
+def test_extract_json_value_names_the_first_value_of_another_shape():
+    with pytest.raises(ValidationError, match=r"^\$\.a\[1\]: must be an integer, got \"2\"$"):
+        extract_json_value('{"a": [1, "2"]}', {"a": [int]})
 
 
 def test_record_mode_sends_a_request_in_flight_once(tmp_path):
@@ -672,6 +676,43 @@ def test_record_mode_sends_a_request_in_flight_once(tmp_path):
     (stored,) = stored_entries(tmp_path).values()
     assert replies == ["reply 1", "reply 1"] == [json.loads(stored)["response"]] * 2
     assert gw.stats.cache_misses == 1 and gw.stats.cache_hits == 1
+
+
+# ---------------------------------------------------------------------------
+# a structured reply is kept only once its parser accepts it
+# ---------------------------------------------------------------------------
+
+
+def test_a_tone_rejected_twice_is_not_recorded_and_the_next_run_asks_again(tmp_path):
+    transport = FakeTransport([chat_reply("<html>Bad Gateway</html>")] * 2 + [chat_reply("0.4")])
+    config = remote_config(cache_mode="record")
+    with LlmGateway(config, cache_dir=tmp_path, transport=transport) as gw, pytest.raises(SentimentError):
+        gw.score_sentiment("a calm sea")
+    assert stored_entries(tmp_path) == {}
+    with LlmGateway(config, cache_dir=tmp_path, transport=transport) as gw:
+        assert gw.score_sentiment("a calm sea").value == 0.4
+    assert transport.calls == 3 and len(stored_entries(tmp_path)) == 1
+
+
+def test_a_repaired_tone_is_recorded_with_the_reply_before_it_and_replays(tmp_path):
+    transport = FakeTransport([chat_reply("no idea"), chat_reply("0.25")])
+    with LlmGateway(remote_config(cache_mode="record"), cache_dir=tmp_path, transport=transport) as gw:
+        assert gw.score_sentiment("a calm sea").value == 0.25
+    assert len(stored_entries(tmp_path)) == 2
+    replay = LlmGateway(remote_config(cache_mode="replay"), cache_dir=tmp_path, transport=FakeTransport([]))
+    with replay:
+        assert replay.score_sentiment("a calm sea").value == 0.25
+    assert replay.stats.transport_calls == 0 and replay.stats.cache_hits == 2
+
+
+def test_the_cache_off_memo_keeps_no_reply_rejected_twice():
+    transport = FakeTransport([chat_reply("junk")] * 2 + [chat_reply("0.4")])
+    gw = LlmGateway(remote_config(), transport=transport)
+    with pytest.raises(SentimentError):
+        gw.score_sentiment("a calm sea")
+    assert gw.score_sentiment("a calm sea").value == 0.4
+    assert gw.score_sentiment("a calm sea").value == 0.4
+    assert transport.calls == 3 and gw.stats.memo_hits == 1
 
 
 # ---------------------------------------------------------------------------

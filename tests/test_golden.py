@@ -4,11 +4,12 @@ The hashes were taken from the code before exact search was screened with a
 matrix product, the `score index` files from the code before `index` and
 `evaluate` shared one retrieval-index stage, and the wire hash (every
 distinct request a fixed sequence of commands sends) from the code before
-the stage commands and `evaluate` shared one set of stage functions. The report hash was retaken
-twice: when the run id stopped covering the gateway's sending-only fields and
-the dead `granularity` field, and when the retrieval config lost
-`candidate_pool` and `sentiment_filter_enabled`. Each time its config block
-(and with it the config digests) changed, and nothing else did. The wire
+the stage commands and `evaluate` shared one set of stage functions. The
+report hash was retaken three times: when the run id stopped covering the
+gateway's sending-only fields and the dead `granularity` field, when the
+retrieval config lost `candidate_pool` and `sentiment_filter_enabled`, and
+when `embed_batch_limit` became a sending-only field. Each time its config
+block (and with it the config digests) changed, and nothing else did. The wire
 hash was retaken once, when remote tone requests became `complete` requests
 keyed by the chat body they send: the 48 `sentiment` keys of its 262 became
 48 `complete` keys, and the other 214 stayed. A change
@@ -30,7 +31,7 @@ from score.index import build_index
 from score.jsonio import canonical_bytes
 from score.retrieval import RetrievalConfig
 
-PIPELINE_REPORT_SHA256 = "9705da266e59b3d6239136f72169c14ed6cd4be25c07fb1014736ec6f616f4b9"
+PIPELINE_REPORT_SHA256 = "81e49dcb2691fe24848b847eefb138a5116a5ef46e7369a1c7c8dd31cb74e085"
 CORPUS_SEARCH_SHA256 = "91ad6ed0d1a1de0c2c6a2154107dea0cd2d6e76be331f3a577c9bd964c67ad4e"
 WIRE_REQUESTS_SHA256 = "3b5486ea152be937a8b573d4f3ee1f0e9a8088d22ad9c0c7a47c76e8b2685261"
 INDEX_FILES_SHA256 = {

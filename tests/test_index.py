@@ -55,6 +55,15 @@ def test_zero_vector_rejected():
         build_index(2, [row("z", [0.0, 0.0])])
 
 
+def test_a_vector_whose_norm_underflows_is_no_zero_vector():
+    # each squared component is below the smallest float64, so an unscaled norm reads 0.0
+    tiny = np.array([1e-170, 2e-170])
+    index = build_index(2, [row("t", tiny), row("b", [-2.0, 1.0])])
+    hits = index.search_top_n(tiny * 1e-100, n=2)
+    assert [hit.entry_id for hit in hits] == ["t", "b"]
+    assert [hit.score for hit in hits] == [pytest.approx(1.0), pytest.approx(0.0, abs=1e-12)]
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ContractError, match="dimension"):
         build_index(3, [row("a", [1.0, 2.0])])

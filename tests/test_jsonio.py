@@ -23,6 +23,7 @@ GOOD = {"name": "a", "ratio": 1, "color": "red", "tags": ["x"], "inner": {"flag"
 def test_a_value_of_the_shape_passes():
     check(GOOD, SHAPE)
     check({**GOOD, "count": 3, "ratio": None}, SHAPE)
+    check({**GOOD, "ratio": 2**1023}, SHAPE)
 
 
 @pytest.mark.parametrize(
@@ -35,6 +36,8 @@ def test_a_value_of_the_shape_passes():
         ({"tags": ["x", None]}, "$.tags[1]: must be a string, got null"),
         ({"inner": {}}, "$.inner.flag: missing required field"),
         ({"inner": []}, "$.inner: must be an object, got []"),
+        # an integer serves as a number only when a float can hold it
+        ({"ratio": 10**400}, "$.ratio: must be a number or null, got 1" + "0" * 39),
     ],
 )
 def test_the_first_wrong_value_is_named_by_its_json_path(change, message):

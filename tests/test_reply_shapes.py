@@ -6,6 +6,7 @@ else would escape the repair and the CLI's exit-code mapping as a traceback.
 """
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from score.errors import ValidationError
 from score.evaluator import FACETS, _parse_answer_reply, _parse_evaluation_reply
-from score.gateway import GatewayConfig, LlmGateway, parse_tone
+from score.gateway import parse_tone
 from score.retrieval import ContextBundle, ContextEntry
 from score.story import Episode, KeyItem
 from score.summarize import _parse_summary_reply
@@ -68,8 +69,7 @@ def test_summary_reply_of_any_shape(field, value):
         reply[outer][0][inner] = value
     else:
         reply[outer] = value
-    gateway = LlmGateway(GatewayConfig(backend="mock"))
-    _parses_or_asks_for_repair(lambda r: _parse_summary_reply(r, EPISODE, ITEMS, gateway, "s"), reply)
+    _parses_or_asks_for_repair(lambda r: _parse_summary_reply(r, EPISODE, ITEMS), reply)
 
 
 @settings(max_examples=300, deadline=None)
@@ -113,10 +113,9 @@ def test_tone_reply_of_any_shape(reply):
 
 
 def _parsers():
-    gateway = LlmGateway(GatewayConfig(backend="mock"))
     return [
         lambda r: _parse_extraction_reply(r, EPISODE, ITEMS),
-        lambda r: _parse_summary_reply(r, EPISODE, ITEMS, gateway, "s"),
+        lambda r: _parse_summary_reply(r, EPISODE, ITEMS),
         lambda r: _parse_evaluation_reply(r, []),
         lambda r: _parse_answer_reply(r, BUNDLE),
         parse_tone,
@@ -135,3 +134,15 @@ def test_a_reply_nested_deeper_than_the_decoder_recurses_asks_for_repair(bracket
     for parse in _parsers():
         with pytest.raises((ValueError, ValidationError)):
             parse(reply)
+
+
+def test_a_reply_nested_about_as_deep_as_the_decoder_recurses_asks_for_repair():
+    # near the recursion limit the decoder may succeed where the encoder that
+    # shows the wrong value in the error message does not
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 150, limit + 10):
+        nested = "[" * depth + "]" * depth
+        for reply in (nested, '{"answer": "a", "supporting_episode_ids": ' + nested + "}"):
+            for parse in _parsers():
+                with pytest.raises((ValueError, ValidationError)):
+                    parse(reply)

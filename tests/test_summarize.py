@@ -1,5 +1,6 @@
 import pytest
 
+from score import prompts
 from score.errors import SummaryError
 from score.gateway import GatewayConfig, LlmGateway
 from score.story import CharacterAction, Episode, ItemInteraction, ItemState, KeyItem
@@ -217,10 +218,12 @@ class ScriptedTransport:
     def __init__(self, replies):
         self.replies = list(replies)
         self.calls = 0
+        self.prompts = []
 
     def __call__(self, url, body, timeout, headers):
         self.calls += 1
         if url.endswith("/chat/completions"):
+            self.prompts.append(body["messages"][0]["content"])
             return {"choices": [{"message": {"content": self.replies.pop(0)}}]}
         raise AssertionError(f"unexpected url {url}")
 
@@ -270,6 +273,16 @@ def test_llm_summarize_fails_after_repair_with_raw_reply():
         ("plot_points", '"The sword broke."'),
         ("relationships", '{"a": "b"}'),
         ("emotional_changes", "3"),
+        # each of these used to be stored as text: a Python repr, "None" or "5"
+        ("plot_points", '[{"a": 1}, 3]'),
+        ("relationships", "[1]"),
+        ("emotional_changes", "[null]"),
+        ("actions", '[{"character": 5, "description": "Mira fought."}]'),
+        ("actions", '[{"character": "Mira", "description": null}]'),
+        ("interactions", '[{"item_id": "sword", "actor": 5, "description": "Sword broke."}]'),
+        ("interactions", '[{"item_id": "sword", "description": ["Sword broke."]}]'),
+        # an empty implied state used to read as none
+        ("interactions", '[{"item_id": "sword", "description": "Sword broke.", "implied_state": ""}]'),
     ],
 )
 def test_llm_summarize_wrong_shape_ends_in_summary_error(field, value):
@@ -288,3 +301,23 @@ def test_llm_summarize_null_lists_read_as_empty():
     gw = _remote(ScriptedTransport([reply, "0.5"]))
     summary = summarize_episode(Episode(index=0, text="Mira fought."), [], gw, story_id="s")
     assert summary.interactions == () and summary.actions == () and summary.plot_points == ()
+
+
+@pytest.mark.parametrize(
+    "replies, sent",
+    [([VALID_REPLY, "0.5"], ["Summarize", "Rate"]), (["not json", VALID_REPLY, "0.5"], ["Summarize", "Your", "Rate"])],
+    ids=["summary-tone", "summary-repair-tone"],
+)
+def test_an_episode_asks_for_its_tone_once_its_summary_is_accepted(replies, sent):
+    transport = ScriptedTransport(replies)
+    summary = summarize_episode(Episode(index=0, text="Mira fought."), [], _remote(transport), story_id="s")
+    assert summary.sentiment.value == 0.5
+    assert [prompt.split()[0] for prompt in transport.prompts] == sent
+    assert transport.prompts[-1] == prompts.render(prompts.load("sentiment"), text="Mira fought.")
+
+
+def test_an_episode_whose_summary_is_rejected_twice_asks_for_no_tone():
+    transport = ScriptedTransport(["not json", "not json either"])
+    with pytest.raises(SummaryError):
+        summarize_episode(Episode(index=0, text="Mira fought."), [], _remote(transport), story_id="s")
+    assert [prompt.split()[0] for prompt in transport.prompts] == ["Summarize", "Your"]

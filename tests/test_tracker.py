@@ -399,7 +399,10 @@ def test_states_file_round_trip():
     assert loaded_errors == errors
 
 
-@pytest.mark.parametrize("evidence", ["5", "[3]", '"0-10"', '{"start": 0}', "[null, 4]", "[0, 1e400]"])
+@pytest.mark.parametrize(
+    "evidence",
+    ["5", "[3]", '"0-10"', '{"start": 0}', "[null, 4]", "[0, 1e400]", '["3", 9, "junk"]', "[2.7, 9.9]", "[0, 4, 9]"],
+)
 def test_llm_extraction_wrong_shape_evidence_ends_in_extraction_error(evidence):
     # "evidence": 5 used to escape the repair path as a TypeError
     from score.errors import ExtractionError
@@ -409,6 +412,18 @@ def test_llm_extraction_wrong_shape_evidence_ends_in_extraction_error(evidence):
     episode = Episode(index=0, text="The sword was lost.")
     with pytest.raises(ExtractionError, match="evidence"):
         extract_item_statuses(episode, [KeyItem("sword", ("sword",))], gw)
+    assert gw._transport.calls == 2  # the repair prompt was sent
+
+
+@pytest.mark.parametrize("explained", ['"no"', "1", "null"])
+def test_llm_extraction_explained_must_be_true_or_false(explained):
+    # "explained": "no" used to read as True
+    from score.errors import ExtractionError
+
+    bad = '[{"item_id": "sword", "state": "lost", "explained": ' + explained + ', "evidence": null}]'
+    gw = _remote([bad, bad])
+    with pytest.raises(ExtractionError, match=r"\$\[0\]\.explained: must be true or false"):
+        extract_item_statuses(Episode(index=0, text="The sword was lost."), [KeyItem("sword", ("sword",))], gw)
     assert gw._transport.calls == 2  # the repair prompt was sent
 
 
