@@ -143,15 +143,32 @@ def _matching(project: Project, stage: str, stories: list[Story], gateway, seria
     return found
 
 
+def _save_computed(project: Project, stage: str, stories: list[Story], gateway, serialized, held, outputs) -> None:
+    """Save the `stage` output in `outputs`, by story id, of each story that `held` (the outputs
+    of matching stage files) lacks, recording the `stage_inputs` digest that `_matching` checks."""
+    for story in stories:
+        if story.story_id not in held:
+            inputs = stage_inputs(stage, serialized[story.story_id], gateway)
+            project.save_stage(stage, story, inputs, outputs[story.story_id])
+
+
+def _keep_computed(project: Project, stories: list[Story], gateway, serialized, held: dict, outputs) -> None:
+    """On the remote backend, save what `_save_computed` saves for each stage in `held` (a stage's
+    `_matching` result), from `outputs`, a `PipelineResult` or `ComparisonReport`. A command that
+    makes minimal summaries reads none, so only full-module outputs are saved; a mock stage file
+    costs about what computing its output does, so the mock backend writes none."""
+    if not gateway.is_mock:
+        for stage, found in held.items():
+            _save_computed(project, stage, stories, gateway, serialized, found, getattr(outputs, stage))
+
+
 def _run_stage(project: Project, stage: str, stories: list[Story], gateway, *, force=False) -> tuple[dict, int]:
     """Every story's `stage` output by story id, computing and saving each one no matching stage
     file holds (with `force`, every one); and how many such files held one."""
     serialized = serialized_stories(stories)
     held = {} if force else _matching(project, stage, stories, gateway, serialized)
-    todo = [story for story in stories if story.story_id not in held]
-    made = stage_outputs(todo, gateway, stage)
-    for story in todo:
-        project.save_stage(stage, story, stage_inputs(stage, serialized[story.story_id], gateway), made[story.story_id])
+    made = stage_outputs([story for story in stories if story.story_id not in held], gateway, stage)
+    _save_computed(project, stage, stories, gateway, serialized, held, made)
     return {**held, **made}, len(held)
 
 
@@ -266,6 +283,7 @@ def cmd_evaluate(project: Project, args) -> int:
         used = ("states", "summaries") if ablations.summary else ("states",)
         made = {stage: _matching(project, stage, stories, gateway, serialized) for stage in used}
         result = run_pipeline(stories, gateway, config, gold, episode=episode_filter, **made)
+        _keep_computed(project, stories, gateway, serialized, made, result)
 
     run_id = hashlib.sha256(
         (config.digest() + corpus_digest(serialized) + str(episode_filter)).encode()
@@ -326,6 +344,8 @@ def cmd_compare(project: Project, args) -> int:
     with _gateway(project, gateway_cfg) as gateway:
         made = {stage: _matching(project, stage, stories, gateway, serialized) for stage in ("states", "summaries")}
         comparison = run_comparison(stories, gold, gateway, config_a, config_b, **made)
+        # the comparison holds side a's outputs, and side a runs every module
+        _keep_computed(project, stories, gateway, serialized, made, comparison)
     run_id = hashlib.sha256(
         (config_a.digest() + config_b.digest() + corpus_digest(serialized)).encode()
     ).hexdigest()[:12]

@@ -806,6 +806,9 @@ class ComparisonReport:
     report_a: MetricsReport
     report_b: MetricsReport
     digest_collision: bool
+    # side a's stage outputs, by story id as `PipelineResult` holds them
+    states: dict[str, StoryStates]
+    summaries: dict[str, list[EpisodeSummary]]
 
     def deltas(self) -> dict[str, float | None]:
         out: dict[str, float | None] = {}
@@ -828,7 +831,7 @@ def run_comparison(
 ) -> ComparisonReport:
     """Evaluate the identical corpus and question set under two
     configurations; `states` and `summaries` serve both runs as in
-    `run_pipeline`."""
+    `run_pipeline`, and the report holds side a's."""
     collision = config_a.digest() == config_b.digest()
     if collision:
         logger.warning("both comparison configs have digest %s; comparing a config to itself", config_a.digest())
@@ -840,4 +843,6 @@ def run_comparison(
         report_a=result_a.report,
         report_b=result_b.report,
         digest_collision=collision,
+        states=result_a.states,
+        summaries=result_a.summaries,
     )

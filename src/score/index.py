@@ -29,6 +29,7 @@ memory; loading reads the file once and views the matrix in place.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -140,11 +141,12 @@ def _unit(vec: np.ndarray, error: str) -> np.ndarray:
 
     `np.linalg.norm` sums the squared components, whose sum falls below the
     smallest normal float64 (2**-1022), losing bits or all of them, when the
-    norm is below 2**-511. Only then is `vec` first divided by its largest
-    |component|; every other vector takes `vec / norm` as is.
+    norm is below 2**-511, and overflows to inf when the norm is above about
+    1.3e154 (numpy warns of it). Only then is `vec` first divided by its
+    largest |component|; every other vector takes `vec / norm` as is.
     """
     norm = float(np.linalg.norm(vec))
-    if norm < 2.0**-511:
+    if norm < 2.0**-511 or norm == math.inf:
         scale = float(np.max(np.abs(vec), initial=0.0))
         if scale == 0.0:
             raise ContractError(error)

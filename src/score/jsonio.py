@@ -16,7 +16,8 @@ checked the same way, against a shape declared beside its parser
   also serves), `bool`, `dict` or `list`;
 - an `Enum` subclass, for one of its values;
 - `None`, for null;
-- a tuple of alternative shapes;
+- a tuple of alternative shapes; a list or object that fails them all is
+  named at its first wrong part under the alternative of its type;
 - `[item]`, a list whose every element has the shape `item`;
 - `{field: shape}`, an object with those fields; a field written
   `"name?"` may be absent, and fields the shape does not name are ignored.
@@ -158,6 +159,10 @@ def _check(value: Any, shape: Any) -> None:
         for alternative in shape:
             with contextlib.suppress(ValidationError):
                 return _check(value, alternative)
+        # a list or object that an alternative expects is named at its first wrong part
+        for alternative in shape:
+            if type(alternative) is type(value) and type(value) in (dict, list):
+                _check(value, alternative)
         raise _wrong(value, shape)
     elif shape is None:
         if value is not None:

@@ -675,9 +675,7 @@ def _remote_stage_run(project, monkeypatch, max_parallel, capsys):
     config["gateway"]["max_parallel"] = max_parallel
     (project / "config.json").write_text(json.dumps(config), "utf-8")
     remote = ("--backend", "remote", "--base-url", "http://fake.local/v1")
-    for name in ("summaries", "states"):
-        for path in (project / name).glob("*.json"):
-            path.unlink()
+    _remove_stage_files(project)
     # a summaries file made from what a remote `summarize` uses, which it skips
     manifest = project / "stories" / "corpus.json"
     manifest.write_text(json.dumps({"files": [sorted((project / "stories").glob("*.json"))[0].name]}), "utf-8")
@@ -832,8 +830,10 @@ def test_evaluate_of_one_episode_sends_one_evaluation_and_no_answer(project, mon
     assert report["metrics"]["per_story"]["fuzz-3-0000"]["coherence"] == report["metrics"]["coherence"]
 
     # its requests are a subset of a full run's, so the full run's recording serves it: each
-    # chat request, and each text it embeds, which has a cache entry of its own
+    # chat request, and each text it embeds, which has a cache entry of its own; the stage
+    # files each run keeps are removed, so that every request is sent or read from the cache
     report_path.unlink()
+    _remove_stage_files(project)
     model.bodies.clear()
     assert run(project, *remote, "--cache-mode", "record", "evaluate") == 0
     assert episode_chat <= _chat_requests(model.bodies)
@@ -841,11 +841,18 @@ def test_evaluate_of_one_episode_sends_one_evaluation_and_no_answer(project, mon
     (full_path,) = (project / "reports").glob("*.json")
     full = json.loads(full_path.read_text("utf-8"))
     full_path.unlink()
+    _remove_stage_files(project)
     model.bodies.clear()
     assert run(project, *remote, "--cache-mode", "replay", "evaluate", "--episode", "fuzz-3-0000#0") == 0
     assert model.bodies == []
     (replayed,) = (project / "reports").glob("*.json")
     assert json.loads(replayed.read_text("utf-8"))["evaluations"] == [full["evaluations"][0]] == [evaluation]
+
+
+def _remove_stage_files(root) -> None:
+    for stage in ("states", "summaries"):
+        for path in (root / stage).glob("*.json"):
+            path.unlink()
 
 
 def _chat_requests(bodies: list[str]) -> set[str]:
@@ -1076,17 +1083,19 @@ def test_a_states_file_made_under_another_model_is_computed_again_by_track_and_b
     run(project, "fuzz", "--seed", "3", "--stories", "2")
     assert run(project, *REMOTE, "--model", "m1", "track") == 0
     made_by_m1 = _inputs(project, "states")
-    for command in ("evaluate", "track"):
+
+    def tracking_requests(name, command):
         model.bodies.clear()
-        assert run(project, *REMOTE, "--model", "m1", command) == 0
-        assert _sent(model, "You are tracking") == 0, command
-        model.bodies.clear()
-        assert run(project, *REMOTE, "--model", "m2", command) == 0
-        assert _sent(model, "You are tracking") > 0, command
-        if command == "evaluate":  # which writes no stage file
-            assert _inputs(project, "states") == made_by_m1
-    made_by_m2 = _inputs(project, "states")
+        assert run(project, *REMOTE, "--model", name, command) == 0
+        return _sent(model, "You are tracking")
+
+    assert tracking_requests("m1", "evaluate") == 0
+    assert tracking_requests("m2", "evaluate") > 0
+    made_by_m2 = _inputs(project, "states")  # a remote evaluate keeps the states it computed
     assert set(made_by_m2) == set(made_by_m1) and all(made_by_m2[n] != made_by_m1[n] for n in made_by_m1)
+    assert tracking_requests("m2", "track") == 0
+    assert tracking_requests("m1", "track") > 0
+    assert _inputs(project, "states") == made_by_m1
 
 
 def test_evaluate_after_track_and_summarize_sends_no_stage_request_and_writes_the_same_report(
@@ -1131,3 +1140,88 @@ def test_a_command_serializes_each_story_once(project, monkeypatch, command):
     monkeypatch.setattr(project_module, "serialize_story", lambda story: serialized.append(story.story_id) or real(story))
     assert run(project, *command) == 0
     assert sorted(serialized) == ["fuzz-3-0000", "fuzz-3-0001", "fuzz-3-0002"]
+
+
+def _stage_files(root) -> dict:
+    """The bytes of every stage file under `root`, by its path below `root`."""
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for stage in ("states", "summaries")
+        for path in sorted((root / stage).glob("*.json"))
+    }
+
+
+def test_a_second_remote_evaluate_sends_no_extraction_or_summary_and_rewrites_no_stage_file(project, monkeypatch):
+    from score.project import Project
+
+    model = _body_log(monkeypatch)
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    assert run(project, *REMOTE, "evaluate") == 0
+    assert _sent(model, "You are tracking") > 0 and _sent(model, "Summarize") > 0
+    (report,) = (project / "reports").glob("*.json")
+    first = report.read_bytes()
+    saved = []
+    monkeypatch.setattr(Project, "save_stage", lambda self, stage, story, *_: saved.append((stage, story.story_id)))
+    model.bodies.clear()
+    assert run(project, *REMOTE, "evaluate") == 0
+    assert _sent(model, "You are tracking") == _sent(model, "Summarize") == 0
+    assert saved == []  # every stage file matched, so none is written again
+    assert report.read_bytes() == first
+
+
+def test_compare_after_evaluate_sends_only_what_the_stage_files_do_not_cover(project, tmp_path, monkeypatch):
+    model = _body_log(monkeypatch)
+    fresh = tmp_path / "fresh"
+    for root in (fresh, project):
+        assert run(root, "fuzz", "--seed", "5", "--stories", "3") == 0
+    assert run(fresh, *REMOTE, "compare", "--baseline") == 0
+    assert run(project, *REMOTE, "evaluate") == 0
+    written = _stage_files(project)
+    stories = [json.loads(path.read_text("utf-8")) for path in sorted((project / "stories").glob("*.json"))]
+    (project / "states" / f"{stories[0]['story_id']}.json").unlink()
+    (project / "summaries" / f"{stories[1]['story_id']}.json").unlink()
+    model.bodies.clear()
+    assert run(project, *REMOTE, "compare", "--baseline") == 0
+    # one extraction per distinct episode text of the story without states, one summary per
+    # distinct episode text of the story without summaries (the memo answers a repeated text);
+    # the baseline's tones, evaluations and answers are the rest
+    assert _sent(model, "You are tracking") == len({ep["text"] for ep in stories[0]["episodes"]})
+    assert _sent(model, "Summarize") == len({ep["text"] for ep in stories[1]["episodes"]})
+    assert _stage_files(project) == written
+    (report,) = (project / "reports").glob("*.compare.json")
+    assert report.read_bytes() == (fresh / "reports" / report.name).read_bytes()
+
+
+def test_the_stage_files_a_remote_evaluate_writes_are_those_track_and_summarize_write(
+    project, tmp_path, monkeypatch
+):
+    _body_log(monkeypatch)
+    staged = tmp_path / "staged"
+    for root in (staged, project):
+        assert run(root, "fuzz", "--seed", "5", "--stories", "3") == 0
+    assert run(staged, *REMOTE, "track") == 0
+    assert run(staged, *REMOTE, "summarize") == 0
+    assert run(project, *REMOTE, "evaluate") == 0
+    assert len(_stage_files(project)) == 6
+    assert _stage_files(project) == _stage_files(staged)
+
+
+@pytest.mark.parametrize("backend", [REMOTE, ("--backend", "mock")], ids=["remote", "mock"])
+def test_only_a_remote_evaluate_or_compare_writes_stage_files(project, monkeypatch, backend):
+    _body_log(monkeypatch)
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    for command in (("evaluate",), ("compare", "--baseline")):
+        _remove_stage_files(project)
+        assert run(project, *backend, *command) == 0
+        assert len(_stage_files(project)) == (4 if backend == REMOTE else 0), command
+
+
+def test_an_evaluate_without_summarization_writes_no_summaries_file(project, monkeypatch):
+    model = _body_log(monkeypatch)
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    assert run(project, *REMOTE, "evaluate", "--ablate", "summary") == 0
+    assert list(_stage_files(project)) == ["states/fuzz-3-0000.json", "states/fuzz-3-0001.json"]
+    model.bodies.clear()
+    assert run(project, *REMOTE, "evaluate") == 0  # summarizes, and reads the states the first run kept
+    assert _sent(model, "You are tracking") == 0 and _sent(model, "Summarize") > 0
+    assert len(_stage_files(project)) == 4

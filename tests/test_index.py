@@ -64,6 +64,17 @@ def test_a_vector_whose_norm_underflows_is_no_zero_vector():
     assert [hit.score for hit in hits] == [pytest.approx(1.0), pytest.approx(0.0, abs=1e-12)]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_vector_whose_norm_overflows_is_no_zero_vector():
+    # the sum of the squared components overflows, so an unscaled norm reads inf
+    huge = np.array([1e200, -1e200])
+    index = build_index(2, [row("h", huge), row("b", [1.0, 1.0])])
+    assert index.entries[0].embedding.tolist() == pytest.approx([2**-0.5, -(2**-0.5)])
+    hits = index.search_top_n(huge * 1e100, n=2)
+    assert [hit.entry_id for hit in hits] == ["h", "b"]
+    assert [hit.score for hit in hits] == [pytest.approx(1.0), pytest.approx(0.0, abs=1e-12)]
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ContractError, match="dimension"):
         build_index(3, [row("a", [1.0, 2.0])])

@@ -16,13 +16,22 @@ class Color(str, enum.Enum):
     RED = "red"
 
 
-SHAPE = {"name": str, "count?": int, "ratio": (float, None), "color": Color, "tags": [str], "inner": {"flag": bool}}
+SHAPE = {
+    "name": str,
+    "count?": int,
+    "ratio": (float, None),
+    "color": Color,
+    "tags": [str],
+    "inner": {"flag": bool},
+    "ids?": ([str], None),
+    "extent?": ({"lo": int}, str),
+}
 GOOD = {"name": "a", "ratio": 1, "color": "red", "tags": ["x"], "inner": {"flag": False}, "extra": [1]}
 
 
 def test_a_value_of_the_shape_passes():
     check(GOOD, SHAPE)
-    check({**GOOD, "count": 3, "ratio": None}, SHAPE)
+    check({**GOOD, "count": 3, "ratio": None, "ids": None, "extent": {"lo": 0}}, SHAPE)
     check({**GOOD, "ratio": 2**1023}, SHAPE)
 
 
@@ -38,6 +47,11 @@ def test_a_value_of_the_shape_passes():
         ({"inner": []}, "$.inner: must be an object, got []"),
         # an integer serves as a number only when a float can hold it
         ({"ratio": 10**400}, "$.ratio: must be a number or null, got 1" + "0" * 39),
+        # a list or object that fails every alternative is named under the alternative of its type
+        ({"ids": ["a", 5]}, "$.ids[1]: must be a string, got 5"),
+        ({"ids": 5}, "$.ids: must be a list or null, got 5"),
+        ({"extent": {"lo": "0"}}, '$.extent.lo: must be an integer, got "0"'),
+        ({"extent": []}, "$.extent: must be an object or a string, got []"),
     ],
 )
 def test_the_first_wrong_value_is_named_by_its_json_path(change, message):
