@@ -476,7 +476,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
 
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING, format="%(levelname)s %(message)s")
+    level = logging.INFO if args.verbose else logging.WARNING
+    logging.basicConfig(level=level, format="%(levelname)s %(message)s")
+    logging.getLogger().setLevel(level)  # basicConfig sets it only on a process's first call
     project = Project(root=Path(args.project))
     try:
         make_dir(project.root)  # the lock file lives here

@@ -831,12 +831,22 @@ def run_comparison(
 ) -> ComparisonReport:
     """Evaluate the identical corpus and question set under two
     configurations; `states` and `summaries` serve both runs as in
-    `run_pipeline`, and the report holds side a's."""
+    `run_pipeline`, and the report holds side a's.
+
+    Side b also gets the states side a made, and its summaries when side a
+    made full ones, so no story is tracked or summarized twice."""
     collision = config_a.digest() == config_b.digest()
     if collision:
         logger.warning("both comparison configs have digest %s; comparing a config to itself", config_a.digest())
     result_a = run_pipeline(stories, gateway, config_a, gold, states=states, summaries=summaries)
-    result_b = run_pipeline(stories, gateway, config_b, gold, states=states, summaries=summaries)
+    result_b = run_pipeline(
+        stories,
+        gateway,
+        config_b,
+        gold,
+        states=result_a.states,
+        summaries=result_a.summaries if config_a.ablations.summary else summaries,
+    )
     return ComparisonReport(
         config_a=config_a,
         config_b=config_b,

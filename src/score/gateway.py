@@ -59,7 +59,6 @@ import os
 import random
 import re
 import threading
-import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -238,7 +237,9 @@ class LlmGateway:
         self.prompts_root = prompts_root
         self.stats = GatewayStats()
         self._transport = transport or default_transport
-        self._sleep = time.sleep  # patched in tests to avoid real backoff waits
+        # set while `close()` runs: no transport attempt starts, and a backoff wait ends
+        self._closing = threading.Event()
+        self._sleep = self._closing.wait  # the backoff wait; patched in tests to avoid real waits
         self._random = random.random  # the jitter source, patched in tests
         self._semaphore = threading.BoundedSemaphore(config.max_parallel)
         self._lock = threading.Lock()
@@ -258,18 +259,40 @@ class LlmGateway:
 
         Map items that have not started are cancelled, and running ones are
         waited for, so no request goes out and no reply reaches the cache
-        file after this returns. A later map starts a new pool, a later
+        file after this returns. While it waits, no transport attempt
+        starts: a running item's next attempt, or a retry in its backoff
+        wait, raises TransportError instead, so only a request already on
+        the wire is waited for. A later map starts a new pool, a later
         request is sent again, and a later cached one opens the file again.
+
+        The gateway's counters, when it sent or read anything, are logged
+        at INFO level. They are totals since the gateway was made, so a
+        gateway closed twice counts its first session again in the second
+        line.
         """
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-        with self._lock:
-            self._memo.clear()
-            db, self._db = self._db, None
-        if db is None:
-            return
+        self._closing.set()
+        try:
+            with self._lock:
+                pool, self._pool = self._pool, None
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
+            with self._lock:
+                self._memo.clear()
+                db, self._db = self._db, None
+            if db is not None:
+                self._close_cache(db)
+        finally:
+            self._closing.clear()
+        stats = self.stats
+        if stats.transport_calls or stats.cache_hits or stats.cache_misses or stats.memo_hits:
+            logger.info(
+                "gateway totals: %d transport calls, %d retries, %d memo hits, %d cache hits, %d cache misses, "
+                "%d in flight at most",
+                stats.transport_calls, stats.retries, stats.memo_hits,
+                stats.cache_hits, stats.cache_misses, stats.max_in_flight,
+            )
+
+    def _close_cache(self, db) -> None:
         import sqlite3
 
         if self.config.cache_mode == "record":
@@ -436,24 +459,25 @@ class LlmGateway:
         for attempt in range(self.config.max_retries + 1):
             if last_error is not None:
                 self._sleep(self._retry_delay(attempt, last_error))
-            try:
-                with self._semaphore:
+            with self._semaphore:
+                with self._lock:
+                    if self._closing.is_set():
+                        raise TransportError(f"{endpoint} not sent: the gateway is closing") from last_error
+                    self.stats.transport_calls += 1
+                    if attempt:
+                        self.stats.retries += 1
+                    self.stats.in_flight += 1
+                    self.stats.max_in_flight = max(self.stats.max_in_flight, self.stats.in_flight)
+                try:
+                    return self._transport(url, body, self.config.timeout, headers)
+                except TransportError as e:
+                    if e.status is not None and 400 <= e.status < 500 and e.status != 429:
+                        raise  # a client error other than "too many requests": a retry is refused the same way
+                    last_error = e
+                finally:
                     with self._lock:
-                        self.stats.transport_calls += 1
-                        if attempt:
-                            self.stats.retries += 1
-                        self.stats.in_flight += 1
-                        self.stats.max_in_flight = max(self.stats.max_in_flight, self.stats.in_flight)
-                    try:
-                        return self._transport(url, body, self.config.timeout, headers)
-                    finally:
-                        with self._lock:
-                            self.stats.in_flight -= 1
-            except TransportError as e:
-                if e.status is not None and 400 <= e.status < 500 and e.status != 429:
-                    raise  # a client error other than "too many requests": a retry is refused the same way
-                last_error = e
-                logger.warning("transport attempt %d/%d failed: %s", attempt + 1, self.config.max_retries + 1, e)
+                        self.stats.in_flight -= 1
+            logger.warning("transport attempt %d/%d failed: %s", attempt + 1, self.config.max_retries + 1, last_error)
         raise TransportError(
             f"{endpoint} failed after {self.config.max_retries + 1} attempts: {last_error}"
         ) from last_error

@@ -91,15 +91,20 @@ def sentences(text: str) -> list[str]:
     return [text[s:e] for s, e in sentence_spans(text)]
 
 
-def alias_pattern(names: tuple[str, ...] | list[str]) -> re.Pattern:
-    """Whole-word, case-insensitive matcher for any of an item's aliases."""
-    return _alias_pattern(tuple(names))
+def alias_pattern(names: tuple[str, ...] | list[str], *, whole_words: bool = True) -> re.Pattern:
+    """Case-insensitive matcher for any of an item's aliases.
+
+    With `whole_words` false it also matches an alias inside a longer word
+    ("swords") or one that begins or ends in punctuation ("C++", "St."), so
+    it finds every occurrence the whole-word matcher finds, and more.
+    """
+    return _alias_pattern(tuple(names), whole_words)
 
 
 @functools.lru_cache(maxsize=_ALIAS_MEMO_SIZE)
-def _alias_pattern(names: tuple[str, ...]) -> re.Pattern:
+def _alias_pattern(names: tuple[str, ...], whole_words: bool) -> re.Pattern:
     alts = "|".join(re.escape(n) for n in sorted(names, key=len, reverse=True))
-    return re.compile(rf"\b(?:{alts})\b", re.IGNORECASE)
+    return re.compile(rf"\b(?:{alts})\b" if whole_words else alts, re.IGNORECASE)
 
 
 # ---------------------------------------------------------------------------

@@ -188,9 +188,18 @@ def correct_timeline(timeline: ItemTimeline, errors: list[ContinuityError]) -> I
 def extract_item_statuses(episode: Episode, items: list[KeyItem], gateway) -> list[ItemObservation]:
     """One observation per key item mentioned in the episode.
 
-    The mock backend runs the deterministic rule extractor; the remote
-    backend asks the model for structured JSON (one repair reprompt).
+    An episode in whose text no alias of any item occurs, in any case and
+    even inside a longer word, mentions none, so it has none, on either
+    backend and without a request: the `extract_states` template fixes that
+    reply as `[]`. The test is a superset of the whole-word matcher of
+    `rule_extract`, so it drops none of its observations, and a mention the
+    model may read as one ("swords", "C++" before a space) is still sent.
+    Otherwise the mock backend runs the deterministic rule extractor, and
+    the remote backend asks the model for structured JSON (one repair
+    reprompt).
     """
+    if not any(lexicon.alias_pattern(item.names, whole_words=False).search(episode.text) for item in items):
+        return []
     if gateway.is_mock:
         return rule_extract(episode, items)
     return _llm_extract(episode, items, gateway)

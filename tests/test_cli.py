@@ -1,5 +1,6 @@
 import _thread
 import contextlib
+import hashlib
 import json
 import logging
 import os
@@ -11,6 +12,7 @@ from score import prompts as prompt_templates
 from score.cli import main
 from score.evaluator import FACETS
 from score.gateway import GatewayConfig, hashed_embedding
+from score.lexicon import alias_pattern
 from score.story import parse_story
 
 
@@ -1169,6 +1171,18 @@ def test_a_second_remote_evaluate_sends_no_extraction_or_summary_and_rewrites_no
     assert report.read_bytes() == first
 
 
+def _story_files(root) -> list[dict]:
+    """The story files under `root`, in file name order."""
+    return [json.loads(path.read_text("utf-8")) for path in sorted((root / "stories").glob("*.json"))]
+
+
+def _named(story: dict) -> set[str]:
+    """The distinct episode texts of a story file in which an alias of one of
+    its key items occurs, in any case, even inside a longer word."""
+    patterns = [alias_pattern(item["names"], whole_words=False) for item in story["key_items"]]
+    return {ep["text"] for ep in story["episodes"] if any(p.search(ep["text"]) for p in patterns)}
+
+
 def test_compare_after_evaluate_sends_only_what_the_stage_files_do_not_cover(project, tmp_path, monkeypatch):
     model = _body_log(monkeypatch)
     fresh = tmp_path / "fresh"
@@ -1177,15 +1191,15 @@ def test_compare_after_evaluate_sends_only_what_the_stage_files_do_not_cover(pro
     assert run(fresh, *REMOTE, "compare", "--baseline") == 0
     assert run(project, *REMOTE, "evaluate") == 0
     written = _stage_files(project)
-    stories = [json.loads(path.read_text("utf-8")) for path in sorted((project / "stories").glob("*.json"))]
+    stories = _story_files(project)
     (project / "states" / f"{stories[0]['story_id']}.json").unlink()
     (project / "summaries" / f"{stories[1]['story_id']}.json").unlink()
     model.bodies.clear()
     assert run(project, *REMOTE, "compare", "--baseline") == 0
-    # one extraction per distinct episode text of the story without states, one summary per
-    # distinct episode text of the story without summaries (the memo answers a repeated text);
-    # the baseline's tones, evaluations and answers are the rest
-    assert _sent(model, "You are tracking") == len({ep["text"] for ep in stories[0]["episodes"]})
+    # one extraction per distinct episode text that names a key item of the story without
+    # states, one summary per distinct episode text of the story without summaries (the memo
+    # answers a repeated text); the baseline's tones, evaluations and answers are the rest
+    assert _sent(model, "You are tracking") == len(_named(stories[0]))
     assert _sent(model, "Summarize") == len({ep["text"] for ep in stories[1]["episodes"]})
     assert _stage_files(project) == written
     (report,) = (project / "reports").glob("*.compare.json")
@@ -1225,3 +1239,61 @@ def test_an_evaluate_without_summarization_writes_no_summaries_file(project, mon
     assert run(project, *REMOTE, "evaluate") == 0  # summarizes, and reads the states the first run kept
     assert _sent(model, "You are tracking") == 0 and _sent(model, "Summarize") > 0
     assert len(_stage_files(project)) == 4
+
+
+def _files_digest(root, stage: str) -> str:
+    """One SHA-256 over the names and bytes of every `stage` file under `root`."""
+    h = hashlib.sha256()
+    for path in sorted((root / stage).glob("*.json")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+# taken from the code before an episode that names no key item went without an
+# extraction request; the stories are `fuzz --seed 5 --stories 3`
+TRACKED_STATES_SHA256 = "3a7357045b94aa60e277b2f0aa8bab7ab99a16f7963ce9a5a49d944c63a9f99a"
+COMPARED_REPORT_SHA256 = "0ad237326b201936dab28a11439df7d8033b93dc0dd77d80eb18a41a35ca1f64"
+
+
+def test_a_remote_track_sends_no_extraction_for_an_episode_that_names_no_key_item(project, monkeypatch):
+    model = _body_log(monkeypatch)
+    assert run(project, "fuzz", "--seed", "5", "--stories", "3") == 0
+    assert run(project, *REMOTE, "track") == 0
+    stories = _story_files(project)
+    named = [_named(story) for story in stories]
+    assert all(texts < {ep["text"] for ep in story["episodes"]} for story, texts in zip(stories, named))
+    assert _sent(model, "You are tracking") == sum(map(len, named))
+    assert _files_digest(project, "states") == TRACKED_STATES_SHA256
+
+
+def test_a_remote_compare_extracts_each_episode_once(project, monkeypatch):
+    from score import evaluator
+
+    _body_log(monkeypatch)
+    extracted = []
+    extract = evaluator.extract_item_statuses
+    monkeypatch.setattr(
+        evaluator, "extract_item_statuses", lambda ep, items, gw: extracted.append(ep) or extract(ep, items, gw)
+    )
+    assert run(project, "fuzz", "--seed", "5", "--stories", "3") == 0
+    assert run(project, *REMOTE, "compare", "--baseline") == 0
+    stories = _story_files(project)
+    # side b, the baseline, tracks with the states side a made
+    assert len(extracted) == sum(len(story["episodes"]) for story in stories) == 28
+    (report,) = (project / "reports").glob("*.compare.json")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == COMPARED_REPORT_SHA256
+
+
+def test_verbose_evaluate_logs_the_gateway_counters(project, monkeypatch, caplog):
+    model = _body_log(monkeypatch)
+    caplog.set_level(logging.INFO)  # restored after the test; each main call sets the level its -v asks for
+    assert run(project, "fuzz", "--seed", "5", "--stories", "2") == 0  # without -v: WARNING
+    assert run(project, *REMOTE, "-v", "evaluate") == 0
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "score.gateway" and r.levelno == logging.INFO]
+    assert line.startswith(f"gateway totals: {model.calls} transport calls, 0 retries, ")
+    assert model.calls == len(model.bodies) > 0
+    caplog.clear()
+    assert run(project, "-v", "evaluate") == 0  # the mock backend with cache off counts nothing
+    assert not [r for r in caplog.records if r.name == "score.gateway"]
+    assert run(project, *REMOTE, "evaluate") == 0  # without -v, no INFO line
+    assert not [r for r in caplog.records if r.levelno < logging.WARNING]

@@ -342,17 +342,19 @@ def test_a_remote_run_sends_a_pinned_number_of_requests_of_each_kind(corpus):
     run_pipeline(stories, gateway, PipelineConfig(gateway=config, retrieval=RetrievalConfig()), gold)
     assert sum(len(story.episodes) for story in stories) == 40 and len(gold.qa) == 9
     # the corpus repeats one episode text, whose extraction, summary and
-    # tone are sent once; every question's tone is read by the query filter;
-    # the 4 stories are one group, which sends one embedding request
+    # tone are sent once; 21 of the 39 distinct episodes name none of their
+    # story's key items, so they send no extraction; every question's tone is
+    # read by the query filter; the 4 stories are one group, which sends one
+    # embedding request
     assert Counter(map(_request_kind, model.bodies)) == {
-        "extraction": 39,
+        "extraction": 18,
         "summary": 39,
         "tone": 39 + 9,
         "evaluation": 40,
         "answer": 9,
         "embedding": 1,
     }
-    assert gateway.stats.transport_calls == len(model.bodies) == 176
+    assert gateway.stats.transport_calls == len(model.bodies) == 155
 
 
 def test_a_questions_tone_is_scored_only_when_the_query_filter_reads_it(corpus):
@@ -409,7 +411,9 @@ def test_a_cache_off_run_sends_each_distinct_request_once_and_equals_a_recorded_
     assert off.report == recorded.report
 
 
-def test_a_baseline_comparison_sends_each_distinct_request_once_and_embeds_only_for_side_a(corpus):
+def test_a_baseline_comparison_sends_each_distinct_request_once_and_embeds_only_for_side_a(corpus, monkeypatch):
+    from score import evaluator
+
     stories, gold = corpus
     config = GatewayConfig(backend="remote", base_url="http://fake.local/v1", model_name="m", max_parallel=4)
     config_a = PipelineConfig(gateway=config, retrieval=RetrievalConfig())
@@ -418,12 +422,21 @@ def test_a_baseline_comparison_sends_each_distinct_request_once_and_embeds_only_
     run_pipeline(stories, LlmGateway(config, transport=alone), config_a, gold)
     model = BodyLog()
     gateway = LlmGateway(config, transport=model)
+    extracted = []
+    extract = evaluator.extract_item_statuses
+    monkeypatch.setattr(
+        evaluator, "extract_item_statuses", lambda ep, items, gw: extracted.append(ep) or extract(ep, items, gw)
+    )
     comparison = run_comparison(stories, gold, gateway, config_a, config_b)
     assert len(model.bodies) == len(set(model.bodies)) == gateway.stats.transport_calls
-    embeds = lambda log: sorted(body for body in log.bodies if "/embeddings " in body)
-    assert embeds(model) == embeds(alone)  # side b, which retrieves nothing, embeds nothing
-    # side b asks for no extraction or episode tone that side a has not already had answered
-    assert gateway.stats.memo_hits >= 2 * sum(len(story.episodes) for story in stories)
+    of_kind = lambda log, kind: sorted(body for body in log.bodies if _request_kind(body) == kind)
+    assert of_kind(model, "embedding") == of_kind(alone, "embedding")  # side b, which retrieves nothing, embeds nothing
+    # side b tracks with side a's states, so it asks for no extraction, and
+    # each of its episode tones is one that side a has already had answered
+    n_episodes = sum(len(story.episodes) for story in stories)
+    assert len(extracted) == n_episodes
+    assert of_kind(model, "extraction") == of_kind(alone, "extraction")
+    assert gateway.stats.memo_hits >= n_episodes
     assert comparison.report_b.complex_qa == 0.0
 
 
@@ -720,6 +733,78 @@ def test_no_request_goes_out_after_close_returns_from_a_failed_run(tmp_path):
     # the pool went with close(): a later map starts a new one
     assert gw.map(lambda i: threading.current_thread().name, range(2))[0].startswith("score-gateway")
     gw.close()
+
+
+def _in_thread(fn, out):
+    """Start `fn()` on a thread of its own; a TransportError it raises lands in `out["error"]`."""
+
+    def target():
+        try:
+            fn()
+        except TransportError as e:
+            out["error"] = e
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    return thread
+
+
+def test_no_transport_attempt_starts_once_close_has_begun():
+    # two running items, each a chain of three requests, and two queued ones;
+    # close() begins while the first request of each running item is on the wire
+    lock = threading.Lock()
+    started = []  # (prompt, whether close() had begun)
+
+    def transport(url, body, timeout, headers):
+        prompt = body["messages"][0]["content"]
+        with lock:
+            started.append((prompt, gw._closing.is_set()))
+        # an item's reply returns only once close() has begun; its flag stays
+        # set until close() returns, which waits for this item
+        deadline = time.monotonic() + 10
+        while prompt.startswith("item") and not gw._closing.is_set() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return {"choices": [{"message": {"content": "ok"}}]}
+
+    gw = _remote_gateway(2, transport)
+    out = {}
+    runner = _in_thread(lambda: gw.map(lambda i: [gw.complete(f"item {i} step {k}") for k in range(3)], range(4)), out)
+    deadline = time.monotonic() + 10
+    while len(started) < 2 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    closer = threading.Thread(target=gw.close)
+    closer.start()
+    for thread in (closer, runner):
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert sorted(started) == [("item 0 step 0", False), ("item 1 step 0", False)]
+    assert "the gateway is closing" in str(out["error"])
+    assert gw.complete("again") == "ok"  # a closed gateway may be used again
+    gw.close()
+
+
+def test_a_retry_waiting_out_its_backoff_raises_once_close_begins():
+    attempts = []
+
+    def transport(url, body, timeout, headers):
+        attempts.append(body["messages"][0]["content"])
+        raise TransportError("HTTP 503", status=503, retry_after=3.0)
+
+    gw = _remote_gateway(2, transport)
+    out = {}
+    runner = _in_thread(lambda: gw.map(lambda i: gw.complete("x") if i == 0 else i, range(2)), out)
+    deadline = time.monotonic() + 10
+    while not attempts and time.monotonic() < deadline:
+        time.sleep(0.001)
+    # the retry is in its 3 s backoff wait, or about to begin it: either way
+    # close() ends the wait and no second attempt starts
+    began = time.monotonic()
+    gw.close()
+    assert time.monotonic() - began < 2.0
+    runner.join(timeout=30)
+    assert not runner.is_alive()
+    assert attempts == ["x"]
+    assert "the gateway is closing" in str(out["error"])
 
 
 def test_remote_pipeline_reads_each_prompt_template_once(corpus, monkeypatch):

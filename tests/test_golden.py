@@ -10,11 +10,14 @@ gateway's sending-only fields and the dead `granularity` field, when the
 retrieval config lost `candidate_pool` and `sentiment_filter_enabled`, and
 when `embed_batch_limit` became a sending-only field. Each time its config
 block (and with it the config digests) changed, and nothing else did. The wire
-hash was retaken once, when remote tone requests became `complete` requests
-keyed by the chat body they send: the 48 `sentiment` keys of its 262 became
-48 `complete` keys, and the other 214 stayed. A change
-that moves any report byte, search score bit or ranking fails here; one that
-means to change results updates the hash and says why.
+hash was retaken twice: when remote tone requests became `complete` requests
+keyed by the chat body they send (the 48 `sentiment` keys of its 262 became
+48 `complete` keys, and the other 214 stayed), and when an episode that names
+none of its story's key items stopped asking for an extraction (262 keys
+became 241, a strict subset: the 21 removed keys are exactly the extraction
+requests, of 39, in whose episode text no alias of the story's items
+occurs). A change that moves any report byte, search score bit or ranking
+fails here; one that means to change results updates the hash and says why.
 """
 
 import hashlib
@@ -33,7 +36,7 @@ from score.retrieval import RetrievalConfig
 
 PIPELINE_REPORT_SHA256 = "81e49dcb2691fe24848b847eefb138a5116a5ef46e7369a1c7c8dd31cb74e085"
 CORPUS_SEARCH_SHA256 = "91ad6ed0d1a1de0c2c6a2154107dea0cd2d6e76be331f3a577c9bd964c67ad4e"
-WIRE_REQUESTS_SHA256 = "3b5486ea152be937a8b573d4f3ee1f0e9a8088d22ad9c0c7a47c76e8b2685261"
+WIRE_REQUESTS_SHA256 = "e1fa5ddb1fc8b96066a235b5494c7a311a9a9707b4e9b7ca8e7958a99e0c6ff0"
 INDEX_FILES_SHA256 = {
     "summary.vec": "2b1a9dd361e4c34bb1824a66920f0a04d28d742b0a54f615d342ee87e4ea888a",
     "summary.meta.json": "7fd73328472592bdc4f903a3b90fbd7f938c1029dd75c80a760b7c17bb7042e4",

@@ -2,11 +2,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from score.errors import ContractError, ValidationError
 from score.evaluator import stage_outputs
+from score.gateway import GatewayConfig, LlmGateway
 from score.story import Episode, ItemState, KeyItem, Story
 from score.tracker import (
     ContinuityError,
@@ -284,6 +285,42 @@ def test_multiple_items_extracted_independently(mock_gateway):
     assert states == {"sword": D, "amulet": L}
 
 
+# letters of both cases, non-ASCII ones among them (U+0130 folds to two
+# characters), an apostrophe, a space and the sentence enders
+_ALIAS_CHARS = "swordSWORDlanternLANTERNéÉßİıΣσς'"
+_TEXT_CHARS = _ALIAS_CHARS + " .!?\n,"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_mention_gate_keeps_every_observation_of_the_rule_extractor(data):
+    aliases = data.draw(
+        st.lists(
+            st.lists(st.text(_ALIAS_CHARS, min_size=1, max_size=7), min_size=1, max_size=3, unique_by=str.casefold),
+            min_size=1, max_size=3,
+        )
+    )
+    items = [KeyItem(f"item{k}", tuple(names)) for k, names in enumerate(aliases)]
+    # an alias, in any case, or filler text between them
+    piece = st.one_of(
+        st.sampled_from([name for names in aliases for name in names]).flatmap(
+            lambda name: st.sampled_from([name, name.upper(), name.lower(), name.swapcase()])
+        ),
+        st.text(_TEXT_CHARS, max_size=8),
+    )
+    text = "".join(data.draw(st.lists(piece, min_size=1, max_size=8)))
+    assume(text.strip())  # an episode holds some text
+    episode = Episode(index=2, text=text)
+    observed = rule_extract(episode, items)
+    assert extract_item_statuses(episode, items, LlmGateway(GatewayConfig(backend="mock"))) == observed
+    # on the remote backend an alias that occurs as written, even inside a
+    # longer word, is sent to the model, as is every episode the rule sees
+    gw = _remote(["[]"])
+    extract_item_statuses(episode, items, gw)
+    if observed or any(name in text for names in aliases for name in names):
+        assert gw._transport.calls == 1
+
+
 # ---------------------------------------------------------------------------
 # extraction (remote backend)
 # ---------------------------------------------------------------------------
@@ -320,8 +357,36 @@ def test_llm_extraction_parses_valid_reply():
 def test_llm_extraction_drops_undeclared_items():
     reply = '[{"item_id": "ghost", "state": "active", "explained": false, "evidence": null}]'
     gw = _remote([reply])
-    episode = Episode(index=0, text="Some text here.")
+    episode = Episode(index=0, text="The sword rests here.")  # names the sword, so the reply is requested
     assert extract_item_statuses(episode, [KeyItem("sword", ("sword",))], gw) == []
+    assert gw._transport.calls == 1
+
+
+@pytest.mark.parametrize(
+    "alias, text",
+    [
+        ("C++", "The C++ manual burned."),
+        ("St.", "They sailed past St. Brendan."),
+        ("sword", "Two swords hung on the wall."),
+    ],
+    ids=["ends-in-a-symbol", "ends-in-a-period", "plural"],
+)
+def test_llm_extraction_is_requested_for_a_mention_the_whole_word_matcher_misses(alias, text):
+    reply = '[{"item_id": "x", "state": "lost", "explained": false, "evidence": null}]'
+    gw = _remote([reply])
+    episode = Episode(index=3, text=text)
+    item = KeyItem("x", (alias,))
+    assert rule_extract(episode, [item]) == []  # no whole-word match
+    (observation,) = extract_item_statuses(episode, [item], gw)
+    assert observation.state is L
+    assert gw._transport.calls == 1
+
+
+def test_llm_extraction_sends_no_request_for_an_episode_that_names_no_item():
+    gw = _remote([])
+    episode = Episode(index=3, text="The wind rose over the empty hills.")
+    assert extract_item_statuses(episode, [KeyItem("sword", ("sword", "blade"))], gw) == []
+    assert gw._transport.calls == 0
 
 
 def test_llm_extraction_repairs_once_then_succeeds():
@@ -348,7 +413,7 @@ def test_llm_extraction_rejects_out_of_bounds_evidence():
 
     bad = '[{"item_id": "sword", "state": "active", "explained": false, "evidence": [0, 9999]}]'
     gw = _remote([bad, bad])
-    episode = Episode(index=0, text="Short text.")
+    episode = Episode(index=0, text="A short sword.")  # names the sword, so the reply is requested
     with pytest.raises(ExtractionError, match="evidence"):
         extract_item_statuses(episode, [KeyItem("sword", ("sword",))], gw)
 
