@@ -5,52 +5,27 @@ embeddings wire format over HTTP; `mock` is fully deterministic and
 offline (hashed bag-of-words embeddings, lexicon sentiment, hash-derived
 completions) so the whole pipeline can run and be tested without a model.
 
-A content-addressed cache sits in front of both backends: one SQLite file,
-`<cache_dir>/cache.sqlite3`, with one row per request, keyed by its
-`request_digest` and holding the compact canonical JSON of
-{op, model, request, response}. An embedded text is a request of its own:
-its row stores the one-text request `{"model": m, "input": [text]}`, so
-how texts are batched on the wire changes no key, and a text embedded by
-one command is a cache hit for every later one. A remote tone request is a
-chat request like any other; only the mock backend's tones are entries of
-op `sentiment`. In `record` mode every response is written through, one
-autocommit transaction per entry in the file's write-ahead log, so a run
-cut short leaves each entry whole or absent; a structured reply (see
-`complete_parsed`) is written only once its parser accepts it. In `replay`
-mode the file is opened read-only, never created or written; requests are
-served from it only and a miss is an error, which makes a replay run a pure
-function of (inputs, config, cache). Caches of the old layout, one JSON
-file per request under `cache/<xx>/`, are not read, and neither are the
-embedding rows of one batch of several texts that recordings made before
-per-text entries hold, nor the remote tone rows of op `sentiment` that
-recordings made before tone requests were keyed by their prompt hold:
-record them again.
+A reply store (`score.cache`) keyed by `request_digest` fronts both
+backends: the cache file in `record` and `replay` mode, and on the remote
+backend with cache `off` the gateway's memory until `close()`, so each
+distinct request is sent once, as a recorded run gets one reply per request
+(all are sent at temperature 0). A replay miss is an error, so a replay run
+is a pure function of (inputs, config, cache). The mock backend with cache
+`off` keeps nothing: its replies cost less than a digest. A failed request
+is not kept, a remote embedding reply only once each vector has the
+configured dimension and is finite, and a structured reply only once its
+parser accepts it (see `complete_parsed`).
 
-On the remote backend with cache `off`, a gateway sends each distinct
-request, and each distinct text to embed, once over its lifetime: the
-first reply to a `request_digest` is kept in memory, and every later
-identical request is answered from it until `close()`. Every pipeline
-request is sent at temperature 0, so this gives the one reply per distinct
-request that a recorded run gets from its cache file. Record and replay
-need no such memo, since the cache file is one; the mock backend needs
-none, since its replies cost less than a digest. A failed request is not
-kept, and neither is a structured reply its parser rejects.
-
-`embed` answers each text from the memo, the cache file or a request
-already in flight, and sends only the distinct texts left over, in one
-request per call of at most `embed_batch_limit` texts.
-
-`LlmGateway.map` runs independent per-story, per-episode and per-question
-work. It overlaps requests only where they can wait on the network (remote
-backend, cache `off` or `record`), on one pool of `max_parallel` worker
-threads per gateway, and always returns results in input order, so no
-result depends on `max_parallel`. A map called on one of those workers
-runs its items in that worker, so it never waits on queued work.
+An embedded text is a request of its own, `{"model": m, "input": [text]}`,
+so batching changes no key. `embed` answers each text from the store or a
+request already in flight, and sends the distinct texts left over in one
+request per call of at most `embed_batch_limit` texts. A remote tone is a
+chat request like any other; only mock tones are entries of op `sentiment`.
+`LlmGateway.map` overlaps requests where they wait on the network.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import json
@@ -67,10 +42,10 @@ from typing import Any, Callable, Iterable, Sequence, TypeVar
 import numpy as np
 
 from . import lexicon, prompts
+from .cache import FileStore, MemoryStore
 from .errors import (
     ContractError,
     GatewayReplyError,
-    PersistenceError,
     SentimentError,
     TransportError,
     UncachedRequestError,
@@ -89,21 +64,6 @@ _INITIAL_BACKOFF = 0.5
 _BACKOFF_FACTOR = 2.0
 # the longest `Retry-After` a 429 or 503 reply is honoured for, in seconds
 _MAX_RETRY_AFTER = 30.0
-
-CACHE_FILE = "cache.sqlite3"
-# entries of older recordings that no key of today reads: an embedding of a
-# batch of several texts, and a tone entry, which a remote recording holds when
-# made before tone requests were keyed by their prompt; CASE guards the JSON
-# functions against a damaged row
-_OLD_ROW = "SELECT 1 FROM entries WHERE CASE WHEN json_valid(record) THEN {} END LIMIT 1"
-_BATCHED_EMBED_ROW = _OLD_ROW.format(
-    "json_extract(record, '$.op') = 'embed' AND json_array_length(record, '$.request.input') > 1"
-)
-_SENTIMENT_ROW = _OLD_ROW.format("json_extract(record, '$.op') = 'sentiment'")
-# SQLite's page cache for the cache file, in KiB. Keys are digests, so a run
-# reads and writes leaf pages in no order and seldom twice; 256 KiB keeps the
-# tree's inner pages, and the default 2 MiB would only add to peak memory.
-_PAGE_CACHE_KIB = 256
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -215,10 +175,10 @@ def default_transport(url: str, body: dict, timeout: float, headers: dict) -> di
 
 
 class LlmGateway:
-    """Thread-safe front end over one configured backend plus the cache.
+    """Thread-safe front end over one configured backend plus its reply store.
 
-    A cached gateway holds the cache file open from its first cached
-    request until `close()`; use it as a context manager.
+    A gateway in `record` or `replay` mode holds the cache file open from
+    its first request until `close()`; use it as a context manager.
     """
 
     def __init__(
@@ -244,18 +204,20 @@ class LlmGateway:
         self._semaphore = threading.BoundedSemaphore(config.max_parallel)
         self._lock = threading.Lock()
         self._pending: dict[str, Future] = {}  # cache key -> result of the request in flight
-        # cache key -> reply, with cache `off` on the remote backend; a value,
-        # not its resolved Future, which would take ~1.6 KB more per entry
-        self._memo: dict[str, Any] = {}
+        # where replies are kept; none for the mock backend with cache `off`
+        self._store: FileStore | MemoryStore | None = None
+        if config.cache_mode != "off":
+            self._store = FileStore(self.cache_dir, config.cache_mode)
+        elif not self.is_mock:
+            self._store = MemoryStore()
         self._pool: ThreadPoolExecutor | None = None  # created by the first threaded map
         self._pool_token = object()
         self._templates: dict[str, str] = {}
-        self._db = None  # sqlite3 connection to the cache file, opened by the first cached request
         self._local = threading.local()  # `held`: the fresh replies of this thread's `complete_parsed`
 
     def close(self) -> None:
-        """Stop the worker pool, forget the remembered replies and close the
-        cache file.
+        """Stop the worker pool and close the reply store: replies kept in
+        memory are forgotten, and the cache file is closed.
 
         Map items that have not started are cancelled, and running ones are
         waited for, so no request goes out and no reply reaches the cache
@@ -276,11 +238,8 @@ class LlmGateway:
                 pool, self._pool = self._pool, None
             if pool is not None:
                 pool.shutdown(wait=True, cancel_futures=True)
-            with self._lock:
-                self._memo.clear()
-                db, self._db = self._db, None
-            if db is not None:
-                self._close_cache(db)
+            if self._store is not None:
+                self._store.close()
         finally:
             self._closing.clear()
         stats = self.stats
@@ -291,17 +250,6 @@ class LlmGateway:
                 stats.transport_calls, stats.retries, stats.memo_hits,
                 stats.cache_hits, stats.cache_misses, stats.max_in_flight,
             )
-
-    def _close_cache(self, db) -> None:
-        import sqlite3
-
-        if self.config.cache_mode == "record":
-            # leave the file in rollback mode, so that a read-only replay opens
-            # it without creating the log's side files; while another reader
-            # holds it open it stays in WAL mode, which reads the same
-            with contextlib.suppress(sqlite3.DatabaseError):
-                db.execute("PRAGMA journal_mode=DELETE")
-        db.close()
 
     def __enter__(self) -> "LlmGateway":
         return self
@@ -371,7 +319,7 @@ class LlmGateway:
             "temperature": 0.0,
             "max_tokens": max_tokens,
         }
-        return self._cached_one("complete", self.config.model_name, body, lambda: self._complete_uncached(body))
+        return self._cached("complete", self.config.model_name, [body], lambda _: [self._complete_uncached(body)])[0]
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
@@ -379,12 +327,9 @@ class LlmGateway:
         for i, text in enumerate(texts):
             if not text:
                 raise ContractError(f"texts[{i}] must be non-empty")
-        if len(texts) > self.config.embed_batch_limit:
-            out: list[np.ndarray] = []
-            limit = self.config.embed_batch_limit
-            for start in range(0, len(texts), limit):
-                out.extend(self.embed(texts[start : start + limit]))
-            return out
+        limit = self.config.embed_batch_limit
+        if len(texts) > limit:
+            return [vec for start in range(0, len(texts), limit) for vec in self.embed(texts[start : start + limit])]
         model = self.config.effective_embed_model
         # one request per text, so each text has its own key; the texts left
         # to send go out together, each reply being a one-row embedding list
@@ -392,14 +337,12 @@ class LlmGateway:
             "embed",
             model,
             [{"model": model, "input": [text]} for text in texts],
-            lambda bodies: [[vec] for vec in self._embed_uncached([body["input"][0] for body in bodies])],
+            lambda bodies: self._embed_uncached(texts, [body["input"][0] for body in bodies]),
         )
         vectors = [np.asarray(row[0], dtype=np.float64) for row in rows]
-        for i, vec in enumerate(vectors):
+        for i, vec in enumerate(vectors):  # a row read back from the cache file is checked here
             if vec.shape != (self.config.embed_dim,):
-                raise TransportError(
-                    f"embedding {i} has dimension {vec.shape}, expected ({self.config.embed_dim},)"
-                )
+                raise TransportError(f"embedding {i} has dimension {vec.shape}, expected ({self.config.embed_dim},)")
         return vectors
 
     def score_sentiment(self, text: str) -> SentimentScore:
@@ -411,7 +354,7 @@ class LlmGateway:
             prompt = prompts.render(self.template("sentiment"), text=text)
             return SentimentScore(self.complete_parsed(prompt, parse_tone, SentimentError, "sentiment", max_tokens=8))
         body = {"model": self.config.model_name, "text": text}
-        value = self._cached_one("sentiment", body["model"], body, lambda: lexicon.mock_sentiment_value(text))
+        (value,) = self._cached("sentiment", body["model"], [body], lambda _: [lexicon.mock_sentiment_value(text)])
         return SentimentScore(value=float(value))
 
     # -- backend dispatch ------------------------------------------------------
@@ -429,22 +372,32 @@ class LlmGateway:
             raise TransportError("chat reply content is not a string")
         return content
 
-    def _embed_uncached(self, texts: list[str]) -> list[np.ndarray]:
-        """One float64 vector per text, in one request; a remote reply's
-        vectors are read-only, so that the callers the memo answers can share them."""
+    def _embed_uncached(self, texts: Sequence[str], todo: list[str]) -> list[list[np.ndarray]]:
+        """The compute step of `embed`: a one-vector row for each text of
+        `todo`, in one request.
+
+        A remote reply's vectors are read-only, so that the callers a kept
+        reply answers can share them. One of another dimension, or with a
+        non-finite component, raises GatewayReplyError naming its text's
+        position in `texts`, so that no store keeps a row of the reply.
+        """
+        dim = self.config.embed_dim
         if self.is_mock:
-            return [hashed_embedding(text, self.config.embed_dim) for text in texts]
-        reply = self._post("/embeddings", {"model": self.config.effective_embed_model, "input": texts})
+            return [[hashed_embedding(text, dim)] for text in todo]
+        reply = self._post("/embeddings", {"model": self.config.effective_embed_model, "input": todo})
         try:
             data = sorted(reply["data"], key=lambda d: d["index"])
             vectors = [np.asarray(d["embedding"], dtype=np.float64) for d in data]
         except (KeyError, TypeError, ValueError) as e:
             raise TransportError(f"malformed embeddings reply: {reply!r:.200}") from e
-        if len(vectors) != len(texts):
-            raise TransportError(f"embeddings reply holds {len(vectors)} vector(s) for {len(texts)} text(s)")
-        for vec in vectors:
+        if len(vectors) != len(todo):
+            raise TransportError(f"embeddings reply holds {len(vectors)} vector(s) for {len(todo)} text(s)")
+        for text, vec in zip(todo, vectors):
+            if vec.shape != (dim,) or not np.isfinite(vec).all():
+                problem = f"has dimension {vec.shape}, expected ({dim},)" if vec.shape != (dim,) else "is not finite"
+                raise GatewayReplyError(f"the embedding of texts[{texts.index(text)}] {problem}")
             vec.flags.writeable = False
-        return vectors
+        return [[vec] for vec in vectors]
 
     # -- transport with retry and the parallelism bound ----------------------
 
@@ -512,12 +465,12 @@ class LlmGateway:
         reply raises `error("unusable <what> reply: ...")` carrying it. Both
         requests are sent with `max_tokens`.
 
-        Its replies are kept (in the cache file, or in the memo with cache
-        `off`) only once `parse` accepts one; the rejected reply before a
-        repair is kept then too, since a replay asks for it. Replies rejected
-        twice are kept nowhere, so the next request for them is sent again.
+        Its replies are kept in the store only once `parse` accepts one; the
+        rejected reply before a repair is kept then too, since a replay asks
+        for it. Replies rejected twice are kept nowhere, so the next request
+        for them is sent again.
         """
-        held = self._local.held = []  # the (op, model, todo, fresh) of each `_cached` call that sent requests
+        held = self._local.held = []  # (key, record) of each reply sent for it, kept once `parse` accepts one
         try:
             reply = self.complete(prompt, max_tokens=max_tokens)
             try:
@@ -529,47 +482,39 @@ class LlmGateway:
                     result = parse(reply)
                 except (ValueError, ValidationError) as e:
                     raise error(f"unusable {what} reply: {e}", raw_reply=reply) from e
-            for sent in held:
-                self._keep(*sent)
+            for key, record in held:
+                self._store.put(key, record)
             return result
         finally:
             self._local.held = None
             with self._lock:
-                for *_, fresh in held:
-                    for key in fresh:
-                        del self._pending[key]
+                for key, _ in held:
+                    del self._pending[key]
 
     # -- cache -----------------------------------------------------------------
 
-    def _cached_one(self, op: str, model: str, body: dict, compute: Callable[[], Any]) -> Any:
-        return self._cached(op, model, [body], lambda bodies: [compute()])[0]
-
     def _cached(self, op: str, model: str, bodies: list[dict], compute: Callable[[list[dict]], list]) -> list:
         """The reply to each of `bodies`, in order; `compute(todo)` sends the
-        ones no memo, cache entry or request in flight answers, all at once,
-        and returns their replies in order. A body repeated within one call
-        is one request."""
-        mode = self.config.cache_mode
-        if mode == "off" and self.is_mock:
+        ones no store entry or request in flight answers, all at once, and
+        returns their replies in order. A body repeated within one call is
+        one request."""
+        store = self._store
+        if store is None:
             return compute(bodies)
         keys = [request_digest(op, model, body) for body in bodies]
         # single flight: a request already in flight on another thread is
         # joined, so one key is sent once and every caller gets the reply
-        # that is stored. With cache `off` the reply then moves to the memo,
-        # which answers every later identical request; record and replay
-        # need no memo, because the cache file answers them.
+        # that is kept. A reply is kept before its key leaves `_pending`, so
+        # a later identical request finds it in one or the other.
         replies: dict[str, Any] = {}
         joined: dict[str, Future] = {}
         owned: dict[str, Future] = {}
         todo: dict[str, dict] = {}
         with self._lock:
             for key, body in zip(keys, bodies):
-                if key in replies or key in joined or key in owned:
+                if key in joined or key in owned:
                     continue
-                if key in self._memo:
-                    self.stats.memo_hits += 1
-                    replies[key] = self._memo[key]
-                elif key in self._pending:
+                if key in self._pending:
                     joined[key] = self._pending[key]
                 else:
                     owned[key] = self._pending[key] = Future()
@@ -582,11 +527,20 @@ class LlmGateway:
             # where identical requests join it as they would find it kept
             held = getattr(self._local, "held", None)
             try:
-                hits, fresh = self._read_or_compute(op, todo, compute)
+                hits = {key: response for key in todo if (response := store.get(key)) is not None}
+                self._count(store.hit_counter, len(hits))
+                missing = [key for key in todo if key not in hits]
+                if missing and store.replays:
+                    raise UncachedRequestError(f"uncached request: op={op} key={missing[0]}")
+                self._count(store.miss_counter, len(missing))
+                fresh = dict(zip(missing, compute([todo[key] for key in missing]))) if missing else {}
+                kept = [(key, {"op": op, "model": model, "request": todo[key], "response": reply})
+                        for key, reply in fresh.items()]
                 if held is None:
-                    self._keep(op, model, todo, fresh)
+                    for key, record in kept:
+                        store.put(key, record)
                 else:
-                    held.append((op, model, todo, fresh))
+                    held.extend(kept)
             except BaseException as e:
                 # joined callers get the error, and a later identical request is sent again
                 with self._lock:
@@ -595,135 +549,23 @@ class LlmGateway:
                 for future in owned.values():
                     future.set_exception(e)
                 raise
-            answered = {**hits, **fresh}
+            replies = {**hits, **fresh}
             with self._lock:
-                for key in answered:
+                for key in replies:
                     if held is None or key not in fresh:
                         del self._pending[key]
-            for key, response in answered.items():
+            for key, response in replies.items():
                 owned[key].set_result(response)
-            replies.update(answered)
-        if joined:
-            for key, future in joined.items():
-                replies[key] = future.result()
-            with self._lock:
-                if mode == "off":
-                    self.stats.memo_hits += len(joined)
-                else:
-                    self.stats.cache_hits += len(joined)
+        for key, future in joined.items():
+            replies[key] = future.result()
+        self._count(store.hit_counter, len(joined))
         return [replies[key] for key in keys]
 
-    def _read_or_compute(
-        self, op: str, todo: dict[str, dict], compute: Callable[[list[dict]], list]
-    ) -> tuple[dict[str, Any], dict[str, Any]]:
-        """The reply to each request of `todo` (key -> body), as two dicts
-        by key: those the cache file holds, and those of one `compute` of
-        the others."""
-        mode = self.config.cache_mode
-        hits: dict[str, Any] = {}
-        if mode != "off":
-            for key in todo:
-                row = self._cache_execute("SELECT record FROM entries WHERE key = ?", (key,))
-                if row is None:
-                    continue
-                try:
-                    hits[key] = json.loads(row[0])["response"]
-                except (ValueError, KeyError, TypeError) as e:
-                    if mode != "record":
-                        raise PersistenceError(f"unreadable cache entry {key} in {self.cache_path}: {e}") from e
-                    logger.warning("unreadable cache entry %s in %s (%s); requesting again", key, self.cache_path, e)
+    def _count(self, counter: str | None, n: int) -> None:
+        """Add `n` to the GatewayStats field `counter`, if it names one."""
+        if counter and n:
             with self._lock:
-                self.stats.cache_hits += len(hits)
-        missing = [key for key in todo if key not in hits]
-        if not missing:
-            return hits, {}
-        if mode == "replay":
-            raise UncachedRequestError(f"uncached request: op={op} key={missing[0]}{self._replay_miss_hint(op)}")
-        if mode == "record":
-            with self._lock:
-                self.stats.cache_misses += len(missing)
-        return hits, dict(zip(missing, compute([todo[key] for key in missing])))
-
-    def _keep(self, op: str, model: str, todo: dict[str, dict], fresh: dict[str, Any]) -> None:
-        """Keep the `fresh` replies (key -> reply) to requests of `todo`
-        where a later identical request finds them: in the cache file in
-        record mode, in the memo with cache `off`."""
-        if self.config.cache_mode == "off":
-            with self._lock:
-                self._memo.update(fresh)
-            return
-        for key, response in fresh.items():
-            record = {"op": op, "model": model, "request": todo[key], "response": _json_ready(response)}
-            self._cache_execute(
-                "INSERT OR REPLACE INTO entries (key, record) VALUES (?, ?)", (key, canonical_dumps(record))
-            )
-
-    def _replay_miss_hint(self, op: str) -> str:
-        """Why a replay cache may lack a request that a current recording holds."""
-        if next(self.cache_dir.glob("??/*.json"), None) is not None:
-            return "; the cache directory is in the old one-file-per-request layout: record it again"
-        # an embedding row of several texts is a batch request, which no key
-        # is computed for since each text has an entry of its own
-        if op == "embed" and self._cache_execute(_BATCHED_EMBED_ROW, ()) is not None:
-            return "; the cache predates one entry per embedded text: record it again"
-        # on the remote backend, a tone is a `complete` request
-        if op == "complete" and not self.is_mock and self._cache_execute(_SENTIMENT_ROW, ()) is not None:
-            return "; the cache predates sentiment requests keyed by their prompt: record it again"
-        return ""
-
-    @property
-    def cache_path(self) -> Path:
-        return self.cache_dir / CACHE_FILE
-
-    def _cache_execute(self, sql: str, params: tuple) -> tuple | None:
-        """Run one statement on the cache file and return its first row.
-
-        The first call opens the file; in replay mode a missing file is an
-        empty cache. A file SQLite cannot use raises PersistenceError naming it.
-        """
-        import sqlite3
-
-        try:
-            with self._lock:
-                if self._db is None:
-                    self._db = self._open_cache()
-                    if self._db is None:
-                        return None
-                return self._db.execute(sql, params).fetchone()
-        except sqlite3.DatabaseError as e:
-            raise PersistenceError(f"{self.cache_path}: not a usable cache file ({e})") from e
-
-    def _open_cache(self):
-        """A connection to the cache file, shared by the worker threads under
-        `_lock`: read-only in replay mode (None when there is no file), and in
-        record mode one autocommit transaction per statement in WAL mode."""
-        import sqlite3
-
-        path = self.cache_path
-        if self.config.cache_mode == "replay":
-            if not path.is_file():
-                return None
-            db = sqlite3.connect(path.resolve().as_uri() + "?mode=ro", uri=True, check_same_thread=False)
-            db.execute(f"PRAGMA cache_size = -{_PAGE_CACHE_KIB}")
-            return db
-        path.parent.mkdir(parents=True, exist_ok=True)
-        db = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
-        try:
-            db.execute(f"PRAGMA cache_size = -{_PAGE_CACHE_KIB}")
-            db.execute("PRAGMA journal_mode=WAL")
-            db.execute("PRAGMA synchronous=NORMAL")
-            db.execute("CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, record TEXT NOT NULL)")
-        except BaseException:
-            db.close()
-            raise
-        return db
-
-
-def _json_ready(response: Any) -> Any:
-    """`response` as JSON values: embedding rows are arrays."""
-    if isinstance(response, list):
-        return [row.tolist() if isinstance(row, np.ndarray) else row for row in response]
-    return response
+                setattr(self.stats, counter, getattr(self.stats, counter) + n)
 
 
 def request_digest(op: str, model: str, body: dict) -> str:

@@ -54,6 +54,9 @@ class KeyItem:
             raise ValidationError("item_id", "must be non-empty")
         if not self.names:
             raise ValidationError("names", "must contain at least one alias")
+        for j, name in enumerate(self.names):
+            if not name.strip():  # a blank alias would match inside every sentence
+                raise ValidationError(f"names[{j}]", f"must not be blank, got {name!r}")
         folded = [n.casefold() for n in self.names]
         if len(set(folded)) != len(folded):
             raise ValidationError("names", "duplicate alias after case-folding")

@@ -598,6 +598,25 @@ def test_cache_file_that_is_not_a_database_exits_2_naming_it(project, capsys, mo
     assert f"{project / 'cache' / 'cache.sqlite3'}: not a usable cache file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("version", [0, 2], ids=["unstamped", "another-number"])
+def test_a_cache_file_of_another_format_is_refused_in_replay_and_record(project, capsys, version):
+    import sqlite3
+
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    assert run(project, "--cache-mode", "record", "evaluate") == 0
+    path = project / "cache" / "cache.sqlite3"
+    with contextlib.closing(sqlite3.connect(path)) as db:
+        db.execute(f"PRAGMA user_version = {version}")
+    before = path.read_bytes()
+    capsys.readouterr()
+    assert run(project, "--cache-mode", "replay", "evaluate") == 4
+    assert f"{path}: recorded by another version of score: record it again" in capsys.readouterr().err
+    assert run(project, "--cache-mode", "record", "evaluate") == 2
+    assert f"error: {path}: recorded by another version of score" in capsys.readouterr().err
+    assert sorted(p.name for p in path.parent.iterdir()) == ["cache.sqlite3"]
+    assert path.read_bytes() == before
+
+
 def test_replay_of_a_recorded_evaluate_leaves_the_cache_file_alone(project):
     run(project, "fuzz", "--seed", "3", "--stories", "2")
     assert run(project, "--cache-mode", "record", "evaluate") == 0
@@ -772,6 +791,85 @@ def test_a_summary_rejected_twice_is_not_recorded_so_the_next_record_run_recover
     (report,) = (root / "reports").glob("*.json")
     (clean,) = (tmp_path / "clean" / "reports").glob("*.json")
     assert report.name == clean.name and report.read_bytes() == clean.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "damage", [lambda vec: vec[:10], lambda vec: [float("nan"), *vec[1:]]], ids=["short", "not-finite"]
+)
+def test_an_embedding_reply_of_bad_vectors_is_not_recorded_so_the_next_record_run_recovers(
+    tmp_path, monkeypatch, capsys, damage
+):
+    from test_concurrency import StoryModel
+
+    model = StoryModel(latency_s=0)
+
+    def bad_vectors(url, body, timeout, headers):
+        reply = model(url, body, timeout, headers)
+        if url.endswith("/embeddings"):
+            reply = {"data": [{**row, "embedding": damage(row["embedding"])} for row in reply["data"]]}
+        return reply
+
+    root = tmp_path / "proj"
+    assert _recorded_evaluate(root, monkeypatch, bad_vectors) == 3
+    assert "gateway error: the embedding of texts[0]" in capsys.readouterr().err
+    assert _recorded_evaluate(root, monkeypatch, model) == 0
+    assert _recorded_evaluate(tmp_path / "clean", monkeypatch, StoryModel(latency_s=0)) == 0
+    (report,) = (root / "reports").glob("*.json")
+    (clean,) = (tmp_path / "clean" / "reports").glob("*.json")
+    assert report.name == clean.name and report.read_bytes() == clean.read_bytes()
+
+
+# a `record` evaluate in a child process whose transport ends the process at request `k`
+_RECORD_UNTIL_CRASH = """
+import os, sys, threading
+from score import cli, gateway
+from test_concurrency import StoryModel
+
+model, lock, sent = StoryModel(latency_s=0), threading.Lock(), []
+
+def transport(url, body, timeout, headers):
+    with lock:
+        sent.append(url)
+        if len(sent) == {k}:
+            os._exit(9)
+    return model(url, body, timeout, headers)
+
+gateway.default_transport = transport
+sys.exit(cli.main(["--project", {root!r}, "evaluate"]))
+"""
+
+
+@pytest.mark.parametrize("k", [1, 30, 69])
+def test_a_record_run_cut_short_at_any_request_leaves_a_cache_the_next_run_completes(tmp_path, monkeypatch, k):
+    import subprocess
+    import sys
+
+    from test_concurrency import StoryModel
+
+    import score
+
+    assert _recorded_evaluate(tmp_path / "clean", monkeypatch, StoryModel(latency_s=0)) == 0
+    (clean,) = (tmp_path / "clean" / "reports").glob("*.json")
+    root = tmp_path / "proj"
+    assert run(root, "fuzz", "--seed", "5", "--stories", "2") == 0
+    config = json.loads((root / "config.json").read_text("utf-8"))
+    config["gateway"].update(
+        backend="remote", base_url="http://fake.local/v1", model_name="m", cache_mode="record", max_parallel=4
+    )
+    (root / "config.json").write_text(json.dumps(config), "utf-8")
+    paths = [os.path.dirname(os.path.dirname(score.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    code = _RECORD_UNTIL_CRASH.format(k=k, root=str(root))
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == 9, child.stderr  # the process ended at request k
+    assert not list((root / "reports").glob("*.json"))
+    (root / ".score.lock").unlink()  # the lock of the dead process
+    assert _recorded_evaluate(root, monkeypatch, StoryModel(latency_s=0)) == 0
+    (report,) = (root / "reports").glob("*.json")
+    assert report.name == clean.name and report.read_bytes() == clean.read_bytes()
+    report.unlink()
+    assert run(root, "--cache-mode", "replay", "evaluate") == 0
+    assert report.read_bytes() == clean.read_bytes()
 
 
 @pytest.mark.parametrize("manifest", [None, ["fuzz-3-0000.json"]], ids=["one-episode", "manifest-subset"])

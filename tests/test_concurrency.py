@@ -20,10 +20,11 @@ from collections import Counter
 import pytest
 
 from score import gateway as gateway_module
+from score.cache import CACHE_FILE
 from score.errors import SentimentError, TransportError
 from score.evaluator import Ablations, PipelineConfig, run_comparison, run_pipeline
 from score.fuzz import FuzzSpec, generate_corpus
-from score.gateway import CACHE_FILE, GatewayConfig, LlmGateway, hashed_embedding
+from score.gateway import GatewayConfig, LlmGateway, hashed_embedding, request_digest
 from score.lexicon import mock_sentiment_value
 from score.retrieval import RetrievalConfig
 from score.story import Episode, KeyItem, Story
@@ -449,7 +450,7 @@ def test_the_mock_backend_with_cache_off_computes_no_digest_and_keeps_no_entry(m
     config = PipelineConfig(gateway=mock_gateway.config, retrieval=RetrievalConfig())
     result = run_pipeline(stories, mock_gateway, config, truth.to_gold())
     assert result.qa_results
-    assert mock_gateway._pending == mock_gateway._memo == {}
+    assert mock_gateway._store is None and mock_gateway._pending == {}
     assert mock_gateway.stats.memo_hits == mock_gateway.stats.transport_calls == 0
 
 
@@ -475,9 +476,12 @@ def test_the_memo_survives_heavy_thread_switching():
     sent = []
     lock = threading.Lock()
 
+    bodies = []
+
     def transport(url, body, timeout, headers):
         with lock:
             sent.append(body["messages"][0]["content"])
+            bodies.append(body)
         return {"choices": [{"message": {"content": "re:" + body["messages"][0]["content"]}}]}
 
     gw = _remote_gateway(workers, transport)
@@ -488,9 +492,11 @@ def test_the_memo_survives_heavy_thread_switching():
     assert stats.transport_calls == distinct
     assert stats.memo_hits + stats.transport_calls == len(prompts)
     assert stats.cache_hits == stats.cache_misses == stats.in_flight == 0
-    assert len(gw._memo) == distinct and gw._pending == {}
+    keys = {request_digest("complete", "m", body) for body in bodies}
+    assert len(keys) == distinct and gw._pending == {}
+    assert all(gw._store.get(key) is not None for key in keys)
     gw.close()
-    assert gw._memo == {}
+    assert all(gw._store.get(key) is None for key in keys)
 
 
 def test_stats_survive_heavy_thread_switching(tmp_path):

@@ -240,6 +240,17 @@ def test_story_with_null_key_items_exits_2_naming_it(project, command):
     assert f"{path}: $.key_items: must be a list, got null" in err
 
 
+@pytest.mark.parametrize("alias", ["", " \t"], ids=["empty", "blank"])
+@pytest.mark.parametrize("command", [["track"], ["evaluate"]])
+def test_story_with_a_blank_alias_exits_2_naming_it(project, command, alias):
+    path = _stories(project)[0]
+    names = json.loads(path.read_bytes())["key_items"][0]["names"]
+    _edit_json(path, lambda story: story["key_items"][0]["names"].append(alias))
+    code, err = run(project, *command)
+    assert code == 2
+    assert f"{path}: $.key_items[0].names[{len(names)}]: must not be blank" in err
+
+
 @pytest.mark.parametrize("markdown", [[], ["--markdown"]], ids=["json", "markdown"])
 @pytest.mark.parametrize(
     "damage", [lambda raw: raw[: len(raw) // 2], lambda raw: b"\xff" + raw], ids=["truncated", "not-utf8"]

@@ -17,14 +17,15 @@ from hypothesis import strategies as st
 
 from score.errors import (
     ContractError,
+    GatewayReplyError,
     PersistenceError,
     SentimentError,
     TransportError,
     UncachedRequestError,
     ValidationError,
 )
+from score.cache import CACHE_FILE, FORMAT
 from score.gateway import (
-    CACHE_FILE,
     GatewayConfig,
     LlmGateway,
     SentimentScore,
@@ -194,11 +195,76 @@ def test_remote_embed_parses_and_orders_by_index():
     assert np.array_equal(vectors[1], [0.0, 1.0, 0.0])
 
 
-def test_remote_embed_dimension_mismatch_is_transport_error():
-    reply = {"data": [{"index": 0, "embedding": [1.0, 0.0]}]}
-    gw = LlmGateway(remote_config(embed_dim=5), transport=FakeTransport([reply]))
-    with pytest.raises(TransportError, match="dimension"):
+def test_remote_embed_dimension_mismatch_is_a_reply_error():
+    reply = {"data": [{"index": 0, "embedding": [0.0, 0.6, 0.8]}, {"index": 1, "embedding": [1.0, 0.0]}]}
+    healthy = {"data": [{"index": 0, "embedding": [0.0, 1.0, 0.0]}]}
+    transport = FakeTransport([reply, healthy])
+    gw = LlmGateway(remote_config(embed_dim=3), transport=transport)
+    with pytest.raises(GatewayReplyError, match=r"the embedding of texts\[2\] has dimension \(2,\), expected \(3,\)"):
+        gw.embed(["first", "first", "second"])
+    # the memo kept no row of the rejected reply, not even the good one
+    assert np.array_equal(gw.embed(["first"])[0], [0.0, 1.0, 0.0])
+    assert transport.calls == 2 and gw.stats.memo_hits == 0
+
+
+@pytest.mark.parametrize("component", [float("nan"), float("inf"), float("-inf")])
+def test_a_remote_embedding_that_is_not_finite_is_a_reply_error_and_not_recorded(tmp_path, component):
+    reply = {"data": [{"index": 0, "embedding": [0.6, component, 0.0]}]}
+    gw = LlmGateway(remote_config(embed_dim=3, cache_mode="record"), cache_dir=tmp_path, transport=FakeTransport([reply]))
+    with gw, pytest.raises(GatewayReplyError, match=r"texts\[0\] is not finite"):
         gw.embed(["text"])
+    assert stored_entries(tmp_path) == {}
+
+
+def test_a_recorded_embedding_of_another_dimension_is_still_refused_on_replay(tmp_path):
+    reply = {"data": [{"index": 0, "embedding": [0.6, 0.8, 0.0]}]}
+    with LlmGateway(remote_config(embed_dim=3, cache_mode="record"), cache_dir=tmp_path, transport=FakeTransport([reply])) as gw:
+        gw.embed(["text"])
+    with LlmGateway(remote_config(embed_dim=5, cache_mode="replay"), cache_dir=tmp_path) as gw:
+        with pytest.raises(TransportError, match=r"embedding 0 has dimension \(3,\), expected \(5,\)"):
+            gw.embed(["text"])
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["data", "index", "embedding"]), inner),
+    max_leaves=10,
+)
+_VECTORS = st.integers(1, 4).flatmap(
+    lambda dim: st.lists(st.lists(st.floats(), min_size=dim, max_size=dim), min_size=1, max_size=2)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    reply=st.one_of(
+        _JSON,
+        _VECTORS.map(lambda rows: {"data": [{"index": i, "embedding": row} for i, row in enumerate(rows)]}),
+    )
+)
+@example(reply={"data": [{"index": i, "embedding": [0.6, 0.8, 0.0]} for i in range(2)]})
+@example(reply={"data": [{"index": i, "embedding": [0.6, float("nan"), 0.0]} for i in range(2)]})
+def test_any_embedding_reply_ends_in_checked_vectors_or_a_gateway_error_and_only_those_are_recorded(reply):
+    """Any JSON value or vectors of any dimension, NaN and inf included, as
+    the reply: `embed` returns vectors of the configured dimension that are
+    finite, or raises an exit-3 error, and a second `record` run over a
+    healthy transport then succeeds, from the recording if the first did."""
+    config = remote_config(embed_dim=3, cache_mode="record")
+    healthy = FakeTransport([{"data": [{"index": i, "embedding": [1.0, 0.0, 0.0]} for i in range(2)]}])
+    with tempfile.TemporaryDirectory() as cache_dir:
+        with LlmGateway(config, cache_dir=cache_dir, transport=FakeTransport([reply])) as gw:
+            try:
+                first = gw.embed(["a", "b"])
+            except (TransportError, GatewayReplyError):
+                first = None
+        with LlmGateway(config, cache_dir=cache_dir, transport=healthy) as gw:
+            second = gw.embed(["a", "b"])
+    assert all(vec.shape == (3,) and np.isfinite(vec).all() for vec in second)
+    if first is None:
+        assert healthy.calls == 1
+    else:
+        assert healthy.calls == 0
+        assert [vec.tobytes() for vec in second] == [vec.tobytes() for vec in first]
 
 
 def test_remote_embedding_that_is_not_numbers_is_transport_error(tmp_path):
@@ -471,43 +537,48 @@ def test_replay_never_creates_or_writes_the_cache_file(tmp_path):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
-def test_replay_miss_over_an_old_layout_cache_says_record_again(tmp_path):
-    old_entry = tmp_path / "ab" / ("ab" + "0" * 62 + ".json")
-    old_entry.parent.mkdir()
-    old_entry.write_text('{"op": "complete", "response": "old"}', "utf-8")
-    gw = LlmGateway(GatewayConfig(backend="mock", cache_mode="replay"), cache_dir=tmp_path)
-    with pytest.raises(UncachedRequestError, match="old one-file-per-request layout: record it again"):
-        gw.complete("anything")
-
-
-def _write_rows(cache_dir, records):
-    """A cache file holding `records` (op, model, request, response), each under its request digest."""
+def _stamp(cache_dir, version):
     with contextlib.closing(sqlite3.connect(Path(cache_dir) / CACHE_FILE)) as db:
-        db.execute("CREATE TABLE entries (key TEXT PRIMARY KEY, record TEXT NOT NULL)")
-        for op, model, request, response in records:
-            record = {"op": op, "model": model, "request": request, "response": response}
-            key = request_digest(op, model, request)
-            db.execute("INSERT INTO entries VALUES (?, ?)", (key, canonical_dumps(record)))
-        db.commit()
+        db.execute(f"PRAGMA user_version = {version}")
 
 
-def test_replay_miss_over_a_cache_of_batched_embeddings_says_record_again(tmp_path):
-    batch = {"model": "test-model", "input": ["a", "b"]}
-    _write_rows(tmp_path, [("embed", "test-model", batch, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])])
-    gw = LlmGateway(remote_config(cache_mode="replay", embed_dim=3), cache_dir=tmp_path, transport=FakeTransport([]))
-    with gw, pytest.raises(UncachedRequestError, match="predates one entry per embedded text: record it again"):
-        gw.embed(["a", "b"])
-    assert gw.stats.transport_calls == 0
+def test_a_fresh_recording_is_stamped_with_the_format_number(tmp_path):
+    with LlmGateway(GatewayConfig(backend="mock", cache_mode="record"), cache_dir=tmp_path) as gw:
+        gw.complete("stamped")
+    with contextlib.closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
+        assert db.execute("PRAGMA user_version").fetchone() == (FORMAT,) != (0,)
 
 
-def test_remote_replay_miss_over_a_cache_of_sentiment_rows_says_record_again(tmp_path):
-    tone = {"model": "test-model", "text": "a calm sea"}
-    _write_rows(tmp_path, [("sentiment", "test-model", tone, 0.5)])
-    gw = LlmGateway(remote_config(cache_mode="replay"), cache_dir=tmp_path, transport=FakeTransport([]))
-    hint = "predates sentiment requests keyed by their prompt: record it again"
-    with gw, pytest.raises(UncachedRequestError, match=hint):
+def _recording_of_another_format(cache_dir, version):
+    """A recording of one tone on the remote backend whose file says format `version`."""
+    transport = FakeTransport([chat_reply("0.5")])
+    with LlmGateway(remote_config(cache_mode="record"), cache_dir=cache_dir, transport=transport) as gw:
         gw.score_sentiment("a calm sea")
-    assert gw.stats.transport_calls == 0
+    _stamp(cache_dir, version)
+    return (Path(cache_dir) / CACHE_FILE).read_bytes()
+
+
+@pytest.mark.parametrize("version", [0, FORMAT + 1])
+def test_replay_of_a_cache_file_of_another_format_says_record_again(tmp_path, version):
+    before = _recording_of_another_format(tmp_path, version)
+    gw = LlmGateway(remote_config(cache_mode="replay"), cache_dir=tmp_path, transport=FakeTransport([]))
+    message = f"{tmp_path / CACHE_FILE}: recorded by another version of score: record it again"
+    with gw, pytest.raises(UncachedRequestError, match=message):
+        gw.score_sentiment("a calm sea")  # refused although the file holds the request
+    assert gw.stats.transport_calls == gw.stats.cache_hits == 0
+    assert (tmp_path / CACHE_FILE).read_bytes() == before
+
+
+@pytest.mark.parametrize("version", [0, FORMAT + 1])
+def test_record_over_a_cache_file_of_another_format_leaves_it_alone(tmp_path, version):
+    before = _recording_of_another_format(tmp_path, version)
+    transport = FakeTransport([chat_reply("0.5")])
+    gw = LlmGateway(remote_config(cache_mode="record"), cache_dir=tmp_path, transport=transport)
+    with gw, pytest.raises(PersistenceError, match=f"{CACHE_FILE}: recorded by another version of score"):
+        gw.score_sentiment("another sea")
+    assert transport.calls == 0
+    assert [p.name for p in tmp_path.iterdir()] == [CACHE_FILE]
+    assert (tmp_path / CACHE_FILE).read_bytes() == before
 
 
 def test_a_mock_recording_of_tones_still_replays(tmp_path):
@@ -519,19 +590,6 @@ def test_a_mock_recording_of_tones_still_replays(tmp_path):
         with pytest.raises(UncachedRequestError) as missed:
             gw.complete("never recorded")
     assert "record it again" not in str(missed.value)
-
-
-def test_one_text_embedding_entries_of_an_older_recording_still_serve(tmp_path):
-    one = {"model": "test-model", "input": ["a"]}
-    _write_rows(tmp_path, [("embed", "test-model", one, [[0.6, 0.8, 0.0]])])
-    with LlmGateway(remote_config(cache_mode="replay", embed_dim=3), cache_dir=tmp_path) as gw:
-        (vec,) = gw.embed(["a"])
-        assert np.array_equal(vec, [0.6, 0.8, 0.0])
-        with pytest.raises(UncachedRequestError) as missed:
-            gw.embed(["a", "never recorded"])
-    assert "record it again" not in str(missed.value)  # no batch row: an ordinary miss
-    missing_key = request_digest("embed", "test-model", {"model": "test-model", "input": ["never recorded"]})
-    assert missing_key in str(missed.value)
 
 
 @pytest.mark.parametrize("mode", ["record", "replay"])
@@ -548,9 +606,9 @@ def test_cache_file_that_is_not_a_database_is_persistence_error_naming_it(tmp_pa
 def test_close_releases_the_connection(tmp_path):
     gw = LlmGateway(GatewayConfig(backend="mock", cache_mode="record"), cache_dir=tmp_path)
     gw.complete("first")
-    db = gw._db
+    db = gw._store._db
     gw.close()
-    assert gw._db is None
+    assert gw._store._db is None
     with pytest.raises(sqlite3.ProgrammingError):
         db.execute("SELECT 1")
     # the last connection is gone: the write-ahead log is folded into the file
@@ -561,7 +619,7 @@ def test_close_releases_the_connection(tmp_path):
     gw.complete("second")  # and a later request opens the file again
     with gw:
         pass
-    assert gw._db is None and len(stored_entries(tmp_path)) == 2
+    assert gw._store._db is None and len(stored_entries(tmp_path)) == 2
 
 
 def test_cache_off_imports_no_sqlite(tmp_path):

@@ -27,9 +27,10 @@ import sqlite3
 from test_concurrency import StoryModel
 
 from score import cli, fuzz, retrieval, summarize
+from score.cache import CACHE_FILE
 from score.cli import _report_payload
 from score.evaluator import PipelineConfig, run_pipeline
-from score.gateway import CACHE_FILE, GatewayConfig, LlmGateway
+from score.gateway import GatewayConfig, LlmGateway
 from score.index import build_index
 from score.jsonio import canonical_bytes
 from score.retrieval import RetrievalConfig

@@ -50,3 +50,19 @@ def test_every_module_level_function_and_class_has_a_caller_outside_the_tests():
     benchmark = _benchmark_names()
     unused = [f"{module}.{name}" for module, name in defined if name not in used and (module, name) not in benchmark]
     assert unused == []
+
+
+def test_only_the_cache_module_imports_sqlite3():
+    """The cache file's format is decided in one module: `score/cache.py`."""
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "sqlite3" for module in modules):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["cache.py"]
