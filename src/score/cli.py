@@ -2,11 +2,14 @@
 
 This module parses the arguments, runs the commands and maps errors to exit
 codes; `project.Project` reads every project file (see `score.project`).
-Commands create what is missing, never write outside the root, and exit
-with: 0 success (also when the reader of stdout closes the pipe early),
-1 usage error, 2 validation error (every damaged file, named with the JSON
-path of its first wrong value), 3 gateway/transport error, 4 replay cache
-miss.
+`track`, `summarize`, `index`, `evaluate` and `compare` get their stage
+outputs from `_stage_outputs` alone: each story's matching stage file is
+read, and every other story is computed and its file saved, on every
+backend. Commands create what is missing, never write outside the root,
+and exit with: 0 success (also when the reader of stdout closes the pipe
+early), 1 usage error, 2 validation error (every damaged file, named with
+the JSON path of its first wrong value), 3 gateway/transport error, 4
+replay cache miss.
 """
 
 from __future__ import annotations
@@ -127,48 +130,26 @@ def cmd_fuzz(project: Project, args) -> int:
     return 0
 
 
-def _matching(project: Project, stage: str, stories: list[Story], gateway, serialized: dict[str, bytes]) -> dict:
-    """The `stage` output ("states" or "summaries") of each story whose stage file matches, by
-    story id; a file that does not load is left out with a warning, so its story is computed again.
-    `serialized` holds the stories' `serialized_stories` bytes."""
-    found = {}
-    for story in stories:
+def _stage_outputs(project: Project, stage: str, stories: list[Story], gateway, serialized, *, force=False):
+    """Every story's `stage` output ("states" or "summaries") by story id, and how many were read
+    from stage files. A story whose file matches its `stage_inputs` is read from it (none with
+    `force`); a file that does not load is warned about and taken as missing. Every other story is
+    computed, and its file saved with the inputs it was made from. `serialized` holds the stories'
+    `serialized_stories` bytes."""
+    inputs = {story.story_id: stage_inputs(stage, serialized[story.story_id], gateway) for story in stories}
+    held = {}
+    for story in () if force else stories:
         try:
-            output = project.load_stage(stage, story, stage_inputs(stage, serialized[story.story_id], gateway))
+            output = project.load_stage(stage, story, inputs[story.story_id])
         except PersistenceError as e:
             logger.warning("%s; computing it again", e)
             continue
         if output is not None:
-            found[story.story_id] = output
-    return found
-
-
-def _save_computed(project: Project, stage: str, stories: list[Story], gateway, serialized, held, outputs) -> None:
-    """Save the `stage` output in `outputs`, by story id, of each story that `held` (the outputs
-    of matching stage files) lacks, recording the `stage_inputs` digest that `_matching` checks."""
-    for story in stories:
-        if story.story_id not in held:
-            inputs = stage_inputs(stage, serialized[story.story_id], gateway)
-            project.save_stage(stage, story, inputs, outputs[story.story_id])
-
-
-def _keep_computed(project: Project, stories: list[Story], gateway, serialized, held: dict, outputs) -> None:
-    """On the remote backend, save what `_save_computed` saves for each stage in `held` (a stage's
-    `_matching` result), from `outputs`, a `PipelineResult` or `ComparisonReport`. A command that
-    makes minimal summaries reads none, so only full-module outputs are saved; a mock stage file
-    costs about what computing its output does, so the mock backend writes none."""
-    if not gateway.is_mock:
-        for stage, found in held.items():
-            _save_computed(project, stage, stories, gateway, serialized, found, getattr(outputs, stage))
-
-
-def _run_stage(project: Project, stage: str, stories: list[Story], gateway, *, force=False) -> tuple[dict, int]:
-    """Every story's `stage` output by story id, computing and saving each one no matching stage
-    file holds (with `force`, every one); and how many such files held one."""
-    serialized = serialized_stories(stories)
-    held = {} if force else _matching(project, stage, stories, gateway, serialized)
-    made = stage_outputs([story for story in stories if story.story_id not in held], gateway, stage)
-    _save_computed(project, stage, stories, gateway, serialized, held, made)
+            held[story.story_id] = output
+    todo = [story for story in stories if story.story_id not in held]
+    made = stage_outputs(todo, gateway, stage)
+    for story in todo:
+        project.save_stage(stage, story, inputs[story.story_id], made[story.story_id])
     return {**held, **made}, len(held)
 
 
@@ -177,7 +158,8 @@ def cmd_summarize(project: Project, args) -> int:
     gateway_cfg, _, _ = _load_config(project, args)
     stories = project.load_stories()
     with _gateway(project, gateway_cfg) as gateway:
-        _, held = _run_stage(project, "summaries", stories, gateway, force=args.force)
+        serialized = serialized_stories(stories)
+        _, held = _stage_outputs(project, "summaries", stories, gateway, serialized, force=args.force)
     print(f"summarized {len(stories) - held} story(ies), {held} already present (use --force to redo)")
     return 0
 
@@ -187,7 +169,7 @@ def cmd_track(project: Project, args) -> int:
     gateway_cfg, _, _ = _load_config(project, args)
     stories = project.load_stories()
     with _gateway(project, gateway_cfg) as gateway:
-        states, _ = _run_stage(project, "states", stories, gateway)
+        states, _ = _stage_outputs(project, "states", stories, gateway, serialized_stories(stories))
     reported = {story_id: errors for story_id, (_, errors) in states.items()}
     total_errors = sum(len(errors) for errors in reported.values())
     print(f"tracked {len(stories)} story(ies), {total_errors} continuity error(s) detected")
@@ -206,14 +188,7 @@ def cmd_index(project: Project, args) -> int:
     gateway_cfg, _, granularity = _load_config(project, args)
     stories = project.load_stories()
     with _gateway(project, gateway_cfg) as gateway:
-        serialized = serialized_stories(stories)
-        summaries = {
-            s.story_id: project.load_stage("summaries", s, stage_inputs("summaries", serialized[s.story_id], gateway))
-            for s in stories
-        }
-        missing = [story_id for story_id, built in summaries.items() if built is None]
-        if missing:
-            raise ValidationError("summaries", f"not built for: {', '.join(missing)} (run `score summarize`)")
+        summaries, _ = _stage_outputs(project, "summaries", stories, gateway, serialized_stories(stories))
         units = [unit for story in stories for unit in retrieval_units(story, summaries[story.story_id], granularity)]
         vectors = gateway.embed([record.text for _, record in units])
     index, records = build_retrieval_index(units, vectors, gateway_cfg.embed_dim)
@@ -281,9 +256,8 @@ def cmd_evaluate(project: Project, args) -> int:
     serialized = serialized_stories(stories)
     with _gateway(project, gateway_cfg) as gateway:
         used = ("states", "summaries") if ablations.summary else ("states",)
-        made = {stage: _matching(project, stage, stories, gateway, serialized) for stage in used}
+        made = {stage: _stage_outputs(project, stage, stories, gateway, serialized)[0] for stage in used}
         result = run_pipeline(stories, gateway, config, gold, episode=episode_filter, **made)
-        _keep_computed(project, stories, gateway, serialized, made, result)
 
     run_id = hashlib.sha256(
         (config.digest() + corpus_digest(serialized) + str(episode_filter)).encode()
@@ -342,10 +316,10 @@ def cmd_compare(project: Project, args) -> int:
 
     serialized = serialized_stories(stories)
     with _gateway(project, gateway_cfg) as gateway:
-        made = {stage: _matching(project, stage, stories, gateway, serialized) for stage in ("states", "summaries")}
-        comparison = run_comparison(stories, gold, gateway, config_a, config_b, **made)
-        # the comparison holds side a's outputs, and side a runs every module
-        _keep_computed(project, stories, gateway, serialized, made, comparison)
+        # side a runs every module, so it reads both stages
+        states, _ = _stage_outputs(project, "states", stories, gateway, serialized)
+        summaries, _ = _stage_outputs(project, "summaries", stories, gateway, serialized)
+        comparison = run_comparison(stories, gold, gateway, config_a, config_b, states=states, summaries=summaries)
     run_id = hashlib.sha256(
         (config_a.digest() + config_b.digest() + corpus_digest(serialized)).encode()
     ).hexdigest()[:12]

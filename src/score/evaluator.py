@@ -806,9 +806,6 @@ class ComparisonReport:
     report_a: MetricsReport
     report_b: MetricsReport
     digest_collision: bool
-    # side a's stage outputs, by story id as `PipelineResult` holds them
-    states: dict[str, StoryStates]
-    summaries: dict[str, list[EpisodeSummary]]
 
     def deltas(self) -> dict[str, float | None]:
         out: dict[str, float | None] = {}
@@ -831,7 +828,7 @@ def run_comparison(
 ) -> ComparisonReport:
     """Evaluate the identical corpus and question set under two
     configurations; `states` and `summaries` serve both runs as in
-    `run_pipeline`, and the report holds side a's.
+    `run_pipeline`.
 
     Side b also gets the states side a made, and its summaries when side a
     made full ones, so no story is tracked or summarized twice."""
@@ -853,6 +850,4 @@ def run_comparison(
         report_a=result_a.report,
         report_b=result_b.report,
         digest_collision=collision,
-        states=result_a.states,
-        summaries=result_a.summaries,
     )

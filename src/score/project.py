@@ -176,9 +176,10 @@ class Project:
         return output
 
     def save_stage(self, stage: str, story: Story, inputs: str, output) -> None:
-        """Write the story's `stage` file, recording the `inputs` its `output` was made from."""
-        payload = _STAGE_FILES[stage][1](story.story_id, output)
-        write_if_changed(self.dir(stage) / f"{story.story_id}.json", canonical_bytes({**payload, "inputs": inputs}))
+        """Write the story's `stage` file, recording the `inputs` its `output` was made from.
+        The file is compact: an indent would keep `json.dumps` from its C encoder."""
+        payload = {**_STAGE_FILES[stage][1](story.story_id, output), "inputs": inputs}
+        write_if_changed(self.dir(stage) / f"{story.story_id}.json", canonical_bytes(payload, indent=None))
 
     def load_gold(self) -> tuple[GroundTruth | None, GoldData | None]:
         """The ground truth and its gold data, or (None, None) when there is none."""
@@ -188,11 +189,13 @@ class Project:
         return truth, truth.to_gold()
 
     def load_index(self, granularity: str) -> tuple[FlatIndex, dict[str, SummaryRecord]]:
-        """The index `score index` built at `granularity`, and its records."""
+        """The index `score index` built at `granularity`, and its records: one
+        per index entry, of the entry's story and episode."""
         base = self.dir("index") / granularity
         if not base.with_suffix(".vec").exists():
             raise ValidationError("index", "index not built (run `score index` first)")
-        return FlatIndex.load(base), load_json(base.with_suffix(".records.json"), dict, _records_from_dict)
+        index = FlatIndex.load(base)
+        return index, load_json(base.with_suffix(".records.json"), dict, lambda raw: _records_from_dict(raw, index))
 
     def load_report(self, run_id: str) -> tuple[dict, bool]:
         """The stored report `run_id`, and whether it is a comparison."""
@@ -270,9 +273,16 @@ def _listed_story_files(stories_dir: Path, names: list[str]) -> list[Path]:
     return [stories_dir / name for name in names]
 
 
-def _records_from_dict(raw: dict) -> dict[str, SummaryRecord]:
+def _records_from_dict(raw: dict, index: FlatIndex) -> dict[str, SummaryRecord]:
+    entries = {entry.entry_id: entry for entry in index.entries}
+    if raw.keys() != entries.keys():
+        raise ValidationError("$", "must hold one record per entry of the index's .meta.json")
     for entry_id, value in raw.items():
-        check(value, RECORD_SHAPE, f"$[{canonical_dumps(entry_id)}]")
+        where, entry = f"$[{canonical_dumps(entry_id)}]", entries[entry_id]
+        check(value, RECORD_SHAPE, where)
+        if (value["story_id"], value["episode_index"]) != (entry.story_id, entry.episode_index):
+            expected = f"story {entry.story_id!r}, episode {entry.episode_index}"
+            raise ValidationError(where, f"must be of {expected}, as its .meta.json entry is")
     return records_from_dict(raw)
 
 

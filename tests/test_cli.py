@@ -250,6 +250,8 @@ def _repeat_first_entry_id(meta: dict) -> None:
         ("summary.records.json", lambda raw: b"[]"),
         ("summary.records.json", _json_edit(lambda records: _first_record(records).pop("text"))),
         ("summary.records.json", _json_edit(lambda records: records.update({sorted(records)[0]: ["x"]}))),
+        ("summary.records.json", _json_edit(lambda records: _first_record(records).update(episode_index=1))),
+        ("summary.records.json", _json_edit(lambda records: records.pop(sorted(records)[0]))),
     ],
     ids=[
         "meta-truncated",
@@ -262,6 +264,8 @@ def _repeat_first_entry_id(meta: dict) -> None:
         "records-not-an-object",
         "record-without-text",
         "record-not-an-object",
+        "record-of-another-episode",
+        "record-left-out",
     ],
 )
 def test_corrupt_index_file_exits_2_naming_it(project, capsys, name, mutate):
@@ -273,6 +277,23 @@ def test_corrupt_index_file_exits_2_naming_it(project, capsys, name, mutate):
     capsys.readouterr()
     assert run(project, "ask", "where is the sword?") == 2
     assert name in capsys.readouterr().err
+
+
+def test_ask_refuses_index_records_relabelled_to_another_story(project, capsys):
+    run(project, "fuzz", "--seed", "3", "--stories", "3")
+    run(project, "summarize")
+    run(project, "index")
+    path = project / "index" / "summary.records.json"
+    records = json.loads(path.read_bytes())
+    for record in records.values():
+        if record["story_id"] == "fuzz-3-0000":
+            record["story_id"] = "fuzz-3-0001"
+    path.write_text(json.dumps(records), "utf-8")
+    capsys.readouterr()
+    for story in ((), ("--story", "fuzz-3-0000")):
+        assert run(project, "ask", "What happened to the lantern?", *story) == 2
+        err = capsys.readouterr().err
+        assert "summary.records.json: $[" in err and "must be of story 'fuzz-3-0000'" in err
 
 
 def _drop_last_summary(raw: bytes) -> bytes:
@@ -287,15 +308,17 @@ _BAD_SUMMARIES = pytest.mark.parametrize(
 
 
 @_BAD_SUMMARIES
-def test_corrupt_summaries_file_exits_2_naming_it(project, capsys, mutate):
+def test_index_warns_of_a_corrupt_summaries_file_and_summarizes_again(project, caplog, mutate):
     run(project, "fuzz", "--seed", "3", "--stories", "2")
     run(project, "summarize")
     path = sorted((project / "summaries").glob("*.json"))[0]
-    path.write_bytes(mutate(path.read_bytes()))
-    capsys.readouterr()
+    good = path.read_bytes()
     for granularity in ("summary", "chunk"):
-        assert run(project, "index", "--granularity", granularity) == 2
-        assert path.name in capsys.readouterr().err
+        path.write_bytes(mutate(good))
+        caplog.clear()
+        assert run(project, "index", "--granularity", granularity) == 0
+        assert [r for r in caplog.records if path.name in r.getMessage() and "computing it again" in r.getMessage()]
+        assert path.read_bytes() == good
 
 
 @_BAD_SUMMARIES
@@ -1142,21 +1165,25 @@ def _inputs(project, stage: str) -> dict:
     return {path.name: json.loads(path.read_text("utf-8")).get("inputs") for path in (project / stage).glob("*.json")}
 
 
-def test_a_mock_summaries_file_is_summarized_again_by_a_remote_summarize_and_refused_by_a_remote_index(
+def test_a_mock_summaries_file_is_summarized_again_by_a_remote_summarize_and_summarized_again_by_a_remote_index(
     project, monkeypatch, capsys
 ):
     model = _body_log(monkeypatch)
     run(project, "fuzz", "--seed", "3", "--stories", "2")
     assert run(project, "summarize") == 0
+    made_by_mock = _inputs(project, "summaries")
     capsys.readouterr()
-    assert run(project, *REMOTE, "index") == 2
-    assert "not built for: fuzz-3-0000, fuzz-3-0001 (run `score summarize`)" in capsys.readouterr().err
-    assert model.bodies == []
     assert run(project, *REMOTE, "summarize") == 0
     assert "summarized 2 story(ies), 0 already present" in capsys.readouterr().out
-    assert _sent(model, "Summarize") > 0
+    summary_requests = _sent(model, "Summarize")
+    assert summary_requests > 0
+    assert run(project, "index") == 0  # the mock backend summarizes again for its own
+    assert _inputs(project, "summaries") == made_by_mock
+    model.bodies.clear()
     assert run(project, *REMOTE, "index") == 0
-    assert run(project, "index") == 2  # and now the mock backend asks for its own
+    assert _sent(model, "Summarize") == summary_requests and any("/embeddings " in body for body in model.bodies)
+    made_by_remote = _inputs(project, "summaries")
+    assert set(made_by_remote) == set(made_by_mock) and all(made_by_remote[n] != made_by_mock[n] for n in made_by_mock)
 
 
 def test_an_edit_of_the_summarize_template_makes_summarize_redo_the_file(project, monkeypatch, capsys):
@@ -1319,13 +1346,13 @@ def test_the_stage_files_a_remote_evaluate_writes_are_those_track_and_summarize_
 
 
 @pytest.mark.parametrize("backend", [REMOTE, ("--backend", "mock")], ids=["remote", "mock"])
-def test_only_a_remote_evaluate_or_compare_writes_stage_files(project, monkeypatch, backend):
+def test_an_evaluate_or_compare_writes_stage_files_on_every_backend(project, monkeypatch, backend):
     _body_log(monkeypatch)
     run(project, "fuzz", "--seed", "3", "--stories", "2")
     for command in (("evaluate",), ("compare", "--baseline")):
         _remove_stage_files(project)
         assert run(project, *backend, *command) == 0
-        assert len(_stage_files(project)) == (4 if backend == REMOTE else 0), command
+        assert len(_stage_files(project)) == 4, command
 
 
 def test_an_evaluate_without_summarization_writes_no_summaries_file(project, monkeypatch):
@@ -1339,6 +1366,66 @@ def test_an_evaluate_without_summarization_writes_no_summaries_file(project, mon
     assert len(_stage_files(project)) == 4
 
 
+# the stage files each command reads
+_STAGES_READ = {"track": ("states",), "summarize": ("summaries",), "index": ("summaries",)}
+
+
+@pytest.mark.parametrize("backend", [REMOTE, ("--backend", "mock")], ids=["remote", "mock"])
+@pytest.mark.parametrize(
+    "command",
+    [("track",), ("summarize",), ("index",), ("evaluate",), ("compare", "--baseline")],
+    ids=["track", "summarize", "index", "evaluate", "compare"],
+)
+def test_a_command_reads_each_matching_stage_file_and_computes_and_keeps_the_rest(
+    project, monkeypatch, caplog, backend, command
+):
+    from score import cli
+
+    model = _body_log(monkeypatch)
+    stages = _STAGES_READ.get(command[0], ("states", "summaries"))
+    run(project, "fuzz", "--seed", "3", "--stories", "4")
+
+    def stage_files_made(*model_flag):
+        for stage_command in ("track", "summarize"):
+            assert run(project, *backend, *model_flag, stage_command) == 0
+        return _stage_files(project)
+
+    stale = stage_files_made("--model", "another")
+    matching = stage_files_made()
+    stories = _story_files(project)
+    ids = [story["story_id"] for story in stories]
+    untouched = 10**18  # a modification time no write leaves
+    for stage in stages:
+        os.utime(project / stage / f"{ids[0]}.json", ns=(untouched, untouched))
+        (project / stage / f"{ids[1]}.json").write_bytes(stale[f"{stage}/{ids[1]}.json"])
+        truncated = project / stage / f"{ids[2]}.json"
+        truncated.write_bytes(_truncated(truncated.read_bytes()))
+        (project / stage / f"{ids[3]}.json").unlink()
+    computed = []
+    compute = cli.stage_outputs
+
+    def stage_outputs(todo, gateway, stage):
+        computed.append((stage, [story.story_id for story in todo]))
+        return compute(todo, gateway, stage)
+
+    monkeypatch.setattr(cli, "stage_outputs", stage_outputs)
+    model.bodies.clear()
+    caplog.set_level(logging.WARNING)
+    assert run(project, *backend, *command) == 0
+    assert computed == [(stage, ids[1:]) for stage in stages]
+    for stage in stages:
+        assert (project / stage / f"{ids[0]}.json").stat().st_mtime_ns == untouched
+        assert [r for r in caplog.records if f"{stage}/{ids[2]}.json: does not load" in r.getMessage()]
+    assert _stage_files(project) == matching
+    # on the remote backend, one stage request per distinct episode text of the three stories computed
+    extractions = set().union(*map(_named, stories[1:])) if "states" in stages else set()
+    summaries = {ep["text"] for story in stories[1:] for ep in story["episodes"]} if "summaries" in stages else set()
+    remote = backend == REMOTE
+    assert (_sent(model, "You are tracking"), _sent(model, "Summarize")) == (
+        (len(extractions), len(summaries)) if remote else (0, 0)
+    )
+
+
 def _files_digest(root, stage: str) -> str:
     """One SHA-256 over the names and bytes of every `stage` file under `root`."""
     h = hashlib.sha256()
@@ -1348,8 +1435,9 @@ def _files_digest(root, stage: str) -> str:
 
 
 # taken from the code before an episode that names no key item went without an
-# extraction request; the stories are `fuzz --seed 5 --stories 3`
-TRACKED_STATES_SHA256 = "3a7357045b94aa60e277b2f0aa8bab7ab99a16f7963ce9a5a49d944c63a9f99a"
+# extraction request, with each file re-encoded compact (`canonical_bytes(json.loads(...),
+# indent=None)`), as stage files are now written; the stories are `fuzz --seed 5 --stories 3`
+TRACKED_STATES_SHA256 = "074a3c19cc7a124a06d1ded28bb27168168345c8599db5366900b4d6ded61308"
 COMPARED_REPORT_SHA256 = "0ad237326b201936dab28a11439df7d8033b93dc0dd77d80eb18a41a35ca1f64"
 
 

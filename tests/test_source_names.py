@@ -66,3 +66,24 @@ def test_only_the_cache_module_imports_sqlite3():
             if any(module.split(".")[0] == "sqlite3" for module in modules):
                 importers.append(path.name)
     assert sorted(set(importers)) == ["cache.py"]
+
+
+def _references(node: ast.AST, where: str, names: set[str]):
+    """(innermost enclosing definition, name) of each use of one of `names` below `node`."""
+    for child in ast.iter_child_nodes(node):
+        inner = f"{where}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
+        name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+        if name in names:
+            yield inner, name
+        yield from _references(child, inner, names)
+
+
+def test_only_the_one_stage_file_rule_reads_writes_or_computes_a_stage_output():
+    """`cli._stage_outputs` alone uses `Project.load_stage`, `Project.save_stage`
+    and `evaluator.stage_outputs`, so every command reads, computes and keeps
+    stage files by the same rule."""
+    names = {"load_stage", "save_stage", "stage_outputs"}
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        used.update(_references(ast.parse(path.read_text("utf-8")), path.stem, names))
+    assert used == {("cli._stage_outputs", name) for name in names}
