@@ -43,7 +43,9 @@ from .evaluator import (
 from .fuzz import FuzzSpec, generate_corpus, score_detection, truth_to_dict
 from .gateway import GatewayConfig, LlmGateway
 from .jsonio import canonical_bytes, canonical_dumps, write_if_changed
-from .project import METRIC_NAMES, Project, corpus_digest, load_story, make_dir, serialized_stories, stage_inputs
+from .project import (
+    GRANULARITIES, METRIC_NAMES, Project, corpus_digest, load_story, make_dir, serialized_stories, stage_inputs,
+)
 from .retrieval import RetrievalConfig, build_retrieval_index, records_to_dict, retrieval_units, retrieve_for_query
 from .story import Story, serialize_story
 
@@ -60,16 +62,11 @@ _GATEWAY_FLAGS = {
     "embed_dim": "embed_dim",
 }
 _RETRIEVAL_FLAGS = {"top_n": "top_n", "tau": "sentiment_tolerance"}
-# what `score index` builds and `score ask` searches
-_GRANULARITIES = ("summary", "chunk")
 
 
 def _load_config(project: Project, args) -> tuple[GatewayConfig, RetrievalConfig, str]:
     """The project's config, each value a flag was given for replaced by the flag's."""
     gateway_cfg, retrieval_cfg, granularity = project.load_config()
-    granularity = getattr(args, "granularity", None) or granularity
-    if granularity not in _GRANULARITIES:
-        raise UsageError(f"unknown granularity {granularity!r}")
 
     def flagged(flags: dict[str, str]) -> dict:
         return {field: getattr(args, flag) for flag, field in flags.items() if getattr(args, flag, None) is not None}
@@ -77,7 +74,7 @@ def _load_config(project: Project, args) -> tuple[GatewayConfig, RetrievalConfig
     return (
         replace(gateway_cfg, **flagged(_GATEWAY_FLAGS)),
         replace(retrieval_cfg, **flagged(_RETRIEVAL_FLAGS)),
-        granularity,
+        getattr(args, "granularity", None) or granularity,
     )
 
 
@@ -414,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("index", help="embed the summaries or chunks into the vector index")
-    p.add_argument("--granularity", choices=_GRANULARITIES)
+    p.add_argument("--granularity", choices=GRANULARITIES)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("evaluate", help="run the evaluation pipeline, write a report")
@@ -425,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ask", help="answer a question over the indexed corpus")
     p.add_argument("question")
     p.add_argument("--story", help="restrict retrieval to one story")
-    p.add_argument("--granularity", choices=_GRANULARITIES)
+    p.add_argument("--granularity", choices=GRANULARITIES)
     p.set_defaults(func=cmd_ask)
 
     p = sub.add_parser("compare", help="paired run: full pipeline vs baseline or ablation")

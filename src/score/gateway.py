@@ -620,12 +620,14 @@ def hashed_embedding(text: str, dim: int) -> np.ndarray:
 # Model replies: a tone's decimal, and a structured reply's checked JSON
 # ---------------------------------------------------------------------------
 
-_DECIMAL_RE = re.compile(r"-?\d+(?:\.\d+)?")
+# a decimal literal as `float()` reads it: a sign, digits with or without a
+# point (".5", "5.", "0.5") and an exponent ("1e-3")
+_DECIMAL_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def parse_tone(reply: str) -> float:
-    """The first decimal in a tone reply, clamped to [0, 1]; a reply
-    without one is a ValueError."""
+    """The first decimal in a tone reply, read as `float()` reads it and
+    clamped to [0, 1]; a reply without one is a ValueError."""
     match = _DECIMAL_RE.search(reply)
     if match is None:
         raise ValueError("no decimal in reply")

@@ -21,9 +21,13 @@ any order, underflow and the float64 score's own error (`_screen_margin`),
 so no row of the exact top n is screened out. Ties break on entry_id, so
 results are reproducible and bit-for-bit equal to a full scan.
 
-Saving writes the matrix to disk from its own buffer, and an unchanged
-file is compared chunk by chunk, so a save adds no copy of the matrix to
-memory; loading reads the file once and views the matrix in place.
+An index is saved as `<base>.vec`, whose header alone holds the format
+version, dimension and entry count, and `<base>.meta.json`, which holds only
+the entries (a `.meta.json` that also repeats the header's facts, as older
+ones do, loads; those fields are not read). Saving writes the matrix to disk
+from its own buffer, and an unchanged file is compared chunk by chunk, so a
+save adds no copy of the matrix to memory; loading reads the file once and
+views the matrix in place.
 """
 
 from __future__ import annotations
@@ -44,12 +48,9 @@ from .jsonio import canonical_bytes, load_json, write_if_changed
 _MAGIC = b"SCIX"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIQI")  # magic, version, dim, count, payload crc32
-# the parts of `<base>.meta.json` that `FlatIndex.load` reads
-_META_SHAPE = {
-    "dim": int,
-    "count": int,
-    "entries": [{"entry_id": str, "kind": str, "story_id": str, "episode_index": int}],
-}
+# `<base>.meta.json`: one entry per vector, in row order; the dimension and
+# count are the `.vec` header's
+_META_SHAPE = {"entries": [{"entry_id": str, "kind": str, "story_id": str, "episode_index": int}]}
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53  # unit roundoff of float64
 _TINY32 = 2.0**-126  # smallest normal float32
@@ -283,7 +284,10 @@ class FlatIndex:
     # -- persistence --------------------------------------------------------
 
     def save(self, base: Path | str) -> None:
-        """Write `<base>.vec` (binary vectors) and `<base>.meta.json`.
+        """Write `<base>.vec` (a header of the format version, dimension,
+        entry count and checksum, then the binary vectors) and
+        `<base>.meta.json` (only `entries`: each row's id, kind, story and
+        episode).
 
         The checksum and the writer both take a byte view of the matrix, so
         a save holds no copy of it: only the metadata, and the bounded
@@ -294,21 +298,11 @@ class FlatIndex:
         payload = np.ascontiguousarray(self._matrix, dtype="<f8").reshape(-1).view(np.uint8)
         header = _HEADER.pack(_MAGIC, _VERSION, self._dim, len(self._entries), zlib.crc32(payload))
         write_if_changed(base.with_suffix(".vec"), header, payload)
-        meta = {
-            "format_version": _VERSION,
-            "dim": self._dim,
-            "count": len(self._entries),
-            "entries": [
-                {
-                    "entry_id": e.entry_id,
-                    "kind": e.kind,
-                    "story_id": e.story_id,
-                    "episode_index": e.episode_index,
-                }
-                for e in self._entries
-            ],
-        }
-        write_if_changed(base.with_suffix(".meta.json"), canonical_bytes(meta))
+        entries = [
+            {"entry_id": e.entry_id, "kind": e.kind, "story_id": e.story_id, "episode_index": e.episode_index}
+            for e in self._entries
+        ]
+        write_if_changed(base.with_suffix(".meta.json"), canonical_bytes({"entries": entries}))
 
     @classmethod
     def load(cls, base: Path | str) -> "FlatIndex":
@@ -332,10 +326,9 @@ class FlatIndex:
             raise PersistenceError(f"{vec_path}: checksum mismatch")
         matrix = np.frombuffer(payload, dtype="<f8").reshape(count, dim)
 
-        meta = load_json(meta_path, _META_SHAPE)
-        entries = meta["entries"]
-        if meta["count"] != count or meta["dim"] != dim or len(entries) != count:
-            raise PersistenceError(f"{meta_path}: metadata does not match vector file")
+        entries = load_json(meta_path, _META_SHAPE)["entries"]
+        if len(entries) != count:
+            raise PersistenceError(f"{meta_path}: holds {len(entries)} entries, {vec_path.name} {count} vectors")
         # each entry's embedding is its row of the matrix, a read-only view of
         # the file's bytes: no vector is copied
         entries = [

@@ -40,11 +40,8 @@ _DIRS = ("stories", "summaries", "states", "index", "cache", "reports", "prompts
 _CONFIG_SECTIONS = {"gateway": GatewayConfig, "retrieval": RetrievalConfig}
 CONFIG_SHAPE = {f"{s}?": {f"{n}?": t for n, t in typing.get_type_hints(c).items()} for s, c in _CONFIG_SECTIONS.items()}
 CONFIG_SHAPE["granularity?"] = str
-# retired field -> (the value `ensure` wrote, which loads silently; what replaced the field)
-_RETIRED_FIELDS = {
-    ("retrieval", "candidate_pool"): (0, "no result depended on it; delete it"),
-    ("retrieval", "sentiment_filter_enabled"): (True, "use `--ablate sentiment`, or retrieval.filter_queries"),
-}
+# what `score index` builds and `score ask` searches, the values config.json's `granularity` may take
+GRANULARITIES = ("summary", "chunk")
 
 # stage file directory -> (its shape, writer and reader, and the templates its
 # stage can send on the remote backend)
@@ -138,7 +135,8 @@ class Project:
     def load_config(self) -> tuple[GatewayConfig, RetrievalConfig, str]:
         """The gateway and retrieval configs and the granularity config.json
         sets (`ensure` writes the default one); each field it leaves out keeps
-        its default. An unknown field is an error."""
+        its default. An unknown field, or a granularity not in
+        `GRANULARITIES`, is an error."""
         return load_json(self.config_path, CONFIG_SHAPE, _config_from_dict)
 
     def load_stories(self) -> list[Story]:
@@ -190,7 +188,7 @@ class Project:
 
     def load_index(self, granularity: str) -> tuple[FlatIndex, dict[str, SummaryRecord]]:
         """The index `score index` built at `granularity`, and its records: one
-        per index entry, of the entry's story and episode."""
+        per index entry, whose story and episode are the entry's."""
         base = self.dir("index") / granularity
         if not base.with_suffix(".vec").exists():
             raise ValidationError("index", "index not built (run `score index` first)")
@@ -250,20 +248,24 @@ def load_story(path: Path) -> Story:
 
 
 def _config_from_dict(raw: dict) -> tuple[GatewayConfig, RetrievalConfig, str]:
+    for name in raw:
+        if f"{name}?" not in CONFIG_SHAPE:
+            raise ValidationError(f"$.{name}", "unknown config field")
     sections = []
     for section, cls in _CONFIG_SECTIONS.items():
         values = raw.get(section, {})
-        for name, value in values.items():
-            written, successor = _RETIRED_FIELDS.get((section, name), (None, None))
-            if successor and (type(value), value) != (type(written), written):
-                raise ValidationError(f"$.{section}.{name}", f"retired config field: {successor}")
-            if not successor and f"{name}?" not in CONFIG_SHAPE[f"{section}?"]:
+        for name in values:
+            if f"{name}?" not in CONFIG_SHAPE[f"{section}?"]:
                 raise ValidationError(f"$.{section}.{name}", "unknown config field")
         try:
-            sections.append(cls(**{n: v for n, v in values.items() if (section, n) not in _RETIRED_FIELDS}))
+            sections.append(cls(**values))
         except ValidationError as e:
             raise ValidationError(f"$.{section}.{e.field}", e.reason) from None
-    return sections[0], sections[1], raw.get("granularity", "summary")
+    granularity = raw.get("granularity", "summary")
+    if granularity not in GRANULARITIES:
+        expected = ", ".join(map(canonical_dumps, GRANULARITIES))
+        raise ValidationError("$.granularity", f"must be one of {expected}, got {canonical_dumps(granularity):.40}")
+    return sections[0], sections[1], granularity
 
 
 def _listed_story_files(stories_dir: Path, names: list[str]) -> list[Path]:
@@ -274,16 +276,11 @@ def _listed_story_files(stories_dir: Path, names: list[str]) -> list[Path]:
 
 
 def _records_from_dict(raw: dict, index: FlatIndex) -> dict[str, SummaryRecord]:
-    entries = {entry.entry_id: entry for entry in index.entries}
-    if raw.keys() != entries.keys():
+    if raw.keys() != {entry.entry_id for entry in index.entries}:
         raise ValidationError("$", "must hold one record per entry of the index's .meta.json")
     for entry_id, value in raw.items():
-        where, entry = f"$[{canonical_dumps(entry_id)}]", entries[entry_id]
-        check(value, RECORD_SHAPE, where)
-        if (value["story_id"], value["episode_index"]) != (entry.story_id, entry.episode_index):
-            expected = f"story {entry.story_id!r}, episode {entry.episode_index}"
-            raise ValidationError(where, f"must be of {expected}, as its .meta.json entry is")
-    return records_from_dict(raw)
+        check(value, RECORD_SHAPE, f"$[{canonical_dumps(entry_id)}]")
+    return records_from_dict(raw, index.entries)
 
 
 def _lock_problem(path: Path) -> str:

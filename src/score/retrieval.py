@@ -15,11 +15,12 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .chunking import segment
 from .errors import ContractError, ValidationError
 from .gateway import SentimentScore
-from .index import FlatIndex, build_index
+from .index import FlatIndex, IndexEntry, build_index
 from .story import Story
 from .summarize import EpisodeSummary, build_retrieval_document
 
@@ -95,9 +96,6 @@ class ContextBundle:
 
     def episode_refs(self) -> list[tuple[str, int]]:
         return [(e.story_id, e.episode_index) for e in self.selected]
-
-    def __len__(self) -> int:
-        return len(self.selected)
 
 
 def retrieval_units(
@@ -259,29 +257,23 @@ def _record(records: dict[str, SummaryRecord], entry_id: str) -> SummaryRecord:
 
 
 def records_to_dict(records: dict[str, SummaryRecord]) -> dict:
-    return {
-        entry_id: {
-            "story_id": r.story_id,
-            "episode_index": r.episode_index,
-            "sentiment": r.sentiment,
-            "text": r.text,
-        }
-        for entry_id, r in records.items()
-    }
+    """What `.records.json` holds of each record: only what the index's
+    `.meta.json` entry lacks, its sentiment and text."""
+    return {entry_id: {"sentiment": r.sentiment, "text": r.text} for entry_id, r in records.items()}
 
 
 # the shape of each value of the object `records_to_dict` returns
-RECORD_SHAPE = {"story_id": str, "episode_index": int, "sentiment": float, "text": str}
+RECORD_SHAPE = {"sentiment": float, "text": str}
 
 
-def records_from_dict(raw: dict) -> dict[str, SummaryRecord]:
+def records_from_dict(raw: dict, entries: Iterable[IndexEntry]) -> dict[str, SummaryRecord]:
+    """The records of the index `entries` from `records_to_dict`'s object:
+    the story and episode of each come from its entry. A value may hold more
+    fields, such as the story and episode an older layout wrote; they are
+    not read."""
     return {
-        entry_id: SummaryRecord(
-            entry_id=entry_id,
-            story_id=v["story_id"],
-            episode_index=v["episode_index"],
-            sentiment=v["sentiment"],
-            text=v["text"],
+        e.entry_id: SummaryRecord(
+            e.entry_id, e.story_id, e.episode_index, raw[e.entry_id]["sentiment"], raw[e.entry_id]["text"]
         )
-        for entry_id, v in raw.items()
+        for e in entries
     }

@@ -12,7 +12,9 @@ from score import prompts as prompt_templates
 from score.cli import main
 from score.evaluator import FACETS
 from score.gateway import GatewayConfig, hashed_embedding
+from score.jsonio import JSON_TYPES
 from score.lexicon import alias_pattern
+from score.project import CONFIG_SHAPE
 from score.story import parse_story
 
 
@@ -109,6 +111,54 @@ def test_unknown_ablation_is_usage_error(project, capsys):
     assert "unknown ablation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (["evaluate", "--episode", "nohash"], 1, "--episode expects STORY#INDEX, got 'nohash'"),
+        (["evaluate", "--episode", "nosuch#0"], 2, "story 'nosuch' not in corpus"),
+        (["ask", "where is the sword?", "--story", "nosuch"], 2, "story 'nosuch' not in index"),
+    ],
+    ids=["episode-without-hash", "episode-of-no-story", "ask-of-no-story"],
+)
+def test_a_command_naming_no_episode_or_story_of_the_project_exits_with_its_code(project, capsys, argv, code, expected):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    run(project, "index")
+    capsys.readouterr()
+    assert run(project, *argv) == code
+    err = capsys.readouterr().err
+    assert expected in err and "Traceback" not in err
+    assert not list((project / "reports").glob("*.json"))
+
+
+def test_a_manifest_that_lists_two_files_of_one_story_exits_2(project, capsys):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    stories = project / "stories"
+    (stories / "copy.json").write_bytes((stories / "fuzz-3-0000.json").read_bytes())
+    (stories / "corpus.json").write_text(json.dumps({"files": ["fuzz-3-0000.json", "copy.json"]}), "utf-8")
+    capsys.readouterr()
+    assert run(project, "track") == 2
+    assert "duplicate story_id in corpus" in capsys.readouterr().err
+
+
+def test_a_project_without_stories_exits_2(project, capsys):
+    assert run(project, "track") == 2
+    assert "no stories ingested" in capsys.readouterr().err
+
+
+def test_evaluate_of_an_ingested_project_without_ground_truth_reports_no_gold_metric(project, tmp_path, capsys):
+    source = tmp_path / "source"
+    run(source, "fuzz", "--seed", "3", "--stories", "2")
+    assert run(project, "ingest", *map(str, sorted((source / "stories").glob("*.json")))) == 0
+    assert not (project / "ground_truth.json").exists()
+    capsys.readouterr()
+    assert run(project, "evaluate") == 0
+    assert "item_status: n/a" in capsys.readouterr().out
+    (report,) = (project / "reports").glob("*.json")
+    metrics = json.loads(report.read_text("utf-8"))["metrics"]
+    assert metrics["item_status"] is None and metrics["complex_qa"] is None
+    assert metrics["consistency"] is not None and metrics["coherence"] is not None
+
+
 def test_usage_error_exit_code_1(project, capsys):
     assert main(["--project", str(project), "definitely-not-a-command"]) == 1
 
@@ -118,6 +168,25 @@ def test_broken_config_file_exits_2(project, capsys):
     (project / "config.json").write_text('{"gateway": {"no_such_field": 1}}')
     assert run(project, "track") == 2
     assert "config.json" in capsys.readouterr().err
+
+
+# a JSON value of another type than each config field's
+_WRONG_TYPED = {str: 5, int: "5", float: "0.5", bool: 1}
+# id -> (config, named, expected): one wrong-typed value for each field of every section of
+# CONFIG_SHAPE, so that a field added later is covered too, and a granularity `index` does not build
+_GENERATED_CONFIG_CASES = {
+    f"{section[:-1]}.{field[:-1]}-wrong-type": (
+        json.dumps({section[:-1]: {field[:-1]: _WRONG_TYPED[kind]}}),
+        f"config.json: $.{section[:-1]}.{field[:-1]}",
+        f"must be {JSON_TYPES[kind]}",
+    )
+    for section, fields in CONFIG_SHAPE.items()
+    if type(fields) is dict
+    for field, kind in fields.items()
+}
+_GENERATED_CONFIG_CASES["granularity-unknown"] = (
+    '{"granularity": "paragraph"}', "config.json: $.granularity", 'must be one of "summary", "chunk"'
+)
 
 
 @pytest.mark.parametrize(
@@ -131,10 +200,14 @@ def test_broken_config_file_exits_2(project, capsys):
         ('{"retrieval": {"sentiment_tolerance": false}}', "retrieval.sentiment_tolerance", "must be a number"),
         ('{"retrieval": {"filter_queries": 1}}', "retrieval.filter_queries", "must be true or false"),
         ('{"granularity": 5}', "granularity", "must be a string"),
+        ('{"granularty": "chunk"}', "config.json: $.granularty", "unknown config field"),
+        ('{"retreival": {"top_n": 1}}', "config.json: $.retreival", "unknown config field"),
+        *_GENERATED_CONFIG_CASES.values(),
     ],
     ids=[
         "top-level-list", "section-list", "max_parallel-string", "top_n-string", "top_n-bool",
-        "tolerance-bool", "filter_queries-integer", "granularity-integer",
+        "tolerance-bool", "filter_queries-integer", "granularity-integer", "misspelt-field", "misspelt-section",
+        *_GENERATED_CONFIG_CASES,
     ],
 )
 def test_config_of_the_wrong_shape_or_type_exits_2_naming_the_field(project, capsys, config, named, expected):
@@ -250,7 +323,6 @@ def _repeat_first_entry_id(meta: dict) -> None:
         ("summary.records.json", lambda raw: b"[]"),
         ("summary.records.json", _json_edit(lambda records: _first_record(records).pop("text"))),
         ("summary.records.json", _json_edit(lambda records: records.update({sorted(records)[0]: ["x"]}))),
-        ("summary.records.json", _json_edit(lambda records: _first_record(records).update(episode_index=1))),
         ("summary.records.json", _json_edit(lambda records: records.pop(sorted(records)[0]))),
     ],
     ids=[
@@ -264,7 +336,6 @@ def _repeat_first_entry_id(meta: dict) -> None:
         "records-not-an-object",
         "record-without-text",
         "record-not-an-object",
-        "record-of-another-episode",
         "record-left-out",
     ],
 )
@@ -279,21 +350,63 @@ def test_corrupt_index_file_exits_2_naming_it(project, capsys, name, mutate):
     assert name in capsys.readouterr().err
 
 
-def test_ask_refuses_index_records_relabelled_to_another_story(project, capsys):
+def _write_the_older_index_layout(project, relabel=None):
+    """Rewrite `index/summary.*.json` as the code wrote them before each index
+    fact had one file: each record also names its entry's story and episode
+    (the story `relabel` maps it to, when given), and `.meta.json` also holds
+    the `.vec` header's dimension, count and format version."""
+    from score.index import _HEADER
+    from score.jsonio import canonical_bytes
+
+    index_dir = project / "index"
+    _, version, dim, count, _ = _HEADER.unpack_from((index_dir / "summary.vec").read_bytes())
+    meta = json.loads((index_dir / "summary.meta.json").read_bytes())
+    records = json.loads((index_dir / "summary.records.json").read_bytes())
+    for entry in meta["entries"]:
+        story_id = (relabel or {}).get(entry["story_id"], entry["story_id"])
+        records[entry["entry_id"]].update(story_id=story_id, episode_index=entry["episode_index"])
+    meta.update(dim=dim, count=count, format_version=version)
+    (index_dir / "summary.meta.json").write_bytes(canonical_bytes(meta))
+    (index_dir / "summary.records.json").write_bytes(canonical_bytes(records))
+
+
+def _asked(project, capsys, *argv) -> str:
+    capsys.readouterr()
+    assert run(project, "ask", "What happened to the lantern?", *argv) == 0
+    return capsys.readouterr().out
+
+
+def test_ask_answers_the_same_bytes_from_index_files_of_the_older_layout(project, capsys):
     run(project, "fuzz", "--seed", "3", "--stories", "3")
     run(project, "summarize")
     run(project, "index")
-    path = project / "index" / "summary.records.json"
-    records = json.loads(path.read_bytes())
-    for record in records.values():
-        if record["story_id"] == "fuzz-3-0000":
-            record["story_id"] = "fuzz-3-0001"
-    path.write_text(json.dumps(records), "utf-8")
-    capsys.readouterr()
-    for story in ((), ("--story", "fuzz-3-0000")):
-        assert run(project, "ask", "What happened to the lantern?", *story) == 2
-        err = capsys.readouterr().err
-        assert "summary.records.json: $[" in err and "must be of story 'fuzz-3-0000'" in err
+    index_dir = project / "index"
+    meta = json.loads((index_dir / "summary.meta.json").read_bytes())
+    records = json.loads((index_dir / "summary.records.json").read_bytes())
+    assert meta.keys() == {"entries"}
+    assert all(record.keys() == {"sentiment", "text"} for record in records.values())
+    stories = ((), ("--story", "fuzz-3-0000"))
+    fresh = [_asked(project, capsys, *story) for story in stories]
+    _write_the_older_index_layout(project)
+    assert [_asked(project, capsys, *story) for story in stories] == fresh
+    # `index` writes the files in today's layout again and leaves the vectors alone
+    vec = (index_dir / "summary.vec").stat().st_mtime_ns
+    assert run(project, "index") == 0
+    assert json.loads((index_dir / "summary.meta.json").read_bytes()) == meta
+    assert json.loads((index_dir / "summary.records.json").read_bytes()) == records
+    assert (index_dir / "summary.vec").stat().st_mtime_ns == vec
+
+
+def test_ask_takes_each_record_story_from_its_meta_entry_not_from_an_older_record(project, capsys):
+    run(project, "fuzz", "--seed", "3", "--stories", "3")
+    run(project, "summarize")
+    run(project, "index")
+    fresh = _asked(project, capsys, "--story", "fuzz-3-0000")
+    # an older record that names another story than its entry is not read
+    _write_the_older_index_layout(project, relabel={"fuzz-3-0000": "fuzz-3-0001"})
+    assert _asked(project, capsys, "--story", "fuzz-3-0000") == fresh
+    supporting = json.loads(fresh)["supporting_episodes"]
+    assert supporting and all(story == "fuzz-3-0000" for story, _ in supporting)
 
 
 def _drop_last_summary(raw: bytes) -> bytes:
@@ -458,16 +571,18 @@ def test_client_error_ends_evaluate_with_exit_3_after_one_request(project, monke
     assert len(sent) == 1
 
 
-def test_unknown_granularity_in_config_is_usage_error_for_index(project, capsys):
+def test_unknown_granularity_in_config_exits_2_naming_it(project, capsys):
     run(project, "fuzz", "--seed", "3", "--stories", "2")
     run(project, "summarize")
     config = json.loads((project / "config.json").read_text("utf-8"))
     config["granularity"] = "paragraph"
     (project / "config.json").write_text(json.dumps(config), "utf-8")
-    assert run(project, "index") == 1
-    assert "unknown granularity 'paragraph'" in capsys.readouterr().err
-    assert run(project, "ask", "where is the sword?") == 1
-    assert "unknown granularity 'paragraph'" in capsys.readouterr().err
+    capsys.readouterr()
+    expected = 'config.json: $.granularity: must be one of "summary", "chunk", got "paragraph"'
+    assert run(project, "index") == 2
+    assert expected in capsys.readouterr().err
+    assert run(project, "ask", "where is the sword?") == 2
+    assert expected in capsys.readouterr().err
 
 
 def test_chunk_granularity_index_and_ask(project, capsys):
@@ -551,6 +666,25 @@ def test_track_sends_the_project_extract_states_override(project, monkeypatch):
     (project / "prompts" / "extract_states.txt").write_text("PROJECT EXTRACT $items_json $episode_text", "utf-8")
     assert run(project, "--backend", "remote", "--base-url", "http://fake.local/v1", "track") == 0
     assert sent and all(prompt.startswith("PROJECT EXTRACT [") for prompt in sent)
+
+
+@pytest.mark.parametrize(
+    "reply, expected",
+    [
+        ({"choices": []}, "malformed chat reply"),
+        ({"choices": [{"message": {"content": 5}}]}, "chat reply content is not a string"),
+    ],
+    ids=["no-choice", "content-not-a-string"],
+)
+def test_a_chat_reply_of_another_shape_exits_3(project, monkeypatch, capsys, reply, expected):
+    from score import gateway as gateway_module
+
+    monkeypatch.setattr(gateway_module, "default_transport", lambda url, body, timeout, headers: reply)
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    capsys.readouterr()
+    assert run(project, "--backend", "remote", "--base-url", "http://fake.local/v1", "track") == 3
+    err = capsys.readouterr().err
+    assert f"gateway error: {expected}" in err and "Traceback" not in err
 
 
 # how each bundled template but `repair` begins -> a reply its parser accepts
@@ -1079,46 +1213,46 @@ _CONFIG_WITH_RETIRED_FIELDS = """{
 """
 
 
-def test_a_config_with_the_retired_fields_at_their_old_defaults_changes_no_report_byte(tmp_path, caplog):
-    caplog.set_level(logging.DEBUG)
-    reports = {}
-    for name in ("today", "retired"):
-        root = str(tmp_path / name)
-        assert main(["--project", root, "fuzz", "--seed", "3", "--stories", "2"]) == 0
-        if name == "retired":
-            (tmp_path / name / "config.json").write_text(_CONFIG_WITH_RETIRED_FIELDS, "utf-8")
-        assert main(["--project", root, "evaluate"]) == 0
-        assert main(["--project", root, "compare", "--baseline"]) == 0
-        reports[name] = {path.name: path.read_bytes() for path in (tmp_path / name / "reports").glob("*.json")}
-    assert len(reports["today"]) == 2
-    assert reports["retired"] == reports["today"]
-    assert not [record for record in caplog.records if record.levelno >= logging.WARNING]
-
-
 @pytest.mark.parametrize(
-    "field, value, expected",
+    "field, value",
     [
-        ("sentiment_filter_enabled", False, ("retired config field", "--ablate sentiment", "retrieval.filter_queries")),
-        ("sentiment_filter_enabled", 1, ("retired config field", "--ablate sentiment")),
-        ("candidate_pool", 40, ("retired config field", "no result depended on it; delete it")),
-        ("candidate_pool", False, ("retired config field", "no result depended on it")),
-        ("no_such_field", 0, ("unknown config field",)),
+        ("candidate_pool", 0),
+        ("candidate_pool", 40),
+        ("candidate_pool", False),
+        ("sentiment_filter_enabled", True),
+        ("sentiment_filter_enabled", False),
+        ("sentiment_filter_enabled", 1),
+        ("no_such_field", 0),
     ],
-    ids=["filter-off", "filter-integer", "pool-40", "pool-bool", "unknown"],
+    ids=[
+        "pool-old-default", "pool-40", "pool-bool", "filter-old-default", "filter-off", "filter-integer", "unknown",
+    ],
 )
-def test_a_retired_config_field_at_another_value_exits_2_naming_what_replaced_it(
-    project, capsys, field, value, expected
-):
+def test_a_retired_config_field_exits_2_as_an_unknown_field_at_any_value(project, capsys, field, value):
     run(project, "fuzz", "--seed", "3", "--stories", "2")
-    config = json.loads((project / "config.json").read_text("utf-8"))
+    today = json.loads((project / "config.json").read_text("utf-8"))
+    config = json.loads(_CONFIG_WITH_RETIRED_FIELDS)
+    retired = {name: config["retrieval"].pop(name) for name in ("candidate_pool", "sentiment_filter_enabled")}
+    assert config == today
     config["retrieval"][field] = value
     (project / "config.json").write_text(json.dumps(config), "utf-8")
     capsys.readouterr()
     assert run(project, "evaluate") == 2
     err = capsys.readouterr().err
-    assert f"config.json: $.retrieval.{field}: {expected[0]}" in err
-    assert all(part in err for part in expected)
+    assert f"config.json: $.retrieval.{field}: unknown config field" in err
     assert "Traceback" not in err
+    assert not list((project / "reports").glob("*.json"))
+    if json.dumps(value) != json.dumps(retired.get(field)):
+        return
+    # an older project's config.json, where each retired field is at this default, loads once their lines go
+    text = _CONFIG_WITH_RETIRED_FIELDS
+    (project / "config.json").write_text(text, "utf-8")
+    assert run(project, "evaluate") == 2
+    assert "config.json: $.retrieval.candidate_pool: unknown config field" in capsys.readouterr().err
+    for name, old in retired.items():
+        text = text.replace(f'    "{name}": {json.dumps(old)},\n', "")
+    (project / "config.json").write_text(text, "utf-8")
+    assert run(project, "evaluate") == 0
 
 
 def test_the_config_ensure_writes_names_only_config_fields_and_loads_without_a_log_record(project, caplog):

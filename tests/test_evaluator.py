@@ -134,6 +134,18 @@ def test_consistency_flags_contradicting_assertions():
     assert compute_metrics([consistent, conflicting], [], reference, None).consistency == 50.0
 
 
+@pytest.mark.parametrize(
+    "answer, consistency",
+    [("Episode 3: The sword was lost in the river.", 50.0), ("Episode 3: The sword was destroyed.", 100.0)],
+    ids=["conflicting", "agreeing"],
+)
+def test_consistency_counts_an_answer_that_contradicts_the_corrected_timeline(answer, consistency):
+    reference = {"s": {"sword": timeline([(0, ItemState.ACTIVE), (3, ItemState.DESTROYED)])}}
+    qa = [QAResult("q", answer, (("s", 3),), correct=True, story_id="s", gold_item_id="sword")]
+    report = compute_metrics([evaluation()], qa, reference, None)
+    assert report.consistency == consistency
+
+
 def test_metric_bounds():
     evaluations = [evaluation(scores={f: 5.0 for f in FACETS})]
     report = compute_metrics(evaluations, [], {}, None)

@@ -285,6 +285,17 @@ def test_remote_sentiment_clamps_out_of_range():
     assert gw.score_sentiment("anything").value == 1.0
 
 
+@pytest.mark.parametrize(
+    "reply, value",
+    [(".5", 0.5), ("Tone: .75", 0.75), ("1e-3", 0.001), ("+2.5E-1.", 0.25), ("0.73", 0.73)],
+    ids=["leading-dot", "prose-then-leading-dot", "exponent", "signed-exponent", "plain"],
+)
+def test_remote_sentiment_reads_the_first_number_as_float_reads_it(reply, value):
+    # a leading dot or an exponent was read as its digits alone (5, 75, 1) and clamped to 1.0
+    gw = LlmGateway(remote_config(), transport=FakeTransport([chat_reply(reply)]))
+    assert gw.score_sentiment("anything").value == value
+
+
 def test_remote_sentiment_reprompts_once_then_fails():
     transport = FakeTransport([chat_reply("no idea"), chat_reply("still no")])
     gw = LlmGateway(remote_config(), transport=transport)

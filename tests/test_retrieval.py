@@ -216,8 +216,10 @@ def test_restrict_story_limits_candidates(mock_gateway):
 
 
 def test_records_round_trip(mock_gateway):
-    _, records = synth_corpus(mock_gateway, 6, seed=21)
-    assert records_from_dict(records_to_dict(records)) == records
+    index, records = synth_corpus(mock_gateway, 6, seed=21)
+    written = records_to_dict(records)
+    assert all(value.keys() == {"sentiment", "text"} for value in written.values())
+    assert records_from_dict(written, index.entries) == records
 
 
 def test_widening_recovers_survivors_beyond_initial_pool(mock_gateway, monkeypatch):
