@@ -7,9 +7,12 @@ stories/, summaries/, states/, index/, cache/, reports/ and prompts/. Each
 that cannot be read, or holds a value of the wrong shape or one its
 constructor rejects, raises PersistenceError naming the file and the value's
 JSON path: `ground_truth.json: $.qa[0].answer: must be a string, got null`.
-A stage file, `states/<story>.json` or `summaries/<story>.json`, records in
-`inputs` the `stage_inputs` digest it was made from; `load_stage` treats a
-file made from other inputs as missing.
+A stage file, `states/<story>.json` or `summaries/<story>.json`, holds a
+story's output of its stage and, in `inputs`, the `stage_inputs` digest it was
+made from; `load_stage` treats a file made from other inputs as missing. It
+holds nothing its name, its story or its output already gives: the story id,
+a summary's episode, or the continuity errors, which are detected again on
+load.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .jsonio import atomic_write, canonical_bytes, canonical_dumps, check, load_
 from .retrieval import RECORD_SHAPE, RetrievalConfig, SummaryRecord, records_from_dict
 from .story import Story, parse_story, serialize_story
 from .summarize import SUMMARIES_SHAPE, summaries_from_dict, summaries_to_dict
-from .tracker import STATES_SHAPE, detect_story_errors, states_from_dict, states_to_dict
+from .tracker import STATES_SHAPE, states_from_dict, states_to_dict
 
 _DIRS = ("stories", "summaries", "states", "index", "cache", "reports", "prompts")
 
@@ -43,10 +46,10 @@ CONFIG_SHAPE["granularity?"] = str
 # what `score index` builds and `score ask` searches, the values config.json's `granularity` may take
 GRANULARITIES = ("summary", "chunk")
 
-# stage file directory -> (its shape, writer and reader, and the templates its
-# stage can send on the remote backend)
+# stage file directory -> (its shape, writer and reader of the file of a story
+# id, and the templates its stage can send on the remote backend)
 _STAGE_FILES = {
-    "states": (STATES_SHAPE, states_to_dict, states_from_dict, ("extract_states", "repair")),
+    "states": (STATES_SHAPE, states_to_dict, lambda raw, story_id: states_from_dict(raw), ("extract_states", "repair")),
     "summaries": (SUMMARIES_SHAPE, summaries_to_dict, summaries_from_dict, ("summarize", "sentiment", "repair")),
 }
 
@@ -165,18 +168,19 @@ class Project:
         if not path.exists():
             return None
         shape, _, build, _ = _STAGE_FILES[stage]
-        loaded = load_json(path, {**shape, "inputs?": str}, lambda raw: raw.get("inputs") == inputs and build(raw))
-        if not loaded:
+        output = load_json(
+            path, {**shape, "inputs?": str}, lambda raw: raw.get("inputs") == inputs and build(raw, story.story_id)
+        )
+        if output is False:
             return None
-        story_id, output = loaded
-        if story_id != story.story_id or not _fits(story, stage, output):
+        if not _fits(story, stage, output):
             raise PersistenceError(f"{path}: does not hold the {stage} of story {story.story_id!r}")
         return output
 
     def save_stage(self, stage: str, story: Story, inputs: str, output) -> None:
         """Write the story's `stage` file, recording the `inputs` its `output` was made from.
         The file is compact: an indent would keep `json.dumps` from its C encoder."""
-        payload = {**_STAGE_FILES[stage][1](story.story_id, output), "inputs": inputs}
+        payload = {**_STAGE_FILES[stage][1](output), "inputs": inputs}
         write_if_changed(self.dir(stage) / f"{story.story_id}.json", canonical_bytes(payload, indent=None))
 
     def load_gold(self) -> tuple[GroundTruth | None, GoldData | None]:
@@ -231,10 +235,15 @@ def stage_inputs(stage: str, story_bytes: bytes, gateway) -> str:
 
 
 def _fits(story: Story, stage: str, output) -> bool:
-    """Whether a `stage` output can be the story's: errors its timelines show, or one summary per episode."""
+    """Whether a `stage` output can be the story's: timelines of its key items
+    in its episodes, or one summary per episode naming none but its key items."""
+    items = {item.item_id for item in story.key_items}
     if stage == "states":
-        return output[1] == detect_story_errors(output[0])
-    return [s.episode_index for s in output] == [ep.index for ep in story.episodes]
+        timelines = output[0]
+        observed = (obs.episode_index for tl in timelines.values() for obs in tl.observations)
+        return timelines.keys() <= items and all(i < len(story.episodes) for i in observed)
+    named = {inter.item_id for summary in output for inter in summary.interactions}
+    return len(output) == len(story.episodes) and named <= items
 
 
 def load_story(path: Path) -> Story:

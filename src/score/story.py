@@ -67,7 +67,6 @@ class CharacterAction:
     """One character action observed in an episode."""
 
     character: str
-    episode_index: int
     description: str
 
     def __post_init__(self):
@@ -80,7 +79,6 @@ class ItemInteraction:
     """One interaction with a key item; `implied_state` when the text commits to one."""
 
     item_id: str
-    episode_index: int
     description: str
     actor: str | None = None
     implied_state: ItemState | None = None
@@ -103,6 +101,8 @@ class Story:
             raise ValidationError("story_id", "must be non-empty")
         if any(c in self.story_id for c in "/\\\0"):  # it names the story's files
             raise ValidationError("story_id", f"must not hold '/', '\\' or NUL, got {self.story_id!r}")
+        if self.story_id == "corpus":  # stories/corpus.json is the manifest
+            raise ValidationError("story_id", "must not be 'corpus', the name of the manifest stories/corpus.json")
         if self.genre not in GENRES:
             raise ValidationError("genre", f"must be one of {GENRES}, got {self.genre!r}")
         if not self.episodes:
@@ -165,13 +165,7 @@ def story_from_dict(raw: dict) -> Story:
     episodes = [
         _built(f"$.episodes[{i}]", Episode, entry["index"], entry["text"]) for i, entry in enumerate(raw["episodes"])
     ]
-    return Story(
-        story_id=raw["story_id"],
-        title=raw["title"],
-        genre=raw["genre"],
-        key_items=tuple(key_items),
-        episodes=tuple(episodes),
-    )
+    return _built("$", Story, raw["story_id"], raw["title"], raw["genre"], tuple(key_items), tuple(episodes))
 
 
 def _built(where: str, cls, *args):

@@ -4,6 +4,9 @@ A summary digests one episode into plot points, character actions, key-item
 interactions, relationship notes, emotional shifts, and a sentiment score.
 The retrieval document flattens that digest into a deterministic text layout
 (synopsis, then ACTIONS:, then ITEMS:) that embeds well and parses back.
+
+A story's summaries file holds its summaries in episode order and nothing
+else: a summary's story is the file's, and its episode its position.
 """
 
 from __future__ import annotations
@@ -91,9 +94,7 @@ def rule_summarize(episode: Episode, items: list[KeyItem], gateway, *, story_id:
         words = sentence.split()
         name = _leading_name(words)
         if name is not None:
-            actions.append(
-                CharacterAction(character=name, episode_index=episode.index, description=sentence)
-            )
+            actions.append(CharacterAction(character=name, description=sentence))
 
         tokset = set(toks)
         implied = lexicon.state_for_tokens(toks) if tokset & _STATE_WORDS else None
@@ -110,7 +111,6 @@ def rule_summarize(episode: Episode, items: list[KeyItem], gateway, *, story_id:
             interactions.append(
                 ItemInteraction(
                     item_id=item.item_id,
-                    episode_index=episode.index,
                     description=sentence,
                     actor=name,
                     implied_state=implied,
@@ -162,9 +162,11 @@ def _llm_summarize(episode, items, gateway, *, story_id) -> EpisodeSummary:
         ),
     )
     fields = gateway.complete_parsed(
-        prompt, lambda reply: _parse_summary_reply(reply, episode, items), SummaryError, "summary"
+        prompt, lambda reply: _parse_summary_reply(reply, items), SummaryError, "summary"
     )
-    return EpisodeSummary(story_id=story_id, **fields, sentiment=gateway.score_sentiment(episode.text))
+    return EpisodeSummary(
+        story_id=story_id, episode_index=episode.index, **fields, sentiment=gateway.score_sentiment(episode.text)
+    )
 
 
 # the reply to `summarize`, whose lists may be null for none; an interaction's
@@ -180,8 +182,8 @@ _SUMMARY_REPLY_SHAPE = {
 }
 
 
-def _parse_summary_reply(reply, episode, items) -> dict:
-    """The `EpisodeSummary` fields of a reply but `story_id` and `sentiment`."""
+def _parse_summary_reply(reply, items) -> dict:
+    """The `EpisodeSummary` fields of a reply but `story_id`, `episode_index` and `sentiment`."""
     raw = extract_json_value(reply, _SUMMARY_REPLY_SHAPE)
     if not raw["synopsis"].strip():
         raise ValueError("empty synopsis")
@@ -197,7 +199,6 @@ def _parse_summary_reply(reply, episode, items) -> dict:
         interactions.append(
             ItemInteraction(
                 item_id=item_id,
-                episode_index=episode.index,
                 description=_one_line(entry.get("description", "")) or "(unspecified)",
                 actor=entry.get("actor") or None,
                 implied_state=ItemState(implied) if implied else None,
@@ -206,13 +207,11 @@ def _parse_summary_reply(reply, episode, items) -> dict:
     actions = [
         CharacterAction(
             character=entry.get("character") or "(unknown)",
-            episode_index=episode.index,
             description=_one_line(entry.get("description", "")) or "(unspecified)",
         )
         for entry in raw.get("actions") or ()
     ]
     return dict(
-        episode_index=episode.index,
         synopsis=_one_line(raw["synopsis"]),
         plot_points=tuple(raw.get("plot_points") or ()),
         actions=tuple(actions),
@@ -259,19 +258,15 @@ def build_retrieval_document(summary: EpisodeSummary) -> RetrievalDocument:
 
 
 def summary_to_dict(summary: EpisodeSummary) -> dict:
+    """What a summaries file holds of one summary: all but its story and
+    episode, which the file's name and the summary's position give."""
     return {
-        "story_id": summary.story_id,
-        "episode_index": summary.episode_index,
         "synopsis": summary.synopsis,
         "plot_points": list(summary.plot_points),
-        "actions": [
-            {"character": a.character, "episode_index": a.episode_index, "description": a.description}
-            for a in summary.actions
-        ],
+        "actions": [{"character": a.character, "description": a.description} for a in summary.actions],
         "interactions": [
             {
                 "item_id": i.item_id,
-                "episode_index": i.episode_index,
                 "actor": i.actor,
                 "description": i.description,
                 "implied_state": i.implied_state.value if i.implied_state else None,
@@ -285,44 +280,27 @@ def summary_to_dict(summary: EpisodeSummary) -> dict:
 
 
 SUMMARY_SHAPE = {
-    "story_id": str,
-    "episode_index": int,
     "synopsis": str,
     "plot_points": [str],
-    "actions": [{"character": str, "episode_index": int, "description": str}],
-    "interactions": [
-        {
-            "item_id": str,
-            "episode_index": int,
-            "actor?": (str, None),
-            "description": str,
-            "implied_state?": (ItemState, None),
-        }
-    ],
+    "actions": [{"character": str, "description": str}],
+    "interactions": [{"item_id": str, "actor?": (str, None), "description": str, "implied_state?": (ItemState, None)}],
     "relationships": [str],
     "emotional_changes": [str],
     "sentiment": float,
 }
 
 
-def summary_from_dict(raw: dict) -> EpisodeSummary:
+def summary_from_dict(raw: dict, story_id: str, episode_index: int) -> EpisodeSummary:
+    """The summary `raw` holds, of episode `episode_index` of story `story_id`."""
     return EpisodeSummary(
-        story_id=raw["story_id"],
-        episode_index=raw["episode_index"],
+        story_id=story_id,
+        episode_index=episode_index,
         synopsis=raw["synopsis"],
         plot_points=tuple(raw["plot_points"]),
-        actions=tuple(
-            CharacterAction(
-                character=a["character"],
-                episode_index=a["episode_index"],
-                description=a["description"],
-            )
-            for a in raw["actions"]
-        ),
+        actions=tuple(CharacterAction(character=a["character"], description=a["description"]) for a in raw["actions"]),
         interactions=tuple(
             ItemInteraction(
                 item_id=i["item_id"],
-                episode_index=i["episode_index"],
                 actor=i.get("actor"),
                 description=i["description"],
                 implied_state=ItemState(i["implied_state"]) if i.get("implied_state") else None,
@@ -335,12 +313,17 @@ def summary_from_dict(raw: dict) -> EpisodeSummary:
     )
 
 
-def summaries_to_dict(story_id: str, summaries: list[EpisodeSummary]) -> dict:
-    return {"story_id": story_id, "summaries": [summary_to_dict(s) for s in summaries]}
+def summaries_to_dict(summaries: list[EpisodeSummary]) -> dict:
+    """The summaries file of a story: its summaries, one per episode in episode order."""
+    return {"summaries": [summary_to_dict(s) for s in summaries]}
 
 
-SUMMARIES_SHAPE = {"story_id": str, "summaries": [SUMMARY_SHAPE]}
+SUMMARIES_SHAPE = {"summaries": [SUMMARY_SHAPE]}
 
 
-def summaries_from_dict(raw: dict) -> tuple[str, list[EpisodeSummary]]:
-    return raw["story_id"], [summary_from_dict(s) for s in raw["summaries"]]
+def summaries_from_dict(raw: dict, story_id: str) -> list[EpisodeSummary]:
+    """The summaries of story `story_id` that `summaries_to_dict`'s object
+    holds; each one's episode is its position. A summary of a file written
+    by an older version may hold more fields, such as its story and episode;
+    they are not read."""
+    return [summary_from_dict(s, story_id, i) for i, s in enumerate(raw["summaries"])]

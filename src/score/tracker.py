@@ -351,15 +351,15 @@ def error_from_dict(raw: dict) -> ContinuityError:
 StoryStates = tuple[dict[str, ItemTimeline], list[ContinuityError]]
 
 
-def states_to_dict(story_id: str, states: StoryStates) -> dict:
-    """The on-disk item-state file: raw timelines plus the detected errors.
+def states_to_dict(states: StoryStates) -> dict:
+    """The on-disk item-state file: the raw timelines alone.
 
-    Corrected timelines are not stored; they are reproducible from this
-    file via correct_story_timelines.
+    Neither the continuity errors nor the corrected timelines are stored;
+    `states_from_dict` detects the errors again, and correct_story_timelines
+    reproduces the corrected timelines from them.
     """
-    timelines, errors = states
+    timelines, _ = states
     return {
-        "story_id": story_id,
         "timelines": [
             {
                 "item_id": item_id,
@@ -375,16 +375,18 @@ def states_to_dict(story_id: str, states: StoryStates) -> dict:
             }
             for item_id in sorted(timelines)
         ],
-        "errors": [error_to_dict(e) for e in errors],
     }
 
 
 _OBSERVATION_SHAPE = {"episode": int, "state": ItemState, "explained": bool, "evidence": ([int], None)}
 _TIMELINE_SHAPE = {"item_id": str, "observations": [_OBSERVATION_SHAPE]}
-STATES_SHAPE = {"story_id": str, "timelines": [_TIMELINE_SHAPE], "errors": [ERROR_SHAPE]}
+STATES_SHAPE = {"timelines": [_TIMELINE_SHAPE]}
 
 
-def states_from_dict(raw: dict) -> tuple[str, StoryStates]:
+def states_from_dict(raw: dict) -> StoryStates:
+    """The timelines `states_to_dict`'s object holds, and the errors they
+    show. A file written by an older version may also hold its story id and
+    errors; they are not read."""
     timelines = {}
     for entry in raw["timelines"]:
         item_id = entry["item_id"]
@@ -401,4 +403,4 @@ def states_from_dict(raw: dict) -> tuple[str, StoryStates]:
                 ),
             )
         timelines[item_id] = tl
-    return raw["story_id"], (timelines, [error_from_dict(e) for e in raw["errors"]])
+    return timelines, detect_story_errors(timelines)

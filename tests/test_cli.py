@@ -12,10 +12,11 @@ from score import prompts as prompt_templates
 from score.cli import main
 from score.evaluator import FACETS
 from score.gateway import GatewayConfig, hashed_embedding
-from score.jsonio import JSON_TYPES
+from score.jsonio import JSON_TYPES, canonical_bytes
 from score.lexicon import alias_pattern
 from score.project import CONFIG_SHAPE
-from score.story import parse_story
+from score.story import ItemState, parse_story
+from score.tracker import ItemObservation, ItemTimeline, detect_story_errors, error_to_dict
 
 
 @pytest.fixture
@@ -262,6 +263,18 @@ def test_ingest_rejects_duplicate_story_id(project, tmp_path, capsys):
     assert "duplicate story_id" in capsys.readouterr().err
 
 
+def test_ingest_refuses_the_story_id_of_the_manifest(project, tmp_path, capsys):
+    # a story saved as stories/corpus.json would be read as the manifest by every later command
+    source = tmp_path / "story.json"
+    source.write_text(
+        json.dumps({"story_id": "corpus", "title": "C", "genre": "drama", "episodes": [{"index": 0, "text": "a."}]})
+    )
+    capsys.readouterr()
+    assert run(project, "ingest", str(source)) == 2
+    assert f"{source}: $.story_id: must not be 'corpus'" in capsys.readouterr().err
+    assert not (project / "stories" / "corpus.json").exists()
+
+
 def test_ingest_invalid_story_exits_2(project, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"story_id": "x"')
@@ -407,6 +420,65 @@ def test_ask_takes_each_record_story_from_its_meta_entry_not_from_an_older_recor
     assert _asked(project, capsys, "--story", "fuzz-3-0000") == fresh
     supporting = json.loads(fresh)["supporting_episodes"]
     assert supporting and all(story == "fuzz-3-0000" for story, _ in supporting)
+
+
+def _observation(episode: int, state: str) -> dict:
+    return {"episode": episode, "state": state, "explained": False, "evidence": None}
+
+
+def _with_errors(payload: dict) -> dict:
+    """A states file's object with the errors its timelines show, as a states
+    file of the older layout held them."""
+    timelines = {
+        tl["item_id"]: ItemTimeline(
+            tl["item_id"],
+            tuple(
+                ItemObservation(tl["item_id"], o["episode"], ItemState(o["state"]), explained=o["explained"])
+                for o in tl["observations"]
+            ),
+        )
+        for tl in payload["timelines"]
+    }
+    return {**payload, "errors": [error_to_dict(e) for e in detect_story_errors(timelines)]}
+
+
+def _ghost_timeline(payload: dict) -> None:
+    observations = [_observation(0, "active"), _observation(1, "lost"), _observation(2, "active")]
+    payload["timelines"].append({"item_id": "ghost", "observations": observations})
+
+
+def _ghost_interaction(payload: dict) -> None:
+    summary = next(summary for summary in payload["summaries"] if summary["interactions"])
+    summary["interactions"].append(dict(summary["interactions"][0], item_id="ghost"))
+
+
+@pytest.mark.parametrize(
+    "stage, command, tamper",
+    [
+        ("states", "track", _ghost_timeline),
+        ("states", "track", lambda payload: payload["timelines"][0]["observations"].append(_observation(40, "active"))),
+        ("summaries", "summarize", _ghost_interaction),
+    ],
+    ids=["timeline-of-an-undeclared-item", "observation-after-the-last-episode", "interaction-of-an-undeclared-item"],
+)
+def test_a_stage_file_naming_an_item_or_episode_its_story_lacks_is_computed_again(
+    project, caplog, capsys, stage, command, tamper
+):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")  # fuzz-3-0000: episodes 0-5, items scepter and horn
+    assert run(project, command) == 0
+    path = project / stage / "fuzz-3-0000.json"
+    good = path.read_bytes()
+    payload = json.loads(good)
+    tamper(payload)
+    path.write_text(json.dumps(_with_errors(payload) if stage == "states" else payload), "utf-8")
+    capsys.readouterr()
+    caplog.set_level(logging.WARNING)
+    assert run(project, command) == 0
+    warning = f"{path}: does not hold the {stage} of story 'fuzz-3-0000'; computing it again"
+    assert [r for r in caplog.records if r.getMessage() == warning]
+    assert path.read_bytes() == good
+    if stage == "states":
+        assert "precision=1.000" in capsys.readouterr().out
 
 
 def _drop_last_summary(raw: bytes) -> bytes:
@@ -595,6 +667,46 @@ def test_chunk_granularity_index_and_ask(project, capsys):
     assert isinstance(payload["answer"], str)
 
 
+def test_an_episode_longer_than_a_chunk_is_indexed_asked_and_left_out_chunk_by_chunk(project, tmp_path, capsys):
+    from score.chunking import DEFAULT_MAX_CHARS
+    from score.gateway import LlmGateway
+    from score.project import Project
+    from score.retrieval import RetrievalConfig, retrieve_related
+
+    long_text = " ".join(f"Mira carried the lantern past milestone {k} on the long road." for k in range(60))
+    assert len(long_text) > DEFAULT_MAX_CHARS  # no fuzz episode is this long
+    texts = [long_text, "The lantern shattered on the stone floor.", "Mira mended the lantern by the fire."]
+    source = tmp_path / "long-story.json"
+    source.write_text(
+        json.dumps(
+            {
+                "story_id": "long",
+                "title": "Long",
+                "genre": "drama",
+                "key_items": [{"item_id": "lantern", "names": ["lantern"]}],
+                "episodes": [{"index": i, "text": text} for i, text in enumerate(texts)],
+            }
+        ),
+        "utf-8",
+    )
+    assert run(project, "ingest", str(source)) == 0
+    assert run(project, "index", "--granularity", "chunk") == 0
+    entries = json.loads((project / "index" / "chunk.meta.json").read_text("utf-8"))["entries"]
+    chunks = [e["entry_id"] for e in entries if e["episode_index"] == 0]
+    assert len(chunks) > 1 and chunks == [f"long#0#c{k}" for k in range(len(chunks))]
+    capsys.readouterr()
+    assert run(project, "ask", "Where did Mira carry the lantern?", "--granularity", "chunk") == 0
+    assert isinstance(json.loads(capsys.readouterr().out)["answer"], str)
+
+    index, records = Project(project).load_index("chunk")
+    gateway = LlmGateway(GatewayConfig())
+    config = RetrievalConfig(top_n=len(index), context_char_budget=10**6)  # room for every entry
+    kept = retrieve_related(long_text, None, index, records, config, gateway)
+    left_out = retrieve_related(long_text, None, index, records, config, gateway, exclude_ref=("long", 0))
+    assert kept.episode_refs().count(("long", 0)) == len(chunks)
+    assert sorted(left_out.episode_refs()) == [("long", 1), ("long", 2)]
+
+
 def test_corpus_manifest_limits_and_orders_loading(project, capsys):
     run(project, "fuzz", "--seed", "3", "--stories", "4")
     names = sorted(p.name for p in (project / "stories").glob("*.json"))
@@ -632,24 +744,49 @@ def test_corrupt_ground_truth_exits_2_naming_it(project, capsys, mutate):
     assert "ground_truth.json" in capsys.readouterr().err
 
 
-def test_outputs_conform_to_declared_schemas(project):
-    run(project, "fuzz", "--seed", "3", "--stories", "2")
+# the keys of a stage file at each level: the file holds its story's output and
+# `inputs`, and nothing its name, its position or its timelines give
+_STAGE_KEYS = {
+    "states": {"inputs", "timelines"},
+    "timeline": {"item_id", "observations"},
+    "observation": {"episode", "state", "explained", "evidence"},
+    "summaries": {"inputs", "summaries"},
+    "summary": {
+        "synopsis", "plot_points", "actions", "interactions", "relationships", "emotional_changes", "sentiment"
+    },
+    "action": {"character", "description"},
+    "interaction": {"item_id", "actor", "description", "implied_state"},
+}
+
+
+def test_outputs_conform_to_declared_schemas(project, monkeypatch):
+    """Every stage file the stage commands and a remote `evaluate` write holds exactly the keys of its layout."""
+    _body_log(monkeypatch)
+    remote = project / "remote"
+    for root in (project, remote):
+        run(root, "fuzz", "--seed", "3", "--stories", "2")
     run(project, "summarize")
     run(project, "track")
-    for path in (project / "states").glob("*.json"):
-        payload = json.loads(path.read_text())
-        assert set(payload) == {"story_id", "inputs", "timelines", "errors"}
-        for tl in payload["timelines"]:
-            assert set(tl) == {"item_id", "observations"}
-            for obs in tl["observations"]:
-                assert set(obs) == {"episode", "state", "explained", "evidence"}
-                assert obs["state"] in ("active", "lost", "destroyed")
-    for path in (project / "summaries").glob("*.json"):
-        payload = json.loads(path.read_text())
-        assert set(payload) == {"story_id", "inputs", "summaries"}
-        for summary in payload["summaries"]:
-            assert summary["synopsis"]
-            assert 0.0 <= summary["sentiment"] <= 1.0
+    assert run(remote, *REMOTE, "evaluate") == 0
+    for root in (project, remote):
+        files = {name: json.loads(data) for name, data in _stage_files(root).items()}
+        assert len(files) == 4
+        for name, payload in files.items():
+            stage = name.split("/")[0]
+            assert set(payload) == _STAGE_KEYS[stage], name
+            for tl in payload.get("timelines", ()):
+                assert set(tl) == _STAGE_KEYS["timeline"]
+                for obs in tl["observations"]:
+                    assert set(obs) == _STAGE_KEYS["observation"]
+                    assert obs["state"] in ("active", "lost", "destroyed")
+            for summary in payload.get("summaries", ()):
+                assert set(summary) == _STAGE_KEYS["summary"]
+                assert summary["synopsis"] and 0.0 <= summary["sentiment"] <= 1.0
+                assert all(set(action) == _STAGE_KEYS["action"] for action in summary["actions"])
+                assert all(set(inter) == _STAGE_KEYS["interaction"] for inter in summary["interactions"])
+    # the mock summaries hold actions and interactions, so their keys were checked
+    summaries = [s for data in _stage_files(project).values() for s in json.loads(data).get("summaries", ())]
+    assert any(s["actions"] for s in summaries) and any(s["interactions"] for s in summaries)
 
 
 def test_track_sends_the_project_extract_states_override(project, monkeypatch):
@@ -1412,6 +1549,46 @@ def _stage_files(root) -> dict:
     }
 
 
+def _older_layout(stage: str, story_id: str, payload: dict) -> dict:
+    """A stage file's object in the older layout, which also held the story id,
+    a states file's errors, and each summary's, action's and interaction's episode."""
+    if stage == "states":
+        return {**_with_errors(payload), "story_id": story_id}
+    summaries = [
+        {
+            **summary,
+            "story_id": story_id,
+            "episode_index": i,
+            "actions": [{**action, "episode_index": i} for action in summary["actions"]],
+            "interactions": [{**inter, "episode_index": i} for inter in summary["interactions"]],
+        }
+        for i, summary in enumerate(payload["summaries"])
+    ]
+    return {**payload, "story_id": story_id, "summaries": summaries}
+
+
+def test_stage_files_of_the_older_layout_match_and_are_not_written_again(project, caplog):
+    run(project, "fuzz", "--seed", "3", "--stories", "3")
+    assert run(project, "evaluate") == 0
+    (report,) = (project / "reports").glob("*.json")
+    first = report.read_bytes()
+    written = _stage_files(project)
+    untouched = 10**18  # a modification time no write leaves
+    for name, data in written.items():
+        path = project / name
+        path.write_bytes(canonical_bytes(_older_layout(path.parent.name, path.stem, json.loads(data)), indent=None))
+        os.utime(path, ns=(untouched, untouched))
+    older = _stage_files(project)
+    assert len(older) == 6 and all(older[name] != written[name] for name in written)
+    report.unlink()
+    caplog.set_level(logging.WARNING)
+    assert run(project, "evaluate") == 0
+    assert report.read_bytes() == first
+    assert _stage_files(project) == older
+    assert all((project / name).stat().st_mtime_ns == untouched for name in older)
+    assert not [r for r in caplog.records if "computing it again" in r.getMessage()]
+
+
 def test_a_second_remote_evaluate_sends_no_extraction_or_summary_and_rewrites_no_stage_file(project, monkeypatch):
     from score.project import Project
 
@@ -1568,10 +1745,13 @@ def _files_digest(root, stage: str) -> str:
     return h.hexdigest()
 
 
-# taken from the code before an episode that names no key item went without an
-# extraction request, with each file re-encoded compact (`canonical_bytes(json.loads(...),
-# indent=None)`), as stage files are now written; the stories are `fuzz --seed 5 --stories 3`
-TRACKED_STATES_SHA256 = "074a3c19cc7a124a06d1ded28bb27168168345c8599db5366900b4d6ded61308"
+# the stories are `fuzz --seed 5 --stories 3`. The states digest was taken from the code
+# before an episode that names no key item went without an extraction request, with each
+# file re-encoded compact (`canonical_bytes(json.loads(...), indent=None)`), as stage files
+# are now written, and its `story_id` and `errors` deleted, as a states file no longer
+# holds them. The summaries digest is of the files a remote `summarize` writes.
+TRACKED_STATES_SHA256 = "e808fe379e32b6838890496669aff01d0cf1acdff56b9b51eb521d553121e75f"
+TRACKED_SUMMARIES_SHA256 = "8aa422d4c417f5e7d62ebd237fb3cb3ba44f28d19243fc334f8d5cb681c56349"
 COMPARED_REPORT_SHA256 = "0ad237326b201936dab28a11439df7d8033b93dc0dd77d80eb18a41a35ca1f64"
 
 
@@ -1584,6 +1764,13 @@ def test_a_remote_track_sends_no_extraction_for_an_episode_that_names_no_key_ite
     assert all(texts < {ep["text"] for ep in story["episodes"]} for story, texts in zip(stories, named))
     assert _sent(model, "You are tracking") == sum(map(len, named))
     assert _files_digest(project, "states") == TRACKED_STATES_SHA256
+
+
+def test_a_remote_summarize_writes_the_pinned_summaries_files(project, monkeypatch):
+    _body_log(monkeypatch)
+    assert run(project, "fuzz", "--seed", "5", "--stories", "3") == 0
+    assert run(project, *REMOTE, "summarize") == 0
+    assert _files_digest(project, "summaries") == TRACKED_SUMMARIES_SHA256
 
 
 def test_a_remote_compare_extracts_each_episode_once(project, monkeypatch):

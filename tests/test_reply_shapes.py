@@ -69,7 +69,7 @@ def test_summary_reply_of_any_shape(field, value):
         reply[outer][0][inner] = value
     else:
         reply[outer] = value
-    _parses_or_asks_for_repair(lambda r: _parse_summary_reply(r, EPISODE, ITEMS), reply)
+    _parses_or_asks_for_repair(lambda r: _parse_summary_reply(r, ITEMS), reply)
 
 
 @settings(max_examples=300, deadline=None)
@@ -115,7 +115,7 @@ def test_tone_reply_of_any_shape(reply):
 def _parsers():
     return [
         lambda r: _parse_extraction_reply(r, EPISODE, ITEMS),
-        lambda r: _parse_summary_reply(r, EPISODE, ITEMS),
+        lambda r: _parse_summary_reply(r, ITEMS),
         lambda r: _parse_evaluation_reply(r, []),
         lambda r: _parse_answer_reply(r, BUNDLE),
         parse_tone,

@@ -16,7 +16,7 @@ from score.summarize import (
 )
 
 
-def parse_items_section(text: str, episode_index: int) -> list[ItemInteraction]:
+def parse_items_section(text: str) -> list[ItemInteraction]:
     """The interactions of a retrieval document's ITEMS: section: the
     inverse of its layout, and the oracle of the round-trip tests."""
     interactions = []
@@ -35,7 +35,6 @@ def parse_items_section(text: str, episode_index: int) -> list[ItemInteraction]:
         interactions.append(
             ItemInteraction(
                 item_id=item_id,
-                episode_index=episode_index,
                 description=description,
                 actor=None if actor == "-" else actor,
                 implied_state=None if state == "-" else ItemState(state),
@@ -69,7 +68,7 @@ def test_golden_actions_from_name_verb_pattern(golden_summary):
         ("Mira", "Mira carried the lantern through the gate."),
         ("Mira", "Mira trusted Bram on the long road."),
     ]
-    assert all(a.episode_index == 2 for a in golden_summary.actions)
+    assert golden_summary.episode_index == 2
 
 
 def test_golden_interactions_with_state_lexicon(golden_summary):
@@ -156,8 +155,8 @@ def test_action_order_is_preserved_not_sorted(mock_gateway):
             sentiment=mock_gateway.score_sentiment("x"),
         )
 
-    first = CharacterAction("Zed", 0, "Zed moved.")
-    second = CharacterAction("Amy", 0, "Amy spoke.")
+    first = CharacterAction("Zed", "Zed moved.")
+    second = CharacterAction("Amy", "Amy spoke.")
     a = build_retrieval_document(with_actions((first, second)))
     b = build_retrieval_document(with_actions((second, first)))
     assert a.text != b.text
@@ -165,13 +164,13 @@ def test_action_order_is_preserved_not_sorted(mock_gateway):
 
 def test_items_section_round_trip(golden_summary):
     doc = build_retrieval_document(golden_summary)
-    recovered = parse_items_section(doc.text, golden_summary.episode_index)
+    recovered = parse_items_section(doc.text)
     assert recovered == list(golden_summary.interactions)
 
 
 def test_items_round_trip_with_pipe_in_description():
     interaction = ItemInteraction(
-        item_id="sword", episode_index=1, description="odd | text with pipes",
+        item_id="sword", description="odd | text with pipes",
         actor="Mira", implied_state=ItemState.LOST,
     )
     summary = EpisodeSummary(
@@ -180,7 +179,7 @@ def test_items_round_trip_with_pipe_in_description():
         emotional_changes=(), sentiment=LlmGateway(GatewayConfig()).score_sentiment("x"),
     )
     doc = build_retrieval_document(summary)
-    assert parse_items_section(doc.text, 1) == [interaction]
+    assert parse_items_section(doc.text) == [interaction]
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +188,8 @@ def test_items_round_trip_with_pipe_in_description():
 
 
 def test_summary_dict_round_trip(golden_summary):
-    assert summary_from_dict(summary_to_dict(golden_summary)) == golden_summary
+    raw = summary_to_dict(golden_summary)
+    assert summary_from_dict(raw, golden_summary.story_id, golden_summary.episode_index) == golden_summary
 
 
 def test_summaries_file_round_trip(mock_gateway, small_story):
@@ -197,9 +197,7 @@ def test_summaries_file_round_trip(mock_gateway, small_story):
         summarize_episode(ep, list(small_story.key_items), mock_gateway, story_id=small_story.story_id)
         for ep in small_story.episodes
     ]
-    raw = summaries_to_dict(small_story.story_id, summaries)
-    story_id, loaded = summaries_from_dict(raw)
-    assert story_id == small_story.story_id and loaded == summaries
+    assert summaries_from_dict(summaries_to_dict(summaries), small_story.story_id) == summaries
 
 
 # ---------------------------------------------------------------------------

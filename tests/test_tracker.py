@@ -455,9 +455,7 @@ def test_llm_extraction_and_repair_use_project_prompt_overrides(tmp_path):
 def test_states_file_round_trip():
     tl = timeline(obs(0, A), obs(2, L), obs(5, A))
     errors = detect_continuity_errors(tl)
-    raw = states_to_dict("story-1", ({"sword": tl}, errors))
-    story_id, (timelines, loaded_errors) = states_from_dict(raw)
-    assert story_id == "story-1"
+    timelines, loaded_errors = states_from_dict(states_to_dict(({"sword": tl}, errors)))
     assert [
         (o.episode_index, o.state, o.explained) for o in timelines["sword"].observations
     ] == [(o.episode_index, o.state, o.explained) for o in tl.observations]
