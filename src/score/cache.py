@@ -1,22 +1,26 @@
 """Where `LlmGateway` keeps replies, so that a later identical request is
-answered without being sent: `get(key)` returns the reply kept under a
-request digest, or None; `put(key, record)` keeps the reply of a record
-{op, model, request, response}; `close()` forgets or closes.
+answered without being sent: `get_many(op, keys)` returns, by key, the
+replies to requests of `op` kept under request digests; `put(key, record)`
+keeps the reply of a record {op, model, request, response}; `close()`
+forgets or closes.
 
 `MemoryStore` holds the replies of one remote gateway with cache `off`.
 `FileStore` is the cache file of `record` and `replay`, one SQLite table
-`entries(key, record)` of compact canonical JSON records, stamped with
-`FORMAT` in SQLite's `PRAGMA user_version` header field when `record`
-creates it. `FORMAT` changes whenever a key or a record changes meaning. A
-file with another number, or none, was recorded by another version of
-score and is refused when opened: by `replay` as a replay miss, by `record`
-as a persistence error that leaves the file as it is.
+`entries(key, request, response)`: the compact canonical JSON of {op,
+model, request}, which says what a row answers and which no run reads, and
+the reply as itself, in the SQLite type that holds it exactly (a completion
+as TEXT, an embedding as its vector's little-endian float64 bytes, a mock
+tone as a REAL), so that a read decodes no JSON. `record` stamps a new file
+with `FORMAT` in SQLite's `PRAGMA user_version` header field. `FORMAT`
+changes whenever a key or a row changes meaning. A file with another
+number, or none, was recorded by another version of score and is refused
+when opened: by `replay` as a replay miss, by `record` as a persistence
+error that leaves the file as it is.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
 import logging
 import threading
 from pathlib import Path
@@ -30,21 +34,27 @@ from .jsonio import canonical_dumps
 logger = logging.getLogger(__name__)
 
 CACHE_FILE = "cache.sqlite3"
-FORMAT = 1  # never 0, SQLite's default, which every file made before the number existed carries
+FORMAT = 2  # never 0, SQLite's default for files made before the number; format 1 kept JSON records
 # SQLite's page cache for the cache file, in KiB. Keys are digests, so a run
 # reads and writes leaf pages in no order and seldom twice; 256 KiB keeps the
 # tree's inner pages, and the default 2 MiB would only add to peak memory.
 _PAGE_CACHE_KIB = 256
+_KEYS_PER_SELECT = 500  # under the 999 parameters a statement could bind before SQLite 3.32
+_REPLY_TYPES = {"complete": str, "embed": bytes, "sentiment": float}  # as SQLite stores and returns each op's reply
+_VECTOR = np.dtype("<f8")
 
 
 class MemoryStore(dict):
     """The replies of one remote gateway with cache `off`, as objects, not
     JSON, so that the callers it answers share one (a remote embedding is a
-    read-only array). Each call is one atomic dict operation: it needs no lock."""
+    read-only array). Each dict operation is atomic: it needs no lock."""
 
     hit_counter = "memo_hits"  # the GatewayStats field a reply found here counts in
     miss_counter = None  # the field a request not found here counts in, if any
     replays = False  # whether a request not found here is an error instead of sent
+
+    def get_many(self, op: str, keys: list[str]) -> dict[str, Any]:
+        return {key: reply for key in keys if (reply := self.get(key)) is not None}
 
     def put(self, key: str, record: dict) -> None:
         self[key] = record["response"]
@@ -71,22 +81,33 @@ class FileStore:
         self._lock = threading.Lock()
         self._db = None
 
-    def get(self, key: str) -> Any:
-        row = self._execute("SELECT record FROM entries WHERE key = ?", (key,))
-        if row is None:
-            return None
-        try:
-            return json.loads(row[0])["response"]
-        except (ValueError, KeyError, TypeError) as e:
-            if self.replays:
-                raise PersistenceError(f"unreadable cache entry {key} in {self.path}: {e}") from e
-            logger.warning("unreadable cache entry %s in %s (%s); requesting again", key, self.path, e)
-            return None
+    def get_many(self, op: str, keys: list[str]) -> dict[str, Any]:
+        """The replies kept under `keys`, `_KEYS_PER_SELECT` keys a query; a
+        vector is a read-only array over the bytes SQLite returns. An entry
+        that holds no reply of `op` is a PersistenceError in replay, and a
+        warning and a miss in record."""
+        found = {}
+        for start in range(0, len(keys), _KEYS_PER_SELECT):
+            chunk = keys[start : start + _KEYS_PER_SELECT]
+            sql = f"SELECT key, response FROM entries WHERE key IN ({','.join('?' * len(chunk))})"
+            for key, value in self._execute(sql, chunk):
+                try:
+                    if type(value) is not _REPLY_TYPES[op]:
+                        raise ValueError(f"a {type(value).__name__} where a {op} reply is kept")
+                    found[key] = np.frombuffer(value, dtype=_VECTOR) if op == "embed" else value
+                except ValueError as e:  # also bytes that are not whole float64s
+                    if self.replays:
+                        raise PersistenceError(f"unreadable cache entry {key} in {self.path}: {e}") from e
+                    logger.warning("unreadable cache entry %s in %s (%s); requesting again", key, self.path, e)
+        return found
 
     def put(self, key: str, record: dict) -> None:
-        if isinstance(record["response"], list):  # an embedding row: its vectors as lists of numbers
-            record = {**record, "response": [np.asarray(vec).tolist() for vec in record["response"]]}
-        self._execute("INSERT OR REPLACE INTO entries (key, record) VALUES (?, ?)", (key, canonical_dumps(record)))
+        request = canonical_dumps({name: record[name] for name in ("op", "model", "request")})
+        response = record["response"]
+        if record["op"] == "embed":
+            response = np.asarray(response, dtype=_VECTOR).tobytes()
+        self._execute("INSERT OR REPLACE INTO entries (key, request, response) VALUES (?, ?, ?)",
+                      (key, request, response))
 
     def close(self) -> None:
         import sqlite3
@@ -102,8 +123,8 @@ class FileStore:
                     db.execute("PRAGMA journal_mode=DELETE")
             db.close()
 
-    def _execute(self, sql: str, params: tuple) -> tuple | None:
-        """The first row of one statement; None when replay finds no file."""
+    def _execute(self, sql: str, params: tuple | list) -> list[tuple]:
+        """The rows of one statement; none when replay finds no file."""
         import sqlite3
 
         try:
@@ -111,8 +132,8 @@ class FileStore:
                 if self._db is None:
                     self._db = self._open()
                     if self._db is None:
-                        return None
-                return self._db.execute(sql, params).fetchone()
+                        return []
+                return self._db.execute(sql, params).fetchall()
         except sqlite3.DatabaseError as e:
             raise PersistenceError(f"{self.path}: not a usable cache file ({e})") from e
 
@@ -132,7 +153,9 @@ class FileStore:
                 with db:  # one transaction: a new file gets its table and number, or stays new
                     db.execute("BEGIN IMMEDIATE")
                     if db.execute("SELECT count(*) FROM sqlite_master").fetchone() == (0,) and _format(db) == 0:
-                        db.execute("CREATE TABLE entries (key TEXT PRIMARY KEY, record TEXT NOT NULL)")
+                        # `response` has no declared type, so SQLite keeps each value in the type it is given
+                        db.execute("CREATE TABLE entries (key TEXT PRIMARY KEY, request TEXT NOT NULL, "
+                                   "response NOT NULL)")
                         db.execute(f"PRAGMA user_version = {FORMAT}")
             version = _format(db)
             if version != FORMAT:
@@ -151,3 +174,4 @@ class FileStore:
 
 def _format(db) -> int:
     return db.execute("PRAGMA user_version").fetchone()[0]
+

@@ -191,7 +191,7 @@ def cmd_index(project: Project, args) -> int:
     index, records = build_retrieval_index(units, vectors, gateway_cfg.embed_dim)
     base = project.dir("index") / granularity
     index.save(base)
-    write_if_changed(base.with_suffix(".records.json"), canonical_bytes(records_to_dict(records)))
+    write_if_changed(base.with_suffix(".records.json"), canonical_bytes(records_to_dict(records), indent=None))
     print(f"indexed {len(index)} {granularity} unit(s) -> {base}.vec")
     return 0
 

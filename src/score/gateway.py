@@ -9,12 +9,14 @@ A reply store (`score.cache`) keyed by `request_digest` fronts both
 backends: the cache file in `record` and `replay` mode, and on the remote
 backend with cache `off` the gateway's memory until `close()`, so each
 distinct request is sent once, as a recorded run gets one reply per request
-(all are sent at temperature 0). A replay miss is an error, so a replay run
-is a pure function of (inputs, config, cache). The mock backend with cache
-`off` keeps nothing: its replies cost less than a digest. A failed request
-is not kept, a remote embedding reply only once each vector has the
-configured dimension and is finite, and a structured reply only once its
-parser accepts it (see `complete_parsed`).
+(all are sent at temperature 0). Each call asks the store once for all the
+keys it needs. A replay miss is an error, so a replay run is a pure
+function of (inputs, config, cache). The mock backend with cache `off`
+keeps nothing: its replies cost less than a digest. A failed request is not
+kept, a chat reply whose text is not valid Unicode (a lone surrogate)
+nowhere, a remote embedding reply only once each vector has the configured
+dimension and is finite, and a structured reply only once its parser
+accepts it (see `complete_parsed`).
 
 An embedded text is a request of its own, `{"model": m, "input": [text]}`,
 so batching changes no key. `embed` answers each text from the store or a
@@ -332,15 +334,14 @@ class LlmGateway:
             return [vec for start in range(0, len(texts), limit) for vec in self.embed(texts[start : start + limit])]
         model = self.config.effective_embed_model
         # one request per text, so each text has its own key; the texts left
-        # to send go out together, each reply being a one-row embedding list
-        rows = self._cached(
+        # to send go out together, each reply being one vector
+        vectors = self._cached(
             "embed",
             model,
             [{"model": model, "input": [text]} for text in texts],
             lambda bodies: self._embed_uncached(texts, [body["input"][0] for body in bodies]),
         )
-        vectors = [np.asarray(row[0], dtype=np.float64) for row in rows]
-        for i, vec in enumerate(vectors):  # a row read back from the cache file is checked here
+        for i, vec in enumerate(vectors):  # a vector read back from the cache file is checked here
             if vec.shape != (self.config.embed_dim,):
                 raise TransportError(f"embedding {i} has dimension {vec.shape}, expected ({self.config.embed_dim},)")
         return vectors
@@ -370,11 +371,15 @@ class LlmGateway:
             raise TransportError(f"malformed chat reply: {reply!r:.200}") from e
         if not isinstance(content, str):
             raise TransportError("chat reply content is not a string")
+        try:
+            content.encode("utf-8")
+        except UnicodeEncodeError as e:  # half a surrogate pair, as "\ud83d" decodes: UTF-8 cannot hold it
+            raise GatewayReplyError(f"chat reply content holds a lone surrogate at position {e.start}") from None
         return content
 
-    def _embed_uncached(self, texts: Sequence[str], todo: list[str]) -> list[list[np.ndarray]]:
-        """The compute step of `embed`: a one-vector row for each text of
-        `todo`, in one request.
+    def _embed_uncached(self, texts: Sequence[str], todo: list[str]) -> list[np.ndarray]:
+        """The compute step of `embed`: the vector of each text of `todo`, in
+        one request.
 
         A remote reply's vectors are read-only, so that the callers a kept
         reply answers can share them. One of another dimension, or with a
@@ -383,7 +388,7 @@ class LlmGateway:
         """
         dim = self.config.embed_dim
         if self.is_mock:
-            return [[hashed_embedding(text, dim)] for text in todo]
+            return [hashed_embedding(text, dim) for text in todo]
         reply = self._post("/embeddings", {"model": self.config.effective_embed_model, "input": todo})
         try:
             data = sorted(reply["data"], key=lambda d: d["index"])
@@ -397,7 +402,7 @@ class LlmGateway:
                 problem = f"has dimension {vec.shape}, expected ({dim},)" if vec.shape != (dim,) else "is not finite"
                 raise GatewayReplyError(f"the embedding of texts[{texts.index(text)}] {problem}")
             vec.flags.writeable = False
-        return [[vec] for vec in vectors]
+        return vectors
 
     # -- transport with retry and the parallelism bound ----------------------
 
@@ -497,7 +502,7 @@ class LlmGateway:
         """The reply to each of `bodies`, in order; `compute(todo)` sends the
         ones no store entry or request in flight answers, all at once, and
         returns their replies in order. A body repeated within one call is
-        one request."""
+        one request, and the store is asked once for every key not in flight."""
         store = self._store
         if store is None:
             return compute(bodies)
@@ -527,7 +532,7 @@ class LlmGateway:
             # where identical requests join it as they would find it kept
             held = getattr(self._local, "held", None)
             try:
-                hits = {key: response for key in todo if (response := store.get(key)) is not None}
+                hits = store.get_many(op, list(todo))
                 self._count(store.hit_counter, len(hits))
                 missing = [key for key in todo if key not in hits]
                 if missing and store.replays:

@@ -287,7 +287,8 @@ class FlatIndex:
         """Write `<base>.vec` (a header of the format version, dimension,
         entry count and checksum, then the binary vectors) and
         `<base>.meta.json` (only `entries`: each row's id, kind, story and
-        episode).
+        episode), compact, since an indent would keep `json.dumps` from its C
+        encoder.
 
         The checksum and the writer both take a byte view of the matrix, so
         a save holds no copy of it: only the metadata, and the bounded
@@ -302,7 +303,7 @@ class FlatIndex:
             {"entry_id": e.entry_id, "kind": e.kind, "story_id": e.story_id, "episode_index": e.episode_index}
             for e in self._entries
         ]
-        write_if_changed(base.with_suffix(".meta.json"), canonical_bytes({"entries": entries}))
+        write_if_changed(base.with_suffix(".meta.json"), canonical_bytes({"entries": entries}, indent=None))
 
     @classmethod
     def load(cls, base: Path | str) -> "FlatIndex":

@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from score import prompts as prompt_templates
+from score.cache import FORMAT
 from score.cli import main
 from score.evaluator import FACETS
 from score.gateway import GatewayConfig, hashed_embedding
@@ -876,11 +877,28 @@ def test_unreadable_cache_entry_in_replay_exits_2(project, capsys):
     assert run(project, "--cache-mode", "record", "evaluate") == 0
     with contextlib.closing(sqlite3.connect(project / "cache" / "cache.sqlite3")) as db, db:
         (key,) = db.execute("SELECT min(key) FROM entries").fetchone()
-        db.execute("UPDATE entries SET record = substr(record, 1, 10) WHERE key = ?", (key,))
+        db.execute("UPDATE entries SET response = x'ff' WHERE key = ?", (key,))  # one byte: no reply of any op
     capsys.readouterr()
     assert run(project, "--cache-mode", "replay", "evaluate") == 2
     err = capsys.readouterr().err
     assert "cache.sqlite3" in err and key in err
+
+
+@pytest.mark.parametrize("length", [-8, 8], ids=["one-component-short", "one-component-long"])
+def test_a_stored_vector_of_the_wrong_byte_length_exits_3_naming_the_embedding(project, capsys, length):
+    import sqlite3
+
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    assert run(project, "--cache-mode", "record", "evaluate") == 0
+    with contextlib.closing(sqlite3.connect(project / "cache" / "cache.sqlite3")) as db, db:
+        vectors = db.execute("SELECT key, response FROM entries WHERE typeof(response) = 'blob'").fetchall()
+        assert vectors and {len(vector) for _, vector in vectors} == {8 * 256}
+        for key, vector in vectors:
+            db.execute("UPDATE entries SET response = ? WHERE key = ?", ((vector + bytes(8))[: 8 * 256 + length], key))
+    capsys.readouterr()
+    assert run(project, "--cache-mode", "replay", "evaluate") == 3
+    expected = f"gateway error: embedding 0 has dimension ({256 + length // 8},), expected (256,)"
+    assert expected in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["record", "replay"])
@@ -892,15 +910,20 @@ def test_cache_file_that_is_not_a_database_exits_2_naming_it(project, capsys, mo
     assert f"{project / 'cache' / 'cache.sqlite3'}: not a usable cache file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [0, 2], ids=["unstamped", "another-number"])
+@pytest.mark.parametrize("version", [0, 1, FORMAT + 1], ids=["unstamped", "format-1", "another-number"])
 def test_a_cache_file_of_another_format_is_refused_in_replay_and_record(project, capsys, version):
     import sqlite3
+
+    from test_gateway import to_format_1
 
     run(project, "fuzz", "--seed", "3", "--stories", "2")
     assert run(project, "--cache-mode", "record", "evaluate") == 0
     path = project / "cache" / "cache.sqlite3"
-    with contextlib.closing(sqlite3.connect(path)) as db:
-        db.execute(f"PRAGMA user_version = {version}")
+    if version == 1:  # the layout of one JSON record per entry, which this recording had before format 2
+        to_format_1(path.parent)
+    else:
+        with contextlib.closing(sqlite3.connect(path)) as db:
+            db.execute(f"PRAGMA user_version = {version}")
     before = path.read_bytes()
     capsys.readouterr()
     assert run(project, "--cache-mode", "replay", "evaluate") == 4
@@ -1048,8 +1071,9 @@ def test_ctrl_c_during_a_remote_evaluate_exits_130_without_a_traceback(project, 
     assert not list((project / "reports").glob("*.json"))
 
 
-def _recorded_evaluate(root, monkeypatch, transport):
-    """`evaluate` of a fresh or existing 2-story project in record mode over `transport`."""
+def _recorded_evaluate(root, monkeypatch, transport, *flags):
+    """`evaluate` of a fresh or existing 2-story project in record mode, or as
+    command-line `flags` say, over `transport`."""
     from score import gateway as gateway_module
 
     monkeypatch.setattr(gateway_module, "default_transport", transport)
@@ -1060,7 +1084,7 @@ def _recorded_evaluate(root, monkeypatch, transport):
             backend="remote", base_url="http://fake.local/v1", model_name="m", cache_mode="record", max_parallel=1
         )
         (root / "config.json").write_text(json.dumps(config), "utf-8")
-    return run(root, "evaluate")
+    return run(root, *flags, "evaluate")
 
 
 def test_a_summary_rejected_twice_is_not_recorded_so_the_next_record_run_recovers(tmp_path, monkeypatch, capsys):
@@ -1804,3 +1828,35 @@ def test_verbose_evaluate_logs_the_gateway_counters(project, monkeypatch, caplog
     assert not [r for r in caplog.records if r.name == "score.gateway"]
     assert run(project, *REMOTE, "evaluate") == 0  # without -v, no INFO line
     assert not [r for r in caplog.records if r.levelno < logging.WARNING]
+
+
+@pytest.mark.parametrize("mode", ["off", "record"])
+def test_a_chat_reply_holding_a_lone_surrogate_exits_3_and_the_next_run_recovers(tmp_path, monkeypatch, capsys, mode):
+    from test_concurrency import StoryModel
+
+    model = StoryModel(latency_s=0)
+    spoiled = []
+
+    def half_an_emoji(url, body, timeout, headers):
+        reply = model(url, body, timeout, headers)
+        if not spoiled and body.get("messages", [{}])[0]["content"].startswith("Summarize"):
+            content = reply["choices"][0]["message"]["content"]
+            spoiled.append(body)
+            # what a JSON body carrying "\ud83d", the first half of an emoji, decodes to
+            reply = {"choices": [{"message": {"content": content.replace('"synopsis": "', '"synopsis": "\ud83d', 1)}}]}
+        return reply
+
+    root = tmp_path / "proj"
+    assert _recorded_evaluate(root, monkeypatch, half_an_emoji, "--cache-mode", mode) == 3
+    err = capsys.readouterr().err
+    assert "gateway error: chat reply content holds a lone surrogate at position 14" in err
+    assert "Traceback" not in err and len(spoiled) == 1
+    assert not list((root / "summaries").glob("*.json")) and not list((root / "reports").glob("*.json"))
+    sent = []
+    healthy = lambda url, body, timeout, headers: sent.append(body) or model(url, body, timeout, headers)  # noqa: E731
+    assert _recorded_evaluate(root, monkeypatch, healthy, "--cache-mode", "record") == 0
+    assert spoiled[0] in sent  # nothing was kept of the refused reply
+    assert _recorded_evaluate(tmp_path / "clean", monkeypatch, StoryModel(latency_s=0)) == 0
+    (report,) = (root / "reports").glob("*.json")
+    (clean,) = (tmp_path / "clean" / "reports").glob("*.json")
+    assert report.name == clean.name and report.read_bytes() == clean.read_bytes()

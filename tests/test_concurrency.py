@@ -529,8 +529,9 @@ def test_stats_survive_heavy_thread_switching(tmp_path):
     assert 1 <= stats.max_in_flight <= workers
     gw.close()
     with contextlib.closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
-        records = [json.loads(record) for (record,) in db.execute("SELECT record FROM entries")]
-    assert {r["request"]["messages"][0]["content"]: r["response"] for r in records} == {
+        rows = db.execute("SELECT request, response FROM entries")
+        records = [(json.loads(request), response) for request, response in rows]
+    assert {r["request"]["messages"][0]["content"]: response for r, response in records} == {
         f"p{i}": f"re:p{i}" for i in range(distinct)
     }
     assert len(records) == distinct
@@ -583,9 +584,10 @@ def test_held_structured_replies_survive_heavy_thread_switching(tmp_path):
     assert gw._pending == {}
     gw.close()
     with contextlib.closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
-        records = [json.loads(record) for (record,) in db.execute("SELECT record FROM entries")]
-    assert sorted(r["request"]["messages"][0]["content"] for r in records) == sorted(accepted)
-    assert {r["response"] for r in records} == {"0.5"}
+        rows = db.execute("SELECT request, response FROM entries")
+        records = [(json.loads(request), response) for request, response in rows]
+    assert sorted(r["request"]["messages"][0]["content"] for r, _ in records) == sorted(accepted)
+    assert {response for _, response in records} == {"0.5"}
 
 
 # ---------------------------------------------------------------------------

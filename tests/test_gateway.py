@@ -24,7 +24,7 @@ from score.errors import (
     UncachedRequestError,
     ValidationError,
 )
-from score.cache import CACHE_FILE, FORMAT
+from score.cache import CACHE_FILE, FORMAT, FileStore
 from score.gateway import (
     GatewayConfig,
     LlmGateway,
@@ -64,10 +64,10 @@ def chat_reply(text):
     return {"choices": [{"message": {"content": text}}]}
 
 
-def stored_entries(cache_dir) -> dict[str, str]:
-    """key -> record of every entry in the cache file under `cache_dir`."""
+def stored_entries(cache_dir) -> dict[str, tuple[str, object]]:
+    """key -> (request, response) of every entry in the cache file under `cache_dir`."""
     with contextlib.closing(sqlite3.connect(Path(cache_dir) / CACHE_FILE)) as db:
-        return dict(db.execute("SELECT key, record FROM entries"))
+        return {key: (request, response) for key, request, response in db.execute("SELECT * FROM entries")}
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +310,8 @@ def test_remote_tone_is_a_complete_request_keyed_by_the_body_it_sends(tmp_path):
         assert gw.score_sentiment("a calm sea").value == 0.6
     ((url, body),) = transport.bodies
     assert url.endswith("/chat/completions") and body["max_tokens"] == 8 and body["temperature"] == 0.0
-    ((key, record),) = stored_entries(tmp_path).items()
-    assert json.loads(record)["op"] == "complete"
+    ((key, (request, response)),) = stored_entries(tmp_path).items()
+    assert json.loads(request)["op"] == "complete" and response == "0.6"
     assert key == request_digest("complete", "test-model", body)
 
 
@@ -520,15 +520,25 @@ def test_replay_serves_recorded_responses(tmp_path):
 
 def test_cache_layout_is_content_addressed(tmp_path):
     with LlmGateway(GatewayConfig(backend="mock", cache_mode="record"), cache_dir=tmp_path) as gw:
-        gw.complete("addressed")
+        replies = {
+            "complete": gw.complete("addressed"),
+            "embed": gw.embed(["addressed"])[0].astype("<f8").tobytes(),
+            "sentiment": gw.score_sentiment("a bright addressed morning").value,
+        }
     assert [p.name for p in tmp_path.iterdir()] == [CACHE_FILE]
     entries = stored_entries(tmp_path)
-    assert len(entries) == 1
-    ((key, record),) = entries.items()
-    payload = json.loads(record)
-    assert key == request_digest(payload["op"], payload["model"], payload["request"])
-    assert set(payload) == {"op", "model", "request", "response"}
-    assert record == canonical_dumps(payload)  # compact: no indent, no trailing newline
+    assert len(entries) == 3
+    stored = {}
+    for key, (request, response) in entries.items():
+        payload = json.loads(request)
+        assert key == request_digest(payload["op"], payload["model"], payload["request"])
+        assert set(payload) == {"op", "model", "request"}
+        assert request == canonical_dumps(payload)  # compact: no indent, no trailing newline
+        stored[payload["op"]] = response
+    assert stored == replies  # each reply as itself: a str, the vector's bytes, a float
+    with contextlib.closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
+        types = dict(db.execute("SELECT json_extract(request, '$.op'), typeof(response) FROM entries"))
+    assert types == {"complete": "text", "embed": "blob", "sentiment": "real"}
 
 
 def test_replay_never_creates_or_writes_the_cache_file(tmp_path):
@@ -560,16 +570,35 @@ def test_a_fresh_recording_is_stamped_with_the_format_number(tmp_path):
         assert db.execute("PRAGMA user_version").fetchone() == (FORMAT,) != (0,)
 
 
+def to_format_1(cache_dir):
+    """Rewrite the cache file under `cache_dir` in format 1: a table
+    `entries(key, record)` of compact canonical JSON records {op, model,
+    request, response}, an embedding's response being a list of one vector."""
+    with contextlib.closing(sqlite3.connect(Path(cache_dir) / CACHE_FILE)) as db:
+        with db:
+            rows = db.execute("SELECT key, request, response FROM entries").fetchall()
+            db.execute("DROP TABLE entries")
+            db.execute("CREATE TABLE entries (key TEXT PRIMARY KEY, record TEXT NOT NULL)")
+            for key, request, response in rows:
+                if isinstance(response, bytes):
+                    response = [np.frombuffer(response, dtype="<f8").tolist()]
+                record = canonical_dumps({**json.loads(request), "response": response})
+                db.execute("INSERT INTO entries (key, record) VALUES (?, ?)", (key, record))
+        db.execute("PRAGMA user_version = 1")
+        db.execute("VACUUM")  # no page of the newer layout is left in the file
+
+
 def _recording_of_another_format(cache_dir, version):
-    """A recording of one tone on the remote backend whose file says format `version`."""
+    """A recording of one tone on the remote backend whose file says format
+    `version`, and has format 1's layout when `version` is 1."""
     transport = FakeTransport([chat_reply("0.5")])
     with LlmGateway(remote_config(cache_mode="record"), cache_dir=cache_dir, transport=transport) as gw:
         gw.score_sentiment("a calm sea")
-    _stamp(cache_dir, version)
+    to_format_1(cache_dir) if version == 1 else _stamp(cache_dir, version)
     return (Path(cache_dir) / CACHE_FILE).read_bytes()
 
 
-@pytest.mark.parametrize("version", [0, FORMAT + 1])
+@pytest.mark.parametrize("version", [0, 1, FORMAT + 1])
 def test_replay_of_a_cache_file_of_another_format_says_record_again(tmp_path, version):
     before = _recording_of_another_format(tmp_path, version)
     gw = LlmGateway(remote_config(cache_mode="replay"), cache_dir=tmp_path, transport=FakeTransport([]))
@@ -580,7 +609,7 @@ def test_replay_of_a_cache_file_of_another_format_says_record_again(tmp_path, ve
     assert (tmp_path / CACHE_FILE).read_bytes() == before
 
 
-@pytest.mark.parametrize("version", [0, FORMAT + 1])
+@pytest.mark.parametrize("version", [0, 1, FORMAT + 1])
 def test_record_over_a_cache_file_of_another_format_leaves_it_alone(tmp_path, version):
     before = _recording_of_another_format(tmp_path, version)
     transport = FakeTransport([chat_reply("0.5")])
@@ -595,7 +624,7 @@ def test_record_over_a_cache_file_of_another_format_leaves_it_alone(tmp_path, ve
 def test_a_mock_recording_of_tones_still_replays(tmp_path):
     with LlmGateway(GatewayConfig(backend="mock", cache_mode="record"), cache_dir=tmp_path) as gw:
         recorded = gw.score_sentiment("a bright hopeful morning")
-    assert [json.loads(record)["op"] for record in stored_entries(tmp_path).values()] == ["sentiment"]
+    assert [json.loads(request)["op"] for request, _ in stored_entries(tmp_path).values()] == ["sentiment"]
     with LlmGateway(GatewayConfig(backend="mock", cache_mode="replay"), cache_dir=tmp_path) as gw:
         assert gw.score_sentiment("a bright hopeful morning") == recorded
         with pytest.raises(UncachedRequestError) as missed:
@@ -742,8 +771,8 @@ def test_record_mode_sends_a_request_in_flight_once(tmp_path):
         t.join(timeout=10)
     assert not any(t.is_alive() for t in threads)
     assert len(calls) == 1
-    (stored,) = stored_entries(tmp_path).values()
-    assert replies == ["reply 1", "reply 1"] == [json.loads(stored)["response"]] * 2
+    ((_, stored),) = stored_entries(tmp_path).values()
+    assert replies == ["reply 1", "reply 1"] == [stored] * 2
     assert gw.stats.cache_misses == 1 and gw.stats.cache_hits == 1
 
 
@@ -847,12 +876,12 @@ def test_each_embedded_text_is_one_cache_entry_keyed_by_its_one_text_request(tmp
     assert log.batches == [["a", "b"], ["c"]]
     entries = stored_entries(tmp_path)
     assert len(entries) == 3
-    for key, raw in entries.items():
-        record = json.loads(raw)
+    for key, (request, response) in entries.items():
+        record = json.loads(request)
         assert record["op"] == "embed" and len(record["request"]["input"]) == 1
         assert key == request_digest("embed", "test-model", record["request"])
         (text,) = record["request"]["input"]
-        assert record["response"] == [hashed_embedding(text, 3).tolist()]
+        assert response == hashed_embedding(text, 3).astype("<f8").tobytes()
     # batching changes no key: texts embedded one by one replay from the rows one batch wrote
     with LlmGateway(remote_config(cache_mode="replay", embed_dim=3), cache_dir=tmp_path) as gw:
         for text in ("c", "a", "b"):
@@ -946,17 +975,18 @@ def test_a_failed_request_is_not_remembered_and_its_joined_callers_get_its_error
     assert gw.complete("same prompt") == "ok" and len(calls) == 2
 
 
-def _truncate_the_one_entry(cache_dir):
+def _spoil_the_one_entry(cache_dir, response=b"\xff"):
+    """Store `response` (by default one byte, which is no reply of any op) as the one entry's reply."""
     (key,) = stored_entries(cache_dir)
     with contextlib.closing(sqlite3.connect(cache_dir / CACHE_FILE)) as db, db:
-        db.execute("UPDATE entries SET record = substr(record, 1, 20) WHERE key = ?", (key,))
+        db.execute("UPDATE entries SET response = ? WHERE key = ?", (response, key))
     return key
 
 
 def test_unreadable_cache_entry_in_replay_is_persistence_error(tmp_path):
     with LlmGateway(remote_config(cache_mode="record"), cache_dir=tmp_path, transport=FakeTransport([chat_reply("a")])) as gw:
         gw.complete("p")
-    key = _truncate_the_one_entry(tmp_path)
+    key = _spoil_the_one_entry(tmp_path)
     replayer = LlmGateway(remote_config(cache_mode="replay"), cache_dir=tmp_path, transport=FakeTransport([chat_reply("b")]))
     with pytest.raises(PersistenceError, match=f"{key} in .*{CACHE_FILE}"):
         replayer.complete("p")
@@ -965,12 +995,68 @@ def test_unreadable_cache_entry_in_replay_is_persistence_error(tmp_path):
 def test_unreadable_cache_entry_in_record_is_a_miss_and_rewritten(tmp_path):
     with LlmGateway(remote_config(cache_mode="record"), cache_dir=tmp_path, transport=FakeTransport([chat_reply("a")])) as gw:
         gw.complete("p")
-    key = _truncate_the_one_entry(tmp_path)
+    key = _spoil_the_one_entry(tmp_path)
     transport = FakeTransport([chat_reply("b")])
     with LlmGateway(remote_config(cache_mode="record"), cache_dir=tmp_path, transport=transport) as recorder:
         assert recorder.complete("p") == "b"
     assert transport.calls == 1
-    assert json.loads(stored_entries(tmp_path)[key])["response"] == "b"
+    assert stored_entries(tmp_path)[key][1] == "b"
+
+
+@pytest.mark.parametrize("mode", ["replay", "record"])
+def test_a_stored_vector_that_is_not_whole_float64s_is_an_unreadable_entry(tmp_path, caplog, mode):
+    log = EmbedLog()
+    with LlmGateway(remote_config(cache_mode="record", embed_dim=3), cache_dir=tmp_path, transport=log) as gw:
+        (vec,) = gw.embed(["text"])
+    ((_, vector),) = stored_entries(tmp_path).values()
+    key = _spoil_the_one_entry(tmp_path, vector[:-1])
+    with LlmGateway(remote_config(cache_mode=mode, embed_dim=3), cache_dir=tmp_path, transport=log) as gw:
+        if mode == "replay":
+            with pytest.raises(PersistenceError, match=f"unreadable cache entry {key} in .*{CACHE_FILE}"):
+                gw.embed(["text"])
+        else:
+            assert np.array_equal(gw.embed(["text"])[0], vec)
+    if mode == "record":
+        assert "unreadable cache entry" in caplog.text and log.batches == [["text"], ["text"]]
+        assert stored_entries(tmp_path)[key][1] == vector
+    else:
+        assert log.batches == [["text"]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    text=st.text(st.characters(blacklist_categories=["Cs"])),  # any valid Unicode: no lone surrogate
+    vector=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=16),
+    tone=st.floats(0.0, 1.0),
+)
+@example(text="nul \x00 and astral \U0001f600", vector=[-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
+         tone=0.1 + 0.2)
+def test_the_file_store_replays_each_recorded_reply_as_it_was(text, vector, tone):
+    replies = {"complete": text, "embed": np.array(vector), "sentiment": tone}
+    with tempfile.TemporaryDirectory() as cache_dir:
+        recorder = FileStore(Path(cache_dir), "record")
+        for op, reply in replies.items():
+            recorder.put(op, {"op": op, "model": "m", "request": {"of": op}, "response": reply})
+        recorder.close()
+        replayer = FileStore(Path(cache_dir), "replay")
+        try:
+            found = {op: replayer.get_many(op, [op, "never recorded"]) for op in replies}
+        finally:
+            replayer.close()
+    assert found["complete"] == {"complete": text}
+    assert found["sentiment"] == {"sentiment": tone} and np.signbit(found["sentiment"]["sentiment"]) == np.signbit(tone)
+    vec = found["embed"]["embed"]
+    assert vec.dtype == np.float64 and vec.tobytes() == np.array(vector, dtype="<f8").tobytes()  # bit for bit
+    assert not vec.flags.writeable
+
+
+def test_one_read_finds_more_keys_than_one_select_binds(tmp_path):
+    keys = [f"k{i:04}" for i in range(1201)]
+    store = FileStore(tmp_path, "record")
+    for i, key in enumerate(keys):
+        store.put(key, {"op": "complete", "model": "m", "request": {"n": i}, "response": f"reply {i}"})
+    assert store.get_many("complete", keys + ["never recorded"]) == {key: f"reply {i}" for i, key in enumerate(keys)}
+    store.close()
 
 
 def test_sentiment_prompt_comes_from_the_project_override(tmp_path):

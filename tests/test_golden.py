@@ -16,12 +16,13 @@ keyed by the chat body they send (the 48 `sentiment` keys of its 262 became
 none of its story's key items stopped asking for an extraction (262 keys
 became 241, a strict subset: the 21 removed keys are exactly the extraction
 requests, of 39, in whose episode text no alias of the story's items
-occurs). The four JSON hashes of the `score index` files were retaken once,
-when each index fact got one file: `.meta.json` stopped repeating the
+occurs). The four JSON hashes of the `score index` files were retaken twice:
+when each index fact got one file (`.meta.json` stopped repeating the
 dimension, count and format version of the `.vec` header, and `.records.json`
-the story and episode of each `.meta.json` entry. The new files are the old
-ones, parsed, with those fields deleted and written again; the `.vec` hashes
-did not change. A change that moves any report byte, search score bit or ranking
+the story and episode of each `.meta.json` entry; the new files are the old
+ones, parsed, with those fields deleted and written again), and when both
+files became compact (the new files are the old ones, parsed and written
+again without an indent). The `.vec` hashes did not change either time. A change that moves any report byte, search score bit or ranking
 fails here; one that means to change results updates the hash and says why.
 """
 
@@ -45,11 +46,11 @@ CORPUS_SEARCH_SHA256 = "91ad6ed0d1a1de0c2c6a2154107dea0cd2d6e76be331f3a577c9bd96
 WIRE_REQUESTS_SHA256 = "e1fa5ddb1fc8b96066a235b5494c7a311a9a9707b4e9b7ca8e7958a99e0c6ff0"
 INDEX_FILES_SHA256 = {
     "summary.vec": "2b1a9dd361e4c34bb1824a66920f0a04d28d742b0a54f615d342ee87e4ea888a",
-    "summary.meta.json": "2f6989c1a27da32d1d85a50d49fe5d994b6180dac02559c7b1291ce679a987c0",
-    "summary.records.json": "18dbae7c5c3bdda652ca772f2b6989f99287554cc314fe26c7d5aab7f3c534af",
+    "summary.meta.json": "f56473eb00e89f1bcf7839beedeb668557abd6bd1da82426c1634863e023ad27",
+    "summary.records.json": "67ae3f4e2214a306271bda9746ba18cb06dbb2226adfb58fa9b0b2ddc5ac6ce6",
     "chunk.vec": "df895701e04a8df5b85c35bab6af0e8916bebeb0c0cfb7846097aa53f22c5c80",
-    "chunk.meta.json": "5ea2a2a6b5fc77f97c848de272c3a9303875ddd1d1644c4434d6ae94b8471317",
-    "chunk.records.json": "8592fdb6fb14fcd75733bfae9b70d79ea387350c41751ead52cabbf9756c3d0b",
+    "chunk.meta.json": "56f4b6a7f94a6be432c04b20bb277db45014eff8c01d82a06886ae4e839594c4",
+    "chunk.records.json": "206e30e14395457726be681781406364afdcdb02b0a121cded871437932c6ae6",
 }
 
 
