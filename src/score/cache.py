@@ -40,7 +40,7 @@ FORMAT = 2  # never 0, SQLite's default for files made before the number; format
 # tree's inner pages, and the default 2 MiB would only add to peak memory.
 _PAGE_CACHE_KIB = 256
 _KEYS_PER_SELECT = 500  # under the 999 parameters a statement could bind before SQLite 3.32
-_REPLY_TYPES = {"complete": str, "embed": bytes, "sentiment": float}  # as SQLite stores and returns each op's reply
+_REPLY_TYPES = {"complete": b"text", "embed": b"blob", "sentiment": b"real"}  # the SQLite type of each op's reply
 _VECTOR = np.dtype("<f8")
 
 
@@ -84,18 +84,21 @@ class FileStore:
     def get_many(self, op: str, keys: list[str]) -> dict[str, Any]:
         """The replies kept under `keys`, `_KEYS_PER_SELECT` keys a query; a
         vector is a read-only array over the bytes SQLite returns. An entry
-        that holds no reply of `op` is a PersistenceError in replay, and a
-        warning and a miss in record."""
+        that holds no reply of `op`, text not UTF-8 included, is a
+        PersistenceError in replay, and a warning and a miss in record."""
         found = {}
         for start in range(0, len(keys), _KEYS_PER_SELECT):
             chunk = keys[start : start + _KEYS_PER_SELECT]
-            sql = f"SELECT key, response FROM entries WHERE key IN ({','.join('?' * len(chunk))})"
-            for key, value in self._execute(sql, chunk):
+            sql = f"SELECT key, typeof(response), response FROM entries WHERE key IN ({','.join('?' * len(chunk))})"
+            for key, kind, value in self._execute(sql, chunk):
+                key = key.decode()  # the hex digest the query matched
                 try:
-                    if type(value) is not _REPLY_TYPES[op]:
-                        raise ValueError(f"a {type(value).__name__} where a {op} reply is kept")
+                    if kind != _REPLY_TYPES[op]:
+                        raise ValueError(f"a {kind.decode()} where a {op} reply is kept")
+                    if op == "complete":
+                        value = value.decode("utf-8")
                     found[key] = np.frombuffer(value, dtype=_VECTOR) if op == "embed" else value
-                except ValueError as e:  # also bytes that are not whole float64s
+                except ValueError as e:  # also bytes that are not whole float64s, or not UTF-8
                     if self.replays:
                         raise PersistenceError(f"unreadable cache entry {key} in {self.path}: {e}") from e
                     logger.warning("unreadable cache entry %s in %s (%s); requesting again", key, self.path, e)
@@ -147,6 +150,7 @@ class FileStore:
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             db = sqlite3.connect(self.path, isolation_level=None, check_same_thread=False)
+        db.text_factory = bytes  # so that one TEXT value that is not UTF-8 fails its own row, not the query
         try:
             db.execute(f"PRAGMA cache_size = -{_PAGE_CACHE_KIB}")
             if not self.replays:

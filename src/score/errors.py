@@ -24,14 +24,17 @@ class ValidationError(ScoreError):
         self.reason = message
 
 
-class StoryParseError(ScoreError):
-    """Input document is not parseable at all (as opposed to invalid)."""
+class JsonParseError(ValueError):
+    """JSON that `jsonio.parse_json` refuses: its `reason`, and `byte_offset` where known."""
 
-    def __init__(self, message: str, byte_offset: int | None = None):
-        if byte_offset is not None:
-            message = f"{message} (byte offset {byte_offset})"
-        super().__init__(message)
+    def __init__(self, reason: str, byte_offset: int | None = None):
+        super().__init__(reason if byte_offset is None else f"{reason} (byte offset {byte_offset})")
+        self.reason = reason
         self.byte_offset = byte_offset
+
+
+class StoryParseError(ScoreError, JsonParseError):
+    """Input document is not parseable at all (as opposed to invalid)."""
 
 
 class PersistenceError(ScoreError):

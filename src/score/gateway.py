@@ -5,18 +5,18 @@ embeddings wire format over HTTP; `mock` is fully deterministic and
 offline (hashed bag-of-words embeddings, lexicon sentiment, hash-derived
 completions) so the whole pipeline can run and be tested without a model.
 
-A reply store (`score.cache`) keyed by `request_digest` fronts both
-backends: the cache file in `record` and `replay` mode, and on the remote
-backend with cache `off` the gateway's memory until `close()`, so each
-distinct request is sent once, as a recorded run gets one reply per request
-(all are sent at temperature 0). Each call asks the store once for all the
-keys it needs. A replay miss is an error, so a replay run is a pure
-function of (inputs, config, cache). The mock backend with cache `off`
-keeps nothing: its replies cost less than a digest. A failed request is not
-kept, a chat reply whose text is not valid Unicode (a lone surrogate)
-nowhere, a remote embedding reply only once each vector has the configured
-dimension and is finite, and a structured reply only once its parser
-accepts it (see `complete_parsed`).
+A reply store (`score.cache`) keyed by `request_digest` fronts both backends:
+the cache file in `record` and `replay` mode, and on the remote backend with
+cache `off` the gateway's memory until `close()`, so each distinct request is
+sent once, as a recorded run gets one reply per request (all are sent at
+temperature 0). Each call asks the store once for all the keys it needs. A
+replay miss is an error, so a replay run is a pure function of (inputs,
+config, cache). The mock backend with cache `off` keeps nothing: its replies
+cost less than a digest. A failed request is not kept, a chat reply whose
+text is not valid Unicode (a lone surrogate) nowhere, a remote embedding
+reply only once each vector has the configured dimension and is finite, and a
+structured reply only once its parser accepts it (see `complete_parsed`).
+`jsonio.parse_json` decodes each HTTP body and each structured reply.
 
 An embedded text is a request of its own, `{"model": m, "input": [text]}`,
 so batching changes no key. `embed` answers each text from the store or a
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import logging
 import os
 import random
@@ -48,12 +47,13 @@ from .cache import FileStore, MemoryStore
 from .errors import (
     ContractError,
     GatewayReplyError,
+    JsonParseError,
     SentimentError,
     TransportError,
     UncachedRequestError,
     ValidationError,
 )
-from .jsonio import canonical_dumps, check
+from .jsonio import canonical_dumps, check, parse_json
 
 logger = logging.getLogger(__name__)
 
@@ -171,9 +171,9 @@ def default_transport(url: str, body: dict, timeout: float, headers: dict) -> di
             retry_after=_retry_after_seconds(response.headers.get("Retry-After")) if throttled else None,
         )
     try:
-        return response.json()
-    except ValueError as e:
-        raise TransportError(f"POST {url} returned non-JSON body") from e
+        return parse_json(response.content)
+    except JsonParseError as e:
+        raise TransportError(f"POST {url} returned non-JSON body ({e})") from None
 
 
 class LlmGateway:
@@ -647,25 +647,13 @@ def extract_json_value(reply: str, shape: Any):
     """The first JSON object or array in a model reply, checked against
     `shape` (in `jsonio`'s grammar).
 
-    Tolerates surrounding prose and ``` fences. A reply without a parseable
-    JSON value raises ValueError, and one whose value does not have `shape`
-    raises ValidationError naming the JSON path of its first wrong value.
+    Tolerates surrounding prose and ``` fences. A reply without a value
+    `parse_json` accepts raises ValueError, and one whose value does not have
+    `shape` raises ValidationError naming the JSON path of its first wrong value.
     """
-    text = reply.strip()
-    if text.startswith("```"):
-        lines = text.splitlines()
-        if len(lines) >= 3:
-            text = "\n".join(lines[1:-1]).strip()
-    starts = [i for i in (text.find("{"), text.find("[")) if i != -1]
+    starts = [i for i in (reply.find("{"), reply.find("[")) if i != -1]
     if not starts:
         raise ValueError("no JSON value in reply")
-    start = min(starts)
-    decoder = json.JSONDecoder()
-    try:
-        value, _ = decoder.raw_decode(text[start:])
-    except json.JSONDecodeError as e:
-        raise ValueError(f"invalid JSON in reply: {e}") from e
-    except RecursionError:  # nested deeper than the decoder recurses
-        raise ValueError("JSON in reply nested too deeply") from None
+    value = parse_json(reply[min(starts) :], prose_after=True)
     check(value, shape)
     return value

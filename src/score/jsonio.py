@@ -1,13 +1,14 @@
-"""Canonical JSON serialization, atomic file writes and the JSON shape check.
+"""Canonical JSON serialization, atomic file writes, the JSON decoder and shape check.
 
 Every artifact this package writes (stories, states, summaries, reports,
 cache entries) goes through `canonical_dumps` so that equal values always
 produce byte-equal files. That is what makes replay runs comparable with
 a plain byte diff.
 
-Every JSON file it reads is checked against a declared shape (`check`)
-before any field is used, so a damaged file ends in an error that names
-the file and the JSON path of the first wrong value, such as
+Every JSON text it reads (a file, an HTTP body, a model reply) is decoded by
+`parse_json`, and every JSON file is checked against a declared shape
+(`check`) before any field is used, so a damaged file ends in an error that
+names the file and the JSON path of the first wrong value, such as
 `$.qa[0].answer` (RFC 9535 notation). Each structured model reply is
 checked the same way, against a shape declared beside its parser
 (`gateway.extract_json_value`). A shape is one of:
@@ -34,7 +35,7 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
-from .errors import PersistenceError, ValidationError
+from .errors import JsonParseError, PersistenceError, ValidationError
 
 JSON_TYPES = {
     str: "a string",
@@ -46,6 +47,7 @@ JSON_TYPES = {
     None: "null",
 }
 
+_DECODER = json.JSONDecoder()
 _CHUNK = 1 << 20  # bytes of an existing file that `write_if_changed` reads at a time
 
 
@@ -91,27 +93,42 @@ def has_json_type(value: Any, expected: type) -> bool:
     return isinstance(value, expected) and (expected is bool or not isinstance(value, bool))
 
 
-def load_json_object(path: Path | str) -> dict:
-    """The JSON object saved at `path`. A file that cannot be read, does not
-    parse or holds another JSON value raises PersistenceError naming it."""
-    path = Path(path)
+def parse_json(data: bytes | str, *, prose_after: bool = False) -> Any:
+    """The JSON value of a file's bytes, decoded strictly in the encoding
+    `json.loads` detects, or of a reply's text, whose value may be followed
+    by prose if `prose_after`. Malformed JSON, text after the value, nesting
+    deeper than the decoder recurses, an integer longer than `int` converts
+    and a lone surrogate (RFC 8259 sec. 8.1) raise JsonParseError."""
+    encoding = "utf-8" if isinstance(data, str) else json.detect_encoding(data)
     try:
-        data = path.read_bytes()
-        raw = json.loads(data)
-        if b"\\u" in data:  # an escape can spell a lone surrogate, which no UTF-8 file can hold
-            canonical_dumps(raw).encode("utf-8")
-    except (OSError, ValueError) as e:  # JSONDecodeError and the Unicode errors are ValueErrors
-        raise PersistenceError(f"{path}: does not load ({e})") from None
-    if not isinstance(raw, dict):
-        raise PersistenceError(f"{path}: must hold a JSON object, got {canonical_dumps(raw):.40}")
-    return raw
+        text = data if isinstance(data, str) else data.decode(encoding)
+        value = _DECODER.raw_decode(text)[0] if prose_after else _DECODER.decode(text)
+        if "\\u" in text:  # an escape can spell a lone surrogate
+            canonical_dumps(value).encode("utf-8")
+    except json.JSONDecodeError as e:
+        offset = len(text[: e.pos].encode(encoding, "surrogatepass"))
+        raise JsonParseError(f"malformed JSON: {e.msg}", offset) from None
+    except UnicodeError as e:  # bytes not in the encoding, or an escaped lone surrogate that UTF-8 cannot hold
+        # a decoder that strips a BOM reports the offset past it
+        offset = e.start + len(data) - len(e.object) if isinstance(e, UnicodeDecodeError) else None
+        raise JsonParseError(f"not valid {e.encoding.upper()}: {e.reason}", offset) from None
+    except RecursionError:
+        raise JsonParseError("nested too deeply") from None
+    except ValueError as e:  # an integer longer than `int` converts
+        raise JsonParseError(str(e)) from None
+    return value
 
 
 def load_json(path: Path | str, shape: Any, build=None):
     """The JSON object saved at `path`, checked against `shape` and passed
-    through `build` when given. Any failure, a `ValidationError` raised by
-    `build` included, raises PersistenceError naming the file."""
-    raw = load_json_object(path)
+    through `build` when given; any failure raises PersistenceError naming it."""
+    path = Path(path)
+    try:
+        raw = parse_json(path.read_bytes())
+    except (OSError, JsonParseError) as e:
+        raise PersistenceError(f"{path}: does not load ({e})") from None
+    if type(raw) is not dict:
+        raise PersistenceError(f"{path}: must hold a JSON object, got {_shown(raw)}")
     try:
         check(raw, shape)
         return raw if build is None else build(raw)
@@ -177,11 +194,14 @@ def _check(value: Any, shape: Any) -> None:
 
 
 def _wrong(value: Any, shape: Any) -> ValidationError:
+    return ValidationError("", f"must be {_describe(shape)}, got {_shown(value)}")
+
+
+def _shown(value: Any) -> str:
     try:
-        got = canonical_dumps(value)
+        return f"{canonical_dumps(value):.40}"
     except RecursionError:  # nested deeper than the encoder recurses
-        got = "a value nested too deeply to show"
-    return ValidationError("", f"must be {_describe(shape)}, got {got:.40}")
+        return "a value nested too deeply to show"
 
 
 def _describe(shape: Any) -> str:

@@ -8,10 +8,10 @@ word forms, which is what makes detection exact on generated corpora.
 from __future__ import annotations
 
 import functools
-import json
 import re
 from importlib import resources
 
+from .jsonio import parse_json
 from .story import ItemState
 
 # Verbs that commit an item to a state when they share a sentence with it.
@@ -114,7 +114,7 @@ def _alias_pattern(names: tuple[str, ...], whole_words: bool) -> re.Pattern:
 
 @functools.cache
 def sentiment_lexicon() -> tuple[frozenset[str], frozenset[str]]:
-    raw = json.loads(resources.files("score").joinpath("data/sentiment_lexicon.json").read_text("utf-8"))
+    raw = parse_json(resources.files("score").joinpath("data/sentiment_lexicon.json").read_bytes())
     return frozenset(raw["positive"]), frozenset(raw["negative"])
 
 

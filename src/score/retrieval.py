@@ -71,13 +71,8 @@ class ContextEntry:
     block: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "block", f"{self.header()}\n{self.text}\n")
-
-    def header(self) -> str:
-        return f"[{self.story_id}#{self.episode_index}] (similarity={self.score:.4f}, sentiment={self.sentiment:.3f})"
-
-    def render(self) -> str:
-        return self.block
+        header = f"[{self.story_id}#{self.episode_index}] (similarity={self.score:.4f}, sentiment={self.sentiment:.3f})"
+        object.__setattr__(self, "block", f"{header}\n{self.text}\n")
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,17 @@
 
 A story is an ordered list of episodes plus the key items whose states get
 tracked across them. Everything here is an immutable value object; the JSON
-round trip is lossless and byte-stable.
+round trip is lossless and byte-stable. A story file is decoded by
+`jsonio.parse_json`, as every JSON input is.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
-from .errors import StoryParseError, ValidationError
-from .jsonio import canonical_bytes, check
+from .errors import JsonParseError, StoryParseError, ValidationError
+from .jsonio import canonical_bytes, check, parse_json
 
 GENRES = ("science_fiction", "drama", "fantasy", "comedy", "other")
 
@@ -135,23 +135,13 @@ STORY_SHAPE = {
 def parse_story(data: bytes) -> Story:
     """Parse and validate a story document.
 
-    Raises StoryParseError (with byte offset) for malformed JSON and
-    ValidationError (naming the field) for schema violations.
+    Raises StoryParseError (with byte offset) for a document `parse_json`
+    refuses and ValidationError (naming the field) for schema violations.
     """
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise StoryParseError(f"not valid UTF-8: {e.reason}", byte_offset=e.start) from e
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        offset = len(text[: e.pos].encode("utf-8"))
-        raise StoryParseError(f"malformed JSON: {e.msg}", byte_offset=offset) from e
-    if "\\u" in text:  # an escape can spell a lone surrogate, which no UTF-8 file can hold
-        try:
-            canonical_bytes(raw)
-        except UnicodeEncodeError as e:
-            raise StoryParseError(f"not valid UTF-8: {e.reason}") from None
+        raw = parse_json(data)
+    except JsonParseError as e:
+        raise StoryParseError(e.reason, e.byte_offset) from None
     check(raw, STORY_SHAPE)
     return story_from_dict(raw)
 

@@ -1860,3 +1860,86 @@ def test_a_chat_reply_holding_a_lone_surrogate_exits_3_and_the_next_run_recovers
     (report,) = (root / "reports").glob("*.json")
     (clean,) = (tmp_path / "clean" / "reports").glob("*.json")
     assert report.name == clean.name and report.read_bytes() == clean.read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["off", "record"])
+def test_a_structured_reply_escaping_a_lone_surrogate_gets_one_repair_prompt(tmp_path, monkeypatch, capsys, mode):
+    from test_concurrency import StoryModel
+
+    model = StoryModel(latency_s=0)
+    spoiled, repairs = [], []
+
+    def transport(url, body, timeout, headers):
+        # the first summary reply's synopsis starts with the six ASCII characters
+        # `\ud83d`, a JSON escape of half an emoji; its repair prompt gets the clean reply
+        prompt = body.get("messages", [{}])[0].get("content", "")
+        if prompt.startswith("Your previous reply"):
+            repairs.append(prompt)
+            return model(url, {**body, "messages": [{"role": "user", "content": spoiled[0]}]}, timeout, headers)
+        reply = model(url, body, timeout, headers)
+        if not spoiled and prompt.startswith("Summarize"):
+            spoiled.append(prompt)
+            content = reply["choices"][0]["message"]["content"].replace('"synopsis": "', '"synopsis": "\\ud83d', 1)
+            reply = {"choices": [{"message": {"content": content}}]}
+        return reply
+
+    root = tmp_path / "proj"
+    assert _recorded_evaluate(root, monkeypatch, transport, "--cache-mode", mode) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert len(spoiled) == len(repairs) == 1
+    assert '"synopsis": "\\ud83d' in repairs[0]  # the rejected reply goes back as the ASCII escape it was
+    assert _recorded_evaluate(tmp_path / "clean", monkeypatch, StoryModel(latency_s=0)) == 0
+    (report,) = (root / "reports").glob("*.json")
+    (clean,) = (tmp_path / "clean" / "reports").glob("*.json")
+    assert report.name == clean.name and report.read_bytes() == clean.read_bytes()
+    if mode == "record":  # the rejected reply and its repair were both kept, and a replay asks for both
+        for path in [report, *(root / "summaries").glob("*.json")]:
+            path.unlink()
+        assert _recorded_evaluate(root, monkeypatch, None, "--cache-mode", "replay") == 0
+        assert report.read_bytes() == clean.read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["replay", "record"])
+def test_a_kept_completion_that_is_not_utf8_is_one_unreadable_entry(tmp_path, monkeypatch, capsys, caplog, mode):
+    import sqlite3
+
+    from test_concurrency import StoryModel
+
+    root = tmp_path / "proj"
+    assert _recorded_evaluate(root, monkeypatch, StoryModel(latency_s=0)) == 0
+    (report,) = (root / "reports").glob("*.json")
+    recorded = report.read_bytes()
+    with contextlib.closing(sqlite3.connect(root / "cache" / "cache.sqlite3")) as db, db:
+        (key,) = db.execute(
+            "SELECT min(key) FROM entries WHERE instr(request, '\"content\":\"Evaluate') > 0"
+        ).fetchone()
+        db.execute("UPDATE entries SET response = CAST(x'ff41' AS TEXT) WHERE key = ?", (key,))
+    report.unlink()
+    capsys.readouterr()
+    model = StoryModel(latency_s=0)
+    code = _recorded_evaluate(root, monkeypatch, model, "--cache-mode", mode)
+    if mode == "replay":
+        assert code == 2
+        assert f"unreadable cache entry {key} in {root / 'cache' / 'cache.sqlite3'}" in capsys.readouterr().err
+        assert model.calls == 0
+    else:
+        assert code == 0
+        assert f"unreadable cache entry {key} in" in caplog.text
+        assert model.calls == 1  # only the entry that could not be read is asked again
+        assert report.read_bytes() == recorded
+
+
+def test_a_reply_body_nested_deeper_than_the_decoder_recurses_exits_3(project, monkeypatch, capsys):
+    import requests
+
+    body = requests.Response()
+    body.status_code, body._content = 200, b"[" * 100_000
+    monkeypatch.setattr(requests, "post", lambda url, **kwargs: body)
+    assert run(project, "fuzz", "--seed", "5", "--stories", "1") == 0
+    config = json.loads((project / "config.json").read_text("utf-8"))
+    config["gateway"]["max_retries"] = 0
+    (project / "config.json").write_text(json.dumps(config), "utf-8")
+    capsys.readouterr()
+    assert run(project, *REMOTE, "evaluate") == 3
+    err = capsys.readouterr().err
+    assert "returned non-JSON body (nested too deeply)" in err and "Traceback" not in err

@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import shutil
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,7 +113,9 @@ def project(built):
 # the property
 # ---------------------------------------------------------------------------
 
-_UNDECODABLE = [b"\x80", b"\xc3", b"\xfe", b"\xff"]  # bytes no UTF-8 text holds there
+# bytes no UTF-8 text holds there; the last is the UTF-8 form of the lone surrogate U+D800
+_UNDECODABLE = [b"\x80", b"\xc3", b"\xfe", b"\xff", b"\xed\xa0\x80"]
+_DEEP = 100_000  # list levels, far more than the JSON decoder recurses
 _RETYPED = [None, True, 0, 1.5, "x", [], {}]
 
 
@@ -146,6 +149,7 @@ def _mutations(raw: bytes) -> st.SearchStrategy[bytes]:
             lambda t: raw[: t[0]] + bytes([raw[t[0]] ^ t[1]]) + raw[t[0] + 1 :]
         ),
         st.tuples(st.integers(0, size), st.sampled_from(_UNDECODABLE)).map(lambda t: raw[: t[0]] + t[1] + raw[t[0] :]),
+        st.just(b"[" * _DEEP + raw + b"]" * _DEEP),
     ]
     try:
         value = json.loads(raw)
@@ -203,6 +207,27 @@ def test_config_that_is_not_utf8_exits_2_naming_it(project, command):
     code, err = run(project, *command)
     assert code == 2
     assert f"{path}: does not load" in err
+
+
+@pytest.mark.parametrize("command", [["track"], ["ask", QUESTION]])
+def test_config_nested_too_deeply_exits_2_naming_it(project, command):
+    path = project / "config.json"
+    path.write_bytes(b"[" * _DEEP + b"]" * _DEEP)
+    code, err = run(project, *command)
+    assert code == 2
+    assert f"{path}: does not load (nested too deeply)" in err
+
+
+def test_config_nested_about_as_deep_as_the_decoder_recurses_exits_2_naming_it(project):
+    # near the recursion limit the decoder may succeed where the encoder that
+    # shows the wrong value in the error message does not
+    path = project / "config.json"
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 150, limit + 10):
+        path.write_bytes(b"[" * depth + b"]" * depth)
+        code, err = run(project, "track")
+        assert code == 2, depth
+        assert f"{path}: " in err and "Traceback" not in err
 
 
 def _edit_json(path: Path, change) -> None:
@@ -321,6 +346,42 @@ def test_lone_surrogate_escape_exits_2_naming_the_file(project, name, command, c
     code, err = run(project, *command)
     assert code == 2
     assert f"{path}: " in err and "surrogates not allowed" in err
+
+
+@pytest.mark.parametrize("command", [["track"], ["evaluate"]])
+def test_story_nested_too_deeply_exits_2_naming_it(project, command):
+    path = _stories(project)[0]
+    path.write_bytes(b"[" * _DEEP)
+    code, err = run(project, *command)
+    assert code == 2
+    assert f"{path}: nested too deeply" in err
+
+
+def test_story_holding_an_integer_longer_than_int_converts_exits_2_naming_it(project):
+    path = _stories(project)[0]
+    path.write_bytes(path.read_bytes().replace(b'"index": 0', b'"index": ' + b"1" * 5000, 1))
+    code, err = run(project, "track")
+    assert code == 2
+    assert f"{path}: Exceeds the limit" in err
+
+
+def test_states_file_nested_too_deeply_is_warned_about_and_made_again(project, caplog):
+    path = project / "states" / _stories(project)[0].name
+    made = path.read_bytes()
+    path.write_bytes(b"[" * _DEEP + made + b"]" * _DEEP)
+    assert run(project, "track")[0] == 0
+    assert f"{path}: does not load (nested too deeply); computing it again" in caplog.text
+    assert path.read_bytes() == made
+
+
+def test_ground_truth_holding_an_encoded_surrogate_exits_2_naming_it(project):
+    path = project / "ground_truth.json"
+    raw = path.read_bytes()
+    question = json.loads(raw)["qa"][0]["question"]
+    path.write_bytes(raw.replace(question.encode(), question.encode() + b"\xed\xa0\xbd", 1))
+    code, err = run(project, "evaluate")
+    assert code == 2
+    assert f"{path}: does not load (not valid UTF-8: invalid continuation byte" in err
 
 
 @pytest.mark.parametrize("name", ["missing.json", "a-directory"])

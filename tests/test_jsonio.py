@@ -1,4 +1,5 @@
 import enum
+import json
 import os
 import random
 import tempfile
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from score.errors import PersistenceError, ValidationError
-from score.jsonio import _CHUNK, check, load_json, write_if_changed
+from score.errors import JsonParseError, PersistenceError, ValidationError
+from score.jsonio import _CHUNK, check, load_json, parse_json, write_if_changed
 
 
 class Color(str, enum.Enum):
@@ -82,6 +83,73 @@ def test_load_json_names_the_file_when_the_builder_rejects_a_value(tmp_path):
 
     with pytest.raises(PersistenceError, match=r"f\.json: value: must be in \[0, 1\], got 2$"):
         load_json(path, {}, build)
+
+
+# ---------------------------------------------------------------------------
+# parse_json
+# ---------------------------------------------------------------------------
+
+_ENCODINGS = ["utf-8", "utf-8-sig", "utf-16", "utf-16-le", "utf-16-be", "utf-32", "utf-32-le", "utf-32-be"]
+
+
+@pytest.mark.parametrize("encoding", _ENCODINGS)
+def test_parse_json_reads_each_encoding_json_loads_reads(encoding):
+    data = '{"name": "\u00e9", "tags": ["\\ud83d\\ude00"]}'.encode(encoding)  # an escaped pair is one character
+    assert parse_json(data) == json.loads(data) == {"name": "\u00e9", "tags": ["\U0001f600"]}
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16", "utf-32"])
+def test_parse_json_gives_the_byte_offset_of_malformed_json_in_the_file(encoding):
+    prefix = '{"name": "\u00e9", "tags":'
+    with pytest.raises(JsonParseError) as err:
+        parse_json((prefix + "}").encode(encoding))
+    assert err.value.reason == "malformed JSON: Expecting value"
+    assert err.value.byte_offset == len(prefix.encode(encoding))  # a BOM included
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
+def test_parse_json_gives_the_byte_offset_of_bytes_that_are_not_utf8(bom):
+    data = bom + b'{"a": "\xed\xa0\xbd"}'  # the UTF-8 form of the lone surrogate U+D83D
+    with pytest.raises(JsonParseError) as err:
+        parse_json(data)
+    assert err.value.reason == "not valid UTF-8: invalid continuation byte"
+    assert err.value.byte_offset == data.index(b"\xed")
+
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        (b'{"a": "\\ud83d"}', "not valid UTF-8: surrogates not allowed"),
+        (b'["x", {"\\udc80": 1}]', "not valid UTF-8: surrogates not allowed"),
+        ('["\\ude00\\ud83d"]'.encode("utf-16"), "not valid UTF-8: surrogates not allowed"),
+        (b"[" * 100_000, "nested too deeply"),
+        (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+        (b"[1] [2]", "malformed JSON: Extra data"),
+        (b"1" * 5000, "Exceeds the limit (4300 digits) for integer string conversion"),
+        (b"", "malformed JSON: Expecting value"),
+    ],
+    ids=["escaped-high", "escaped-low-key", "pair-reversed", "open", "closed", "extra", "long-int", "empty"],
+)
+def test_parse_json_refuses_what_no_input_may_hold(data, reason):
+    with pytest.raises(JsonParseError) as err:
+        parse_json(data)
+    assert err.value.reason.startswith(reason)
+    assert isinstance(err.value, ValueError)
+
+
+def test_parse_json_of_a_reply_may_be_followed_by_prose():
+    assert parse_json('[1, {"a": 2}] and some prose', prose_after=True) == [1, {"a": 2}]
+    with pytest.raises(JsonParseError, match="Extra data"):
+        parse_json('[1, {"a": 2}] and some prose')
+    with pytest.raises(JsonParseError, match="surrogates not allowed"):
+        parse_json('["\\ud83d"] and prose', prose_after=True)
+
+
+def test_load_json_names_a_file_nested_too_deeply(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_bytes(b"[" * 100_000)
+    with pytest.raises(PersistenceError, match=r"f\.json: does not load \(nested too deeply\)$"):
+        load_json(path, SHAPE)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 The five reply parsers (extraction, summary, evaluation, answer and tone)
 must turn every wrong shape into ValueError or ValidationError; anything
 else would escape the repair and the CLI's exit-code mapping as a traceback.
+A structured reply they accept holds no lone surrogate.
 """
 
 import json
@@ -20,9 +21,12 @@ from score.story import Episode, KeyItem
 from score.summarize import _parse_summary_reply
 from score.tracker import _parse_extraction_reply
 
+# any code point, a lone surrogate included, which `json.dumps` writes as a \u escape; the halves
+# of one emoji are drawn often, alone and as a pair
+texts = st.text(st.characters(exclude_categories=()) | st.sampled_from("\ud83d\ude00"), max_size=8)
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | texts,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(texts, inner, max_size=3),
     max_leaves=8,
 )
 
@@ -32,10 +36,13 @@ BUNDLE = ContextBundle(focus="query:where", selected=(ContextEntry("s", 0, 0.9, 
 
 
 def _parses_or_asks_for_repair(parse, reply):
+    text = json.dumps(reply)
     try:
-        parse(json.dumps(reply))
+        parse(text)
     except (ValueError, ValidationError):
-        pass
+        return
+    # a reply that parses holds no lone surrogate, which no UTF-8 file or request body can hold
+    json.dumps(json.loads(text), ensure_ascii=False).encode("utf-8")
 
 
 @settings(max_examples=300, deadline=None)

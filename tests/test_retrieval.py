@@ -163,7 +163,7 @@ def test_budget_drops_whole_entries_from_the_tail(mock_gateway):
         records["s#0"].text, SentimentScore(0.5), index, records,
         big_budget(top_n=6, sentiment_tolerance=1.0), mock_gateway,
     )
-    budget = len(unbounded.selected[0].render()) + 1 + len(unbounded.selected[1].render())
+    budget = len(unbounded.selected[0].block) + 1 + len(unbounded.selected[1].block)
     config = RetrievalConfig(top_n=6, sentiment_tolerance=1.0, context_char_budget=budget)
     bundle = retrieve_related(
         records["s#0"].text, SentimentScore(0.5), index, records, config, mock_gateway

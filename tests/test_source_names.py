@@ -68,6 +68,27 @@ def test_only_the_cache_module_imports_sqlite3():
     assert sorted(set(importers)) == ["cache.py"]
 
 
+def test_only_the_jsonio_module_decodes_json():
+    """Every JSON input (a file, an HTTP body, a model reply) is decoded by
+    `jsonio.parse_json`, by one set of rules: no other module calls
+    `json.loads`, `json.load`, `json.JSONDecoder` or a `.json()` method, or
+    imports a decoder from `json`."""
+    decoders = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "json":
+                used = {node.attr}
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                used = {"json()"} if node.func.attr == "json" else set()
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+                used = {alias.name for alias in node.names}
+            else:
+                continue
+            decoders.update((path.name, name) for name in used & {"loads", "load", "JSONDecoder", "json()"})
+    assert {name for name, _ in decoders} == {"jsonio.py"}
+    assert ("jsonio.py", "JSONDecoder") in decoders
+
+
 def _references(node: ast.AST, where: str, names: set[str]):
     """(innermost enclosing definition, name) of each use of one of `names` below `node`."""
     for child in ast.iter_child_nodes(node):
