@@ -20,7 +20,7 @@ DEFAULT_OVERLAP_CHARS = 200
 _BOUNDARY_LOOKBACK = 0.2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chunk:
     story_id: str
     episode_index: int

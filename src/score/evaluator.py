@@ -71,7 +71,7 @@ _QA_STOPWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpisodeEvaluation:
     story_id: str
     episode_index: int
@@ -94,7 +94,7 @@ class EpisodeEvaluation:
         return sum(self.facet_scores[f] for f in FACETS) / len(FACETS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QAResult:
     question: str
     answer: str
@@ -104,7 +104,7 @@ class QAResult:
     gold_item_id: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoldQA:
     story_id: str
     question: str
@@ -112,7 +112,7 @@ class GoldQA:
     item_id: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoldData:
     """Ground truth for metric computation; either part may be absent."""
 
@@ -514,7 +514,7 @@ def _answer_assertions(qa: QAResult) -> list[tuple[str, str, int, ItemState]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ablations:
     """Module toggles mirroring the comparison configurations; True = enabled."""
 
@@ -532,7 +532,7 @@ class Ablations:
         return cls(tracking=False, summary=False, retrieval=False, sentiment=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PipelineConfig:
     gateway: GatewayConfig
     retrieval: RetrievalConfig
@@ -552,11 +552,12 @@ class PipelineConfig:
 
 @dataclass
 class PipelineResult:
+    """A run's report, evaluations, answers and each story's states; no summary outlives its group."""
+
     report: MetricsReport
     evaluations: list[EpisodeEvaluation]
     qa_results: list[QAResult]
     states: dict[str, StoryStates]
-    summaries: dict[str, list[EpisodeSummary]]
 
 
 @dataclass
@@ -690,7 +691,7 @@ def _evaluate_stage(
 
 
 def stage_outputs(stories: list[Story], gateway, stage: str) -> dict:
-    """Each story's `stage` output by story id, as `PipelineResult` holds it:
+    """Each story's `stage` output by story id, as `run_pipeline` takes it:
     "states" runs stages 1 and 3 of `run_pipeline`, "summaries" stage 2."""
     made = {}
     for group in _stage_groups(map(_StoryRun, stories), gateway.config.embed_batch_limit):
@@ -718,7 +719,7 @@ def run_pipeline(
     `episode`, a (story_id, episode index), runs that one story and
     evaluates that one episode of it, with the same context a full run
     gives it, and answers no question; the metrics cover that evaluation.
-    `states` and `summaries`, by story id as `PipelineResult` holds them,
+    `states` and `summaries`, by story id as `stage_outputs` makes them,
     were made before: a story they hold is not tracked, or not summarized,
     again (`summaries` go unused when summarization is ablated).
 
@@ -730,7 +731,10 @@ def run_pipeline(
     4. one `gateway.embed` of every document and question, and each story's retrieval index;
     5. one `gateway.map` over every evaluation and every question.
     No mapped item maps again; on the remote path each map keeps the request
-    slots full across the group's stories. Memory stays bounded by one group.
+    slots full across the group's stories. A group's summaries, documents,
+    vectors and indexes are dropped once its stage 5 is done; what outlives
+    it is what the result holds (each story's states, evaluations and
+    answers) and the timelines the metrics read.
 
     Deterministic under the mock backend or in replay mode: every stage is
     a pure function of its inputs, and `gateway.map` keeps input order at
@@ -758,7 +762,7 @@ def run_pipeline(
 
     evaluations: list[EpisodeEvaluation] = []
     qa_results: list[QAResult] = []
-    made_states, made_summaries, timelines, reference = {}, {}, {}, {}  # timelines: what evaluations saw
+    made_states, timelines, reference = {}, {}, {}  # timelines: what evaluations saw
     states, summaries = states or {}, (summaries or {}) if ablations.summary else {}
     runs = (
         _StoryRun(s, gold_by_story.get(s.story_id, []), summaries.get(s.story_id), states.get(s.story_id))
@@ -772,14 +776,14 @@ def run_pipeline(
         group_evaluations, group_answers = _evaluate_stage(group, gateway, ablations, retrieval_cfg, evaluated)
         evaluations += group_evaluations
         qa_results += group_answers
-        for run in group:
-            story_id = run.story.story_id
-            made_states[story_id], made_summaries[story_id] = run.states, run.summaries
-            timelines[story_id], reference[story_id] = run.timelines(ablations.tracking), run.corrected
+        # generator expressions, whose variables end with them: no `run` outlives its group
+        made_states.update((run.story.story_id, run.states) for run in group)
+        timelines.update((run.story.story_id, run.timelines(ablations.tracking)) for run in group)
+        reference.update((run.story.story_id, run.corrected) for run in group)
     report = compute_metrics(
         evaluations, qa_results, timelines, gold, reference=reference, config_digest=config.digest()
     )
-    return PipelineResult(report, evaluations, qa_results, made_states, made_summaries)
+    return PipelineResult(report, evaluations, qa_results, made_states)
 
 
 def _minimal_summary(episode: Episode, items, gateway, *, story_id: str) -> EpisodeSummary:
@@ -830,20 +834,18 @@ def run_comparison(
     configurations; `states` and `summaries` serve both runs as in
     `run_pipeline`.
 
-    Side b also gets the states side a made, and its summaries when side a
-    made full ones, so no story is tracked or summarized twice."""
+    When side a summarizes, the summaries `summaries` lacks are made first
+    and both sides get them; side b also gets the states side a made. So no
+    story is tracked or summarized twice."""
     collision = config_a.digest() == config_b.digest()
     if collision:
         logger.warning("both comparison configs have digest %s; comparing a config to itself", config_a.digest())
+    if config_a.ablations.summary:
+        summaries = summaries or {}
+        missing = [s for s in stories if s.story_id not in summaries]
+        summaries = {**summaries, **stage_outputs(missing, gateway, "summaries")}
     result_a = run_pipeline(stories, gateway, config_a, gold, states=states, summaries=summaries)
-    result_b = run_pipeline(
-        stories,
-        gateway,
-        config_b,
-        gold,
-        states=result_a.states,
-        summaries=result_a.summaries if config_a.ablations.summary else summaries,
-    )
+    result_b = run_pipeline(stories, gateway, config_b, gold, states=result_a.states, summaries=summaries)
     return ComparisonReport(
         config_a=config_a,
         config_b=config_b,

@@ -89,7 +89,7 @@ _RELATIONSHIP = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuzzSpec:
     seed: int
     n_stories: int = 10
@@ -111,7 +111,7 @@ class FuzzSpec:
                 raise ValidationError(name, f"must be in [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrueState:
     episode: int
     state: ItemState
@@ -138,7 +138,7 @@ class GroundTruth:
         return sum(len(v) for v in self.planted_errors.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionScore:
     precision: float
     recall: float

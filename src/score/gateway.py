@@ -84,7 +84,7 @@ def _mark_worker(token: object) -> None:
 SENDING_ONLY_FIELDS = ("max_parallel", "timeout", "max_retries", "cache_mode", "embed_batch_limit")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GatewayConfig:
     backend: str = "mock"
     base_url: str = ""
@@ -118,7 +118,7 @@ class GatewayConfig:
         return self.embed_model_name or self.model_name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentimentScore:
     """Emotional-tone score in [0, 1]."""
 

@@ -107,7 +107,7 @@ def _screen_margin(dim: int) -> float:
     return 4.0 * (inputs + accumulation + underflow + exact)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class IndexEntry:
     """A stored unit; `embedding` is unit-normalized, a read-only view of the
     unit's row of the index matrix."""
@@ -311,7 +311,10 @@ class FlatIndex:
         base = Path(base)
         vec_path = base.with_suffix(".vec")
         meta_path = base.with_suffix(".meta.json")
-        raw = vec_path.read_bytes()
+        try:
+            raw = vec_path.read_bytes()
+        except OSError as e:
+            raise PersistenceError(f"{vec_path}: cannot be read ({e})") from None
         if len(raw) < _HEADER.size:
             raise PersistenceError(f"{vec_path}: too short to be an index file")
         magic, version, dim, count, crc = _HEADER.unpack_from(raw)

@@ -27,7 +27,7 @@ from .summarize import EpisodeSummary, build_retrieval_document
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RetrievalConfig:
     top_n: int = 5
     sentiment_tolerance: float = 0.3
@@ -49,7 +49,7 @@ class RetrievalConfig:
         return 4 * self.top_n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SummaryRecord:
     """What retrieval needs to know about one indexed unit."""
 
@@ -60,7 +60,7 @@ class SummaryRecord:
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextEntry:
     story_id: str
     episode_index: int
@@ -75,7 +75,7 @@ class ContextEntry:
         object.__setattr__(self, "block", f"{header}\n{self.text}\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextBundle:
     focus: str
     selected: tuple[ContextEntry, ...]

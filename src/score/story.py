@@ -28,7 +28,7 @@ class ItemState(str, enum.Enum):
 TERMINAL_STATES = frozenset({ItemState.LOST, ItemState.DESTROYED})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Episode:
     """One narrative unit; `index` is the time coordinate of all tracking."""
 
@@ -42,7 +42,7 @@ class Episode:
             raise ValidationError("text", "must be non-empty after trimming")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyItem:
     """A tracked object; `names` are its surface aliases in the text."""
 
@@ -62,7 +62,7 @@ class KeyItem:
             raise ValidationError("names", "duplicate alias after case-folding")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CharacterAction:
     """One character action observed in an episode."""
 
@@ -74,7 +74,7 @@ class CharacterAction:
             raise ValidationError("description", "must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ItemInteraction:
     """One interaction with a key item; `implied_state` when the text commits to one."""
 
@@ -88,7 +88,7 @@ class ItemInteraction:
             raise ValidationError("item_id", "must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Story:
     story_id: str
     title: str

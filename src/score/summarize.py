@@ -38,7 +38,7 @@ _NO_VALUE = "-"
 _STATE_WORDS = lexicon.DESTROYED_WORDS | lexicon.LOST_WORDS | lexicon.EXPLANATION_WORDS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpisodeSummary:
     story_id: str
     episode_index: int
@@ -55,7 +55,7 @@ class EpisodeSummary:
             raise ValidationError("synopsis", "must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RetrievalDocument:
     doc_id: str
     story_id: str

@@ -28,7 +28,7 @@ from .story import Episode, ItemState, KeyItem, TERMINAL_STATES
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ItemObservation:
     """One observed state of an item in one episode.
 
@@ -52,7 +52,7 @@ class ItemObservation:
             raise ValidationError("evidence", f"invalid span {list(self.evidence)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not slotted: `_standing`, a cached_property, is kept in the instance __dict__
 class ItemTimeline:
     """Observations of one item, ordered by episode (ties keep insertion order)."""
 
@@ -90,7 +90,7 @@ class ItemTimeline:
         return [obs.episode_index for obs in standing], [obs.state for obs in standing]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContinuityError:
     """An unexplained lost/destroyed -> active transition."""
 

@@ -364,6 +364,19 @@ def test_corrupt_index_file_exits_2_naming_it(project, capsys, name, mutate):
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["summary.vec", "summary.meta.json", "summary.records.json"])
+def test_an_index_file_that_cannot_be_read_exits_2_naming_it(project, capsys, name):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    run(project, "index")
+    path = project / "index" / name
+    path.unlink()
+    path.mkdir()
+    capsys.readouterr()
+    assert run(project, "ask", "where is the sword?") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Is a directory" in err and "Traceback" not in err
+
+
 def _write_the_older_index_layout(project, relabel=None):
     """Rewrite `index/summary.*.json` as the code wrote them before each index
     fact had one file: each record also names its entry's story and episode

@@ -22,7 +22,7 @@ import pytest
 from score import gateway as gateway_module
 from score.cache import CACHE_FILE
 from score.errors import SentimentError, TransportError
-from score.evaluator import Ablations, PipelineConfig, run_comparison, run_pipeline
+from score.evaluator import Ablations, PipelineConfig, run_comparison, run_pipeline, stage_outputs
 from score.fuzz import FuzzSpec, generate_corpus
 from score.gateway import GatewayConfig, LlmGateway, hashed_embedding, request_digest
 from score.lexicon import mock_sentiment_value
@@ -124,10 +124,12 @@ def test_remote_pipeline_results_do_not_depend_on_max_parallel(corpus):
     # max_parallel is not part of the config digest, so the whole report is equal
     assert parallel.report == serial.report
     assert parallel.states == serial.states
-    assert parallel.summaries == serial.summaries
     assert serial_gw.stats.max_in_flight == 1
     assert 2 <= parallel_gw.stats.max_in_flight <= 8
     assert parallel_gw.stats.transport_calls == serial_gw.stats.transport_calls
+    # a run keeps no summary; its stage 2 alone makes the same ones at both widths
+    stories = corpus[0]
+    assert stage_outputs(stories, parallel_gw, "summaries") == stage_outputs(stories, serial_gw, "summaries")
 
 
 def test_record_mode_sends_the_same_requests_at_any_max_parallel(corpus, tmp_path):
@@ -231,8 +233,7 @@ def _logged_run(corpus, retrieval_config, **gateway_fields):
     )
     model = RequestLog()
     gateway = LlmGateway(config, transport=model)
-    result = run_pipeline(stories, gateway, PipelineConfig(gateway=config, retrieval=retrieval_config), gold)
-    model.result = result
+    run_pipeline(stories, gateway, PipelineConfig(gateway=config, retrieval=retrieval_config), gold)
     return model
 
 
@@ -269,10 +270,12 @@ def test_a_storys_questions_are_embedded_in_one_request(corpus):
         asked.setdefault(gq.story_id, []).append(gq.question)
     assert max(len(qs) for qs in asked.values()) >= 2  # the corpus has a story with several questions
     questions = {gq.question for gq in gold.qa}
+    remote = GatewayConfig(backend="remote", base_url="http://fake.local/v1", model_name="m")
+    summaries = stage_outputs(stories, LlmGateway(remote, transport=StoryModel(latency_s=0.0)), "summaries")
     for limit in (256, 25, 12):
         model = _logged_run(corpus, RetrievalConfig(), embed_batch_limit=limit)
         texts = {
-            story.story_id: [build_retrieval_document(s).text for s in model.result.summaries[story.story_id]]
+            story.story_id: [build_retrieval_document(s).text for s in summaries[story.story_id]]
             + asked.get(story.story_id, [])
             for story in stories
         }
@@ -439,6 +442,30 @@ def test_a_baseline_comparison_sends_each_distinct_request_once_and_embeds_only_
     assert of_kind(model, "extraction") == of_kind(alone, "extraction")
     assert gateway.stats.memo_hits >= n_episodes
     assert comparison.report_b.complex_qa == 0.0
+
+
+def test_a_comparison_given_no_summaries_summarizes_each_episode_once(corpus, monkeypatch):
+    """Both sides summarize, and neither run keeps its summaries: the
+    comparison makes them once, before side a, and hands them to both."""
+    from score import evaluator
+
+    stories, gold = corpus
+    config = GatewayConfig(backend="remote", base_url="http://fake.local/v1", model_name="m", max_parallel=4)
+    config_a = PipelineConfig(gateway=config, retrieval=RetrievalConfig())
+    config_b = PipelineConfig(gateway=config, retrieval=RetrievalConfig(), ablations=Ablations(retrieval=False))
+    alone = BodyLog()
+    run_pipeline(stories, LlmGateway(config, transport=alone), config_a, gold)
+    model = BodyLog()
+    summarized = []
+    summarize = evaluator.summarize_episode
+    monkeypatch.setattr(
+        evaluator, "summarize_episode", lambda ep, items, gw, **kw: summarized.append(ep) or summarize(ep, items, gw, **kw)
+    )
+    run_comparison(stories, gold, LlmGateway(config, transport=model), config_a, config_b)
+    of_kind = lambda log, kind: sorted(body for body in log.bodies if _request_kind(body) == kind)
+    assert len(summarized) == sum(len(story.episodes) for story in stories)
+    sent = of_kind(model, "summary")
+    assert sent == of_kind(alone, "summary") and len(sent) == len(set(sent))
 
 
 def test_the_mock_backend_with_cache_off_computes_no_digest_and_keeps_no_entry(monkeypatch, mock_gateway):

@@ -1,7 +1,9 @@
+import gc
 from dataclasses import replace
 
 import pytest
 
+from score import evaluator
 from score.errors import ContractError, ValidationError
 from score.evaluator import (
     FACETS,
@@ -22,7 +24,7 @@ from score.fuzz import FuzzSpec, generate_corpus
 from score.gateway import GatewayConfig, LlmGateway
 from score.retrieval import ContextBundle, ContextEntry, RetrievalConfig
 from score.story import Episode, ItemState, KeyItem
-from score.summarize import rule_summarize
+from score.summarize import EpisodeSummary, rule_summarize
 from score.tracker import (
     ItemObservation,
     ItemTimeline,
@@ -402,6 +404,34 @@ def test_pipeline_is_deterministic(fuzz_setup, mock_gateway):
     assert a.report == b.report
     assert a.evaluations == b.evaluations
     assert a.qa_results == b.qa_results
+
+
+def test_a_run_holds_the_summaries_of_one_group_at_a_time(fuzz_setup, monkeypatch):
+    """At each group's evaluate stage the live summaries of the run's stories
+    are that group's, one per episode, and none outlives the run. Counted with
+    `gc.get_objects()`: a slotted summary takes no weak reference."""
+    stories, _ = fuzz_setup
+    stories = [replace(s, story_id=f"held-{s.story_id}") for s in stories]  # no other test's summary is counted
+
+    def live():
+        gc.collect()
+        return sum(isinstance(o, EpisodeSummary) and o.story_id.startswith("held-") for o in gc.get_objects())
+
+    seen = []
+    evaluate = evaluator._evaluate_stage
+
+    def counting(runs, *args):
+        seen.append((live(), sum(len(run.story.episodes) for run in runs)))
+        assert not hasattr(runs[0].summaries[0], "__dict__")
+        return evaluate(runs, *args)
+
+    monkeypatch.setattr(evaluator, "_evaluate_stage", counting)
+    config = PipelineConfig(GatewayConfig(backend="mock", embed_batch_limit=20), RetrievalConfig())
+    result = run_pipeline(stories, LlmGateway(config.gateway), config)
+    assert len(seen) >= 3
+    assert all(held == episodes for held, episodes in seen)  # each group's own summaries, and no other
+    assert len(result.evaluations) == sum(len(s.episodes) for s in stories)
+    assert live() == 0
 
 
 def test_config_digest_distinguishes_ablations():

@@ -9,6 +9,7 @@ the tests. Both trees are parsed, not imported.
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 from test_bench_api import SCOREBENCH, _probe_table
@@ -102,9 +103,42 @@ def _references(node: ast.AST, where: str, names: set[str]):
 def test_only_the_one_stage_file_rule_reads_writes_or_computes_a_stage_output():
     """`cli._stage_outputs` alone uses `Project.load_stage`, `Project.save_stage`
     and `evaluator.stage_outputs`, so every command reads, computes and keeps
-    stage files by the same rule."""
+    stage files by the same rule. `evaluator.run_comparison` also calls
+    `stage_outputs`, for the summaries its caller did not pass; `score
+    compare` passes every one."""
     names = {"load_stage", "save_stage", "stage_outputs"}
     used = set()
     for path in sorted(SRC.glob("*.py")):
         used.update(_references(ast.parse(path.read_text("utf-8")), path.stem, names))
-    assert used == {("cli._stage_outputs", name) for name in names}
+    assert used == {("cli._stage_outputs", name) for name in names} | {("evaluator.run_comparison", "stage_outputs")}
+
+
+def _frozen_dataclasses() -> list[tuple[str, str]]:
+    """(module, class) of each class of the package declared `@dataclass(frozen=True, ...)`."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Call)
+                and getattr(d.func, "id", None) == "dataclass"
+                and any(k.arg == "frozen" and getattr(k.value, "value", False) is True for k in d.keywords)
+                for d in node.decorator_list
+            ):
+                found.append((path.stem, node.name))
+    return found
+
+
+def test_every_frozen_record_is_slotted():
+    """A frozen dataclass declares `slots=True`, so that its instances carry
+    no `__dict__`: a run makes several of these records per episode.
+    `tracker.ItemTimeline` is the one exception: its `_standing`, a
+    `functools.cached_property`, is kept in the instance `__dict__`."""
+    found = _frozen_dataclasses()
+    assert len(found) > 20 and ("tracker", "ItemTimeline") in found
+    for module, name in found:
+        cls = getattr(importlib.import_module(f"score.{module}"), name)
+        # __dictoffset__ is where an instance keeps its __dict__; 0 when it has none
+        if (module, name) == ("tracker", "ItemTimeline"):
+            assert cls.__dictoffset__ != 0 and "_standing" in vars(cls)
+        else:
+            assert "__slots__" in vars(cls) and cls.__dictoffset__ == 0, f"{module}.{name}"
