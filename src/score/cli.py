@@ -19,7 +19,7 @@ import hashlib
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import (
@@ -82,15 +82,18 @@ def _gateway(project: Project, cfg: GatewayConfig) -> LlmGateway:
     return LlmGateway(cfg, cache_dir=project.dir("cache"), prompts_root=project.dir("prompts"))
 
 
+# the module names `--ablate` takes, one per Ablations field
+_MODULES = tuple(f.name for f in fields(Ablations))
+
+
 def _parse_ablations(spec: str | None) -> Ablations:
     if not spec:
         return Ablations()
-    valid = {"tracking", "summary", "retrieval", "sentiment"}
     disabled = {part.strip() for part in spec.split(",") if part.strip()}
-    unknown = disabled - valid
+    unknown = disabled.difference(_MODULES)
     if unknown:
         raise UsageError(f"unknown ablation(s): {', '.join(sorted(unknown))}")
-    return Ablations(**{name: name not in disabled for name in valid})
+    return Ablations(**{name: name not in disabled for name in _MODULES})
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="run the evaluation pipeline, write a report")
     p.add_argument("--episode", help="restrict to one episode, format STORY#INDEX")
-    p.add_argument("--ablate", help="comma-separated modules to disable: tracking,summary,retrieval,sentiment")
+    p.add_argument("--ablate", help=f"comma-separated modules to disable: {','.join(_MODULES)}")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ask", help="answer a question over the indexed corpus")

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Library code raises these and never calls sys.exit; the CLI maps them
-to exit codes in one place.
+to exit codes in one place. The message, not a subclass, says which
+reply or file failed.
 """
 
 from __future__ import annotations
@@ -59,24 +60,9 @@ class UncachedRequestError(ScoreError):
 
 
 class GatewayReplyError(ScoreError):
-    """A backend reply could not be used; carries the raw reply text."""
+    """A backend reply could not be used; carries the raw reply text. A
+    structured reply's error names its prompt template (see `complete_parsed`)."""
 
     def __init__(self, message: str, raw_reply: str = ""):
         super().__init__(message)
         self.raw_reply = raw_reply
-
-
-class ExtractionError(GatewayReplyError):
-    """Item-state extraction reply was unusable after the repair attempt."""
-
-
-class SummaryError(GatewayReplyError):
-    """Episode-summary reply was unusable after the repair attempt."""
-
-
-class EvaluationError(GatewayReplyError):
-    """Evaluation reply was unusable after the repair attempt."""
-
-
-class SentimentError(GatewayReplyError):
-    """Sentiment reply was unusable after the reprompt."""

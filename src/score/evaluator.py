@@ -16,11 +16,11 @@ import hashlib
 import json
 import logging
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Iterable, Iterator
 
-from . import lexicon, prompts
-from .errors import ContractError, EvaluationError, ValidationError
+from . import lexicon
+from .errors import ContractError, ValidationError
 from .gateway import SENDING_ONLY_FIELDS, GatewayConfig, extract_json_value
 from .index import FlatIndex
 from .jsonio import canonical_dumps
@@ -178,7 +178,13 @@ def evaluate_episode(
         )
         cited = tuple(episode_errors)
     else:
-        facets, rationale, cited, reply_states = _llm_evaluate(episode, episode_errors, context, gateway)
+        facets, rationale, cited, reply_states = gateway.complete_parsed(
+            "evaluate",
+            lambda reply: _parse_evaluation_reply(reply, episode_errors),
+            episode_text=episode.text,
+            context=context.render() or "(no context retrieved)",
+            errors_json=json.dumps([error_to_dict(e) for e in episode_errors], ensure_ascii=False),
+        )
         asserted = reply_states or asserted
 
     if episode_errors:
@@ -208,18 +214,6 @@ def _mock_facet_scores(summary: EpisodeSummary, episode_errors: list[ContinuityE
         "emotional_authenticity": 4.0 if abs(summary.sentiment.value - 0.5) >= 0.1 else 3.0,
         "key_item_continuity": continuity,
     }
-
-
-def _llm_evaluate(episode, episode_errors, context, gateway):
-    prompt = prompts.render(
-        gateway.template("evaluate"),
-        episode_text=episode.text,
-        context=context.render() or "(no context retrieved)",
-        errors_json=json.dumps([error_to_dict(e) for e in episode_errors], ensure_ascii=False),
-    )
-    return gateway.complete_parsed(
-        prompt, lambda reply: _parse_evaluation_reply(reply, episode_errors), EvaluationError, "evaluation"
-    )
 
 
 # the reply to `evaluate`; an asserted state that is no `ItemState` is dropped, not refused
@@ -277,7 +271,9 @@ def answer_query(question: str, bundle: ContextBundle, gateway, *, story_id: str
     if gateway.is_mock:
         answer, refs = _mock_answer(question, bundle)
     else:
-        answer, refs = _llm_answer(question, bundle, gateway)
+        answer, refs = gateway.complete_parsed(
+            "answer", lambda reply: _parse_answer_reply(reply, bundle), question=question, context=bundle.render()
+        )
     return QAResult(
         question=question,
         answer=answer,
@@ -324,11 +320,6 @@ def _strip_bullet(sentence: str) -> str:
     if sentence.startswith("- ") and " | " in sentence:
         return sentence.rsplit(" | ", 1)[-1]
     return sentence
-
-
-def _llm_answer(question, bundle, gateway):
-    prompt = prompts.render(gateway.template("answer"), question=question, context=bundle.render())
-    return gateway.complete_parsed(prompt, lambda reply: _parse_answer_reply(reply, bundle), EvaluationError, "answer")
 
 
 # the reply to `answer`; a supporting id that names no episode of the bundle is dropped
@@ -516,7 +507,7 @@ def _answer_assertions(qa: QAResult) -> list[tuple[str, str, int, ItemState]]:
 
 @dataclass(frozen=True, slots=True)
 class Ablations:
-    """Module toggles mirroring the comparison configurations; True = enabled."""
+    """Module toggles mirroring the comparison configurations, named as `--ablate` takes them; True = enabled."""
 
     tracking: bool = True
     summary: bool = True
@@ -524,12 +515,12 @@ class Ablations:
     sentiment: bool = True
 
     def disabled(self) -> list[str]:
-        return [name for name in ("tracking", "summary", "retrieval", "sentiment") if not getattr(self, name)]
+        return [f.name for f in fields(self) if not getattr(self, f.name)]
 
     @classmethod
     def baseline(cls) -> "Ablations":
-        """The plain-model protocol: no tracking, no summaries, no retrieval."""
-        return cls(tracking=False, summary=False, retrieval=False, sentiment=False)
+        """The plain-model protocol: every module disabled."""
+        return cls(**{f.name: False for f in fields(cls)})
 
 
 @dataclass(frozen=True, slots=True)

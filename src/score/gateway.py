@@ -17,6 +17,8 @@ text is not valid Unicode (a lone surrogate) nowhere, a remote embedding
 reply only once each vector has the configured dimension and is finite, and a
 structured reply only once its parser accepts it (see `complete_parsed`).
 `jsonio.parse_json` decodes each HTTP body and each structured reply.
+`complete_parsed` alone renders a prompt template: every structured reply
+is asked for, repaired and reported there, the error naming its template.
 
 An embedded text is a request of its own, `{"model": m, "input": [text]}`,
 so batching changes no key. `embed` answers each text from the store or a
@@ -48,7 +50,6 @@ from .errors import (
     ContractError,
     GatewayReplyError,
     JsonParseError,
-    SentimentError,
     TransportError,
     UncachedRequestError,
     ValidationError,
@@ -66,6 +67,8 @@ _INITIAL_BACKOFF = 0.5
 _BACKOFF_FACTOR = 2.0
 # the longest `Retry-After` a 429 or 503 reply is honoured for, in seconds
 _MAX_RETRY_AFTER = 30.0
+# the longest `timeout`, one day in seconds: the transport refuses a far larger one
+_MAX_TIMEOUT = 86_400.0
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -108,6 +111,8 @@ class GatewayConfig:
             raise ValidationError("embed_dim", "must be positive")
         if self.max_parallel <= 0:
             raise ValidationError("max_parallel", "must be positive")
+        if not 0.0 < self.timeout <= _MAX_TIMEOUT:  # NaN fails too
+            raise ValidationError("timeout", f"must be in (0, {_MAX_TIMEOUT:.0f}] seconds, got {self.timeout}")
         if self.max_retries < 0:
             raise ValidationError("max_retries", "must be >= 0")
         if self.embed_batch_limit <= 0:
@@ -161,7 +166,7 @@ def default_transport(url: str, body: dict, timeout: float, headers: dict) -> di
 
     try:
         response = requests.post(url, json=body, timeout=timeout, headers=headers)
-    except requests.RequestException as e:
+    except (requests.RequestException, ValueError) as e:  # urllib3's LocationParseError is a ValueError
         raise TransportError(f"POST {url} failed: {e}") from e
     if response.status_code != 200:
         throttled = response.status_code in (429, 503)
@@ -352,8 +357,7 @@ class LlmGateway:
         if not text:
             raise ContractError("text must be non-empty")
         if not self.is_mock:
-            prompt = prompts.render(self.template("sentiment"), text=text)
-            return SentimentScore(self.complete_parsed(prompt, parse_tone, SentimentError, "sentiment", max_tokens=8))
+            return SentimentScore(self.complete_parsed("sentiment", parse_tone, max_tokens=8, text=text))
         body = {"model": self.config.model_name, "text": text}
         (value,) = self._cached("sentiment", body["model"], [body], lambda _: [lexicon.mock_sentiment_value(text)])
         return SentimentScore(value=float(value))
@@ -455,26 +459,22 @@ class LlmGateway:
     # -- structured replies ----------------------------------------------------
 
     def complete_parsed(
-        self,
-        prompt: str,
-        parse: Callable[[str], R],
-        error: type[GatewayReplyError],
-        what: str,
-        *,
-        max_tokens: int = 1024,
+        self, template: str, parse: Callable[[str], R], /, *, max_tokens: int = 1024, **fields: str
     ) -> R:
-        """`parse(complete(prompt))`, with one repair reprompt.
+        """`parse` of the reply to template `template` filled with `fields`, with one repair reprompt.
 
         A reply `parse` rejects with ValueError or ValidationError goes back
         to the model once, inside the `repair` template. A second unusable
-        reply raises `error("unusable <what> reply: ...")` carrying it. Both
-        requests are sent with `max_tokens`.
+        reply raises GatewayReplyError("unusable <template> reply: ...")
+        carrying it, so the message names the file under `prompts/` that
+        asked for it. Both requests are sent with `max_tokens`.
 
         Its replies are kept in the store only once `parse` accepts one; the
         rejected reply before a repair is kept then too, since a replay asks
         for it. Replies rejected twice are kept nowhere, so the next request
         for them is sent again.
         """
+        prompt = prompts.render(self.template(template), **fields)
         held = self._local.held = []  # (key, record) of each reply sent for it, kept once `parse` accepts one
         try:
             reply = self.complete(prompt, max_tokens=max_tokens)
@@ -486,7 +486,7 @@ class LlmGateway:
                 try:
                     result = parse(reply)
                 except (ValueError, ValidationError) as e:
-                    raise error(f"unusable {what} reply: {e}", raw_reply=reply) from e
+                    raise GatewayReplyError(f"unusable {template} reply: {e}", raw_reply=reply) from e
             for key, record in held:
                 self._store.put(key, record)
             return result

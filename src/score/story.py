@@ -9,6 +9,7 @@ round trip is lossless and byte-stable. A story file is decoded by
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
 
 from .errors import JsonParseError, StoryParseError, ValidationError
@@ -174,6 +175,11 @@ def story_to_dict(story: Story) -> dict:
         "key_items": [{"item_id": k.item_id, "names": list(k.names)} for k in story.key_items],
         "episodes": [{"index": e.index, "text": e.text} for e in story.episodes],
     }
+
+
+def key_items_json(items: list[KeyItem]) -> str:
+    """The `items_json` of the `extract_states` and `summarize` prompts."""
+    return json.dumps([{"item_id": k.item_id, "names": list(k.names)} for k in items], ensure_ascii=False)
 
 
 def serialize_story(story: Story) -> bytes:

@@ -11,14 +11,13 @@ else: a summary's story is the file's, and its episode its position.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
-from . import lexicon, prompts
-from .errors import SummaryError, ValidationError
+from . import lexicon
+from .errors import ValidationError
 from .gateway import SentimentScore, extract_json_value
-from .story import CharacterAction, Episode, ItemInteraction, ItemState, KeyItem
+from .story import CharacterAction, Episode, ItemInteraction, ItemState, KeyItem, key_items_json
 
 logger = logging.getLogger(__name__)
 
@@ -71,7 +70,15 @@ def summarize_episode(episode: Episode, items: list[KeyItem], gateway, *, story_
     """Produce a structured summary; deterministic rules under the mock backend."""
     if gateway.is_mock:
         return rule_summarize(episode, items, gateway, story_id=story_id)
-    return _llm_summarize(episode, items, gateway, story_id=story_id)
+    fields = gateway.complete_parsed(
+        "summarize",
+        lambda reply: _parse_summary_reply(reply, items),
+        episode_text=episode.text,
+        items_json=key_items_json(items),
+    )
+    return EpisodeSummary(
+        story_id=story_id, episode_index=episode.index, **fields, sentiment=gateway.score_sentiment(episode.text)
+    )
 
 
 def rule_summarize(episode: Episode, items: list[KeyItem], gateway, *, story_id: str) -> EpisodeSummary:
@@ -151,22 +158,6 @@ def _names_in_sentence(words: list[str]) -> int:
     if lead:
         names.add(lead)
     return len(names)
-
-
-def _llm_summarize(episode, items, gateway, *, story_id) -> EpisodeSummary:
-    prompt = prompts.render(
-        gateway.template("summarize"),
-        episode_text=episode.text,
-        items_json=json.dumps(
-            [{"item_id": k.item_id, "names": list(k.names)} for k in items], ensure_ascii=False
-        ),
-    )
-    fields = gateway.complete_parsed(
-        prompt, lambda reply: _parse_summary_reply(reply, items), SummaryError, "summary"
-    )
-    return EpisodeSummary(
-        story_id=story_id, episode_index=episode.index, **fields, sentiment=gateway.score_sentiment(episode.text)
-    )
 
 
 # the reply to `summarize`, whose lists may be null for none; an interaction's

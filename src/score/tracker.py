@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import bisect
 import functools
-import json
 import logging
 from dataclasses import dataclass, replace
 
-from . import lexicon, prompts
-from .errors import ContractError, ExtractionError, ValidationError
+from . import lexicon
+from .errors import ContractError, ValidationError
 from .gateway import extract_json_value
-from .story import Episode, ItemState, KeyItem, TERMINAL_STATES
+from .story import Episode, ItemState, KeyItem, TERMINAL_STATES, key_items_json
 
 logger = logging.getLogger(__name__)
 
@@ -202,7 +201,12 @@ def extract_item_statuses(episode: Episode, items: list[KeyItem], gateway) -> li
         return []
     if gateway.is_mock:
         return rule_extract(episode, items)
-    return _llm_extract(episode, items, gateway)
+    return gateway.complete_parsed(
+        "extract_states",
+        lambda reply: _parse_extraction_reply(reply, episode, items),
+        episode_text=episode.text,
+        items_json=key_items_json(items),
+    )
 
 
 def rule_extract(episode: Episode, items: list[KeyItem]) -> list[ItemObservation]:
@@ -237,19 +241,6 @@ def rule_extract(episode: Episode, items: list[KeyItem]) -> list[ItemObservation
                 )
             )
     return observations
-
-
-def _llm_extract(episode: Episode, items: list[KeyItem], gateway) -> list[ItemObservation]:
-    prompt = prompts.render(
-        gateway.template("extract_states"),
-        episode_text=episode.text,
-        items_json=json.dumps(
-            [{"item_id": k.item_id, "names": list(k.names)} for k in items], ensure_ascii=False
-        ),
-    )
-    return gateway.complete_parsed(
-        prompt, lambda reply: _parse_extraction_reply(reply, episode, items), ExtractionError, "extraction"
-    )
 
 
 # the reply to `extract_states`: one object per item the episode mentions. Its

@@ -1,5 +1,6 @@
 import _thread
 import contextlib
+import dataclasses
 import hashlib
 import json
 import logging
@@ -11,11 +12,11 @@ import pytest
 from score import prompts as prompt_templates
 from score.cache import FORMAT
 from score.cli import main
-from score.evaluator import FACETS
+from score.evaluator import FACETS, Ablations
 from score.gateway import GatewayConfig, hashed_embedding
 from score.jsonio import JSON_TYPES, canonical_bytes
 from score.lexicon import alias_pattern
-from score.project import CONFIG_SHAPE
+from score.project import CONFIG_SHAPE, METRIC_NAMES
 from score.story import ItemState, parse_story
 from score.tracker import ItemObservation, ItemTimeline, detect_story_errors, error_to_dict
 
@@ -66,6 +67,43 @@ def test_full_pipeline_and_report(project, capsys):
     assert "| metric |" in capsys.readouterr().out
 
 
+def _markdown_report(project, capsys, pattern) -> tuple[dict, list[str]]:
+    """The stored report matching `pattern` and the lines `score report --markdown` prints for it."""
+    payload = json.loads(next((project / "reports").glob(pattern)).read_text("utf-8"))
+    capsys.readouterr()
+    assert run(project, "report", payload["run_id"], "--markdown") == 0
+    return payload, capsys.readouterr().out.splitlines()
+
+
+def _shown(value) -> str:
+    return "n/a" if value is None else f"{value:.2f}"
+
+
+def test_report_markdown_of_a_comparison_has_a_b_and_delta_columns(project, capsys):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    assert run(project, "compare", "--baseline") == 0
+    payload, lines = _markdown_report(project, capsys, "*.compare.json")
+    assert lines[:4] == [f"# Run {payload['run_id']}", "", "| metric | a | b | delta |", "|---|---|---|---|"]
+    assert lines[4:] == [
+        f"| {name} | {_shown(payload['metrics_a'][name])} | {_shown(payload['metrics_b'][name])} | "
+        f"{_shown(payload['deltas'][name])} |"
+        for name in METRIC_NAMES
+    ]
+    assert payload["deltas"]["consistency"] is not None  # a delta is printed, not only n/a
+
+
+def test_report_markdown_of_an_ablated_run_names_its_disabled_modules(project, capsys):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    assert run(project, "evaluate", "--ablate", "summary") == 0
+    payload, lines = _markdown_report(project, capsys, "*.json")
+    assert lines[:4] == [f"# Run {payload['run_id']}", "", "| metric | value |", "|---|---|"]
+    assert lines[4:-5] == [f"| {name} | {_shown(payload['metrics'][name])} |" for name in METRIC_NAMES]
+    assert lines[-5:] == [
+        "", "Disabled modules: summary", "",
+        f"Evaluations: {len(payload['evaluations'])}", f"Questions: {len(payload['qa'])}",
+    ]
+
+
 def test_ask_before_index_exits_2(project, capsys):
     run(project, "fuzz", "--seed", "3", "--stories", "2")
     assert run(project, "ask", "where is the sword?") == 2
@@ -111,6 +149,19 @@ def test_unknown_ablation_is_usage_error(project, capsys):
     run(project, "fuzz", "--seed", "3", "--stories", "2")
     assert run(project, "evaluate", "--ablate", "nonsense") == 1
     assert "unknown ablation" in capsys.readouterr().err
+
+
+def test_ablate_takes_the_name_of_each_ablations_field(project, capsys, monkeypatch):
+    names = [f.name for f in dataclasses.fields(Ablations)]
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per option
+    with pytest.raises(SystemExit):
+        run(project, "evaluate", "--help")
+    assert f"comma-separated modules to disable: {','.join(names)}" in capsys.readouterr().out
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    assert run(project, "evaluate", "--ablate", ",".join(reversed(names))) == 0
+    payload = json.loads(next((project / "reports").glob("*.json")).read_text("utf-8"))
+    assert payload["disabled_modules"] == names  # in field order
+    assert payload["config"]["ablations"] == dataclasses.asdict(Ablations.baseline()) == dict.fromkeys(names, False)
 
 
 @pytest.mark.parametrize(
@@ -229,6 +280,47 @@ def test_config_accepts_an_integer_where_a_number_is_expected(project, capsys):
     config["retrieval"]["sentiment_tolerance"] = 1
     (project / "config.json").write_text(json.dumps(config), "utf-8")
     assert run(project, "track") == 0
+
+
+@pytest.mark.parametrize(
+    "section, values, expected",
+    [
+        ("gateway", {"backend": "local"}, "backend: must be one of ('remote', 'mock'), got 'local'"),
+        ("gateway", {"backend": "remote", "base_url": ""}, "base_url: required for the remote backend"),
+        ("gateway", {"cache_mode": "write"}, "cache_mode: must be one of ('off', 'record', 'replay'), got 'write'"),
+        ("gateway", {"embed_dim": 0}, "embed_dim: must be positive"),
+        ("gateway", {"max_parallel": 0}, "max_parallel: must be positive"),
+        ("gateway", {"max_retries": -1}, "max_retries: must be >= 0"),
+        ("gateway", {"embed_batch_limit": 0}, "embed_batch_limit: must be positive"),
+        ("gateway", {"timeout": 0}, "timeout: must be in (0, 86400] seconds, got 0"),
+        ("gateway", {"timeout": -2.5}, "timeout: must be in (0, 86400] seconds, got -2.5"),
+        ("gateway", {"timeout": float("nan")}, "timeout: must be in (0, 86400] seconds, got nan"),
+        ("gateway", {"timeout": float("inf")}, "timeout: must be in (0, 86400] seconds, got inf"),
+        ("gateway", {"timeout": 1e10}, "timeout: must be in (0, 86400] seconds, got 10000000000.0"),
+        (
+            "gateway",
+            {"backend": "remote", "base_url": "http://127.0.0.1:9/v1", "timeout": 0},
+            "timeout: must be in (0, 86400] seconds, got 0",
+        ),
+        ("retrieval", {"top_n": 0}, "top_n: must be positive"),
+        ("retrieval", {"sentiment_tolerance": 1.5}, "sentiment_tolerance: must be in [0, 1]"),
+        ("retrieval", {"sentiment_tolerance": float("nan")}, "sentiment_tolerance: must be in [0, 1]"),
+        ("retrieval", {"context_char_budget": 0}, "context_char_budget: must be positive"),
+    ],
+    ids=[
+        "backend", "base_url", "cache_mode", "embed_dim", "max_parallel", "max_retries", "embed_batch_limit",
+        "timeout-0", "timeout-negative", "timeout-nan", "timeout-inf", "timeout-1e10", "timeout-0-remote",
+        "top_n", "sentiment_tolerance", "sentiment_tolerance-nan", "context_char_budget",
+    ],
+)
+def test_a_config_value_out_of_range_exits_2_naming_it(project, capsys, section, values, expected):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    capsys.readouterr()
+    (project / "config.json").write_text(json.dumps({section: values}), "utf-8")  # NaN and Infinity as JSON reads them
+    assert run(project, "track") == 2
+    err = capsys.readouterr().err
+    assert f"config.json: $.{section}.{expected}" in err
+    assert "Traceback" not in err
 
 
 def test_ingest_validates_and_copies(project, tmp_path, capsys):
@@ -1115,7 +1207,7 @@ def test_a_summary_rejected_twice_is_not_recorded_so_the_next_record_run_recover
 
     root = tmp_path / "proj"
     assert _recorded_evaluate(root, monkeypatch, gateway_error_page) == 3
-    assert "unusable summary reply" in capsys.readouterr().err
+    assert "unusable summarize reply" in capsys.readouterr().err
     assert len(page) == 2
     assert _recorded_evaluate(root, monkeypatch, model) == 0
     assert _recorded_evaluate(tmp_path / "clean", monkeypatch, StoryModel(latency_s=0)) == 0
@@ -1956,3 +2048,16 @@ def test_a_reply_body_nested_deeper_than_the_decoder_recurses_exits_3(project, m
     assert run(project, *REMOTE, "evaluate") == 3
     err = capsys.readouterr().err
     assert "returned non-JSON body (nested too deeply)" in err and "Traceback" not in err
+
+
+def test_a_base_url_the_transport_cannot_parse_exits_3(project, monkeypatch, capsys):
+    for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "http_proxy", "https_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)  # so that the request goes nowhere: the host fails to parse
+    assert run(project, "fuzz", "--seed", "5", "--stories", "1") == 0
+    config = json.loads((project / "config.json").read_text("utf-8"))
+    config["gateway"].update(backend="remote", base_url="http://" + "a" * 70 + ".example/v1", max_retries=0)
+    (project / "config.json").write_text(json.dumps(config), "utf-8")
+    capsys.readouterr()
+    assert run(project, "track") == 3
+    err = capsys.readouterr().err
+    assert "gateway error: " in err and "label empty or too long" in err and "Traceback" not in err

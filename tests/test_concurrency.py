@@ -21,7 +21,7 @@ import pytest
 
 from score import gateway as gateway_module
 from score.cache import CACHE_FILE
-from score.errors import SentimentError, TransportError
+from score.errors import GatewayReplyError, TransportError
 from score.evaluator import Ablations, PipelineConfig, run_comparison, run_pipeline, stage_outputs
 from score.fuzz import FuzzSpec, generate_corpus
 from score.gateway import GatewayConfig, LlmGateway, hashed_embedding, request_digest
@@ -590,8 +590,8 @@ def test_held_structured_replies_survive_heavy_thread_switching(tmp_path):
 
     def tone(text):
         try:
-            return gw.complete_parsed(text, slow_parse, SentimentError, "tone")
-        except SentimentError:
+            return gw.complete_parsed("sentiment", slow_parse, text=text)
+        except GatewayReplyError:
             return None
 
     texts = [f"{'GOOD' if i % 2 else 'BAD'} text {i}" for i in range(distinct) for _ in range(repeats)]

@@ -548,7 +548,7 @@ def test_remote_answer_drops_hallucinated_refs(mock_gateway):
 )
 def test_remote_evaluation_wrong_shape_ends_in_evaluation_error(mock_gateway, facet, extra):
     # a null facet used to escape the repair path as a TypeError
-    from score.errors import EvaluationError
+    from score.errors import GatewayReplyError
 
     bad = (
         '{"facet_scores": {"character_consistency": ' + facet + ', "plot_progression": 4, '
@@ -557,25 +557,25 @@ def test_remote_evaluation_wrong_shape_ends_in_evaluation_error(mock_gateway, fa
     gw = _remote([bad, bad])
     episode = Episode(index=0, text="Mira carried the sword.")
     summary = rule_summarize(episode, [KeyItem("sword", ("sword",))], mock_gateway, story_id="s")
-    with pytest.raises(EvaluationError):
+    with pytest.raises(GatewayReplyError):
         evaluate_episode(episode, summary, {}, [], ContextBundle(focus="f", selected=()), gw, story_id="s")
     assert gw._transport.replies == []  # the repair prompt was sent
 
 
 def test_remote_answer_supporting_ids_must_be_strings():
     # 5 used to be read as the id "5", and dropped as naming no episode
-    from score.errors import EvaluationError
+    from score.errors import GatewayReplyError
 
     bad = '{"answer": "Episode 1: it broke.", "supporting_episode_ids": ["s#1", 5]}'
     gw = _remote([bad, bad])
-    with pytest.raises(EvaluationError, match=r"\$\.supporting_episode_ids\[1\]: must be a string, got 5$"):
+    with pytest.raises(GatewayReplyError, match=r"\$\.supporting_episode_ids\[1\]: must be a string, got 5$"):
         answer_query("what broke?", bundle_with(["a.", "b."]), gw)
 
 
 def test_remote_answer_wrong_shape_refs_end_in_evaluation_error():
-    from score.errors import EvaluationError
+    from score.errors import GatewayReplyError
 
     bad = '{"answer": "Episode 1: it broke.", "supporting_episode_ids": 1}'
     gw = _remote([bad, bad])
-    with pytest.raises(EvaluationError, match="supporting_episode_ids"):
+    with pytest.raises(GatewayReplyError, match="supporting_episode_ids"):
         answer_query("what broke?", bundle_with(["a.", "b."]), gw)

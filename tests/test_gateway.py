@@ -19,7 +19,6 @@ from score.errors import (
     ContractError,
     GatewayReplyError,
     PersistenceError,
-    SentimentError,
     TransportError,
     UncachedRequestError,
     ValidationError,
@@ -299,7 +298,7 @@ def test_remote_sentiment_reads_the_first_number_as_float_reads_it(reply, value)
 def test_remote_sentiment_reprompts_once_then_fails():
     transport = FakeTransport([chat_reply("no idea"), chat_reply("still no")])
     gw = LlmGateway(remote_config(), transport=transport)
-    with pytest.raises(SentimentError):
+    with pytest.raises(GatewayReplyError):
         gw.score_sentiment("anything")
     assert transport.calls == 2
 
@@ -405,6 +404,24 @@ def test_default_transport_carries_retry_after_seconds(monkeypatch, status, head
     with pytest.raises(TransportError) as caught:
         default_transport("http://fake.local/v1/chat/completions", {}, 1.0, {})
     assert caught.value.status == status and caught.value.retry_after == expected
+
+
+def test_default_transport_turns_a_url_requests_cannot_parse_into_a_transport_error(monkeypatch):
+    """A host label over 63 characters fails to parse before any socket opens;
+    urllib3 raises LocationParseError, a ValueError, not a RequestException."""
+    from score.gateway import default_transport
+
+    for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "http_proxy", "https_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    url = "http://" + "a" * 70 + ".example/v1/chat/completions"
+    with pytest.raises(TransportError, match=r"^POST http://a+\.example/v1/chat/completions failed: .*too long"):
+        default_transport(url, {"model": "m"}, 1.0, {})
+
+
+def test_a_timeout_of_one_day_is_the_longest_accepted():
+    assert GatewayConfig(timeout=86_400).timeout == 86_400
+    with pytest.raises(ValidationError, match=r"^timeout: must be in \(0, 86400\] seconds, got 86400.5$"):
+        GatewayConfig(timeout=86_400.5)
 
 
 def test_stats_count_each_retried_attempt():
@@ -784,7 +801,7 @@ def test_record_mode_sends_a_request_in_flight_once(tmp_path):
 def test_a_tone_rejected_twice_is_not_recorded_and_the_next_run_asks_again(tmp_path):
     transport = FakeTransport([chat_reply("<html>Bad Gateway</html>")] * 2 + [chat_reply("0.4")])
     config = remote_config(cache_mode="record")
-    with LlmGateway(config, cache_dir=tmp_path, transport=transport) as gw, pytest.raises(SentimentError):
+    with LlmGateway(config, cache_dir=tmp_path, transport=transport) as gw, pytest.raises(GatewayReplyError):
         gw.score_sentiment("a calm sea")
     assert stored_entries(tmp_path) == {}
     with LlmGateway(config, cache_dir=tmp_path, transport=transport) as gw:
@@ -806,7 +823,7 @@ def test_a_repaired_tone_is_recorded_with_the_reply_before_it_and_replays(tmp_pa
 def test_the_cache_off_memo_keeps_no_reply_rejected_twice():
     transport = FakeTransport([chat_reply("junk")] * 2 + [chat_reply("0.4")])
     gw = LlmGateway(remote_config(), transport=transport)
-    with pytest.raises(SentimentError):
+    with pytest.raises(GatewayReplyError):
         gw.score_sentiment("a calm sea")
     assert gw.score_sentiment("a calm sea").value == 0.4
     assert gw.score_sentiment("a calm sea").value == 0.4

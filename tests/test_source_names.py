@@ -142,3 +142,38 @@ def test_every_frozen_record_is_slotted():
             assert cls.__dictoffset__ != 0 and "_standing" in vars(cls)
         else:
             assert "__slots__" in vars(cls) and cls.__dictoffset__ == 0, f"{module}.{name}"
+
+
+def test_only_the_gateway_renders_a_prompt_and_no_class_narrows_a_reply_error():
+    """Every structured reply is asked for by `LlmGateway.complete_parsed`,
+    which fills in its template: no module but `gateway.py` calls
+    `prompts.render` (under any name it is imported as) or a `.template(...)`
+    method. No class of the package subclasses GatewayReplyError, so a reply
+    unusable twice is one error, whose message names its template."""
+    renderers, subclasses = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        module_names, render_names = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if node.module in (None, "score") and alias.name == "prompts":
+                        module_names.add(alias.asname or alias.name)
+                    elif (node.module or "").split(".")[-1] == "prompts" and alias.name == "render":
+                        render_names.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name) and func.id in render_names:
+                    renderers.add((path.name, "render"))
+                elif isinstance(func, ast.Attribute) and func.attr == "template":
+                    renderers.add((path.name, "template"))
+                elif isinstance(func, ast.Attribute) and func.attr == "render":
+                    if getattr(func.value, "id", None) in module_names:
+                        renderers.add((path.name, "render"))
+            elif isinstance(node, ast.ClassDef):
+                bases = {base.id if isinstance(base, ast.Name) else getattr(base, "attr", None) for base in node.bases}
+                if "GatewayReplyError" in bases:
+                    subclasses.append(f"{path.stem}.{node.name}")
+    assert renderers == {("gateway.py", "render"), ("gateway.py", "template")}
+    assert subclasses == []

@@ -1,7 +1,7 @@
 import pytest
 
 from score import prompts
-from score.errors import SummaryError
+from score.errors import GatewayReplyError
 from score.gateway import GatewayConfig, LlmGateway
 from score.story import CharacterAction, Episode, ItemInteraction, ItemState, KeyItem
 from score.summarize import (
@@ -257,7 +257,7 @@ def test_llm_summarize_fails_after_repair_with_raw_reply():
     transport = ScriptedTransport(["garbage one", "garbage two"])
     gw = _remote(transport)
     episode = Episode(index=0, text="Mira fought.")
-    with pytest.raises(SummaryError) as err:
+    with pytest.raises(GatewayReplyError) as err:
         summarize_episode(episode, [], gw, story_id="s")
     assert err.value.raw_reply == "garbage two"
 
@@ -289,7 +289,7 @@ def test_llm_summarize_wrong_shape_ends_in_summary_error(field, value):
     transport = ScriptedTransport([bad, bad])
     gw = _remote(transport)
     episode = Episode(index=0, text="Mira fought.")
-    with pytest.raises(SummaryError, match=field):
+    with pytest.raises(GatewayReplyError, match=field):
         summarize_episode(episode, [KeyItem("sword", ("sword",))], gw, story_id="s")
     assert transport.calls == 2  # the repair prompt was sent
 
@@ -316,6 +316,6 @@ def test_an_episode_asks_for_its_tone_once_its_summary_is_accepted(replies, sent
 
 def test_an_episode_whose_summary_is_rejected_twice_asks_for_no_tone():
     transport = ScriptedTransport(["not json", "not json either"])
-    with pytest.raises(SummaryError):
+    with pytest.raises(GatewayReplyError):
         summarize_episode(Episode(index=0, text="Mira fought."), [], _remote(transport), story_id="s")
     assert [prompt.split()[0] for prompt in transport.prompts] == ["Summarize", "Your"]

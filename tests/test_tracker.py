@@ -399,22 +399,22 @@ def test_llm_extraction_repairs_once_then_succeeds():
 
 
 def test_llm_extraction_fails_with_raw_reply_attached():
-    from score.errors import ExtractionError
+    from score.errors import GatewayReplyError
 
     gw = _remote(["junk one", "junk two"])
     episode = Episode(index=0, text="The sword was lost.")
-    with pytest.raises(ExtractionError) as err:
+    with pytest.raises(GatewayReplyError) as err:
         extract_item_statuses(episode, [KeyItem("sword", ("sword",))], gw)
     assert err.value.raw_reply == "junk two"
 
 
 def test_llm_extraction_rejects_out_of_bounds_evidence():
-    from score.errors import ExtractionError
+    from score.errors import GatewayReplyError
 
     bad = '[{"item_id": "sword", "state": "active", "explained": false, "evidence": [0, 9999]}]'
     gw = _remote([bad, bad])
     episode = Episode(index=0, text="A short sword.")  # names the sword, so the reply is requested
-    with pytest.raises(ExtractionError, match="evidence"):
+    with pytest.raises(GatewayReplyError, match="evidence"):
         extract_item_statuses(episode, [KeyItem("sword", ("sword",))], gw)
 
 
@@ -468,12 +468,12 @@ def test_states_file_round_trip():
 )
 def test_llm_extraction_wrong_shape_evidence_ends_in_extraction_error(evidence):
     # "evidence": 5 used to escape the repair path as a TypeError
-    from score.errors import ExtractionError
+    from score.errors import GatewayReplyError
 
     bad = '[{"item_id": "sword", "state": "lost", "explained": false, "evidence": ' + evidence + "}]"
     gw = _remote([bad, bad])
     episode = Episode(index=0, text="The sword was lost.")
-    with pytest.raises(ExtractionError, match="evidence"):
+    with pytest.raises(GatewayReplyError, match="evidence"):
         extract_item_statuses(episode, [KeyItem("sword", ("sword",))], gw)
     assert gw._transport.calls == 2  # the repair prompt was sent
 
@@ -481,11 +481,11 @@ def test_llm_extraction_wrong_shape_evidence_ends_in_extraction_error(evidence):
 @pytest.mark.parametrize("explained", ['"no"', "1", "null"])
 def test_llm_extraction_explained_must_be_true_or_false(explained):
     # "explained": "no" used to read as True
-    from score.errors import ExtractionError
+    from score.errors import GatewayReplyError
 
     bad = '[{"item_id": "sword", "state": "lost", "explained": ' + explained + ', "evidence": null}]'
     gw = _remote([bad, bad])
-    with pytest.raises(ExtractionError, match=r"\$\[0\]\.explained: must be true or false"):
+    with pytest.raises(GatewayReplyError, match=r"\$\[0\]\.explained: must be true or false"):
         extract_item_statuses(Episode(index=0, text="The sword was lost."), [KeyItem("sword", ("sword",))], gw)
     assert gw._transport.calls == 2  # the repair prompt was sent
 
