@@ -265,7 +265,7 @@ def cmd_evaluate(project: Project, args) -> int:
     payload = _report_payload(config, result)
     payload["run_id"] = run_id
     target = project.dir("reports") / f"{run_id}.json"
-    write_if_changed(target, canonical_bytes(payload))
+    write_if_changed(target, canonical_bytes(payload, indent=None))
 
     metrics = result.report
     print(f"run {run_id}: {len(result.evaluations)} evaluation(s), {len(result.qa_results)} question(s)")
@@ -334,7 +334,7 @@ def cmd_compare(project: Project, args) -> int:
         "deltas": comparison.deltas(),
     }
     target = project.dir("reports") / f"{run_id}.compare.json"
-    write_if_changed(target, canonical_bytes(payload))
+    write_if_changed(target, canonical_bytes(payload, indent=None))
 
     print(f"comparison {run_id} (a=full, b={'baseline' if args.baseline else ablations_b.disabled() or 'full'})")
     for name, delta in comparison.deltas().items():

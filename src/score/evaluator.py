@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Iterator
 from . import lexicon
 from .errors import ContractError, ValidationError
 from .gateway import SENDING_ONLY_FIELDS, GatewayConfig, extract_json_value
-from .index import FlatIndex
 from .jsonio import canonical_dumps
 from .retrieval import (
     ContextBundle,
@@ -561,14 +560,12 @@ class _StoryRun:
     states: StoryStates | None = None  # stage 3: the raw timelines and their errors
     extracted: list[list[ItemObservation]] = field(default_factory=list)  # stage 1, per episode
     corrected: dict[str, ItemTimeline] = field(default_factory=dict)  # stage 3
-    # stage 4: (kind, record) of each retrieval unit, one per episode in episode order
+    # stage 4: (kind, record) of each retrieval unit, one per episode in episode order, for the group's index
     units: list[tuple[str, SummaryRecord]] = field(default_factory=list)
     # one per unit: the raw rows, not the index's normalized copies, are the
     # episodes' query vectors, since search normalizes a query itself
     vectors: list = field(default_factory=list)
     question_vectors: list = field(default_factory=list)  # one per question
-    index: FlatIndex | None = None
-    records: dict[str, SummaryRecord] = field(default_factory=dict)
 
     def timelines(self, tracking: bool) -> dict[str, ItemTimeline]:
         """The timelines its evaluations see: the corrected ones, unless tracking is ablated."""
@@ -622,38 +619,42 @@ def _track_stage(runs: list[_StoryRun]) -> None:
         run.corrected = correct_story_timelines(*run.states)
 
 
-def _index_stage(runs: list[_StoryRun], gateway, granularity: str, retrieval: bool) -> None:
-    """Stage 4: each story's retrieval units; with `retrieval`, one `gateway.embed` of
-    the group's documents and questions, and each story's index."""
+def _index_stage(runs: list[_StoryRun], gateway, granularity: str, retrieval: bool):
+    """Stage 4: each story's retrieval units; with `retrieval`, one `gateway.embed` of the
+    group's documents and questions, and one index of its units and their records (else None, {})."""
     for run in runs:
         run.units = retrieval_units(run.story, run.summaries, granularity)
     if not retrieval:
-        return
+        return None, {}
     texts = [text for run in runs for text in [r.text for _, r in run.units] + [q.question for q in run.questions]]
     vectors = iter(gateway.embed(texts))
     for run in runs:
         run.vectors = [next(vectors) for _ in run.units]
         run.question_vectors = [next(vectors) for _ in run.questions]
-        run.index, run.records = build_retrieval_index(run.units, run.vectors, gateway.config.embed_dim)
+    units = [unit for run in runs for unit in run.units]
+    return build_retrieval_index(units, [v for run in runs for v in run.vectors], gateway.config.embed_dim)
 
 
 def _evaluate_stage(
-    runs: list[_StoryRun], gateway, ablations: Ablations, retrieval_cfg: RetrievalConfig, evaluated: Callable
+    runs: list[_StoryRun], gateway, ablations: Ablations, retrieval_cfg: RetrievalConfig, evaluated: Callable, indexed
 ) -> tuple[list[EpisodeEvaluation], list[QAResult]]:
-    """Stage 5: one `gateway.map` over the group's `evaluated` episodes, then its questions."""
+    """Stage 5: one `gateway.map` over the group's `evaluated` episodes, then its questions;
+    each searches stage 4's `indexed` (index, records) by its own story."""
+    index, records = indexed
 
     def evaluate_one(run, ep):
         story = run.story
         focus = run.units[ep.index][1]
-        if ablations.retrieval and len(story.episodes) > 1:
+        if ablations.retrieval:
             bundle = retrieve_related(
                 focus.text,
                 run.summaries[ep.index].sentiment if ablations.sentiment else None,
-                run.index,
-                run.records,
+                index,
+                records,
                 retrieval_cfg,
                 gateway,
                 exclude_ref=(story.story_id, ep.index) if retrieval_cfg.exclude_self else None,
+                restrict_story=story.story_id,
                 focus_label=focus.entry_id,
                 query_vector=run.vectors[ep.index],
             )
@@ -667,8 +668,9 @@ def _evaluate_stage(
     def answer_one(run, i):
         gq = run.questions[i]
         if ablations.retrieval:
+            story_id, vector = run.story.story_id, run.question_vectors[i]
             bundle = retrieve_for_query(
-                gq.question, run.index, run.records, retrieval_cfg, gateway, query_vector=run.question_vectors[i]
+                gq.question, index, records, retrieval_cfg, gateway, restrict_story=story_id, query_vector=vector
             )
         else:
             bundle = ContextBundle(focus=f"query:{gq.question[:72]}", selected=())
@@ -719,11 +721,13 @@ def run_pipeline(
     1. extraction: one `gateway.map` over every episode;
     2. summary and tone (tone only, when summarization is ablated): one `gateway.map` over every episode;
     3. each story's timelines are folded, checked and corrected;
-    4. one `gateway.embed` of every document and question, and each story's retrieval index;
-    5. one `gateway.map` over every evaluation and every question.
+    4. one `gateway.embed` of every document and question, and one retrieval index of the
+       group's documents;
+    5. one `gateway.map` over every evaluation and every question, each searching the index
+       by its own story, as `score ask --story` does.
     No mapped item maps again; on the remote path each map keeps the request
     slots full across the group's stories. A group's summaries, documents,
-    vectors and indexes are dropped once its stage 5 is done; what outlives
+    vectors and index are dropped once its stage 5 is done; what outlives
     it is what the result holds (each story's states, evaluations and
     answers) and the timelines the metrics read.
 
@@ -763,8 +767,9 @@ def run_pipeline(
         _extract_stage(group, gateway)
         _summary_stage(group, gateway, ablations.summary)
         _track_stage(group)
-        _index_stage(group, gateway, granularity, ablations.retrieval)
-        group_evaluations, group_answers = _evaluate_stage(group, gateway, ablations, retrieval_cfg, evaluated)
+        indexed = _index_stage(group, gateway, granularity, ablations.retrieval)
+        group_evaluations, group_answers = _evaluate_stage(group, gateway, ablations, retrieval_cfg, evaluated, indexed)
+        del indexed  # the group's index is not kept into the next group's stages
         evaluations += group_evaluations
         qa_results += group_answers
         # generator expressions, whose variables end with them: no `run` outlives its group

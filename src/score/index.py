@@ -21,6 +21,10 @@ any order, underflow and the float64 score's own error (`_screen_margin`),
 so no row of the exact top n is screened out. Ties break on entry_id, so
 results are reproducible and bit-for-bit equal to a full scan.
 
+A search's candidates are a story's rows (every row when it names none),
+less an excluded episode's and a filter's rejects, so one index of many
+stories, searched by story, finds the hits each story's own index would.
+
 An index is saved as `<base>.vec`, whose header alone holds the format
 version, dimension and entry count, and `<base>.meta.json`, which holds only
 the entries (a `.meta.json` that also repeats the header's facts, as older
@@ -223,8 +227,8 @@ class FlatIndex:
 
         Candidates are the entries of `story` (every entry when None), minus
         those of the episode `exclude` = (story_id, episode_index), minus
-        those `filter` rejects. Returns min(n, candidates) hits; an empty
-        index is an error.
+        those `filter` rejects; only more than n candidates are screened.
+        Returns min(n, candidates) hits; an empty index is an error.
         """
         if not self._entries:
             raise ContractError("index empty")
@@ -233,28 +237,17 @@ class FlatIndex:
         unit = _unit(_as_vector(query, dim=self._dim), "zero query vector")
         entries = self._entries
 
-        dropped = []  # a list even when empty: numpy reads `a[()]` as the whole array
-        if exclude is not None:
-            story_id, episode_index = exclude
-            dropped = [i for i in self._story_rows.get(story_id, []) if entries[i].episode_index == episode_index]
-        rows: Sequence[int] | None
-        if story is None and filter is None and len(entries) - len(dropped) > n:
-            # every row: screen the stored copy in place and mask the excluded episode
-            rows = None
-            screened = self._screened(unit, range(len(entries)))
-            screened[dropped] = -np.inf
-        else:
-            rows = range(len(entries)) if story is None else self._story_rows.get(story, [])
-            if dropped or filter is not None:
-                rows = [i for i in rows if i not in dropped and (filter is None or filter(entries[i]))]
-            screened = self._screened(unit, rows) if len(rows) > n else None
-        if screened is not None:
+        rows: Sequence[int] = range(len(entries)) if story is None else self._story_rows.get(story, ())
+        if exclude is not None or filter is not None:
+            keep = filter or (lambda entry: True)
+            rows = [i for i in rows if (entries[i].story_id, entries[i].episode_index) != exclude and keep(entries[i])]
+        if len(rows) > n:
+            screened = self._screened(unit, rows)
             kth = len(screened) - n
             # the floor and the comparison stay float64 (NEP 50 would round
             # a Python float to float32 here, possibly up, past a kept row)
             floor = np.float64(np.partition(screened, kth)[kth]) - self._margin
-            kept = np.flatnonzero(screened >= floor).tolist()
-            rows = kept if rows is None else [rows[i] for i in kept]
+            rows = [rows[i] for i in np.flatnonzero(screened >= floor).tolist()]
 
         # exact scores by per-row dot, not the matrix product: BLAS kernels
         # differ from np.dot in the last ulp, which would break exact oracle
@@ -270,16 +263,15 @@ class FlatIndex:
         multiplied: each skipped term is an exact ±0 of the float32 sum, so a
         score is still a float32 evaluation of the whole dot product, in
         another order (`_screen_margin`). A query without a zero component
-        multiplies a run of rows in place.
+        multiplies a run of rows in place; rows that are not one run, such as
+        a story's less an excluded episode, are gathered in those dimensions only.
         """
-        if isinstance(rows, range):  # one run of rows, such as every row: a view of the screen, no gather
-            rows = slice(rows.start, rows.stop)
-        screen = self._screen[:, rows]
         q32 = unit.astype(np.float32)
         dims = np.flatnonzero(q32)
-        if len(dims) == self._dim:
-            return q32 @ screen
-        return q32[dims] @ screen[dims]
+        if isinstance(rows, range):  # one run of rows, such as every row: a view of the screen, no gather
+            screen = self._screen[:, rows.start : rows.stop]
+            return q32 @ screen if len(dims) == self._dim else q32[dims] @ screen[dims]
+        return q32[dims] @ self._screen[np.ix_(dims, rows)]
 
     # -- persistence --------------------------------------------------------
 

@@ -14,7 +14,7 @@ from score.cache import FORMAT
 from score.cli import main
 from score.evaluator import FACETS, Ablations
 from score.gateway import GatewayConfig, hashed_embedding
-from score.jsonio import JSON_TYPES, canonical_bytes
+from score.jsonio import JSON_TYPES, canonical_bytes, canonical_dumps
 from score.lexicon import alias_pattern
 from score.project import CONFIG_SHAPE, METRIC_NAMES
 from score.story import ItemState, parse_story
@@ -102,6 +102,24 @@ def test_report_markdown_of_an_ablated_run_names_its_disabled_modules(project, c
         "", "Disabled modules: summary", "",
         f"Evaluations: {len(payload['evaluations'])}", f"Questions: {len(payload['qa'])}",
     ]
+
+
+def test_reports_are_written_compact_printed_indented_and_an_indented_report_still_loads(project, capsys):
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    assert run(project, "evaluate") == 0
+    assert run(project, "compare", "--baseline") == 0
+    reports = sorted((project / "reports").glob("*.json"))
+    assert len(reports) == 2
+    for path in reports:
+        payload = json.loads(path.read_bytes())
+        assert path.read_bytes() == canonical_bytes(payload, indent=None)  # one line
+        capsys.readouterr()
+        assert run(project, "report", payload["run_id"]) == 0
+        printed = capsys.readouterr().out
+        assert printed == canonical_dumps(payload, indent=2) + "\n"
+        path.write_bytes(canonical_bytes(payload, indent=2))  # as reports were written before
+        assert run(project, "report", payload["run_id"]) == 0
+        assert capsys.readouterr().out == printed
 
 
 def test_ask_before_index_exits_2(project, capsys):
@@ -1874,14 +1892,55 @@ def _files_digest(root, stage: str) -> str:
     return h.hexdigest()
 
 
+@pytest.mark.parametrize(
+    "commands",
+    [
+        [(("evaluate",), 0)],
+        [
+            (("index", "--granularity", "chunk"), 0),
+            (("track",), 0),
+            (("summarize",), 0),
+            (("index",), 0),
+            (("evaluate",), 0),
+        ],
+        [
+            (("ask", "Where is the sword?"), 2),
+            (("compare", "--baseline"), 0),
+            (("evaluate", "--ablate", "summary"), 0),
+            (("summarize", "--force"), 0),
+            (("evaluate",), 0),
+        ],
+    ],
+    ids=["evaluate-alone", "stage-by-stage", "ask-compare-ablate-force"],
+)
+def test_the_order_of_commands_changes_no_stage_file_or_report(tmp_path, capsys, commands):
+    """Each sequence leaves the `states/`, `summaries/` and `evaluate` report
+    bytes that `evaluate` alone leaves; `ask` before `index` exits 2."""
+
+    def project_after(root, commands):
+        assert run(root, "fuzz", "--seed", "11", "--stories", "6") == 0
+        for argv, code in commands:
+            assert run(root, *argv) == code, argv
+            assert code == 0 or "index not built" in capsys.readouterr().err
+        return {stage: _files_digest(root, stage) for stage in ("states", "summaries")}
+
+    alone = project_after(tmp_path / "alone", [(("evaluate",), 0)])
+    assert all(len(list((tmp_path / "alone" / stage).glob("*.json"))) == 6 for stage in alone)
+    (report,) = (tmp_path / "alone" / "reports").glob("*.json")
+    assert project_after(tmp_path / "ordered", commands) == alone
+    assert (tmp_path / "ordered" / "reports" / report.name).read_bytes() == report.read_bytes()
+
+
 # the stories are `fuzz --seed 5 --stories 3`. The states digest was taken from the code
 # before an episode that names no key item went without an extraction request, with each
 # file re-encoded compact (`canonical_bytes(json.loads(...), indent=None)`), as stage files
 # are now written, and its `story_id` and `errors` deleted, as a states file no longer
-# holds them. The summaries digest is of the files a remote `summarize` writes.
+# holds them. The summaries digest is of the files a remote `summarize` writes. The
+# comparison digest is of the compact report: `canonical_bytes(json.loads(...), indent=None)`
+# of the indented report the code wrote before reports were compact gives the same bytes.
 TRACKED_STATES_SHA256 = "e808fe379e32b6838890496669aff01d0cf1acdff56b9b51eb521d553121e75f"
 TRACKED_SUMMARIES_SHA256 = "8aa422d4c417f5e7d62ebd237fb3cb3ba44f28d19243fc334f8d5cb681c56349"
-COMPARED_REPORT_SHA256 = "0ad237326b201936dab28a11439df7d8033b93dc0dd77d80eb18a41a35ca1f64"
+COMPARED_REPORT_SHA256 = "e6de1082916978412e5af58c05faff5c27f2e332807320e515479162bb8b5a59"
 
 
 def test_a_remote_track_sends_no_extraction_for_an_episode_that_names_no_key_item(project, monkeypatch):

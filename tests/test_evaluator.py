@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from score import evaluator
+from score import evaluator, retrieval
 from score.errors import ContractError, ValidationError
 from score.evaluator import (
     FACETS,
@@ -22,7 +22,8 @@ from score.evaluator import (
 )
 from score.fuzz import FuzzSpec, generate_corpus
 from score.gateway import GatewayConfig, LlmGateway
-from score.retrieval import ContextBundle, ContextEntry, RetrievalConfig
+from score.index import FlatIndex
+from score.retrieval import ContextBundle, ContextEntry, RetrievalConfig, build_retrieval_index, retrieval_units
 from score.story import Episode, ItemState, KeyItem
 from score.summarize import EpisodeSummary, rule_summarize
 from score.tracker import (
@@ -432,6 +433,83 @@ def test_a_run_holds_the_summaries_of_one_group_at_a_time(fuzz_setup, monkeypatc
     assert all(held == episodes for held, episodes in seen)  # each group's own summaries, and no other
     assert len(result.evaluations) == sum(len(s.episodes) for s in stories)
     assert live() == 0
+
+
+@pytest.mark.parametrize("ablations", [Ablations(), Ablations(retrieval=False)], ids=["full", "ablate-retrieval"])
+def test_a_run_builds_one_index_per_group(fuzz_setup, monkeypatch, ablations):
+    stories, truth = fuzz_setup
+    groups, built = [], []
+    evaluate, build = evaluator._evaluate_stage, evaluator.build_retrieval_index
+
+    def counting_groups(runs, *args):
+        groups.append([run.story.story_id for run in runs])
+        return evaluate(runs, *args)
+
+    def counting_builds(units, *args):
+        built.append(list(dict.fromkeys(record.story_id for _, record in units)))
+        return build(units, *args)
+
+    monkeypatch.setattr(evaluator, "_evaluate_stage", counting_groups)
+    monkeypatch.setattr(evaluator, "build_retrieval_index", counting_builds)
+    gateway = GatewayConfig(backend="mock", embed_batch_limit=20)
+    config = PipelineConfig(gateway, RetrievalConfig(), ablations)
+    result = run_pipeline(stories, LlmGateway(gateway), config, truth.to_gold())
+    assert len(groups) >= 3 and any(len(group) > 1 for group in groups)
+    assert built == (groups if ablations.retrieval else [])  # one index of each group's stories, in story order
+    assert len(result.evaluations) == sum(len(s.episodes) for s in stories)
+
+
+def _bundle_facts(bundle: ContextBundle):
+    entries = [(e.story_id, e.episode_index, e.score.hex(), e.sentiment, e.text) for e in bundle.selected]
+    return bundle.digest(), entries, bundle.truncated, bundle.sentiment_filter_bypassed
+
+
+@pytest.mark.parametrize(
+    "retrieval_cfg",
+    [RetrievalConfig(), RetrievalConfig(top_n=2), RetrievalConfig(exclude_self=False)],
+    ids=["default", "top-2", "keep-self"],
+)
+def test_a_group_index_searched_by_story_gives_the_bundles_of_an_index_per_story(monkeypatch, retrieval_cfg):
+    # seed 20 draws stories of 1, 26, 5, 9 and 22 episodes: a lone episode, and
+    # two stories longer than a first search, whose searches screen inside the story
+    stories, truth = generate_corpus(FuzzSpec(seed=20, n_stories=5, episodes_per_story=(1, 28)))
+    config = PipelineConfig(GatewayConfig(backend="mock"), retrieval_cfg)
+    assert sorted(len(s.episodes) for s in stories) == [1, 5, 9, 22, 26]
+    assert max(len(s.episodes) for s in stories) - 1 > config.retrieval.pool
+    gateway = LlmGateway(config.gateway)
+    calls, screened = [], []
+    related, screen = retrieval.retrieve_related, FlatIndex._screened
+
+    def recording(*args, **kw):
+        calls.append((args, kw, related(*args, **kw)))
+        return calls[-1][2]
+
+    def recording_screen(index, unit, rows):
+        screened.append((len(index), {index.entries[i].story_id for i in rows}, len(rows)))
+        return screen(index, unit, rows)
+
+    monkeypatch.setattr(evaluator, "retrieve_related", recording)
+    monkeypatch.setattr(retrieval, "retrieve_related", recording)  # the one retrieve_for_query calls
+    monkeypatch.setattr(FlatIndex, "_screened", recording_screen)
+    result = run_pipeline(stories, gateway, config, truth.to_gold())
+    episodes = sum(len(s.episodes) for s in stories)
+    assert len(calls) == episodes + len(truth.qa) == len(result.evaluations) + len(result.qa_results)
+    assert any(n == episodes and len(ids) == 1 and rows > config.retrieval.pool for n, ids, rows in screened)
+
+    summaries = evaluator.stage_outputs(stories, gateway, "summaries")
+    own = {}
+    for story in stories:
+        units = retrieval_units(story, summaries[story.story_id], "summary")
+        vectors = gateway.embed([record.text for _, record in units])
+        own[story.story_id] = build_retrieval_index(units, vectors, config.gateway.embed_dim)
+    for (focus, sentiment, index, records, cfg, gw), kw, bundle in calls:
+        story_id = kw.pop("restrict_story")
+        assert len(index) == episodes and story_id in own  # the one group's index (70 texts), searched by story
+        alone = related(focus, sentiment, *own[story_id], cfg, gw, **kw)
+        assert _bundle_facts(bundle) == _bundle_facts(alone)
+        if len(own[story_id][0]) == 1 and not kw["focus_label"].startswith("query:"):
+            # a lone episode: left out of its own search, or its own only candidate
+            assert len(bundle.selected) == (0 if retrieval_cfg.exclude_self else 1)
 
 
 def test_config_digest_distinguishes_ablations():

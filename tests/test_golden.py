@@ -70,7 +70,7 @@ def _bundle_bytes(bundle) -> bytes:
 
 def test_corpus_wide_search_and_retrieval_bits():
     # one index over every document of 40 stories (361 entries), so searches
-    # screen with the matrix product; per-story pipeline indexes never do
+    # screen with the matrix product; a fuzz story is rarely longer than a first search
     stories, truth = fuzz.generate_corpus(fuzz.FuzzSpec(seed=7, n_stories=40))
     gateway = LlmGateway(GatewayConfig(backend="mock"))
     records, rows = {}, []
