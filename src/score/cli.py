@@ -33,9 +33,12 @@ from .errors import (
     ValidationError,
 )
 from .evaluator import (
+    METRIC_NAMES,
     Ablations,
     PipelineConfig,
+    StoryRun,
     answer_query,
+    index_stage,
     run_comparison,
     run_pipeline,
     stage_outputs,
@@ -44,9 +47,9 @@ from .fuzz import FuzzSpec, generate_corpus, score_detection, truth_to_dict
 from .gateway import GatewayConfig, LlmGateway
 from .jsonio import canonical_bytes, canonical_dumps, write_if_changed
 from .project import (
-    GRANULARITIES, METRIC_NAMES, Project, corpus_digest, load_story, make_dir, serialized_stories, stage_inputs,
+    GRANULARITIES, Project, corpus_digest, load_story, make_dir, serialized_stories, stage_inputs,
 )
-from .retrieval import RetrievalConfig, build_retrieval_index, records_to_dict, retrieval_units, retrieve_for_query
+from .retrieval import RetrievalConfig, records_to_dict, retrieve_for_query
 from .story import Story, serialize_story
 
 logger = logging.getLogger(__name__)
@@ -189,9 +192,9 @@ def cmd_index(project: Project, args) -> int:
     stories = project.load_stories()
     with _gateway(project, gateway_cfg) as gateway:
         summaries, _ = _stage_outputs(project, "summaries", stories, gateway, serialized_stories(stories))
-        units = [unit for story in stories for unit in retrieval_units(story, summaries[story.story_id], granularity)]
-        vectors = gateway.embed([record.text for _, record in units])
-    index, records = build_retrieval_index(units, vectors, gateway_cfg.embed_dim)
+        # the pipeline's stage 4 over every story, in load order, with no question
+        runs = [StoryRun(story, summaries=summaries[story.story_id]) for story in stories]
+        index, records = index_stage(runs, gateway, granularity, retrieval=True)
     base = project.dir("index") / granularity
     index.save(base)
     write_if_changed(base.with_suffix(".records.json"), canonical_bytes(records_to_dict(records), indent=None))
@@ -267,11 +270,9 @@ def cmd_evaluate(project: Project, args) -> int:
     target = project.dir("reports") / f"{run_id}.json"
     write_if_changed(target, canonical_bytes(payload, indent=None))
 
-    metrics = result.report
     print(f"run {run_id}: {len(result.evaluations)} evaluation(s), {len(result.qa_results)} question(s)")
     for name in METRIC_NAMES:
-        value = getattr(metrics, name)
-        print(f"  {name}: " + (f"{value:.2f}" if value is not None else "n/a"))
+        print(f"  {name}: {_shown(getattr(result.report, name))}")
     if ablations.disabled():
         print(f"  disabled modules: {', '.join(ablations.disabled())}")
     print(f"report written to {target}")
@@ -323,6 +324,7 @@ def cmd_compare(project: Project, args) -> int:
     run_id = hashlib.sha256(
         (config_a.digest() + config_b.digest() + corpus_digest(serialized)).encode()
     ).hexdigest()[:12]
+    deltas = comparison.deltas()
     payload = {
         "run_id": run_id,
         "kind": "comparison",
@@ -331,17 +333,15 @@ def cmd_compare(project: Project, args) -> int:
         "digest_collision": comparison.digest_collision,
         "metrics_a": comparison.report_a.to_dict(),
         "metrics_b": comparison.report_b.to_dict(),
-        "deltas": comparison.deltas(),
+        "deltas": deltas,
     }
     target = project.dir("reports") / f"{run_id}.compare.json"
     write_if_changed(target, canonical_bytes(payload, indent=None))
 
     print(f"comparison {run_id} (a=full, b={'baseline' if args.baseline else ablations_b.disabled() or 'full'})")
-    for name, delta in comparison.deltas().items():
-        a = getattr(comparison.report_a, name)
-        b = getattr(comparison.report_b, name)
-        fmt = lambda v: f"{v:.2f}" if v is not None else "n/a"
-        print(f"  {name}: a={fmt(a)} b={fmt(b)} delta={fmt(delta)}")
+    for name in METRIC_NAMES:
+        a, b = getattr(comparison.report_a, name), getattr(comparison.report_b, name)
+        print(f"  {name}: a={_shown(a)} b={_shown(b)} delta={_shown(deltas[name])}")
     print(f"report written to {target}")
     return 0
 
@@ -352,16 +352,18 @@ def cmd_report(project: Project, args) -> int:
     return 0
 
 
-def _render_markdown(payload: dict, comparison: bool) -> str:
-    def fmt(value):
-        return "n/a" if value is None else f"{value:.2f}"
+def _shown(value: float | None) -> str:
+    """A metric value as every command prints it."""
+    return "n/a" if value is None else f"{value:.2f}"
 
+
+def _render_markdown(payload: dict, comparison: bool) -> str:
     if comparison:
         columns = {"a": payload["metrics_a"], "b": payload["metrics_b"], "delta": payload["deltas"]}
     else:
         columns = {"value": payload["metrics"]}
     lines = [f"# Run {payload['run_id']}", "", f"| metric | {' | '.join(columns)} |", "|---" * (len(columns) + 1) + "|"]
-    lines += [f"| {name} | {' | '.join(fmt(c[name]) for c in columns.values())} |" for name in METRIC_NAMES]
+    lines += [f"| {name} | {' | '.join(_shown(c[name]) for c in columns.values())} |" for name in METRIC_NAMES]
     if not comparison:
         if payload["disabled_modules"]:
             lines += ["", f"Disabled modules: {', '.join(payload['disabled_modules'])}"]

@@ -36,7 +36,6 @@ from .story import Episode, ItemState, Story
 from .summarize import EpisodeSummary, summarize_episode
 from .tracker import (
     ContinuityError,
-    ItemObservation,
     ItemTimeline,
     StoryStates,
     correct_story_timelines,
@@ -129,14 +128,11 @@ class MetricsReport:
     config_digest: str
 
     def to_dict(self) -> dict:
-        return {
-            "consistency": self.consistency,
-            "coherence": self.coherence,
-            "item_status": self.item_status,
-            "complex_qa": self.complex_qa,
-            "per_story": self.per_story,
-            "config_digest": self.config_digest,
-        }
+        return asdict(self)
+
+
+# the four headline metrics, in report order: every field of MetricsReport but the last two
+METRIC_NAMES = tuple(f.name for f in fields(MetricsReport)[:-2])
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +256,7 @@ def answer_query(question: str, bundle: ContextBundle, gateway, *, story_id: str
     if not question or not question.strip():
         raise ContractError("question must be non-empty")
     if not bundle.selected:
-        return QAResult(
-            question=question,
-            answer="insufficient context",
-            supporting_episodes=(),
-            correct=False,
-            story_id=story_id,
-        )
+        return QAResult(question=question, answer="insufficient context", supporting_episodes=(), story_id=story_id)
     if gateway.is_mock:
         answer, refs = _mock_answer(question, bundle)
     else:
@@ -391,25 +381,23 @@ def compute_metrics(
     qa_by_story = _group_by(qa_results, lambda q: q.story_id)
     tracked_gold = [g for g in gold.item_assertions if g[0] in timelines_by_story] if gold else []
     gold_by_story = _group_by(tracked_gold, lambda g: g[0])
-    per_story: dict[str, dict[str, float | None]] = {}
-    for story_id in story_ids:
-        story_evals = evals_by_story.get(story_id, [])
-        story_qa = qa_by_story.get(story_id, [])
-        per_story[story_id] = {
-            "consistency": _consistency(story_evals, story_qa, reference),
-            "coherence": _coherence(story_evals),
-            "item_status": _item_status(gold_by_story.get(story_id, []), timelines_by_story),
-            "complex_qa": _complex_qa(story_qa),
-        }
 
-    return MetricsReport(
-        consistency=_consistency(evaluations, qa_results, reference),
-        coherence=_coherence(evaluations),
-        item_status=_item_status(tracked_gold, timelines_by_story),
-        complex_qa=_complex_qa(qa_results),
-        per_story=per_story,
-        config_digest=config_digest,
-    )
+    def metrics(evals, qa, gold_assertions) -> dict[str, float | None]:
+        """The metrics of these inputs, by name, in `METRIC_NAMES` order."""
+        values = (
+            _consistency(evals, qa, reference),
+            _coherence(evals),
+            _item_status(gold_assertions, timelines_by_story),
+            _complex_qa(qa),
+        )
+        return dict(zip(METRIC_NAMES, values))
+
+    per_story = {
+        sid: metrics(evals_by_story.get(sid, []), qa_by_story.get(sid, []), gold_by_story.get(sid, []))
+        for sid in story_ids
+    }
+    corpus = metrics(evaluations, qa_results, tracked_gold)
+    return MetricsReport(**corpus, per_story=per_story, config_digest=config_digest)
 
 
 def _group_by(items, key) -> dict:
@@ -551,17 +539,17 @@ class PipelineResult:
 
 
 @dataclass
-class _StoryRun:
+class StoryRun:
     """One story's state inside its group, filled in stage by stage; no stage redoes a given output."""
 
     story: Story
     questions: list[GoldQA] = field(default_factory=list)
     summaries: list[EpisodeSummary] | None = None  # stage 2
-    states: StoryStates | None = None  # stage 3: the raw timelines and their errors
-    extracted: list[list[ItemObservation]] = field(default_factory=list)  # stage 1, per episode
+    states: StoryStates | None = None  # stage 1: the raw timelines and their errors
     corrected: dict[str, ItemTimeline] = field(default_factory=dict)  # stage 3
-    # stage 4: (kind, record) of each retrieval unit, one per episode in episode order, for the group's index
-    units: list[tuple[str, SummaryRecord]] = field(default_factory=list)
+    # stage 4: the record of each retrieval unit, in story order, for the group's
+    # index; in a pipeline run, one per episode
+    units: list[SummaryRecord] = field(default_factory=list)
     # one per unit: the raw rows, not the index's normalized copies, are the
     # episodes' query vectors, since search normalizes a query itself
     vectors: list = field(default_factory=list)
@@ -572,7 +560,7 @@ class _StoryRun:
         return self.corrected if tracking else self.states[0]
 
 
-def _stage_groups(runs: Iterable[_StoryRun], limit: int) -> Iterator[list[_StoryRun]]:
+def _stage_groups(runs: Iterable[StoryRun], limit: int) -> Iterator[list[StoryRun]]:
     """`runs` in groups of consecutive runs whose episodes plus questions, the texts stage 4
     embeds, add up to at most `limit`; a larger run is a group of its own."""
     group, total = [], 0
@@ -587,21 +575,23 @@ def _stage_groups(runs: Iterable[_StoryRun], limit: int) -> Iterator[list[_Story
         yield group
 
 
-def _map_episodes(runs: list[_StoryRun], gateway, fn: Callable) -> list[list]:
+def _map_episodes(runs: list[StoryRun], gateway, fn: Callable) -> list[list]:
     """`fn(episode, story)` over every episode of `runs` in one `gateway.map`, one list per run."""
     done = iter(gateway.map(lambda job: fn(*job), [(ep, run.story) for run in runs for ep in run.story.episodes]))
     return [[next(done) for _ in run.story.episodes] for run in runs]
 
 
-def _extract_stage(runs: list[_StoryRun], gateway) -> None:
-    """Stage 1: every episode's item observations, for each story without states."""
+def _extract_stage(runs: list[StoryRun], gateway) -> None:
+    """Stage 1: every episode's item observations, folded into its story's timelines and checked,
+    for each story without states."""
     todo = [run for run in runs if run.states is None]
     made = _map_episodes(todo, gateway, lambda ep, story: extract_item_statuses(ep, story.key_items, gateway))
     for run, extracted in zip(todo, made):
-        run.extracted = extracted
+        timelines = story_timelines(run.story.key_items, extracted)
+        run.states = (timelines, detect_story_errors(timelines))
 
 
-def _summary_stage(runs: list[_StoryRun], gateway, full: bool) -> None:
+def _summary_stage(runs: list[StoryRun], gateway, full: bool) -> None:
     """Stage 2: every episode's summary and tone (`_minimal_summary` unless `full`), for each story without them."""
     todo = [run for run in runs if run.summaries is None]
     summarize = summarize_episode if full else _minimal_summary
@@ -610,33 +600,30 @@ def _summary_stage(runs: list[_StoryRun], gateway, full: bool) -> None:
         run.summaries = summaries
 
 
-def _track_stage(runs: list[_StoryRun]) -> None:
-    """Stage 3: each story's observations folded and checked (unless it has states), and its timelines corrected."""
+def _track_stage(runs: list[StoryRun]) -> None:
+    """Stage 3: each story's timelines corrected."""
     for run in runs:
-        if run.states is None:
-            timelines = story_timelines(run.story.key_items, run.extracted)
-            run.states = (timelines, detect_story_errors(timelines))
         run.corrected = correct_story_timelines(*run.states)
 
 
-def _index_stage(runs: list[_StoryRun], gateway, granularity: str, retrieval: bool):
+def index_stage(runs: list[StoryRun], gateway, granularity: str, retrieval: bool):
     """Stage 4: each story's retrieval units; with `retrieval`, one `gateway.embed` of the
     group's documents and questions, and one index of its units and their records (else None, {})."""
     for run in runs:
         run.units = retrieval_units(run.story, run.summaries, granularity)
     if not retrieval:
         return None, {}
-    texts = [text for run in runs for text in [r.text for _, r in run.units] + [q.question for q in run.questions]]
+    texts = [text for run in runs for text in [r.text for r in run.units] + [q.question for q in run.questions]]
     vectors = iter(gateway.embed(texts))
     for run in runs:
         run.vectors = [next(vectors) for _ in run.units]
         run.question_vectors = [next(vectors) for _ in run.questions]
     units = [unit for run in runs for unit in run.units]
-    return build_retrieval_index(units, [v for run in runs for v in run.vectors], gateway.config.embed_dim)
+    return build_retrieval_index(granularity, units, [v for run in runs for v in run.vectors], gateway.config.embed_dim)
 
 
 def _evaluate_stage(
-    runs: list[_StoryRun], gateway, ablations: Ablations, retrieval_cfg: RetrievalConfig, evaluated: Callable, indexed
+    runs: list[StoryRun], gateway, ablations: Ablations, retrieval_cfg: RetrievalConfig, evaluated: Callable, indexed
 ) -> tuple[list[EpisodeEvaluation], list[QAResult]]:
     """Stage 5: one `gateway.map` over the group's `evaluated` episodes, then its questions;
     each searches stage 4's `indexed` (index, records) by its own story."""
@@ -644,7 +631,7 @@ def _evaluate_stage(
 
     def evaluate_one(run, ep):
         story = run.story
-        focus = run.units[ep.index][1]
+        focus = run.units[ep.index]
         if ablations.retrieval:
             bundle = retrieve_related(
                 focus.text,
@@ -685,12 +672,11 @@ def _evaluate_stage(
 
 def stage_outputs(stories: list[Story], gateway, stage: str) -> dict:
     """Each story's `stage` output by story id, as `run_pipeline` takes it:
-    "states" runs stages 1 and 3 of `run_pipeline`, "summaries" stage 2."""
+    "states" runs stage 1 of `run_pipeline`, "summaries" stage 2."""
     made = {}
-    for group in _stage_groups(map(_StoryRun, stories), gateway.config.embed_batch_limit):
+    for group in _stage_groups(map(StoryRun, stories), gateway.config.embed_batch_limit):
         if stage == "states":
             _extract_stage(group, gateway)
-            _track_stage(group)
         else:
             _summary_stage(group, gateway, full=True)
         made.update((run.story.story_id, getattr(run, stage)) for run in group)
@@ -717,10 +703,12 @@ def run_pipeline(
     again (`summaries` go unused when summarization is ablated).
 
     Stories run in story_id order, in the groups of `_stage_groups`. Each
-    group runs five stages; `stage_outputs` runs stages 1 to 3 alone:
-    1. extraction: one `gateway.map` over every episode;
+    group runs five stages; `stage_outputs` runs stage 1 or 2 alone, and
+    `score index` runs stage 4 over its stories, with no question:
+    1. extraction: one `gateway.map` over every episode, then each story's
+       observations are folded into its timelines and checked;
     2. summary and tone (tone only, when summarization is ablated): one `gateway.map` over every episode;
-    3. each story's timelines are folded, checked and corrected;
+    3. each story's timelines are corrected;
     4. one `gateway.embed` of every document and question, and one retrieval index of the
        group's documents;
     5. one `gateway.map` over every evaluation and every question, each searching the index
@@ -760,14 +748,14 @@ def run_pipeline(
     made_states, timelines, reference = {}, {}, {}  # timelines: what evaluations saw
     states, summaries = states or {}, (summaries or {}) if ablations.summary else {}
     runs = (
-        _StoryRun(s, gold_by_story.get(s.story_id, []), summaries.get(s.story_id), states.get(s.story_id))
+        StoryRun(s, gold_by_story.get(s.story_id, []), summaries.get(s.story_id), states.get(s.story_id))
         for s in sorted(stories, key=lambda s: s.story_id)
     )
     for group in _stage_groups(runs, gateway.config.embed_batch_limit):
         _extract_stage(group, gateway)
         _summary_stage(group, gateway, ablations.summary)
         _track_stage(group)
-        indexed = _index_stage(group, gateway, granularity, ablations.retrieval)
+        indexed = index_stage(group, gateway, granularity, ablations.retrieval)
         group_evaluations, group_answers = _evaluate_stage(group, gateway, ablations, retrieval_cfg, evaluated, indexed)
         del indexed  # the group's index is not kept into the next group's stages
         evaluations += group_evaluations
@@ -808,12 +796,8 @@ class ComparisonReport:
     digest_collision: bool
 
     def deltas(self) -> dict[str, float | None]:
-        out: dict[str, float | None] = {}
-        for name in ("consistency", "coherence", "item_status", "complex_qa"):
-            a = getattr(self.report_a, name)
-            b = getattr(self.report_b, name)
-            out[name] = (a - b) if (a is not None and b is not None) else None
-        return out
+        pairs = {name: (getattr(self.report_a, name), getattr(self.report_b, name)) for name in METRIC_NAMES}
+        return {name: (a - b) if (a is not None and b is not None) else None for name, (a, b) in pairs.items()}
 
 
 def run_comparison(

@@ -69,6 +69,11 @@ _BACKOFF_FACTOR = 2.0
 _MAX_RETRY_AFTER = 30.0
 # the longest `timeout`, one day in seconds: the transport refuses a far larger one
 _MAX_TIMEOUT = 86_400.0
+# the largest value of each size config.json sets (README, `config.json`): twice
+# the width of the widest embedding models; the concurrent requests a provider
+# allows one API key; and a group's texts, whose float64 vectors then take at
+# most 1,024 x 16,384 x 8 bytes = 128 MiB
+_MAX_SIZES = {"embed_dim": 16_384, "max_parallel": 64, "embed_batch_limit": 1_024}
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -107,16 +112,16 @@ class GatewayConfig:
             raise ValidationError("cache_mode", f"must be one of {_CACHE_MODES}, got {self.cache_mode!r}")
         if self.backend == "remote" and not self.base_url:
             raise ValidationError("base_url", "required for the remote backend")
-        if self.embed_dim <= 0:
-            raise ValidationError("embed_dim", "must be positive")
-        if self.max_parallel <= 0:
-            raise ValidationError("max_parallel", "must be positive")
+        for name, most in _MAX_SIZES.items():
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValidationError(name, "must be positive")
+            if value > most:
+                raise ValidationError(name, f"must be at most {most:,}, got {value:,}")
         if not 0.0 < self.timeout <= _MAX_TIMEOUT:  # NaN fails too
             raise ValidationError("timeout", f"must be in (0, {_MAX_TIMEOUT:.0f}] seconds, got {self.timeout}")
         if self.max_retries < 0:
             raise ValidationError("max_retries", "must be >= 0")
-        if self.embed_batch_limit <= 0:
-            raise ValidationError("embed_batch_limit", "must be positive")
 
     @property
     def effective_embed_model(self) -> str:

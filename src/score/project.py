@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import prompts as prompt_templates
 from .errors import PersistenceError, StoryParseError, ValidationError
-from .evaluator import GoldData
+from .evaluator import METRIC_NAMES, GoldData
 from .fuzz import TRUTH_SHAPE, GroundTruth, truth_from_dict
 from .gateway import GatewayConfig
 from .index import FlatIndex
@@ -57,7 +57,6 @@ _STAGE_FILES = {
 MANIFEST_SHAPE = {"files": [str]}
 
 # reports/: the parts of a stored report that `score report` reads
-METRIC_NAMES = ("consistency", "coherence", "item_status", "complex_qa")
 _METRICS = dict.fromkeys(METRIC_NAMES, (float, None))
 RUN_REPORT_SHAPE = {"run_id": str, "metrics": _METRICS, "disabled_modules": [str], "evaluations": list, "qa": list}
 COMPARISON_REPORT_SHAPE = {"run_id": str, "metrics_a": _METRICS, "metrics_b": _METRICS, "deltas": _METRICS}

@@ -93,10 +93,8 @@ class ContextBundle:
         return [(e.story_id, e.episode_index) for e in self.selected]
 
 
-def retrieval_units(
-    story: Story, summaries: list[EpisodeSummary], granularity: str
-) -> list[tuple[str, SummaryRecord]]:
-    """(kind, record) for each retrieval unit of one story, in story order.
+def retrieval_units(story: Story, summaries: list[EpisodeSummary], granularity: str) -> list[SummaryRecord]:
+    """The record of each retrieval unit of one story, in story order.
 
     A unit is a summary's retrieval document ("summary"), an episode's raw
     text ("episode", when summarization is ablated) or a chunk of an episode
@@ -116,18 +114,16 @@ def retrieval_units(
     else:
         raise ContractError(f"unknown granularity {granularity!r}")
     return [
-        (granularity, SummaryRecord(entry_id, story.story_id, episode_index, sentiments[episode_index], text))
+        SummaryRecord(entry_id, story.story_id, episode_index, sentiments[episode_index], text)
         for entry_id, episode_index, text in units
     ]
 
 
-def build_retrieval_index(units: list[tuple[str, SummaryRecord]], vectors, dim: int):
-    """An index of `units`, each with its vector of `vectors` (in unit
-    order), and their records by entry id."""
-    index = build_index(
-        dim, [(r.entry_id, kind, r.story_id, r.episode_index, vec) for (kind, r), vec in zip(units, vectors)]
-    )
-    return index, {record.entry_id: record for _, record in units}
+def build_retrieval_index(kind: str, units: list[SummaryRecord], vectors, dim: int):
+    """An index of `units`, the `retrieval_units` of one `kind` (their granularity), each
+    with its vector of `vectors` (in unit order), and their records by entry id."""
+    index = build_index(dim, [(r.entry_id, kind, r.story_id, r.episode_index, v) for r, v in zip(units, vectors)])
+    return index, {record.entry_id: record for record in units}
 
 
 def retrieve_related(

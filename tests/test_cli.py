@@ -128,6 +128,22 @@ def test_ask_before_index_exits_2(project, capsys):
     assert "index not built" in capsys.readouterr().err
 
 
+def test_an_ask_with_nothing_in_its_bundle_prints_correct_null(project, capsys):
+    """A refusal for want of context is ungraded, as every other `ask` answer is."""
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    assert run(project, "index") == 0
+    config = json.loads((project / "config.json").read_text("utf-8"))
+    config["retrieval"]["context_char_budget"] = 1  # no entry fits
+    (project / "config.json").write_text(json.dumps(config), "utf-8")
+    capsys.readouterr()
+    question = "In which episode was the sword lost?"
+    assert run(project, "ask", question) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {
+        "question": question, "answer": "insufficient context", "supporting_episodes": [], "correct": None,
+    }
+
+
 def test_ask_returns_qa_json(project, capsys):
     run(project, "fuzz", "--seed", "3", "--stories", "3")
     run(project, "summarize")
@@ -324,11 +340,16 @@ def test_config_accepts_an_integer_where_a_number_is_expected(project, capsys):
         ("retrieval", {"sentiment_tolerance": 1.5}, "sentiment_tolerance: must be in [0, 1]"),
         ("retrieval", {"sentiment_tolerance": float("nan")}, "sentiment_tolerance: must be in [0, 1]"),
         ("retrieval", {"context_char_budget": 0}, "context_char_budget: must be positive"),
+        # each size's first refused value; a refused max_parallel starts no thread
+        ("gateway", {"embed_dim": 16_385}, "embed_dim: must be at most 16,384, got 16,385"),
+        ("gateway", {"max_parallel": 65}, "max_parallel: must be at most 64, got 65"),
+        ("gateway", {"embed_batch_limit": 1_025}, "embed_batch_limit: must be at most 1,024, got 1,025"),
     ],
     ids=[
         "backend", "base_url", "cache_mode", "embed_dim", "max_parallel", "max_retries", "embed_batch_limit",
         "timeout-0", "timeout-negative", "timeout-nan", "timeout-inf", "timeout-1e10", "timeout-0-remote",
         "top_n", "sentiment_tolerance", "sentiment_tolerance-nan", "context_char_budget",
+        "embed_dim-above", "max_parallel-above", "embed_batch_limit-above",
     ],
 )
 def test_a_config_value_out_of_range_exits_2_naming_it(project, capsys, section, values, expected):
@@ -339,6 +360,35 @@ def test_a_config_value_out_of_range_exits_2_naming_it(project, capsys, section,
     err = capsys.readouterr().err
     assert f"config.json: $.{section}.{expected}" in err
     assert "Traceback" not in err
+
+
+def test_an_embedding_width_past_its_bound_exits_2_before_it_allocates(project):
+    """`--embed-dim 100000000 index` exits 2 naming `embed_dim`. The child runs under an
+    address-space limit that an `index` at the widest accepted width runs within, so a
+    missing bound fails here at once, on the first 800 MB vector, not at the machine's limit."""
+    import resource
+    import subprocess
+    import sys
+
+    import score
+
+    run(project, "fuzz", "--seed", "3", "--stories", "2")
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 512 * 2**20 if hard == resource.RLIM_INFINITY else min(512 * 2**20, hard)
+    threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(score.__file__)), **threads)
+
+    def index(embed_dim):
+        return subprocess.run(
+            [sys.executable, "-m", "score.cli", "--project", str(project), "--embed-dim", str(embed_dim), "index"],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
+        )
+
+    widest = index(16_384)
+    assert widest.returncode == 0, widest.stderr
+    refused = index(100_000_000)
+    assert (refused.returncode, refused.stderr) == (2, "error: embed_dim: must be at most 16,384, got 100,000,000\n")
 
 
 def test_ingest_validates_and_copies(project, tmp_path, capsys):

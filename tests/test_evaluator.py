@@ -1,5 +1,5 @@
 import gc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -7,10 +7,13 @@ from score import evaluator, retrieval
 from score.errors import ContractError, ValidationError
 from score.evaluator import (
     FACETS,
+    METRIC_NAMES,
     Ablations,
+    ComparisonReport,
     EpisodeEvaluation,
     GoldData,
     GoldQA,
+    MetricsReport,
     PipelineConfig,
     QAResult,
     answer_query,
@@ -251,7 +254,7 @@ def test_asserted_item_states_come_from_corrected_view(mock_gateway):
 def test_empty_bundle_refuses(mock_gateway):
     result = answer_query("Where is the sword?", ContextBundle(focus="f", selected=()), mock_gateway)
     assert result.answer == "insufficient context"
-    assert result.correct is False
+    assert result.correct is None  # ungraded, as every answer is until `grade_answer`
     assert result.supporting_episodes == ()
 
 
@@ -263,6 +266,16 @@ def test_mock_answer_finds_matching_sentence(mock_gateway):
     assert "Episode 1" in result.answer
     assert "shattered" in result.answer
     assert result.supporting_episodes == (("s", 1),)
+
+
+def test_mock_answer_cuts_only_a_bullet_line_to_its_description(mock_gateway):
+    # a retrieval document's bullet is "- id | actor=... | description"; story text may hold " | " too
+    question = "In which episode was the sword lost?"
+    for text, quoted in (
+        ("The sword was lost | far to the north.", "The sword was lost | far to the north."),
+        ("- sword | actor=Mira | state=lost | The sword was lost at sea.", "The sword was lost at sea."),
+    ):
+        assert answer_query(question, bundle_with([text]), mock_gateway).answer == f"Episode 0: {quoted}"
 
 
 def test_supporting_episodes_subset_of_bundle(mock_gateway):
@@ -398,6 +411,31 @@ def test_same_config_comparison_has_zero_deltas(fuzz_setup, mock_gateway):
     assert all(d == 0.0 for d in comparison.deltas().values() if d is not None)
 
 
+def test_a_metric_missing_on_one_side_has_no_delta():
+    def report(**values):
+        return MetricsReport(**{**dict.fromkeys(METRIC_NAMES, 50.0), **values}, per_story={}, config_digest="")
+
+    config = pipeline_config()
+    a, b = report(complex_qa=None), report(coherence=None, item_status=40.0)
+    comparison = ComparisonReport(config, config, a, b, digest_collision=False)
+    assert comparison.deltas() == {"consistency": 0.0, "coherence": None, "item_status": 10.0, "complex_qa": None}
+
+
+def test_the_states_stage_folds_and_checks_each_story_and_corrects_none(fuzz_setup, mock_gateway, monkeypatch):
+    """`stage_outputs(..., "states")` makes what a states file holds, the raw timelines and
+    their errors, and corrects no timeline; a pipeline run corrects each story's once."""
+    corrected = []
+    correct = evaluator.correct_story_timelines
+    monkeypatch.setattr(evaluator, "correct_story_timelines", lambda *run: corrected.append(run) or correct(*run))
+    stories = fuzz_setup[0][:3]
+    states = evaluator.stage_outputs(stories, mock_gateway, "states")
+    assert corrected == []
+    assert "extracted" not in {f.name for f in fields(evaluator.StoryRun)}
+    result = run_pipeline(stories, mock_gateway, pipeline_config())
+    assert result.states == states and len(corrected) == len(stories)
+    assert all(errors == detect_story_errors(timelines) for timelines, errors in states.values())
+
+
 def test_pipeline_is_deterministic(fuzz_setup, mock_gateway):
     stories, truth = fuzz_setup
     a = run_pipeline(stories[:3], mock_gateway, pipeline_config(), truth.to_gold())
@@ -445,9 +483,9 @@ def test_a_run_builds_one_index_per_group(fuzz_setup, monkeypatch, ablations):
         groups.append([run.story.story_id for run in runs])
         return evaluate(runs, *args)
 
-    def counting_builds(units, *args):
-        built.append(list(dict.fromkeys(record.story_id for _, record in units)))
-        return build(units, *args)
+    def counting_builds(kind, units, *args):
+        built.append(list(dict.fromkeys(record.story_id for record in units)))
+        return build(kind, units, *args)
 
     monkeypatch.setattr(evaluator, "_evaluate_stage", counting_groups)
     monkeypatch.setattr(evaluator, "build_retrieval_index", counting_builds)
@@ -500,8 +538,8 @@ def test_a_group_index_searched_by_story_gives_the_bundles_of_an_index_per_story
     own = {}
     for story in stories:
         units = retrieval_units(story, summaries[story.story_id], "summary")
-        vectors = gateway.embed([record.text for _, record in units])
-        own[story.story_id] = build_retrieval_index(units, vectors, config.gateway.embed_dim)
+        vectors = gateway.embed([record.text for record in units])
+        own[story.story_id] = build_retrieval_index("summary", units, vectors, config.gateway.embed_dim)
     for (focus, sentiment, index, records, cfg, gw), kw, bundle in calls:
         story_id = kw.pop("restrict_story")
         assert len(index) == episodes and story_id in own  # the one group's index (70 texts), searched by story

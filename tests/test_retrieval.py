@@ -1,4 +1,6 @@
+import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,6 +175,32 @@ def test_budget_drops_whole_entries_from_the_tail(mock_gateway):
     assert [e.episode_index for e in bundle.selected] == [
         e.episode_index for e in unbounded.selected[: len(bundle.selected)]
     ]
+
+
+def test_a_bundle_fills_its_budget_to_the_last_character(mock_gateway):
+    """An entry costs its block plus the joiner before it: two entries fit a budget of
+    exactly their rendered length, and one character less keeps only the first."""
+    index, records = synth_corpus(mock_gateway, 10, seed=7)
+    unbounded = retrieve_related(
+        records["s#0"].text, None, index, records, big_budget(top_n=6), mock_gateway,
+    )
+    exact = len(unbounded.selected[0].block) + 1 + len(unbounded.selected[1].block)
+    for budget, kept in ((exact, 2), (exact - 1, 1)):
+        config = RetrievalConfig(top_n=6, context_char_budget=budget)
+        bundle = retrieve_related(records["s#0"].text, None, index, records, config, mock_gateway)
+        assert bundle.selected == unbounded.selected[:kept] and bundle.truncated
+        assert len(bundle.render()) <= budget
+
+
+def test_a_candidate_exactly_the_tolerance_from_the_focus_survives_the_filter(mock_gateway):
+    # 0.5, 0.25 and 0.75 are exact in binary, so |0.5 - 0.75| is exactly the tolerance
+    index, records = synth_corpus(mock_gateway, 6, seed=11)
+    sentiments = {"s#2": 0.75, "s#3": math.nextafter(0.75, 1.0), "s#4": 0.25}
+    records = {eid: replace(r, sentiment=sentiments.get(eid, 0.0)) for eid, r in records.items()}
+    config = big_budget(top_n=4, sentiment_tolerance=0.25, exclude_self=False)
+    bundle = retrieve_related(records["s#0"].text, SentimentScore(0.5), index, records, config, mock_gateway)
+    assert sorted(e.episode_index for e in bundle.selected) == [2, 4]  # s#3 is just past it
+    assert not bundle.sentiment_filter_bypassed
 
 
 def test_query_retrieval_finds_verbatim_synopsis(mock_gateway):

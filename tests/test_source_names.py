@@ -177,3 +177,30 @@ def test_only_the_gateway_renders_a_prompt_and_no_class_narrows_a_reply_error():
                     subclasses.append(f"{path.stem}.{node.name}")
     assert renderers == {("gateway.py", "render"), ("gateway.py", "template")}
     assert subclasses == []
+
+
+def test_the_pipelines_stage_4_alone_builds_a_retrieval_index():
+    """`evaluator.index_stage` is the one caller of `build_retrieval_index`:
+    `score index` writes its index files through the pipeline's stage 4, not
+    through a copy of it."""
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        used.update(_references(ast.parse(path.read_text("utf-8")), path.stem, {"build_retrieval_index"}))
+    assert used == {("evaluator.index_stage", "build_retrieval_index")}
+
+
+def test_the_four_metric_names_are_spelled_out_once():
+    """The metrics are the fields of `evaluator.MetricsReport` that
+    `METRIC_NAMES` lists; no other code of the package spells a metric's name,
+    as a string, a name, an attribute or a keyword."""
+    from score.evaluator import METRIC_NAMES
+
+    spelled, declared = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.ClassDef) and node.name == "MetricsReport":
+                declared = [s.target.id for s in node.body if isinstance(s, ast.AnnAssign)]
+            words = (getattr(node, a, None) for a in ("id", "attr", "arg", "value"))
+            spelled += [(path.name, word) for word in words if isinstance(word, str) and word in METRIC_NAMES]
+    assert declared[: len(METRIC_NAMES)] == list(METRIC_NAMES)
+    assert spelled == [("evaluator.py", name) for name in METRIC_NAMES]  # the declaration alone
